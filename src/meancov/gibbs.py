@@ -6,6 +6,13 @@ independent inverse gamma on the free eigenvalues.  The eigenvalues then have
 an inverse-gamma full conditional, while the mean is updated by a
 Metropolis-Hastings step whose Gaussian proposal covariance is the structured
 covariance at the current point scaled by ``1/n``.
+
+Cost model of the sampler: one basis completion per MH proposal and no
+scatter rebuild.  The basis ``P(mu*)`` of a proposed state is built once and
+serves its log posterior, the reverse proposal density and, if the proposal
+is accepted, the next forward step and the next eigenvalue draw.  The
+diagonal of ``H_N`` is read from the cached ``A(0)``, because the tail
+columns of ``P(mu)`` are orthogonal to ``mu``.
 """
 
 from __future__ import annotations
@@ -91,26 +98,59 @@ def hn_matrix(data: SampleSet, mu, prior: PriorConfig) -> HNMatrix:
     ``D^{-1}`` reproduce the componentwise normal prior on the mean.
     """
     mu = _as_vector(mu, "mu")
-    nrm = float(np.linalg.norm(mu))
-    if nrm < _ZERO_MEAN_TOL:
-        raise ZeroMeanError("posterior quantities need a nonzero mean vector")
-    P = build_orthobasis(mu / nrm).matrix
+    P = _basis(mu)
     A = data.scatter(mu)
     d = mu - prior.mu0
     return HNMatrix(P.T @ A @ P + prior.kappa0 * np.outer(d, d) + np.diag(prior.h0_diag))
 
 
-def hn_diagonal(data: SampleSet, mu, prior: PriorConfig) -> np.ndarray:
-    """Diagonal of :func:`hn_matrix` without forming the full matrix."""
-    mu = _as_vector(mu, "mu")
+def _basis(mu: np.ndarray) -> np.ndarray:
+    """The matrix ``P(mu / ||mu||)`` of the basis anchored at a nonzero mean."""
     nrm = float(np.linalg.norm(mu))
     if nrm < _ZERO_MEAN_TOL:
         raise ZeroMeanError("posterior quantities need a nonzero mean vector")
-    P = build_orthobasis(mu / nrm)
-    A = data.scatter(mu)
-    b_diag = np.einsum("ij,jk,ki->i", P.matrix.T, A, P.matrix)
+    return build_orthobasis(mu / nrm).matrix
+
+
+def _hn_diagonal(data: SampleSet, mu: np.ndarray, P: np.ndarray, prior: PriorConfig) -> np.ndarray:
+    """Diagonal of ``H_N`` at ``mu`` given its basis ``P``, read from ``A(0)``.
+
+    ``A(mu) = A(0) - n (xbar mu^T + mu xbar^T) + n mu mu^T``, so each entry
+    is ``v^T A(0) v + n (v^T mu)(v^T mu - 2 v^T xbar)`` for a column ``v`` of
+    ``P``.  The correction vanishes on the tail columns, which are orthogonal
+    to ``mu``, and is ``n ||mu|| (||mu|| - 2 u^T xbar)`` on the leading one.
+    """
+    c = P.T @ mu
+    b = np.sum(P * (data.a0 @ P), axis=0) + data.n * c * (c - 2.0 * (P.T @ data.xbar))
     d = mu - prior.mu0
-    return b_diag + prior.kappa0 * d**2 + prior.h0_diag
+    return b + prior.kappa0 * d**2 + prior.h0_diag
+
+
+def _log_density(data: SampleSet, hn: np.ndarray, lam: np.ndarray, prior: PriorConfig) -> float:
+    """:func:`log_posterior` from the diagonal ``hn`` of ``H_N``."""
+    t2 = data.n + 1.0 + 2.0 * prior.a
+    return float(-0.5 * t2 * np.sum(np.log(lam)) - 0.5 * (hn[0] + np.sum(hn[1:] / lam)))
+
+
+def _lambda_conditional(data: SampleSet, hn: np.ndarray, prior: PriorConfig):
+    """Shape and scales of the eigenvalue full conditional from ``hn``."""
+    return 0.5 * (data.n + 2.0 * prior.a - 1.0), 0.5 * hn[1:]
+
+
+def _draw_lambda(shape: float, scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-gamma draws with a common shape and per-coordinate scales."""
+    if shape <= 0.0:
+        raise ValueError("inverse-gamma shape (n + 2a - 1)/2 must be positive")
+    return scales / rng.gamma(shape, 1.0, size=scales.size)
+
+
+def hn_diagonal(data: SampleSet, mu, prior: PriorConfig) -> np.ndarray:
+    """Diagonal of :func:`hn_matrix` without forming the full matrix."""
+    mu = _as_vector(mu, "mu")
+    P = _basis(mu)
+    if mu.size != data.p:
+        raise DimensionMismatchError(f"mu has length {mu.size}, expected {data.p}")
+    return _hn_diagonal(data, mu, P, prior)
 
 
 def log_posterior(data: SampleSet, mu, lam, prior: PriorConfig) -> float:
@@ -122,9 +162,7 @@ def log_posterior(data: SampleSet, mu, lam, prior: PriorConfig) -> float:
     lam = _as_vector(lam, "lam")
     if lam.size != data.p - 1:
         raise DimensionMismatchError(f"lambda has length {lam.size}, expected {data.p - 1}")
-    hn = hn_diagonal(data, mu, prior)
-    t2 = data.n + 1.0 + 2.0 * prior.a
-    return float(-0.5 * t2 * np.sum(np.log(lam)) - 0.5 * (hn[0] + np.sum(hn[1:] / lam)))
+    return _log_density(data, hn_diagonal(data, mu, prior), lam, prior)
 
 
 def lambda_conditional_params(
@@ -136,9 +174,7 @@ def lambda_conditional_params(
     ``(n + 2a - 1)/2`` and scale ``c*_i / 2`` where ``c*_i`` is the
     corresponding trailing diagonal entry of ``H_N``.
     """
-    shape = 0.5 * (data.n + 2.0 * prior.a - 1.0)
-    scales = 0.5 * hn_diagonal(data, mu, prior)[1:]
-    return shape, scales
+    return _lambda_conditional(data, hn_diagonal(data, mu, prior), prior)
 
 
 def draw_lambda_conditional(
@@ -150,18 +186,12 @@ def draw_lambda_conditional(
     ``G ~ Gamma(shape, rate=scale)`` then ``1/G`` is inverse gamma with the
     same shape and scale.
     """
-    shape, scales = lambda_conditional_params(data, mu, prior)
-    if shape <= 0.0:
-        raise ValueError("inverse-gamma shape (n + 2a - 1)/2 must be positive")
-    return scales / rng.gamma(shape, 1.0, size=scales.size)
+    return _draw_lambda(*lambda_conditional_params(data, mu, prior), rng)
 
 
-def _proposal_factors(data: SampleSet, mu, lam):
-    """Rotation and diagonal of the state-dependent proposal covariance."""
-    u = mu / np.linalg.norm(mu)
-    P = build_orthobasis(u).matrix
-    d = np.concatenate(([1.0], lam)) / data.n
-    return P, d
+def _proposal_diag(data: SampleSet, lam: np.ndarray) -> np.ndarray:
+    """Diagonal of the proposal covariance ``P diag(1, lambda)/n P^T``."""
+    return np.concatenate(([1.0], lam)) / data.n
 
 
 def _log_q(P: np.ndarray, d: np.ndarray, y: np.ndarray, x: np.ndarray) -> float:
@@ -170,21 +200,16 @@ def _log_q(P: np.ndarray, d: np.ndarray, y: np.ndarray, x: np.ndarray) -> float:
     return float(-0.5 * (np.sum(np.log(d)) + np.sum(z**2 / d)))
 
 
-def _mh_once(data, mu, lam, lp_cur, prior, rng):
-    P, d = _proposal_factors(data, mu, lam)
-    step = P @ (np.sqrt(d) * rng.standard_normal(mu.size))
-    mu_star = mu + step
-    lp_star = log_posterior(data, mu_star, lam, prior)
-    P_star, d_star = _proposal_factors(data, mu_star, lam)
-    log_r = (
-        lp_star
-        - lp_cur
-        + _log_q(P_star, d_star, mu, mu_star)
-        - _log_q(P, d, mu_star, mu)
-    )
+def _mh_once(data, mu, P, lam, lp_cur, prior, rng):
+    """One MH update of ``mu`` with basis ``P``; returns the state and its basis."""
+    d = _proposal_diag(data, lam)
+    mu_star = mu + P @ (np.sqrt(d) * rng.standard_normal(mu.size))
+    P_star = _basis(mu_star)
+    lp_star = _log_density(data, _hn_diagonal(data, mu_star, P_star, prior), lam, prior)
+    log_r = lp_star - lp_cur + _log_q(P_star, d, mu, mu_star) - _log_q(P, d, mu_star, mu)
     if np.log(rng.uniform()) < log_r:
-        return mu_star, True, lp_star
-    return mu, False, lp_cur
+        return mu_star, P_star, True, lp_star
+    return mu, P, False, lp_cur
 
 
 def mh_step_mu(
@@ -195,7 +220,10 @@ def mh_step_mu(
     The proposal covariance depends on the current point, so the Hastings
     ratio keeps both forward and reverse proposal densities.
     """
-    mu_new, accepted, _ = _mh_once(data, state.mu, state.lam, state.log_posterior, prior, rng)
+    mu = _as_vector(state.mu, "mu")
+    mu_new, _, accepted, _ = _mh_once(
+        data, mu, _basis(mu), state.lam, state.log_posterior, prior, rng
+    )
     return mu_new, accepted
 
 
@@ -250,13 +278,15 @@ def run_gibbs(
         raise DimensionMismatchError("lambda0 must have length p - 1")
 
     mu = data.xbar.copy()
+    P = _basis(mu)
     states: list[ChainState] = []
     accepted = 0
     for j in range(1, s + 1):
-        lam = draw_lambda_conditional(data, mu, prior, rng)
-        lp = log_posterior(data, mu, lam, prior)
+        hn = _hn_diagonal(data, mu, P, prior)
+        lam = _draw_lambda(*_lambda_conditional(data, hn, prior), rng)
+        lp = _log_density(data, hn, lam, prior)
         for _ in range(l):
-            mu, acc, lp = _mh_once(data, mu, lam, lp, prior, rng)
+            mu, P, acc, lp = _mh_once(data, mu, P, lam, lp, prior, rng)
             accepted += int(acc)
         states.append(ChainState(mu=mu.copy(), lam=lam, log_posterior=lp, iteration=j))
     return GibbsRun(states=states, accepted=accepted, proposals=s * l)

@@ -113,7 +113,7 @@ def lower_bound_h(data: SampleSet, u) -> float:
     """
     u = _as_vector(u, "u")
     n, p = data.n, data.p
-    lam_max = float(np.linalg.eigvalsh(data.a0)[-1])
+    lam_max = data.a0_lambda_max
     quad = float(u @ data.scatter_about_mean() @ u)
     return float(-0.5 * n * (p - 1) * np.log(lam_max / n) - 0.5 * (quad + n * (p - 1)))
 

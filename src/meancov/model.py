@@ -13,6 +13,7 @@ to call concurrently on shared instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -249,7 +250,8 @@ class SampleSet:
     """An n x p data matrix with the cached mean and zero-centered scatter.
 
     ``xbar`` is the sample mean and ``a0 = sum_j x_j x_j^T`` is the scatter
-    about the origin; both are computed once at construction.
+    about the origin; both are computed once at construction.  The largest
+    eigenvalue of ``a0`` is computed on first use and then kept.
     """
 
     X: np.ndarray
@@ -286,6 +288,11 @@ class SampleSet:
     def a0(self) -> np.ndarray:
         """Scatter about the origin, ``A(0) = sum_j x_j x_j^T``."""
         return self._a0
+
+    @cached_property
+    def a0_lambda_max(self) -> float:
+        """Largest eigenvalue of ``A(0)``."""
+        return float(np.linalg.eigvalsh(self.a0)[-1])
 
     def scatter(self, mu) -> np.ndarray:
         """Scatter about ``mu``: ``A(mu) = sum_j (x_j - mu)(x_j - mu)^T``.

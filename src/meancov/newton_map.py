@@ -64,8 +64,7 @@ class MapFit:
 
 def _bound_constants(data: SampleSet, prior: PriorConfig) -> np.ndarray:
     """``m_i = lambda_max(A(0)) + (H0)_{i+1,i+1}`` for i = 1..p-1."""
-    lam_max = float(np.linalg.eigvalsh(data.a0)[-1])
-    return lam_max + prior.h0_diag[1:]
+    return data.a0_lambda_max + prior.h0_diag[1:]
 
 
 def _t(data: SampleSet, prior: PriorConfig) -> float:

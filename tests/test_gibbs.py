@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import invgamma, kstest, multivariate_normal
 
+from meancov import gibbs
 from meancov import (
     ChainState,
     DimensionMismatchError,
@@ -21,7 +22,13 @@ from meancov import (
     mh_step_mu,
     run_gibbs,
 )
-from meancov.gibbs import _log_q, _mh_once, _proposal_factors, lambda_conditional_params
+from meancov.gibbs import (
+    _basis,
+    _log_q,
+    _mh_once,
+    _proposal_diag,
+    lambda_conditional_params,
+)
 from conftest import simulated_data
 
 
@@ -68,6 +75,20 @@ class TestHnMatrix:
         data, prior = small_case
         mu = data.xbar + 0.2
         assert np.allclose(hn_diagonal(data, mu, prior), np.diag(hn_matrix(data, mu, prior).matrix))
+        # hn_diagonal reads A(0) where hn_matrix forms A(mu): random means
+        # near xbar, far from it, and of large norm.
+        rng = np.random.default_rng(23)
+        for p in (2, 3, 5, 10):
+            data = simulated_data(4 * p, p, seed=30 + p)
+            prior = PriorConfig.default(data)
+            for scale in (0.1, 3.0, 40.0):
+                for _ in range(5):
+                    mu = data.xbar + scale * rng.standard_normal(p)
+                    np.testing.assert_allclose(
+                        hn_diagonal(data, mu, prior),
+                        np.diag(hn_matrix(data, mu, prior).matrix),
+                        rtol=1e-10,
+                    )
 
     def test_zero_mean_rejected(self, small_case):
         data, prior = small_case
@@ -185,7 +206,7 @@ class TestMhStep:
         mu = data.xbar
         lam = np.array([10.0, 8.0])
         lp = log_posterior(data, mu, lam, prior)
-        P, d = _proposal_factors(data, mu, lam)
+        P, d = _basis(mu), _proposal_diag(data, lam)
         log_r = (lp - lp) + _log_q(P, d, mu, mu) - _log_q(P, d, mu, mu)
         assert log_r == 0.0
 
@@ -196,10 +217,10 @@ class TestMhStep:
         rng = np.random.default_rng(5)
         mu = data.xbar
         lam = np.ones(2)
-        P, d = _proposal_factors(data, mu, lam)
+        P, d = _basis(mu), _proposal_diag(data, lam)
         for _ in range(20):
             mu_star = mu + rng.standard_normal(3) * 0.1
-            P_star, d_star = _proposal_factors(data, mu_star, lam)
+            P_star, d_star = _basis(mu_star), _proposal_diag(data, lam)
             q_diff = _log_q(P_star, d_star, mu, mu_star) - _log_q(P, d, mu_star, mu)
             assert abs(q_diff) < 1e-12
 
@@ -225,11 +246,12 @@ class TestMhStep:
         mu = data.xbar.copy()
         lam = np.array([float(np.linalg.eigvalsh(data.scatter_about_mean() / data.n)[-1])])
         lp = log_posterior(data, mu, lam, prior)
+        P = _basis(mu)
         for _ in range(2000):  # burn-in at fixed lambda
-            mu, _, lp = _mh_once(data, mu, lam, lp, prior, rng)
+            mu, P, _, lp = _mh_once(data, mu, P, lam, lp, prior, rng)
         traj = np.empty(100_000)
         for i in range(traj.size):
-            mu, _, lp = _mh_once(data, mu, lam, lp, prior, rng)
+            mu, P, _, lp = _mh_once(data, mu, P, lam, lp, prior, rng)
             traj[i] = mu[0]
         edges = np.quantile(traj, [0.25, 0.5, 0.75])
         bins = np.digitize(traj, edges)
@@ -253,6 +275,20 @@ class TestRunGibbs:
         for s1, s2 in zip(run1.states, run2.states):
             assert np.array_equal(s1.mu, s2.mu)
             assert np.array_equal(s1.lam, s2.lam)
+
+    def test_one_basis_completion_per_proposal(self, small_case, monkeypatch):
+        data, prior = small_case
+        calls = []
+        build = gibbs.build_orthobasis
+
+        def counted(u):
+            calls.append(1)
+            return build(u)
+
+        monkeypatch.setattr(gibbs, "build_orthobasis", counted)
+        s, l = 20, 3
+        run_gibbs(data, prior, s=s, l=l, rng=np.random.default_rng(11))
+        assert len(calls) <= 1 + s + s * l
 
     def test_rejects_degenerate_requests(self, small_case):
         data, prior = small_case
