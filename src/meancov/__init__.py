@@ -17,7 +17,6 @@ from .exceptions import (
     NonUnitVectorError,
     ParseError,
     RangeError,
-    RepeatedEigenvaluesError,
     TooFewRowsError,
     ZeroMeanError,
     ZeroVectorError,

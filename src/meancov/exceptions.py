@@ -33,10 +33,6 @@ class EmptyChainError(MeanCovError):
     """A posterior chain with at least one state is required."""
 
 
-class RepeatedEigenvaluesError(MeanCovError):
-    """A density undefined at repeated eigenvalues was evaluated at them."""
-
-
 class ParseError(MeanCovError):
     """A CSV cell could not be parsed; the message names row and column."""
 

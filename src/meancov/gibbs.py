@@ -293,14 +293,13 @@ def run_gibbs(
     s: int = 100,
     l: int = 5,
     rng: np.random.Generator | None = None,
-    lambda0=None,
 ) -> GibbsRun:
     """Metropolis-Hastings within Gibbs sampler for ``(mu, lambda)``.
 
     Starts at ``mu = xbar``; each of the ``s`` sweeps draws the eigenvalues
     from their full conditional and then applies ``l`` MH updates to the
-    mean.  ``lambda0`` is accepted but has no effect: the first sweep
-    overwrites it before the eigenvalues are ever used.
+    mean.  No starting eigenvalues are taken: the first sweep draws them
+    before they are used.
     """
     if s < 1:
         raise ValueError("need at least one posterior sample (s >= 1)")
@@ -308,8 +307,6 @@ def run_gibbs(
         raise ValueError("need at least one inner MH step (l >= 1)")
     if rng is None:
         rng = np.random.default_rng()
-    if lambda0 is not None and _as_vector(lambda0, "lambda0").size != data.p - 1:
-        raise DimensionMismatchError("lambda0 must have length p - 1")
 
     mu = data.xbar.copy()
     P = _basis(mu)

@@ -9,7 +9,7 @@ maximizer is the eigenvector of the smallest eigenvalue of ``A(xbar)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,11 +17,13 @@ from .exceptions import DegenerateDataError
 from .model import (
     EigenSpectrum,
     MeanState,
+    OrthoBasis,
     SampleSet,
     StructuredCovariance,
     _as_vector,
     assemble_sigma,
     build_orthobasis,
+    tail_quadratic_forms,
 )
 
 _LAMBDA_FLOOR = 1e-12
@@ -31,13 +33,17 @@ _LAMBDA_FLOOR = 1e-12
 class MleFit:
     """Approximate MLE of the constrained mean-covariance pair.
 
-    ``degenerate_direction`` flags a (numerically) repeated smallest
-    eigenvalue of ``A(xbar)``; ``zero_radius`` flags a fit with ``c0 = 0``,
-    where the mean direction is no longer identified by the mean vector.
+    ``basis`` is ``build_orthobasis(mean.u)``, completed once by the fit;
+    the eigenvalues, ``profile_loglik_at_fit`` and :meth:`covariance` are
+    all read off it.  ``degenerate_direction`` flags a (numerically)
+    repeated smallest eigenvalue of ``A(xbar)``; ``zero_radius`` flags a fit
+    with ``c0 = 0``, where the mean direction is no longer identified by the
+    mean vector.
     """
 
     mean: MeanState
     spectrum: EigenSpectrum
+    basis: OrthoBasis = field(repr=False)
     profile_loglik_at_fit: float
     lower_bound_at_fit: float
     smallest_eig_of_A_xbar: float
@@ -45,7 +51,7 @@ class MleFit:
     zero_radius: bool = False
 
     def covariance(self) -> StructuredCovariance:
-        return assemble_sigma(build_orthobasis(self.mean.u), self.spectrum)
+        return assemble_sigma(self.basis, self.spectrum)
 
 
 def estimate_c0(data: SampleSet, u) -> float:
@@ -69,10 +75,24 @@ def estimate_c0_general(data: SampleSet, u, lam) -> float:
     return float((u @ M @ data.xbar) / (u @ M @ u))
 
 
-def _tail_quadratic_forms(data: SampleSet, u) -> np.ndarray:
-    """``V_i^T A(0) V_i`` for the basis completion of ``u``."""
-    V = build_orthobasis(u).tail
-    return np.einsum("ij,jk,ki->i", V.T, data.a0, V)
+def _tail_forms(data: SampleSet, basis: OrthoBasis) -> np.ndarray:
+    """``V_i^T A(0) V_i`` for the tail of ``basis``.
+
+    Raises
+    ------
+    DegenerateDataError
+        If any quadratic form is numerically zero (data in a subspace).
+    """
+    q = tail_quadratic_forms(data.a0, basis.tail)
+    if np.any(q < _LAMBDA_FLOOR):
+        raise DegenerateDataError("data lie in a proper subspace; eigenvalue estimate is zero")
+    return q
+
+
+def _profile_loglik(data: SampleSet, u: np.ndarray, q: np.ndarray) -> float:
+    n = data.n
+    quad = float(u @ data.scatter_about_mean() @ u)
+    return float(-0.5 * n * np.sum(np.log(q / n)) - 0.5 * (quad + n * (data.p - 1)))
 
 
 def estimate_lambdas(data: SampleSet, mean: MeanState) -> EigenSpectrum:
@@ -83,10 +103,7 @@ def estimate_lambdas(data: SampleSet, mean: MeanState) -> EigenSpectrum:
     DegenerateDataError
         If any quadratic form is numerically zero (data in a subspace).
     """
-    q = _tail_quadratic_forms(data, mean.u)
-    if np.any(q < _LAMBDA_FLOOR):
-        raise DegenerateDataError("data lie in a proper subspace; eigenvalue estimate is zero")
-    return EigenSpectrum(q / data.n)
+    return EigenSpectrum(_tail_forms(data, build_orthobasis(mean.u)) / data.n)
 
 
 def profile_loglik(data: SampleSet, u) -> float:
@@ -96,12 +113,7 @@ def profile_loglik(data: SampleSet, u) -> float:
     the proportionality constant is fixed at zero.
     """
     u = _as_vector(u, "u")
-    n = data.n
-    q = _tail_quadratic_forms(data, u)
-    if np.any(q < _LAMBDA_FLOOR):
-        raise DegenerateDataError("data lie in a proper subspace")
-    quad = float(u @ data.scatter_about_mean() @ u)
-    return float(-0.5 * n * np.sum(np.log(q / n)) - 0.5 * (quad + n * (data.p - 1)))
+    return _profile_loglik(data, u, _tail_forms(data, build_orthobasis(u)))
 
 
 def lower_bound_h(data: SampleSet, u) -> float:
@@ -140,11 +152,13 @@ def fit_mle(data: SampleSet) -> MleFit:
         proj = -proj
     c0 = proj
     mean = MeanState(u=u, c0=c0)
-    spectrum = estimate_lambdas(data, mean)
+    basis = build_orthobasis(mean.u)
+    q = _tail_forms(data, basis)
     return MleFit(
         mean=mean,
-        spectrum=spectrum,
-        profile_loglik_at_fit=profile_loglik(data, u),
+        spectrum=EigenSpectrum(q / data.n),
+        basis=basis,
+        profile_loglik_at_fit=_profile_loglik(data, mean.u, q),
         lower_bound_at_fit=lower_bound_h(data, u),
         smallest_eig_of_A_xbar=float(evals[0]),
         degenerate_direction=degenerate,

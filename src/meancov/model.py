@@ -183,6 +183,11 @@ def build_orthobasis(u, renormalize: bool = False) -> OrthoBasis:
     return OrthoBasis(P)
 
 
+def tail_quadratic_forms(A: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The quadratic forms ``V_i^T A V_i`` for every column ``V_i`` of ``V``."""
+    return np.einsum("ij,jk,ki->i", V.T, A, V)
+
+
 def repeated_tail_eigenvectors(mu) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form orthocomplement directions for a mean ``(m1, m2, m3, ..., m3)``.
 

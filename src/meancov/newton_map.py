@@ -19,11 +19,13 @@ from .mle import fit_mle
 from .model import (
     EigenSpectrum,
     MeanState,
+    OrthoBasis,
     SampleSet,
     StructuredCovariance,
     _as_vector,
     assemble_sigma,
     build_orthobasis,
+    tail_quadratic_forms,
 )
 
 
@@ -49,17 +51,20 @@ class MapFit:
     """Result of the lower-bound Newton iteration.
 
     ``h_trace`` holds the surrogate value after the initial point and every
-    accepted update; the acceptance rule makes it non-decreasing.
+    accepted update; the acceptance rule makes it non-decreasing.  ``basis``
+    is ``build_orthobasis(mean.u)``, carried from the last iterate that
+    moved the direction, so :meth:`covariance` completes no basis.
     """
 
     mean: MeanState
     spectrum: EigenSpectrum
+    basis: OrthoBasis = field(repr=False)
     h_trace: list[float]
     outer_iterations: int
     converged: bool
 
     def covariance(self) -> StructuredCovariance:
-        return assemble_sigma(build_orthobasis(self.mean.u), self.spectrum)
+        return assemble_sigma(self.basis, self.spectrum)
 
 
 def _bound_constants(data: SampleSet, prior: PriorConfig) -> np.ndarray:
@@ -85,9 +90,11 @@ def map_c0_update(data: SampleSet, u, lam, prior: PriorConfig) -> float:
     return num / den
 
 
-def _lambda_update(data: SampleSet, u: np.ndarray, c0: float, prior: PriorConfig) -> np.ndarray:
-    V = build_orthobasis(u).tail
-    q = np.einsum("ij,jk,ki->i", V.T, data.a0, V)
+def _lambda_update(
+    data: SampleSet, basis: OrthoBasis, u: np.ndarray, c0: float, prior: PriorConfig
+) -> np.ndarray:
+    """Eigenvalue refresh at ``c0 * u``; ``basis`` is ``build_orthobasis(u)``."""
+    q = tail_quadratic_forms(data.a0, basis.tail)
     d = c0 * u - prior.mu0
     return (q + prior.kappa0 * d[1:] ** 2 + prior.h0_diag[1:]) / (2.0 * _t(data, prior))
 
@@ -98,7 +105,8 @@ def map_lambda_update(data: SampleSet, mean: MeanState, prior: PriorConfig) -> E
     Coincides with the mode of the inverse-gamma full conditional of each
     eigenvalue at the same mean.
     """
-    return EigenSpectrum(_lambda_update(data, mean.u, mean.c0, prior))
+    basis = build_orthobasis(mean.u)
+    return EigenSpectrum(_lambda_update(data, basis, mean.u, mean.c0, prior))
 
 
 def h_value(data: SampleSet, u, c0: float, prior: PriorConfig) -> float:
@@ -185,13 +193,22 @@ def fit_map_newton(
     singular Hessian falls back to a backtracked gradient-ascent step.  The
     outer loop stops when the direction stops moving or when a radius
     refresh would decrease the surrogate.
+
+    The basis of the direction is completed once per distinct iterate: it is
+    taken from the MLE (or completed for the warm start), reused by every
+    eigenvalue refresh, and completed again only after an outer iteration
+    that moved the direction.
     """
     if cfg is None:
         cfg = NewtonConfig()
-    start = init_mean if init_mean is not None else fit_mle(data).mean
+    if init_mean is None:
+        mle = fit_mle(data)
+        start, basis = mle.mean, mle.basis
+    else:
+        start, basis = init_mean, build_orthobasis(init_mean.u)
     u = start.u.copy()
     c0 = start.c0
-    lam = _lambda_update(data, u, c0, prior)
+    lam = _lambda_update(data, basis, u, c0, prior)
     h_cur = h_value(data, u, c0, prior)
     h_trace = [h_cur]
     converged = False
@@ -200,7 +217,7 @@ def fit_map_newton(
     for _ in range(cfg.max_outer):
         outer_used += 1
         c0_new = map_c0_update(data, u, lam, prior)
-        lam_new = _lambda_update(data, u, c0_new, prior)
+        lam_new = _lambda_update(data, basis, u, c0_new, prior)
         h_new = h_value(data, u, c0_new, prior)
         if h_new < h_cur:
             # The refresh maximizes the exact conditional posterior, not h;
@@ -240,15 +257,22 @@ def fit_map_newton(
             h_trace.append(h_cur)
             if delta < cfg.epsilon:
                 break
+        if u is not u_outer:
+            basis = build_orthobasis(u)
         if float(np.linalg.norm(u - u_outer)) < cfg.epsilon:
             converged = True
             break
 
-    lam = _lambda_update(data, u, c0, prior)
+    lam = _lambda_update(data, basis, u, c0, prior)
     mean = MeanState(u=u, c0=c0)
+    if not np.array_equal(mean.u, u):
+        # Renormalization (or a sign flip for c0 < 0) moved a bit of u;
+        # the covariance is anchored at mean.u itself.
+        basis = build_orthobasis(mean.u)
     return MapFit(
         mean=mean,
         spectrum=EigenSpectrum(lam),
+        basis=basis,
         h_trace=h_trace,
         outer_iterations=outer_used,
         converged=converged,

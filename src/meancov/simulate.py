@@ -26,6 +26,7 @@ from .model import (
     StructuredCovariance,
     assemble_sigma,
     build_orthobasis,
+    tail_quadratic_forms,
 )
 from .newton_map import NewtonConfig, fit_map_newton
 from .niw import niw_map, niw_posterior
@@ -83,8 +84,7 @@ def generate_truth(p: int, rng: np.random.Generator, seed: int | None = None) ->
     psi = L @ L.T
     assert np.linalg.eigvalsh(psi)[0] > 0.0
     basis = build_orthobasis(mu / np.linalg.norm(mu))
-    V = basis.tail
-    lam = np.einsum("ij,jk,ki->i", V.T, psi, V)
+    lam = tail_quadratic_forms(psi, basis.tail)
     return TruthSpec(mu_true=mu, sigma_true=assemble_sigma(basis, EigenSpectrum(lam)), seed=seed)
 
 

@@ -329,16 +329,6 @@ class TestMhStep:
 
 
 class TestRunGibbs:
-    def test_initial_lambda_irrelevant(self, small_case):
-        data, prior = small_case
-        run1 = run_gibbs(data, prior, s=20, l=3, rng=np.random.default_rng(11))
-        run2 = run_gibbs(
-            data, prior, s=20, l=3, rng=np.random.default_rng(11), lambda0=np.array([99.0, 1.0])
-        )
-        for s1, s2 in zip(run1.states, run2.states):
-            assert np.array_equal(s1.mu, s2.mu)
-            assert np.array_equal(s1.lam, s2.lam)
-
     def test_one_basis_completion_per_proposal(self, small_case, monkeypatch):
         data, prior = small_case
         calls = []

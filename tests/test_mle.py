@@ -18,6 +18,7 @@ from meancov import (
     lower_bound_h,
     profile_loglik,
 )
+from meancov import mle as mle_module
 from conftest import random_unit, simulated_data
 
 
@@ -203,3 +204,23 @@ class TestFitMle:
         fit = fit_mle(data)
         evals = np.linalg.eigvalsh(data.scatter_about_mean())
         assert fit.smallest_eig_of_A_xbar == pytest.approx(evals[0])
+
+    def test_one_basis_completion_per_fit(self, monkeypatch):
+        calls = []
+        build = mle_module.build_orthobasis
+
+        def counted(u):
+            calls.append(1)
+            return build(u)
+
+        monkeypatch.setattr(mle_module, "build_orthobasis", counted)
+        fit_mle(simulated_data(50, 5, seed=18)).covariance()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n, p, seed", [(50, 3, 19), (60, 5, 20), (500, 50, 21)])
+    def test_stored_basis_is_completion_of_reported_direction(self, n, p, seed):
+        data = simulated_data(n, p, seed=seed)
+        fit = fit_mle(data)
+        assert np.array_equal(fit.basis.matrix, build_orthobasis(fit.mean.u).matrix)
+        assert fit.covariance().basis is fit.basis
+        assert fit.profile_loglik_at_fit == profile_loglik(data, fit.mean.u)

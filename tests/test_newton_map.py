@@ -21,6 +21,8 @@ from meancov import (
     map_c0_update,
     map_lambda_update,
 )
+from meancov import mle as mle_module
+from meancov import newton_map
 from meancov.gibbs import lambda_conditional_params
 from meancov.newton_map import _t
 from conftest import random_unit, simulated_data
@@ -262,6 +264,37 @@ class TestFitMapNewton:
         fit = fit_map_newton(data, PriorConfig.default(data), cfg, init_mean=far)
         assert fit.outer_iterations == 1
         assert not fit.converged
+
+    def test_basis_completions_bounded_by_outer_iterations(self, monkeypatch):
+        # On this data set the flat-prior iteration moves u off the MLE.
+        data = simulated_data(50, 3, seed=6)
+        mle_u = fit_mle(data).mean.u
+        calls = []
+        build = newton_map.build_orthobasis
+
+        def counted(u):
+            calls.append(1)
+            return build(u)
+
+        monkeypatch.setattr(mle_module, "build_orthobasis", counted)
+        monkeypatch.setattr(newton_map, "build_orthobasis", counted)
+        fit = fit_map_newton(data, prior_free(3))
+        fit.covariance()
+        assert not np.array_equal(fit.mean.u, mle_u)
+        assert len(calls) <= 2 + fit.outer_iterations
+
+    # (60, 5) seeds 20 and 37 end at an iterate that MeanState renormalizes
+    # to a different bit pattern, so the basis must be completed again there.
+    @pytest.mark.parametrize("n, p, seed", [(50, 3, 6), (60, 5, 20), (60, 5, 37)])
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_stored_basis_is_completion_of_reported_direction(self, n, p, seed, flat, warm):
+        data = simulated_data(n, p, seed=seed)
+        prior = prior_free(data.p) if flat else PriorConfig.default(data)
+        init = MeanState.from_vector(data.xbar) if warm else None
+        fit = fit_map_newton(data, prior, init_mean=init)
+        assert np.array_equal(fit.basis.matrix, build_orthobasis(fit.mean.u).matrix)
+        assert fit.covariance().basis is fit.basis
 
 
 class TestNewtonConfig:
