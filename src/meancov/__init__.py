@@ -27,14 +27,11 @@ from .gibbs import (
     PriorConfig,
     draw_lambda_conditional,
     hn_diagonal,
-    hn_matrix,
     log_posterior,
     map_from_chain,
-    mh_step_mu,
     run_gibbs,
 )
 from .mle import (
-    MleFit,
     estimate_c0,
     estimate_c0_general,
     estimate_lambdas,
@@ -44,18 +41,16 @@ from .mle import (
 )
 from .model import (
     EigenSpectrum,
+    Fit,
     MeanState,
     OrthoBasis,
     SampleSet,
     StructuredCovariance,
     assemble_sigma,
-    b_matrix,
     build_orthobasis,
     repeated_tail_eigenvectors,
-    scatter_matrix,
 )
 from .newton_map import (
-    MapFit,
     NewtonConfig,
     fit_map_newton,
     h_gradient,
@@ -70,7 +65,6 @@ from .simulate import (
     TruthSpec,
     default_estimators,
     format_table,
-    frobenius_risk,
     generate_truth,
     run_experiment,
     sample_data,

@@ -25,7 +25,7 @@ from .exceptions import (
 )
 from .gibbs import PriorConfig, map_from_chain, run_gibbs
 from .mle import fit_mle
-from .model import SampleSet, assemble_sigma, build_orthobasis
+from .model import Fit, SampleSet
 from .newton_map import NewtonConfig, fit_map_newton
 from .niw import niw_map, niw_posterior
 from .simulate import format_table, reports_to_records, run_experiment
@@ -196,73 +196,59 @@ def _dispatch(cfg: RunConfig) -> tuple[int, dict]:
     data = ingest_csv(cfg.input_path)
 
     if cfg.command == "fit-mle":
-        fit = fit_mle(data)
-        results = {
-            "u": fit.mean.u,
-            "c0": fit.mean.c0,
-            "mu": fit.mean.mu,
-            "lambda": fit.spectrum.values,
-            "sigma": fit.covariance().matrix,
-            "profile_loglik": fit.profile_loglik_at_fit,
-            "lower_bound": fit.lower_bound_at_fit,
-            "degenerate_direction": fit.degenerate_direction,
-            "zero_radius": fit.zero_radius,
-        }
-        return EXIT_OK, _fit_document(cfg, results)
+        return _fit_outcome(cfg, fit_mle(data))
+
+    prior = _prior_from_config(cfg, data)
 
     if cfg.command == "fit-niw":
         params = niw_posterior(
-            data,
-            mu0=data.xbar if cfg.prior_mu0 == "xbar" else np.zeros(data.p),
-            kappa0=cfg.prior_kappa0,
-            nu0=data.p + 1,
-            Lambda0=np.eye(data.p),
+            data, mu0=prior.mu0, kappa0=prior.kappa0, nu0=data.p + 1, Lambda0=np.eye(data.p)
         )
         mu_hat, sigma_hat = niw_map(params, data.p)
         results = {"mu": mu_hat, "sigma": sigma_hat, "kappa_n": params.kappa_n, "nu_n": params.nu_n}
         return EXIT_OK, _fit_document(cfg, results)
 
-    prior = _prior_from_config(cfg, data)
-
     if cfg.command == "fit-map-newton":
         ncfg = NewtonConfig(
             alpha=cfg.newton_alpha, epsilon=cfg.newton_eps, max_outer=cfg.newton_max_iter
         )
-        fit = fit_map_newton(data, prior, ncfg)
-        results = {
-            "u": fit.mean.u,
-            "c0": fit.mean.c0,
-            "mu": fit.mean.mu,
-            "lambda": fit.spectrum.values,
-            "sigma": fit.covariance().matrix,
-            "h_trace": fit.h_trace,
-            "outer_iterations": fit.outer_iterations,
-            "converged": fit.converged,
-        }
-        status = EXIT_OK if fit.converged else EXIT_NO_CONVERGENCE
-        return status, _fit_document(cfg, results)
+        return _fit_outcome(cfg, fit_map_newton(data, prior, ncfg))
 
     if cfg.command == "fit-map-gibbs":
         rng = np.random.default_rng(cfg.seed)
         chain = run_gibbs(data, prior, s=cfg.gibbs_s, l=cfg.gibbs_l, rng=rng)
-        mean, spectrum = map_from_chain(chain.states, data, prior)
-        sigma = assemble_sigma(build_orthobasis(mean.u), spectrum).matrix
+        fit = map_from_chain(chain.states, data, prior)
         if cfg.chain_out:
             with open(cfg.chain_out, "w", encoding="utf-8") as fh:
                 for rec in chain.records():
                     fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        results = {
-            "u": mean.u,
-            "c0": mean.c0,
-            "mu": mean.mu,
-            "lambda": spectrum.values,
-            "sigma": sigma,
-            "acceptance_rate": chain.acceptance_rate,
-            "samples": len(chain.states),
-        }
-        return EXIT_OK, _fit_document(cfg, results)
+        return _fit_outcome(
+            cfg, fit, acceptance_rate=chain.acceptance_rate, samples=len(chain.states)
+        )
 
     raise ValueError(f"unknown command: {cfg.command}")
+
+
+def _fit_outcome(cfg: RunConfig, fit: Fit, **extra) -> tuple[int, dict]:
+    """Exit status and result document of every constrained fit.
+
+    The results hold the estimate, the fit's status and its diagnostics,
+    plus ``extra`` values of the command; a fit that did not converge exits
+    with ``EXIT_NO_CONVERGENCE``.
+    """
+    results = {
+        "u": fit.mean.u,
+        "c0": fit.mean.c0,
+        "mu": fit.mean.mu,
+        "lambda": fit.spectrum.values,
+        "sigma": fit.covariance().matrix,
+        "converged": fit.converged,
+        "outer_iterations": fit.outer_iterations,
+        **fit.diagnostics,
+        **extra,
+    }
+    status = EXIT_OK if fit.converged else EXIT_NO_CONVERGENCE
+    return status, _fit_document(cfg, results)
 
 
 def _parse_grid(text: str) -> list[tuple[int, int]]:
@@ -290,19 +276,20 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="write the JSON result document here")
         sp.add_argument("--format", choices=["json", "table"], default="json")
 
-    def add_prior(sp):
+    def add_prior(sp, eigenvalues=True):
         sp.add_argument("--prior-kappa0", type=float, default=1.5)
-        sp.add_argument("--prior-a", type=float, default=None, help="default: p + 1")
-        sp.add_argument("--prior-h0", type=float, default=1.0,
-                        help="trailing diagonal of H0 (leading entry stays 1)")
         sp.add_argument("--prior-mu0", choices=["xbar", "zero"], default="xbar")
+        if eigenvalues:  # the NIW baseline has no eigenvalue prior
+            sp.add_argument("--prior-a", type=float, default=None, help="default: p + 1")
+            sp.add_argument("--prior-h0", type=float, default=1.0,
+                            help="trailing diagonal of H0 (leading entry stays 1)")
 
     sp = sub.add_parser("fit-mle", help="non-iterative approximate MLE")
     add_common(sp)
 
     sp = sub.add_parser("fit-niw", help="normal-inverse-Wishart MAP baseline")
     add_common(sp)
-    add_prior(sp)
+    add_prior(sp, eigenvalues=False)
 
     sp = sub.add_parser("fit-map-newton", help="lower-bound Newton MAP approximation")
     add_common(sp)

@@ -19,12 +19,20 @@ columns of ``P(mu)`` are orthogonal to ``mu``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DimensionMismatchError, EmptyChainError, ZeroMeanError
-from .model import EigenSpectrum, MeanState, SampleSet, _as_vector, build_orthobasis
+from .model import (
+    EigenSpectrum,
+    Fit,
+    MeanState,
+    SampleSet,
+    _as_vector,
+    build_orthobasis,
+    tail_quadratic_forms,
+)
 
 _ZERO_MEAN_TOL = 1e-10
 
@@ -80,32 +88,6 @@ class ChainState:
     iteration: int
 
 
-@dataclass(frozen=True)
-class HNMatrix:
-    """Posterior scatter analogue; only its diagonal feeds the conditionals."""
-
-    matrix: np.ndarray
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix)
-
-
-def hn_matrix(data: SampleSet, mu, prior: PriorConfig) -> HNMatrix:
-    """Assemble ``H_N = B(X, mu) + kappa0 (mu - mu0)(mu - mu0)^T + H0``.
-
-    ``B`` is the scatter about ``mu`` rotated into the basis anchored at
-    ``mu / ||mu||``; the prior quadratic and ``H0`` are added in ambient
-    components, which is the convention that makes the trace against
-    ``D^{-1}`` reproduce the componentwise normal prior on the mean.
-    """
-    mu = _as_vector(mu, "mu")
-    P = _basis(mu)
-    A = data.scatter(mu)
-    d = mu - prior.mu0
-    return HNMatrix(P.T @ A @ P + prior.kappa0 * np.outer(d, d) + np.diag(prior.h0_diag))
-
-
 def _basis(mu: np.ndarray) -> np.ndarray:
     """The matrix ``P(mu / ||mu||)`` of the basis anchored at a nonzero mean."""
     nrm = float(np.linalg.norm(mu))
@@ -117,13 +99,18 @@ def _basis(mu: np.ndarray) -> np.ndarray:
 def _hn_diagonal(data: SampleSet, mu: np.ndarray, P: np.ndarray, prior: PriorConfig) -> np.ndarray:
     """Diagonal of ``H_N`` at ``mu`` given its basis ``P``, read from ``A(0)``.
 
+    ``H_N = P^T A(mu) P + kappa0 (mu - mu0)(mu - mu0)^T + H0``, with the
+    prior quadratic and ``H0`` added in ambient components, which is the
+    convention that makes the trace against ``D^{-1}`` reproduce the
+    componentwise normal prior on the mean.
+
     ``A(mu) = A(0) - n (xbar mu^T + mu xbar^T) + n mu mu^T``, so each entry
     is ``v^T A(0) v + n (v^T mu)(v^T mu - 2 v^T xbar)`` for a column ``v`` of
     ``P``.  The correction vanishes on the tail columns, which are orthogonal
     to ``mu``, and is ``n ||mu|| (||mu|| - 2 u^T xbar)`` on the leading one.
     """
     c = P.T @ mu
-    b = np.sum(P * (data.a0 @ P), axis=0) + data.n * c * (c - 2.0 * (P.T @ data.xbar))
+    b = tail_quadratic_forms(data.a0, P) + data.n * c * (c - 2.0 * (P.T @ data.xbar))
     d = mu - prior.mu0
     return b + prior.kappa0 * d**2 + prior.h0_diag
 
@@ -147,7 +134,7 @@ def _draw_lambda(shape: float, scales: np.ndarray, rng: np.random.Generator) -> 
 
 
 def hn_diagonal(data: SampleSet, mu, prior: PriorConfig) -> np.ndarray:
-    """Diagonal of :func:`hn_matrix` without forming the full matrix."""
+    """Diagonal of ``H_N`` at ``mu`` (see :func:`_hn_diagonal`)."""
     mu = _as_vector(mu, "mu")
     P = _basis(mu)
     if mu.size != data.p:
@@ -245,22 +232,6 @@ def _mh_once(data, mu, P, d, lam, lp_cur, prior, rng):
     return mu, P, d, False, lp_cur
 
 
-def mh_step_mu(
-    data: SampleSet, state: ChainState, prior: PriorConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, bool]:
-    """One Metropolis-Hastings update of the mean at fixed eigenvalues.
-
-    The proposal covariance depends on the current point, so the Hastings
-    ratio keeps both forward and reverse proposal densities.
-    """
-    mu = _as_vector(state.mu, "mu")
-    d = _proposal_diag(data, mu, state.lam)
-    mu_new, _, _, accepted, _ = _mh_once(
-        data, mu, _basis(mu), d, state.lam, state.log_posterior, prior, rng
-    )
-    return mu_new, accepted
-
-
 @dataclass(frozen=True)
 class GibbsRun:
     """Collected chain plus Metropolis-Hastings acceptance bookkeeping."""
@@ -324,18 +295,19 @@ def run_gibbs(
     return GibbsRun(states=states, accepted=accepted, proposals=s * l)
 
 
-def map_from_chain(
-    chain: list[ChainState], data: SampleSet, prior: PriorConfig
-) -> tuple[MeanState, EigenSpectrum]:
+def map_from_chain(chain: list[ChainState], data: SampleSet, prior: PriorConfig) -> Fit:
     """Extract the MAP estimate from posterior draws.
 
     Keeps the mean of the highest-posterior state, discards its eigenvalue
     draw, and replaces it with the mode of the eigenvalue full conditional
-    at that mean, ``c*_i / (n + 1 + 2a)``.
+    at that mean, ``c*_i / (n + 1 + 2a)``.  One basis ``P(mean.u)`` serves
+    both the diagonal of ``H_N`` and the covariance.
     """
     if not chain:
         raise EmptyChainError("cannot extract a MAP estimate from an empty chain")
     best = max(chain, key=lambda st: st.log_posterior)
-    cstar = hn_diagonal(data, best.mu, prior)[1:]
+    mean = MeanState.from_vector(best.mu)
+    basis = build_orthobasis(mean.u)
+    cstar = _hn_diagonal(data, best.mu, basis.matrix, prior)[1:]
     lam_hat = cstar / (data.n + 1.0 + 2.0 * prior.a)
-    return MeanState.from_vector(best.mu), EigenSpectrum(lam_hat)
+    return Fit(mean=mean, spectrum=EigenSpectrum(lam_hat), basis=basis)

@@ -9,49 +9,21 @@ maximizer is the eigenvector of the smallest eigenvalue of ``A(xbar)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .exceptions import DegenerateDataError
 from .model import (
     EigenSpectrum,
+    Fit,
     MeanState,
     OrthoBasis,
     SampleSet,
-    StructuredCovariance,
     _as_vector,
-    assemble_sigma,
     build_orthobasis,
     tail_quadratic_forms,
 )
 
 _LAMBDA_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class MleFit:
-    """Approximate MLE of the constrained mean-covariance pair.
-
-    ``basis`` is ``build_orthobasis(mean.u)``, completed once by the fit;
-    the eigenvalues, ``profile_loglik_at_fit`` and :meth:`covariance` are
-    all read off it.  ``degenerate_direction`` flags a (numerically)
-    repeated smallest eigenvalue of ``A(xbar)``; ``zero_radius`` flags a fit
-    with ``c0 = 0``, where the mean direction is no longer identified by the
-    mean vector.
-    """
-
-    mean: MeanState
-    spectrum: EigenSpectrum
-    basis: OrthoBasis = field(repr=False)
-    profile_loglik_at_fit: float
-    lower_bound_at_fit: float
-    smallest_eig_of_A_xbar: float
-    degenerate_direction: bool = False
-    zero_radius: bool = False
-
-    def covariance(self) -> StructuredCovariance:
-        return assemble_sigma(self.basis, self.spectrum)
 
 
 def estimate_c0(data: SampleSet, u) -> float:
@@ -130,12 +102,20 @@ def lower_bound_h(data: SampleSet, u) -> float:
     return float(-0.5 * n * (p - 1) * np.log(lam_max / n) - 0.5 * (quad + n * (p - 1)))
 
 
-def fit_mle(data: SampleSet) -> MleFit:
+def fit_mle(data: SampleSet) -> Fit:
     """Three-step non-iterative fit.
 
     The direction estimate is the eigenvector of the smallest eigenvalue of
     ``A(xbar)``, signed so that ``u^T xbar >= 0``; the radius and eigenvalues
-    follow from their closed forms at that direction.
+    follow from their closed forms at that direction.  The basis ``P(u)`` is
+    completed once and serves the eigenvalues, the profile log-likelihood and
+    the covariance.
+
+    The diagnostics are ``profile_loglik`` and ``lower_bound`` at the fit,
+    ``smallest_eig_of_A_xbar``, ``degenerate_direction`` (a numerically
+    repeated smallest eigenvalue of ``A(xbar)``) and ``zero_radius`` (a fit
+    with ``c0 = 0``, where the mean vector no longer identifies the
+    direction).
     """
     if data.n < 2:
         raise DegenerateDataError("need at least two observations")
@@ -154,13 +134,15 @@ def fit_mle(data: SampleSet) -> MleFit:
     mean = MeanState(u=u, c0=c0)
     basis = build_orthobasis(mean.u)
     q = _tail_forms(data, basis)
-    return MleFit(
+    return Fit(
         mean=mean,
         spectrum=EigenSpectrum(q / data.n),
         basis=basis,
-        profile_loglik_at_fit=_profile_loglik(data, mean.u, q),
-        lower_bound_at_fit=lower_bound_h(data, u),
-        smallest_eig_of_A_xbar=float(evals[0]),
-        degenerate_direction=degenerate,
-        zero_radius=bool(c0 == 0.0),
+        diagnostics={
+            "profile_loglik": _profile_loglik(data, mean.u, q),
+            "lower_bound": lower_bound_h(data, u),
+            "smallest_eig_of_A_xbar": float(evals[0]),
+            "degenerate_direction": degenerate,
+            "zero_radius": bool(c0 == 0.0),
+        },
     )

@@ -12,7 +12,7 @@ to call concurrently on shared instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -185,7 +185,7 @@ def build_orthobasis(u, renormalize: bool = False) -> OrthoBasis:
 
 def tail_quadratic_forms(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The quadratic forms ``V_i^T A V_i`` for every column ``V_i`` of ``V``."""
-    return np.einsum("ij,jk,ki->i", V.T, A, V)
+    return np.sum(V * (A @ V), axis=0)
 
 
 def repeated_tail_eigenvectors(mu) -> tuple[np.ndarray, np.ndarray]:
@@ -248,6 +248,28 @@ class StructuredCovariance:
 def assemble_sigma(basis: OrthoBasis, spectrum: EigenSpectrum) -> StructuredCovariance:
     """Bind a basis and an eigenvalue spectrum into a structured covariance."""
     return StructuredCovariance(basis=basis, spectrum=spectrum)
+
+
+@dataclass(frozen=True)
+class Fit:
+    """A constrained estimate ``mu = c0 u``, ``Sigma = P(u) diag(1, lambda) P(u)^T``.
+
+    Every constrained estimator returns this shape.  ``basis`` is
+    ``build_orthobasis(mean.u)``, which the estimator completes and
+    :meth:`covariance` reads.  ``converged`` and ``outer_iterations``
+    describe an iterative fit (a closed-form fit keeps the defaults);
+    ``diagnostics`` holds the values particular to one estimator.
+    """
+
+    mean: MeanState
+    spectrum: EigenSpectrum
+    basis: OrthoBasis = field(repr=False)
+    converged: bool = True
+    outer_iterations: int = 0
+    diagnostics: dict = field(default_factory=dict)
+
+    def covariance(self) -> StructuredCovariance:
+        return assemble_sigma(self.basis, self.spectrum)
 
 
 @dataclass(frozen=True)
@@ -315,20 +337,3 @@ class SampleSet:
     def scatter_about_mean(self) -> np.ndarray:
         """``A(xbar)``, the mean-centered scatter."""
         return self.scatter(self.xbar)
-
-
-def scatter_matrix(data: SampleSet, mu) -> np.ndarray:
-    """Scatter of ``data`` about the point ``mu``."""
-    return data.scatter(mu)
-
-
-def b_matrix(data: SampleSet, mean: MeanState) -> np.ndarray:
-    """Rotate the scatter about the mean into the mean-anchored eigenbasis.
-
-    Returns ``B = P(u)^T A(c0 u) P(u)``.  Its trailing diagonal entries
-    ``V_i^T A(0) V_i`` do not depend on ``c0``, and the leading entry equals
-    ``u^T A(xbar) u + n (c0 - u^T xbar)^2``.
-    """
-    P = build_orthobasis(mean.u).matrix
-    A = data.scatter(mean.mu)
-    return P.T @ A @ P

@@ -10,7 +10,7 @@ passes.  The iteration starts from the approximate MLE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +18,11 @@ from .gibbs import PriorConfig
 from .mle import fit_mle
 from .model import (
     EigenSpectrum,
+    Fit,
     MeanState,
     OrthoBasis,
     SampleSet,
-    StructuredCovariance,
     _as_vector,
-    assemble_sigma,
     build_orthobasis,
     tail_quadratic_forms,
 )
@@ -44,27 +43,6 @@ class NewtonConfig:
             raise ValueError("backtracking factor alpha must lie in (0, 1)")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be > 0")
-
-
-@dataclass(frozen=True)
-class MapFit:
-    """Result of the lower-bound Newton iteration.
-
-    ``h_trace`` holds the surrogate value after the initial point and every
-    accepted update; the acceptance rule makes it non-decreasing.  ``basis``
-    is ``build_orthobasis(mean.u)``, carried from the last iterate that
-    moved the direction, so :meth:`covariance` completes no basis.
-    """
-
-    mean: MeanState
-    spectrum: EigenSpectrum
-    basis: OrthoBasis = field(repr=False)
-    h_trace: list[float]
-    outer_iterations: int
-    converged: bool
-
-    def covariance(self) -> StructuredCovariance:
-        return assemble_sigma(self.basis, self.spectrum)
 
 
 def _bound_constants(data: SampleSet, prior: PriorConfig) -> np.ndarray:
@@ -183,7 +161,7 @@ def fit_map_newton(
     prior: PriorConfig,
     cfg: NewtonConfig | None = None,
     init_mean: MeanState | None = None,
-) -> MapFit:
+) -> Fit:
     """Alternate closed-form radius/eigenvalue updates with Newton steps on h.
 
     Starts from the approximate MLE unless a warm start is supplied.  Each
@@ -197,7 +175,12 @@ def fit_map_newton(
     The basis of the direction is completed once per distinct iterate: it is
     taken from the MLE (or completed for the warm start), reused by every
     eigenvalue refresh, and completed again only after an outer iteration
-    that moved the direction.
+    that moved the direction.  The fit's ``basis`` is that of the reported
+    ``mean.u``.
+
+    The diagnostic ``h_trace`` holds the surrogate value after the initial
+    point and every accepted update; the acceptance rule makes it
+    non-decreasing.
     """
     if cfg is None:
         cfg = NewtonConfig()
@@ -269,11 +252,11 @@ def fit_map_newton(
         # Renormalization (or a sign flip for c0 < 0) moved a bit of u;
         # the covariance is anchored at mean.u itself.
         basis = build_orthobasis(mean.u)
-    return MapFit(
+    return Fit(
         mean=mean,
         spectrum=EigenSpectrum(lam),
         basis=basis,
-        h_trace=h_trace,
-        outer_iterations=outer_used,
         converged=converged,
+        outer_iterations=outer_used,
+        diagnostics={"h_trace": h_trace},
     )

@@ -164,7 +164,7 @@ def test_criterion_4_newton_behavior(verdict):
             fit = fit_map_newton(data, PriorConfig.default(data))
             ok &= fit.converged
             ok &= fit.outer_iterations <= 10
-            ok &= bool(np.all(np.diff(fit.h_trace) >= 0.0))
+            ok &= bool(np.all(np.diff(fit.diagnostics["h_trace"]) >= 0.0))
     assert verdict("4 newton-convergence", bool(ok))
 
 

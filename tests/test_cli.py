@@ -150,6 +150,22 @@ class TestDispatch:
         rec = json.loads(lines[0])
         assert set(rec) >= {"iteration", "mu", "lambda", "log_posterior"}
 
+    @pytest.mark.parametrize(
+        "command, own_keys",
+        [
+            ("fit-mle", {"profile_loglik", "lower_bound", "smallest_eig_of_A_xbar",
+                         "degenerate_direction", "zero_radius"}),
+            ("fit-map-newton", {"h_trace"}),
+            ("fit-map-gibbs", {"acceptance_rate", "samples"}),
+        ],
+    )
+    def test_constrained_fits_share_result_keys(self, data_csv, command, own_keys):
+        cfg = RunConfig(command=command, input_path=data_csv, gibbs_s=10, gibbs_l=2)
+        status, doc = run(cfg)
+        assert status == EXIT_OK
+        common = {"u", "c0", "mu", "lambda", "sigma", "converged", "outer_iterations"}
+        assert set(doc["results"]) == common | own_keys
+
     def test_simulate_document(self):
         cfg = RunConfig(command="simulate", grid=[(30, 3)], reps=1, include_gibbs=False)
         status, doc = run(cfg)
@@ -242,6 +258,19 @@ class TestMainEntry:
 
 
 class TestArgumentParsing:
+    def test_fit_niw_takes_only_its_own_prior_options(self, data_csv, capsys):
+        # The NIW baseline has no eigenvalue prior: --prior-a and --prior-h0
+        # are rejected rather than ignored, and the options it keeps act.
+        for option in ("--prior-a", "--prior-h0"):
+            assert main(["fit-niw", data_csv, option, "30"]) == EXIT_CONFIG
+        capsys.readouterr()
+        assert main(["fit-niw", data_csv]) == EXIT_OK
+        default = json.loads(capsys.readouterr().out)["results"]
+        shrink = ["--prior-kappa0", "50", "--prior-mu0", "zero"]
+        assert main(["fit-niw", data_csv, *shrink]) == EXIT_OK
+        shrunk = json.loads(capsys.readouterr().out)["results"]
+        assert default["mu"] != shrunk["mu"]
+
     def test_grid_parsing(self):
         parser = build_parser()
         args = parser.parse_args(["simulate", "--grid", "50x3,100x5", "--reps", "2"])

@@ -17,10 +17,8 @@ from meancov import (
     draw_lambda_conditional,
     fit_mle,
     hn_diagonal,
-    hn_matrix,
     log_posterior,
     map_from_chain,
-    mh_step_mu,
     run_gibbs,
 )
 from meancov.gibbs import (
@@ -31,6 +29,18 @@ from meancov.gibbs import (
     lambda_conditional_params,
 )
 from conftest import simulated_data
+
+
+def hn_matrix(data, mu, prior):
+    """Reference ``H_N = P^T A(mu) P + kappa0 (mu - mu0)(mu - mu0)^T + H0``.
+
+    Forms the scatter ``A(mu)`` and the full matrix; ``P`` is the basis
+    anchored at ``mu / ||mu||``, and the prior quadratic and ``H0`` are added
+    in ambient components.
+    """
+    P = build_orthobasis(mu / np.linalg.norm(mu)).matrix
+    d = mu - prior.mu0
+    return P.T @ data.scatter(mu) @ P + prior.kappa0 * np.outer(d, d) + np.diag(prior.h0_diag)
 
 
 @pytest.fixture
@@ -65,7 +75,7 @@ class TestHnMatrix:
     def test_assembly(self, small_case):
         data, prior = small_case
         mu = data.xbar * 1.1
-        H = hn_matrix(data, mu, prior).matrix
+        H = hn_matrix(data, mu, prior)
         u = mu / np.linalg.norm(mu)
         P = build_orthobasis(u).matrix
         d = mu - prior.mu0
@@ -75,7 +85,7 @@ class TestHnMatrix:
     def test_diagonal_shortcut(self, small_case):
         data, prior = small_case
         mu = data.xbar + 0.2
-        assert np.allclose(hn_diagonal(data, mu, prior), np.diag(hn_matrix(data, mu, prior).matrix))
+        assert np.allclose(hn_diagonal(data, mu, prior), np.diag(hn_matrix(data, mu, prior)))
         # hn_diagonal reads A(0) where hn_matrix forms A(mu): random means
         # near xbar, far from it, and of large norm.
         rng = np.random.default_rng(23)
@@ -87,7 +97,7 @@ class TestHnMatrix:
                     mu = data.xbar + scale * rng.standard_normal(p)
                     np.testing.assert_allclose(
                         hn_diagonal(data, mu, prior),
-                        np.diag(hn_matrix(data, mu, prior).matrix),
+                        np.diag(hn_matrix(data, mu, prior)),
                         rtol=1e-10,
                     )
 
@@ -295,7 +305,10 @@ class TestMhStep:
             iteration=0,
         )
         rng = np.random.default_rng(2)
-        mu_new, accepted = mh_step_mu(data, state, prior, rng)
+        d = _proposal_diag(data, state.mu, state.lam)
+        mu_new, _, _, accepted, _ = _mh_once(
+            data, state.mu, _basis(state.mu), d, state.lam, state.log_posterior, prior, rng
+        )
         assert mu_new.shape == (3,)
         assert isinstance(accepted, (bool, np.bool_))
 
@@ -391,21 +404,32 @@ class TestMapFromChain:
             mu=data.xbar, lam=lam,
             log_posterior=log_posterior(data, data.xbar, lam, prior), iteration=1,
         )
-        mean, spectrum = map_from_chain([st], data, prior)
-        assert np.allclose(mean.mu, data.xbar)
+        fit = map_from_chain([st], data, prior)
+        assert np.allclose(fit.mean.mu, data.xbar)
         cstar = hn_diagonal(data, data.xbar, prior)[1:]
-        assert np.allclose(spectrum.values, cstar / (data.n + 1.0 + 2.0 * prior.a))
+        assert np.allclose(fit.spectrum.values, cstar / (data.n + 1.0 + 2.0 * prior.a))
 
     def test_recomputed_lambda_dominates(self, small_case):
         data, prior = small_case
         run = run_gibbs(data, prior, s=30, l=2, rng=np.random.default_rng(15))
-        mean, spectrum = map_from_chain(run.states, data, prior)
+        fit = map_from_chain(run.states, data, prior)
         best = max(run.states, key=lambda st: st.log_posterior)
-        assert log_posterior(data, mean.mu, spectrum.values, prior) >= best.log_posterior
+        assert log_posterior(data, fit.mean.mu, fit.spectrum.values, prior) >= best.log_posterior
 
     def test_picks_highest_posterior_state(self, small_case):
         data, prior = small_case
         run = run_gibbs(data, prior, s=25, l=2, rng=np.random.default_rng(16))
-        mean, _ = map_from_chain(run.states, data, prior)
+        fit = map_from_chain(run.states, data, prior)
         best = max(run.states, key=lambda st: st.log_posterior)
-        assert np.allclose(mean.mu, best.mu)
+        assert np.allclose(fit.mean.mu, best.mu)
+
+    @pytest.mark.parametrize("n, p, seed", [(12, 3, 21), (50, 3, 19), (60, 5, 20)])
+    def test_stored_basis_is_completion_of_reported_direction(self, n, p, seed):
+        data = simulated_data(n, p, seed=seed)
+        prior = PriorConfig.default(data)
+        run = run_gibbs(data, prior, s=20, l=3, rng=np.random.default_rng(seed))
+        fit = map_from_chain(run.states, data, prior)
+        assert np.array_equal(fit.basis.matrix, build_orthobasis(fit.mean.u).matrix)
+        assert fit.covariance().basis is fit.basis
+        mu = fit.mean.mu
+        assert np.linalg.norm(fit.covariance().matrix @ mu - mu) < 1e-10 * np.linalg.norm(mu)

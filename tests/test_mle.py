@@ -181,7 +181,7 @@ class TestFitMle:
 
     def test_profile_dominates_bound_at_fit(self):
         fit = fit_mle(simulated_data(40, 5, seed=14))
-        assert fit.profile_loglik_at_fit >= fit.lower_bound_at_fit
+        assert fit.diagnostics["profile_loglik"] >= fit.diagnostics["lower_bound"]
 
     def test_lower_bound_optimality(self, rng):
         data = simulated_data(35, 3, seed=15)
@@ -203,7 +203,7 @@ class TestFitMle:
         data = simulated_data(20, 3, seed=17)
         fit = fit_mle(data)
         evals = np.linalg.eigvalsh(data.scatter_about_mean())
-        assert fit.smallest_eig_of_A_xbar == pytest.approx(evals[0])
+        assert fit.diagnostics["smallest_eig_of_A_xbar"] == pytest.approx(evals[0])
 
     def test_one_basis_completion_per_fit(self, monkeypatch):
         calls = []
@@ -223,4 +223,4 @@ class TestFitMle:
         fit = fit_mle(data)
         assert np.array_equal(fit.basis.matrix, build_orthobasis(fit.mean.u).matrix)
         assert fit.covariance().basis is fit.basis
-        assert fit.profile_loglik_at_fit == profile_loglik(data, fit.mean.u)
+        assert fit.diagnostics["profile_loglik"] == profile_loglik(data, fit.mean.u)

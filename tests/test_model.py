@@ -14,12 +14,21 @@ from meancov import (
     StructuredCovariance,
     ZeroVectorError,
     assemble_sigma,
-    b_matrix,
     build_orthobasis,
     repeated_tail_eigenvectors,
-    scatter_matrix,
 )
 from conftest import random_unit, simulated_data
+
+
+def b_matrix(data: SampleSet, mean: MeanState) -> np.ndarray:
+    """The scatter about the mean rotated into its basis, ``P(u)^T A(c0 u) P(u)``.
+
+    Its trailing diagonal entries ``V_i^T A(0) V_i`` do not depend on
+    ``c0``, and the leading entry equals
+    ``u^T A(xbar) u + n (c0 - u^T xbar)^2``.
+    """
+    P = build_orthobasis(mean.u).matrix
+    return P.T @ data.scatter(mean.mu) @ P
 
 
 class TestMeanState:
@@ -222,18 +231,18 @@ class TestSampleSet:
 class TestScatterMatrix:
     def test_at_zero_is_a0(self, rng):
         data = SampleSet(rng.standard_normal((5, 3)))
-        assert np.allclose(scatter_matrix(data, np.zeros(3)), data.a0)
+        assert np.allclose(data.scatter(np.zeros(3)), data.a0)
 
     def test_single_row_at_its_own_value(self):
         x = np.array([[1.0, -2.0, 0.5]])
         data = SampleSet(x)
-        assert np.allclose(scatter_matrix(data, x[0]), np.zeros((3, 3)), atol=1e-14)
+        assert np.allclose(data.scatter(x[0]), np.zeros((3, 3)), atol=1e-14)
 
     def test_rank_one_update_matches_direct_sum(self, rng):
         data = SampleSet(rng.standard_normal((8, 4)))
         mu = rng.standard_normal(4)
         direct = sum(np.outer(x - mu, x - mu) for x in data.X)
-        assert np.linalg.norm(scatter_matrix(data, mu) - direct) < 1e-10
+        assert np.linalg.norm(data.scatter(mu) - direct) < 1e-10
 
     def test_dimension_check(self, rng):
         data = SampleSet(rng.standard_normal((4, 3)))

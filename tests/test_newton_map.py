@@ -225,7 +225,7 @@ class TestFitMapNewton:
             fit = fit_map_newton(data, PriorConfig.default(data))
             assert fit.converged
             assert fit.outer_iterations <= 5
-            assert np.all(np.diff(fit.h_trace) >= 0.0)
+            assert np.all(np.diff(fit.diagnostics["h_trace"]) >= 0.0)
 
     def test_prior_free_reduction_to_mle(self):
         data = simulated_data(50, 4, seed=45)

@@ -6,11 +6,11 @@ import pytest
 from meancov import (
     default_estimators,
     format_table,
-    frobenius_risk,
     generate_truth,
     run_experiment,
     sample_data,
 )
+from meancov import simulate
 from meancov.simulate import GIBBS_MAX_P, reports_to_records
 
 
@@ -75,25 +75,43 @@ class TestSampleData:
             sample_data(truth, 1, np.random.default_rng(0))
 
 
+def harness_risks(monkeypatch, truth, estimates):
+    """Mean and covariance risks of ``run_experiment`` against a fixed truth.
+
+    The cell's truth is ``truth``; replication ``r`` returns ``estimates[r]``.
+    """
+    monkeypatch.setattr(simulate, "generate_truth", lambda p, rng: truth)
+    replies = iter(estimates)
+
+    def stub(data, rng):
+        mu_hat, sigma_hat = next(replies)
+        return mu_hat, sigma_hat, {}
+
+    (report,) = run_experiment(
+        [(10, truth.p)], estimators={"stub": stub}, reps=len(estimates), fix_truth=True
+    )
+    return report.mean_risk, report.sigma_risk
+
+
 class TestFrobeniusRisk:
-    def test_perfect_estimates(self):
+    def test_perfect_estimates(self, monkeypatch):
         truth = generate_truth(3, np.random.default_rng(68))
-        m, s = frobenius_risk([(truth.mu_true, truth.sigma_true.matrix)], truth)
+        m, s = harness_risks(monkeypatch, truth, [(truth.mu_true, truth.sigma_true.matrix)])
         assert m == 0.0 and s == 0.0
 
-    def test_unit_coordinate_error(self):
+    def test_unit_coordinate_error(self, monkeypatch):
         truth = generate_truth(4, np.random.default_rng(69))
         mu_hat = truth.mu_true + np.array([1.0, 0.0, 0.0, 0.0])
-        m, _ = frobenius_risk([(mu_hat, truth.sigma_true.matrix)], truth)
+        m, _ = harness_risks(monkeypatch, truth, [(mu_hat, truth.sigma_true.matrix)])
         assert m == pytest.approx(0.25)
 
-    def test_matches_naive_average(self, rng):
+    def test_matches_naive_average(self, rng, monkeypatch):
         truth = generate_truth(3, np.random.default_rng(70))
         estimates = [
             (rng.standard_normal(3), truth.sigma_true.matrix + rng.standard_normal((3, 3)) * 0.1)
             for _ in range(7)
         ]
-        m, s = frobenius_risk(estimates, truth)
+        m, s = harness_risks(monkeypatch, truth, estimates)
         m_naive = np.mean(
             [np.sum((mu - truth.mu_true) ** 2) / 3.0 for mu, _ in estimates]
         )
@@ -102,11 +120,6 @@ class TestFrobeniusRisk:
         )
         assert m == pytest.approx(m_naive, abs=1e-12)
         assert s == pytest.approx(s_naive, abs=1e-12)
-
-    def test_empty_list(self):
-        truth = generate_truth(3, np.random.default_rng(71))
-        with pytest.raises(ValueError):
-            frobenius_risk([], truth)
 
 
 class TestDefaultEstimators:
