@@ -33,7 +33,6 @@ from .gibbs import (
 )
 from .mle import (
     estimate_c0,
-    estimate_c0_general,
     estimate_lambdas,
     fit_mle,
     lower_bound_h,
@@ -48,7 +47,6 @@ from .model import (
     StructuredCovariance,
     assemble_sigma,
     build_orthobasis,
-    repeated_tail_eigenvectors,
 )
 from .newton_map import (
     NewtonConfig,

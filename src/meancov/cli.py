@@ -1,8 +1,9 @@
 """Command-line entry point for fitting and simulation runs.
 
-Every command is deterministic given its configuration and seed; the result
-document echoes the full effective configuration so runs are reproducible
-from the output alone.
+Every command is deterministic given its configuration, which holds the
+seed of the two commands that draw random numbers (``fit-map-gibbs`` and
+``simulate``); the result document echoes the full effective configuration
+so runs are reproducible from the output alone.
 """
 
 from __future__ import annotations
@@ -272,9 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp, needs_input=True):
         if needs_input:
             sp.add_argument("input", help="CSV input file (n rows, p numeric columns)")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="write the JSON result document here")
-        sp.add_argument("--format", choices=["json", "table"], default="json")
+
+    def add_seed(sp):  # only on the commands that draw random numbers
+        sp.add_argument("--seed", type=int, default=0)
 
     def add_prior(sp, eigenvalues=True):
         sp.add_argument("--prior-kappa0", type=float, default=1.5)
@@ -300,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit-map-gibbs", help="MAP from MH-within-Gibbs posterior draws")
     add_common(sp)
+    add_seed(sp)
     add_prior(sp)
     sp.add_argument("--gibbs-s", type=int, default=100)
     sp.add_argument("--gibbs-l", type=int, default=5)
@@ -307,6 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="Monte-Carlo risk study over an (n, p) grid")
     add_common(sp, needs_input=False)
+    add_seed(sp)
+    sp.add_argument("--format", dest="output_format", choices=["json", "table"],
+                    default="json", help="table prints the risk table, not JSON, on stdout")
     sp.add_argument("--grid", type=str, default="50x3", help="cells like 50x3,100x5")
     sp.add_argument("--reps", type=int, default=100)
     sp.add_argument("--include-gibbs", action="store_true", default=None,
@@ -320,11 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    cfg.seed = args.seed
     cfg.output_path = args.out
-    cfg.output_format = args.format
     cfg.input_path = getattr(args, "input", None)
-    for name in ("prior_kappa0", "prior_a", "prior_h0", "prior_mu0",
+    for name in ("seed", "output_format",
+                 "prior_kappa0", "prior_a", "prior_h0", "prior_mu0",
                  "gibbs_s", "gibbs_l", "chain_out",
                  "newton_alpha", "newton_eps", "newton_max_iter",
                  "reps", "fix_truth"):

@@ -10,7 +10,7 @@ class ZeroVectorError(MeanCovError):
 
 
 class NonUnitVectorError(MeanCovError):
-    """A vector expected to be unit length is not, and renormalization is off."""
+    """A vector expected to be unit length is not, within ``1e-8``."""
 
 
 class DimensionMismatchError(MeanCovError):

@@ -32,21 +32,6 @@ def estimate_c0(data: SampleSet, u) -> float:
     return float(u @ data.xbar)
 
 
-def estimate_c0_general(data: SampleSet, u, lam) -> float:
-    """Radius estimate in its unsimplified ratio-of-quadratic-forms form.
-
-    Evaluates ``(u^T P D^{-1} P^T xbar) / (u^T P D^{-1} P^T u)`` with
-    ``D = diag(1, lam)``.  Algebraically equal to :func:`estimate_c0` for
-    every positive ``lam``; kept as an equivalence oracle.
-    """
-    lam = np.asarray(lam, dtype=float)
-    P = build_orthobasis(u).matrix
-    dinv = 1.0 / np.concatenate(([1.0], lam))
-    M = (P * dinv) @ P.T
-    u = _as_vector(u, "u")
-    return float((u @ M @ data.xbar) / (u @ M @ u))
-
-
 def _tail_forms(data: SampleSet, basis: OrthoBasis) -> np.ndarray:
     """``V_i^T A(0) V_i`` for the tail of ``basis``.
 

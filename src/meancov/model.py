@@ -123,7 +123,7 @@ class OrthoBasis:
         return self.matrix[:, 1:]
 
 
-def build_orthobasis(u, renormalize: bool = False) -> OrthoBasis:
+def build_orthobasis(u) -> OrthoBasis:
     """Deterministically complete a unit direction to an orthonormal basis.
 
     Runs modified Gram-Schmidt (with one re-orthogonalization pass) on the
@@ -137,16 +137,13 @@ def build_orthobasis(u, renormalize: bool = False) -> OrthoBasis:
     Parameters
     ----------
     u : array_like
-        Direction of length p; must be unit length within 1e-8 unless
-        ``renormalize`` is set.
-    renormalize : bool
-        If True, rescale any nonzero ``u`` to unit length instead of raising.
+        Direction of length p; must be unit length within 1e-8.
 
     Returns
     -------
     OrthoBasis
-        ``P = [u | V]`` with ``P^T P = I``; the first column is ``u`` exactly
-        as supplied (after renormalization).
+        ``P = [u | V]`` with ``P^T P = I``; the first column is ``u``
+        rescaled to unit length.
     """
     u = _as_vector(u, "u")
     p = u.size
@@ -155,7 +152,7 @@ def build_orthobasis(u, renormalize: bool = False) -> OrthoBasis:
     nrm = float(np.linalg.norm(u))
     if nrm < UNIT_TOL:
         raise ZeroVectorError("direction has (near) zero norm")
-    if abs(nrm - 1.0) > UNIT_TOL and not renormalize:
+    if abs(nrm - 1.0) > UNIT_TOL:
         raise NonUnitVectorError(f"direction norm {nrm} is not 1 within {UNIT_TOL}")
     u = u / nrm
 
@@ -186,34 +183,6 @@ def build_orthobasis(u, renormalize: bool = False) -> OrthoBasis:
 def tail_quadratic_forms(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The quadratic forms ``V_i^T A V_i`` for every column ``V_i`` of ``V``."""
     return np.sum(V * (A @ V), axis=0)
-
-
-def repeated_tail_eigenvectors(mu) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form orthocomplement directions for a mean ``(m1, m2, m3, ..., m3)``.
-
-    For mean vectors whose entries from the third position on are all equal,
-    the first two directions orthogonal to the mean have the explicit form
-
-        w1 = (m0^2, -m1 m2, -m1 m3, ..., -m1 m3) / (m0 ||mu||)
-        w2 = (0, (p-2) m3, -m2, ..., -m2) / ((p-2) m0)
-
-    with ``m0^2 = m2^2 + (p-2) m3^2``.  Used as an independent oracle for
-    :func:`build_orthobasis`; note ``w2`` as displayed is unit length only at
-    p = 3 and is returned unnormalized-as-written.
-    """
-    mu = _as_vector(mu, "mu")
-    p = mu.size
-    if p < 3:
-        raise DimensionMismatchError("the closed form needs p >= 3")
-    m1, m2, m3 = mu[0], mu[1], mu[2]
-    if p > 3 and not np.allclose(mu[2:], m3):
-        raise ValueError("entries from the third position on must be equal")
-    m0 = np.sqrt(m2**2 + (p - 2) * m3**2)
-    w1 = np.concatenate(([m0**2], [-m1 * m2], np.full(p - 2, -m1 * m3)))
-    w1 = w1 / (m0 * np.linalg.norm(mu))
-    w2 = np.concatenate(([0.0], [(p - 2) * m3], np.full(p - 2, -m2)))
-    w2 = w2 / ((p - 2) * m0)
-    return w1, w2
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .model import (
     StructuredCovariance,
     assemble_sigma,
     build_orthobasis,
+    tail_quadratic_forms,
 )
 from .newton_map import NewtonConfig, fit_map_newton
 from .niw import niw_map, niw_posterior
@@ -82,11 +83,7 @@ def generate_truth(p: int, rng: np.random.Generator) -> TruthSpec:
     psi = L @ L.T
     assert np.linalg.eigvalsh(psi)[0] > 0.0
     basis = build_orthobasis(mu / np.linalg.norm(mu))
-    # Summed as a three-operand einsum rather than by tail_quadratic_forms,
-    # whose rounding differs, so that the truth drawn from a seed (and every
-    # seeded data set and risk table built on it) stays bit for bit the same.
-    V = basis.tail
-    lam = np.einsum("ij,jk,ki->i", V.T, psi, V)
+    lam = tail_quadratic_forms(psi, basis.tail)
     return TruthSpec(mu_true=mu, sigma_true=assemble_sigma(basis, EigenSpectrum(lam)))
 
 
@@ -122,7 +119,7 @@ def map_newton_estimator(
             h0_diag=np.zeros(data.p),
         )
     fit = fit_map_newton(data, prior, cfg)
-    return fit.mean.mu, fit.covariance().matrix, {"converged": fit.converged}
+    return fit.mean.mu, fit.covariance().matrix, {}
 
 
 def gibbs_estimator(

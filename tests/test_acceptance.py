@@ -19,7 +19,6 @@ from meancov import (
     assemble_sigma,
     build_orthobasis,
     estimate_c0,
-    estimate_c0_general,
     estimate_lambdas,
     fit_map_newton,
     fit_mle,
@@ -41,7 +40,7 @@ from meancov.simulate import mle_estimator, niw_estimator, reports_to_records, r
 from meancov.model import SampleSet
 from scipy.stats import multivariate_normal
 
-from conftest import random_unit, simulated_data
+from conftest import estimate_c0_general, random_unit, simulated_data
 
 
 @pytest.fixture

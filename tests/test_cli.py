@@ -39,6 +39,13 @@ def data_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def latlong_csv(tmp_path):
+    path = tmp_path / "latlong.csv"
+    write_csv(path, [[45.0, 30.0], [-10.0, 200.0]], header=["lat", "lon"])
+    return str(path)
+
+
 class TestIngestCsv:
     def test_well_formed(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -270,6 +277,23 @@ class TestArgumentParsing:
         assert main(["fit-niw", data_csv, *shrink]) == EXIT_OK
         shrunk = json.loads(capsys.readouterr().out)["results"]
         assert default["mu"] != shrunk["mu"]
+
+    # Only fit-map-gibbs and simulate draw random numbers, and only simulate
+    # prints anything but JSON.
+    @pytest.mark.parametrize(
+        "command, option",
+        [(command, "--seed=7")
+         for command in ("fit-mle", "fit-niw", "fit-map-newton", "transform-sphere")]
+        + [(command, "--format=table")
+           for command in ("fit-mle", "fit-niw", "fit-map-newton", "fit-map-gibbs",
+                           "transform-sphere")],
+    )
+    def test_commands_reject_options_they_ignore(
+        self, data_csv, latlong_csv, capsys, command, option
+    ):
+        path = latlong_csv if command == "transform-sphere" else data_csv
+        assert main([command, path, option]) == EXIT_CONFIG
+        capsys.readouterr()
 
     def test_grid_parsing(self):
         parser = build_parser()

@@ -12,14 +12,13 @@ from meancov import (
     assemble_sigma,
     build_orthobasis,
     estimate_c0,
-    estimate_c0_general,
     estimate_lambdas,
     fit_mle,
     lower_bound_h,
     profile_loglik,
 )
 from meancov import mle as mle_module
-from conftest import random_unit, simulated_data
+from conftest import estimate_c0_general, random_unit, simulated_data
 
 
 def _full_loglik(data, u, c0, lam):

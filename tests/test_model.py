@@ -15,7 +15,6 @@ from meancov import (
     ZeroVectorError,
     assemble_sigma,
     build_orthobasis,
-    repeated_tail_eigenvectors,
 )
 from conftest import random_unit, simulated_data
 
@@ -29,6 +28,34 @@ def b_matrix(data: SampleSet, mean: MeanState) -> np.ndarray:
     """
     P = build_orthobasis(mean.u).matrix
     return P.T @ data.scatter(mean.mu) @ P
+
+
+def repeated_tail_eigenvectors(mu) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form orthocomplement directions for a mean ``(m1, m2, m3, ..., m3)``.
+
+    For mean vectors whose entries from the third position on are all equal,
+    the first two directions orthogonal to the mean have the explicit form
+
+        w1 = (m0^2, -m1 m2, -m1 m3, ..., -m1 m3) / (m0 ||mu||)
+        w2 = (0, (p-2) m3, -m2, ..., -m2) / ((p-2) m0)
+
+    with ``m0^2 = m2^2 + (p-2) m3^2``.  An independent oracle for
+    :func:`build_orthobasis`; note ``w2`` as displayed is unit length only at
+    p = 3 and is returned unnormalized-as-written.
+    """
+    mu = np.asarray(mu, dtype=float)
+    p = mu.size
+    if p < 3:
+        raise DimensionMismatchError("the closed form needs p >= 3")
+    m1, m2, m3 = mu[0], mu[1], mu[2]
+    if p > 3 and not np.allclose(mu[2:], m3):
+        raise ValueError("entries from the third position on must be equal")
+    m0 = np.sqrt(m2**2 + (p - 2) * m3**2)
+    w1 = np.concatenate(([m0**2], [-m1 * m2], np.full(p - 2, -m1 * m3)))
+    w1 = w1 / (m0 * np.linalg.norm(mu))
+    w2 = np.concatenate(([0.0], [(p - 2) * m3], np.full(p - 2, -m2)))
+    w2 = w2 / ((p - 2) * m0)
+    return w1, w2
 
 
 class TestMeanState:
@@ -119,10 +146,6 @@ class TestBuildOrthobasis:
             build_orthobasis(np.zeros(3))
         with pytest.raises(NonUnitVectorError):
             build_orthobasis(np.array([2.0, 0.0, 0.0]))
-
-    def test_renormalize_flag(self):
-        P = build_orthobasis(np.array([2.0, 0.0, 0.0]), renormalize=True).matrix
-        assert np.allclose(P[:, 0], [1.0, 0.0, 0.0])
 
     def test_rejects_scalar_dimension(self):
         with pytest.raises(DimensionMismatchError):
