@@ -45,7 +45,6 @@ from .model import (
     OrthoBasis,
     SampleSet,
     StructuredCovariance,
-    assemble_sigma,
     build_orthobasis,
 )
 from .newton_map import (

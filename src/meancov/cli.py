@@ -16,14 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateDataError,
-    MeanCovError,
-    ParseError,
-    RangeError,
-    TooFewRowsError,
-    ZeroMeanError,
-)
+from .exceptions import MeanCovError, ParseError, RangeError, TooFewRowsError
 from .gibbs import PriorConfig, map_from_chain, run_gibbs
 from .mle import fit_mle
 from .model import Fit, SampleSet
@@ -39,7 +32,12 @@ EXIT_NO_CONVERGENCE = 4
 
 @dataclass
 class RunConfig:
-    """Materialized configuration of one CLI invocation."""
+    """Materialized configuration of one CLI invocation.
+
+    This is the one table of CLI defaults: the parser states none, so an
+    option left off the command line is absent from the parsed arguments
+    and takes its value from the field of the same name here.
+    """
 
     command: str
     input_path: str | None = None
@@ -53,9 +51,9 @@ class RunConfig:
     gibbs_s: int = 100
     gibbs_l: int = 5
     chain_out: str | None = None
-    newton_alpha: float = 0.5
-    newton_eps: float = 1e-8
-    newton_max_iter: int = 100
+    newton_alpha: float = NewtonConfig.alpha
+    newton_eps: float = NewtonConfig.epsilon
+    newton_max_iter: int = NewtonConfig.max_outer
     grid: list[tuple[int, int]] = field(default_factory=lambda: [(50, 3)])
     reps: int = 100
     include_gibbs: bool | None = None
@@ -142,13 +140,9 @@ def _jsonable(x):
     return x
 
 
-def _fit_document(cfg: RunConfig, results: dict) -> dict:
-    doc = {
-        "command": cfg.command,
-        "config": _jsonable(asdict(cfg)),
-        "results": _jsonable(results),
-    }
-    return doc
+def _document(cfg: RunConfig, **body) -> dict:
+    """The JSON document of a run: the command, its full configuration and ``body``."""
+    return _jsonable({"command": cfg.command, "config": asdict(cfg), **body})
 
 
 def run(cfg: RunConfig) -> tuple[int, dict]:
@@ -157,18 +151,12 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         return _dispatch(cfg)
     except (ParseError, TooFewRowsError, RangeError, ValueError) as exc:
         return EXIT_CONFIG, _error_doc(cfg, "config-or-parse", exc)
-    except (DegenerateDataError, ZeroMeanError, np.linalg.LinAlgError) as exc:
-        return EXIT_NUMERIC, _error_doc(cfg, "numeric", exc)
-    except MeanCovError as exc:
+    except (MeanCovError, np.linalg.LinAlgError) as exc:
         return EXIT_NUMERIC, _error_doc(cfg, "numeric", exc)
 
 
 def _error_doc(cfg: RunConfig, category: str, exc: Exception) -> dict:
-    return {
-        "command": cfg.command,
-        "config": _jsonable(asdict(cfg)),
-        "error": {"category": category, "message": str(exc)},
-    }
+    return _document(cfg, error={"category": category, "message": str(exc)})
 
 
 def _dispatch(cfg: RunConfig) -> tuple[int, dict]:
@@ -180,7 +168,7 @@ def _dispatch(cfg: RunConfig) -> tuple[int, dict]:
             fix_truth=cfg.fix_truth,
             include_gibbs=cfg.include_gibbs,
         )
-        doc = _fit_document(cfg, {"table": reports_to_records(reports)})
+        doc = _document(cfg, results={"table": reports_to_records(reports)})
         doc["summary_text"] = format_table(reports)
         return EXIT_OK, doc
 
@@ -192,7 +180,7 @@ def _dispatch(cfg: RunConfig) -> tuple[int, dict]:
         if raw.p != 2:
             raise ParseError("transform-sphere expects two columns: latitude, longitude")
         points = latlong_to_sphere([tuple(r) for r in raw.X])
-        return EXIT_OK, _fit_document(cfg, {"points": points.X})
+        return EXIT_OK, _document(cfg, results={"points": points.X})
 
     data = ingest_csv(cfg.input_path)
 
@@ -207,7 +195,7 @@ def _dispatch(cfg: RunConfig) -> tuple[int, dict]:
         )
         mu_hat, sigma_hat = niw_map(params, data.p)
         results = {"mu": mu_hat, "sigma": sigma_hat, "kappa_n": params.kappa_n, "nu_n": params.nu_n}
-        return EXIT_OK, _fit_document(cfg, results)
+        return EXIT_OK, _document(cfg, results=results)
 
     if cfg.command == "fit-map-newton":
         ncfg = NewtonConfig(
@@ -249,7 +237,7 @@ def _fit_outcome(cfg: RunConfig, fit: Fit, **extra) -> tuple[int, dict]:
         **extra,
     }
     status = EXIT_OK if fit.converged else EXIT_NO_CONVERGENCE
-    return status, _fit_document(cfg, results)
+    return status, _document(cfg, results=results)
 
 
 def _parse_grid(text: str) -> list[tuple[int, int]]:
@@ -259,99 +247,81 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
             n_s, p_s = tok.lower().split("x")
             cells.append((int(n_s), int(p_s)))
         except ValueError:
-            raise ValueError(f"bad grid cell {tok!r}; expected like 50x3") from None
+            msg = f"bad grid cell {tok!r}; expected like 50x3"
+            raise argparse.ArgumentTypeError(msg) from None
     return cells
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: option dests are :class:`RunConfig` fields, and no defaults."""
     parser = argparse.ArgumentParser(
         prog="meancov",
         description="Joint mean-covariance estimation with the mean as a unit eigenvector.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, needs_input=True):
+    def add_command(name, summary, needs_input=True):
+        sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         if needs_input:
-            sp.add_argument("input", help="CSV input file (n rows, p numeric columns)")
-        sp.add_argument("--out", default=None, help="write the JSON result document here")
+            sp.add_argument("input_path", metavar="input",
+                            help="CSV input file (n rows, p numeric columns)")
+        sp.add_argument("--out", dest="output_path", metavar="OUT",
+                        help="write the JSON result document here")
+        return sp
 
     def add_seed(sp):  # only on the commands that draw random numbers
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int)
 
     def add_prior(sp, eigenvalues=True):
-        sp.add_argument("--prior-kappa0", type=float, default=1.5)
-        sp.add_argument("--prior-mu0", choices=["xbar", "zero"], default="xbar")
+        sp.add_argument("--prior-kappa0", type=float)
+        sp.add_argument("--prior-mu0", choices=["xbar", "zero"])
         if eigenvalues:  # the NIW baseline has no eigenvalue prior
-            sp.add_argument("--prior-a", type=float, default=None, help="default: p + 1")
-            sp.add_argument("--prior-h0", type=float, default=1.0,
+            sp.add_argument("--prior-a", type=float, help="default: p + 1")
+            sp.add_argument("--prior-h0", type=float,
                             help="trailing diagonal of H0 (leading entry stays 1)")
 
-    sp = sub.add_parser("fit-mle", help="non-iterative approximate MLE")
-    add_common(sp)
+    add_command("fit-mle", "non-iterative approximate MLE")
 
-    sp = sub.add_parser("fit-niw", help="normal-inverse-Wishart MAP baseline")
-    add_common(sp)
+    sp = add_command("fit-niw", "normal-inverse-Wishart MAP baseline")
     add_prior(sp, eigenvalues=False)
 
-    sp = sub.add_parser("fit-map-newton", help="lower-bound Newton MAP approximation")
-    add_common(sp)
+    sp = add_command("fit-map-newton", "lower-bound Newton MAP approximation")
     add_prior(sp)
-    sp.add_argument("--newton-alpha", type=float, default=0.5)
-    sp.add_argument("--newton-eps", type=float, default=1e-8)
-    sp.add_argument("--newton-max-iter", type=int, default=100)
+    sp.add_argument("--newton-alpha", type=float)
+    sp.add_argument("--newton-eps", type=float)
+    sp.add_argument("--newton-max-iter", type=int)
 
-    sp = sub.add_parser("fit-map-gibbs", help="MAP from MH-within-Gibbs posterior draws")
-    add_common(sp)
+    sp = add_command("fit-map-gibbs", "MAP from MH-within-Gibbs posterior draws")
     add_seed(sp)
     add_prior(sp)
-    sp.add_argument("--gibbs-s", type=int, default=100)
-    sp.add_argument("--gibbs-l", type=int, default=5)
-    sp.add_argument("--chain-out", default=None, help="write chain records as JSON lines")
+    sp.add_argument("--gibbs-s", type=int)
+    sp.add_argument("--gibbs-l", type=int)
+    sp.add_argument("--chain-out", help="write chain records as JSON lines")
 
-    sp = sub.add_parser("simulate", help="Monte-Carlo risk study over an (n, p) grid")
-    add_common(sp, needs_input=False)
+    sp = add_command("simulate", "Monte-Carlo risk study over an (n, p) grid", needs_input=False)
     add_seed(sp)
     sp.add_argument("--format", dest="output_format", choices=["json", "table"],
-                    default="json", help="table prints the risk table, not JSON, on stdout")
-    sp.add_argument("--grid", type=str, default="50x3", help="cells like 50x3,100x5")
-    sp.add_argument("--reps", type=int, default=100)
-    sp.add_argument("--include-gibbs", action="store_true", default=None,
+                    help="table prints the risk table, not JSON, on stdout")
+    sp.add_argument("--grid", type=_parse_grid, help="cells like 50x3,100x5")
+    sp.add_argument("--reps", type=int)
+    sp.add_argument("--include-gibbs", action="store_true",
                     help="force the Gibbs estimator on every cell")
     sp.add_argument("--fix-truth", action="store_true")
 
-    sp = sub.add_parser("transform-sphere", help="latitude/longitude to unit vectors")
-    add_common(sp)
+    add_command("transform-sphere", "latitude/longitude to unit vectors")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.output_path = args.out
-    cfg.input_path = getattr(args, "input", None)
-    for name in ("seed", "output_format",
-                 "prior_kappa0", "prior_a", "prior_h0", "prior_mu0",
-                 "gibbs_s", "gibbs_l", "chain_out",
-                 "newton_alpha", "newton_eps", "newton_max_iter",
-                 "reps", "fix_truth"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "include_gibbs"):
-        cfg.include_gibbs = True if args.include_gibbs else None
-    if hasattr(args, "grid"):
-        cfg.grid = _parse_grid(args.grid)
-    return cfg
+    return RunConfig(**vars(args))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = config_from_args(args)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = config_from_args(args)
     status, doc = run(cfg)
     text = json.dumps(doc, sort_keys=True, indent=2)
     if cfg.output_path:

@@ -80,12 +80,17 @@ class PriorConfig:
 
 @dataclass(frozen=True)
 class ChainState:
-    """One collected posterior draw (mean vector, free eigenvalues)."""
+    """One collected posterior draw (mean vector, free eigenvalues).
+
+    ``accepted`` is the number of MH proposals the chain had accepted by the
+    end of sweep ``iteration``.
+    """
 
     mu: np.ndarray
     lam: np.ndarray
     log_posterior: float
     iteration: int
+    accepted: int
 
 
 def _basis(mu: np.ndarray) -> np.ndarray:
@@ -252,7 +257,7 @@ class GibbsRun:
                 "mu": list(s.mu),
                 "lambda": list(s.lam),
                 "log_posterior": s.log_posterior,
-                "accepted_count": self.accepted,
+                "accepted_count": s.accepted,
             }
             for s in self.states
         ]
@@ -291,7 +296,9 @@ def run_gibbs(
         for _ in range(l):
             mu, P, d, acc, lp = _mh_once(data, mu, P, d, lam, lp, prior, rng)
             accepted += int(acc)
-        states.append(ChainState(mu=mu.copy(), lam=lam, log_posterior=lp, iteration=j))
+        states.append(
+            ChainState(mu=mu.copy(), lam=lam, log_posterior=lp, iteration=j, accepted=accepted)
+        )
     return GibbsRun(states=states, accepted=accepted, proposals=s * l)
 
 

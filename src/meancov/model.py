@@ -214,11 +214,6 @@ class StructuredCovariance:
         return float(np.sum(np.log(self.spectrum.values)))
 
 
-def assemble_sigma(basis: OrthoBasis, spectrum: EigenSpectrum) -> StructuredCovariance:
-    """Bind a basis and an eigenvalue spectrum into a structured covariance."""
-    return StructuredCovariance(basis=basis, spectrum=spectrum)
-
-
 @dataclass(frozen=True)
 class Fit:
     """A constrained estimate ``mu = c0 u``, ``Sigma = P(u) diag(1, lambda) P(u)^T``.
@@ -238,7 +233,7 @@ class Fit:
     diagnostics: dict = field(default_factory=dict)
 
     def covariance(self) -> StructuredCovariance:
-        return assemble_sigma(self.basis, self.spectrum)
+        return StructuredCovariance(self.basis, self.spectrum)
 
 
 @dataclass(frozen=True)

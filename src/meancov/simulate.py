@@ -24,7 +24,6 @@ from .model import (
     EigenSpectrum,
     SampleSet,
     StructuredCovariance,
-    assemble_sigma,
     build_orthobasis,
     tail_quadratic_forms,
 )
@@ -84,7 +83,7 @@ def generate_truth(p: int, rng: np.random.Generator) -> TruthSpec:
     assert np.linalg.eigvalsh(psi)[0] > 0.0
     basis = build_orthobasis(mu / np.linalg.norm(mu))
     lam = tail_quadratic_forms(psi, basis.tail)
-    return TruthSpec(mu_true=mu, sigma_true=assemble_sigma(basis, EigenSpectrum(lam)))
+    return TruthSpec(mu_true=mu, sigma_true=StructuredCovariance(basis, EigenSpectrum(lam)))
 
 
 def sample_data(spec: TruthSpec, n: int, rng: np.random.Generator) -> SampleSet:

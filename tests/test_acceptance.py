@@ -16,7 +16,7 @@ from meancov import (
     MeanState,
     EigenSpectrum,
     PriorConfig,
-    assemble_sigma,
+    StructuredCovariance,
     build_orthobasis,
     estimate_c0,
     estimate_lambdas,
@@ -72,7 +72,7 @@ def test_criterion_1_constraint_and_orthogonality(verdict):
             lam = rng.uniform(0.2, 9.0, size=p - 1)
             basis = build_orthobasis(u)
             P = basis.matrix
-            S = assemble_sigma(basis, EigenSpectrum(lam)).matrix
+            S = StructuredCovariance(basis, EigenSpectrum(lam)).matrix
             ok &= np.linalg.norm(P.T @ P - np.eye(p)) < 1e-10
             ok &= np.linalg.norm(S @ u - u) < 1e-10
             sign, logdet = np.linalg.slogdet(S)

@@ -2,10 +2,12 @@
 exit codes, and output determinism."""
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+from meancov import MeanState, cli
 from meancov.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -29,6 +31,10 @@ def write_csv(path, rows, header=None):
             fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+COMMANDS = ("fit-mle", "fit-niw", "fit-map-newton", "fit-map-gibbs", "simulate",
+            "transform-sphere")
 
 
 @pytest.fixture
@@ -216,6 +222,22 @@ class TestDispatch:
         else:
             assert status == EXIT_OK
 
+    def test_non_convergence_exits_4(self, data_csv, monkeypatch):
+        # Warm-started far from the optimum with one outer pass and an
+        # unattainable tolerance, Newton is still moving when it stops.
+        fit_map_newton = cli.fit_map_newton
+
+        def far_start(data, prior, config):
+            far = MeanState(u=np.array([0.0, 0.0, 1.0]), c0=1.0)
+            return fit_map_newton(data, prior, config, init_mean=far)
+
+        monkeypatch.setattr(cli, "fit_map_newton", far_start)
+        cfg = RunConfig(command="fit-map-newton", input_path=data_csv,
+                        newton_eps=1e-300, newton_max_iter=1)
+        status, doc = run(cfg)
+        assert status == EXIT_NO_CONVERGENCE
+        assert doc["results"]["converged"] is False
+
 
 class TestMainEntry:
     def test_fit_mle_via_argv(self, data_csv, tmp_path, capsys):
@@ -294,6 +316,29 @@ class TestArgumentParsing:
         path = latlong_csv if command == "transform-sphere" else data_csv
         assert main([command, path, option]) == EXIT_CONFIG
         capsys.readouterr()
+
+    def test_option_dests_are_config_fields(self):
+        names = {f.name for f in fields(RunConfig)}
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        for command, sp in subparsers.items():
+            dests = {a.dest for a in sp._actions if a.dest != "help"}
+            assert dests <= names, command
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_echo_is_config_defaults(self, data_csv, latlong_csv, capsys, command):
+        path = {"simulate": None, "transform-sphere": latlong_csv}.get(command, data_csv)
+        argv = [command, path] if path else [command, "--reps", "1"]  # a short run
+        main(argv)
+        echo = json.loads(capsys.readouterr().out)["config"]
+        expected = RunConfig(command=command, input_path=path)
+        if path is None:
+            expected.reps = 1
+        assert echo == json.loads(json.dumps(asdict(expected)))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help(self, command, capsys):
+        assert main([command, "-h"]) == 0
+        assert "usage: meancov " + command in capsys.readouterr().out
 
     def test_grid_parsing(self):
         parser = build_parser()

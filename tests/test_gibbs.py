@@ -130,11 +130,11 @@ class TestLogPosterior:
         # Differences of the exact likelihood-times-prior log density across
         # parameter pairs; the dropped additive constant cancels.
         data, prior = small_case
-        from meancov import EigenSpectrum, assemble_sigma
+        from meancov import EigenSpectrum, StructuredCovariance
 
         def direct(mu, lam):
             u = mu / np.linalg.norm(mu)
-            sigma = assemble_sigma(build_orthobasis(u), EigenSpectrum(lam)).matrix
+            sigma = StructuredCovariance(build_orthobasis(u), EigenSpectrum(lam)).matrix
             ll = multivariate_normal.logpdf(data.X, mean=mu, cov=sigma).sum()
             D = np.concatenate(([1.0], lam))
             lp_mu = -0.5 * np.sum(np.log(D)) - 0.5 * prior.kappa0 * np.sum(
@@ -302,7 +302,7 @@ class TestMhStep:
         lam = np.array([12.0, 9.0])
         state = ChainState(
             mu=data.xbar, lam=lam, log_posterior=log_posterior(data, data.xbar, lam, prior),
-            iteration=0,
+            iteration=0, accepted=0,
         )
         rng = np.random.default_rng(2)
         d = _proposal_diag(data, state.mu, state.lam)
@@ -373,6 +373,15 @@ class TestRunGibbs:
         assert run.proposals == 200
         assert 0.0 <= run.acceptance_rate <= 1.0
 
+    def test_records_carry_running_accepted_count(self, small_case):
+        data, prior = small_case
+        l = 3
+        run = run_gibbs(data, prior, s=25, l=l, rng=np.random.default_rng(14))
+        counts = [rec["accepted_count"] for rec in run.records()]
+        steps = np.diff([0] + counts)
+        assert np.all(steps >= 0) and np.all(steps <= l)
+        assert counts[-1] == run.accepted
+
     def test_seed_determinism(self, small_case):
         data, prior = small_case
         r1 = run_gibbs(data, prior, s=15, l=2, rng=np.random.default_rng(13))
@@ -402,7 +411,7 @@ class TestMapFromChain:
         lam = np.array([5.0, 4.0])
         st = ChainState(
             mu=data.xbar, lam=lam,
-            log_posterior=log_posterior(data, data.xbar, lam, prior), iteration=1,
+            log_posterior=log_posterior(data, data.xbar, lam, prior), iteration=1, accepted=0,
         )
         fit = map_from_chain([st], data, prior)
         assert np.allclose(fit.mean.mu, data.xbar)

@@ -9,7 +9,7 @@ from meancov import (
     EigenSpectrum,
     MeanState,
     SampleSet,
-    assemble_sigma,
+    StructuredCovariance,
     build_orthobasis,
     estimate_c0,
     estimate_lambdas,
@@ -23,7 +23,7 @@ from conftest import estimate_c0_general, random_unit, simulated_data
 
 def _full_loglik(data, u, c0, lam):
     """Independent oracle: exact Gaussian log likelihood at the structured pair."""
-    sigma = assemble_sigma(build_orthobasis(u), EigenSpectrum(lam)).matrix
+    sigma = StructuredCovariance(build_orthobasis(u), EigenSpectrum(lam)).matrix
     return float(multivariate_normal.logpdf(data.X, mean=c0 * u, cov=sigma).sum())
 
 

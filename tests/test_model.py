@@ -13,7 +13,6 @@ from meancov import (
     SampleSet,
     StructuredCovariance,
     ZeroVectorError,
-    assemble_sigma,
     build_orthobasis,
 )
 from conftest import random_unit, simulated_data
@@ -184,12 +183,12 @@ class TestBuildOrthobasis:
 class TestAssembleSigma:
     def test_unit_spectrum_gives_identity(self, rng):
         u = random_unit(4, rng)
-        sigma = assemble_sigma(build_orthobasis(u), EigenSpectrum(np.ones(3)))
+        sigma = StructuredCovariance(build_orthobasis(u), EigenSpectrum(np.ones(3)))
         assert np.allclose(sigma.matrix, np.eye(4), atol=1e-12)
 
     def test_canonical_diagonal(self):
         basis = build_orthobasis(np.array([0.0, 0.0, 1.0]))
-        sigma = assemble_sigma(basis, EigenSpectrum(np.array([2.0, 3.0])))
+        sigma = StructuredCovariance(basis, EigenSpectrum(np.array([2.0, 3.0])))
         assert np.allclose(sigma.matrix, np.diag([2.0, 3.0, 1.0]), atol=1e-12)
 
     @pytest.mark.parametrize("p", [2, 3, 7])
@@ -197,7 +196,7 @@ class TestAssembleSigma:
         for _ in range(20):
             u = random_unit(p, rng)
             lam = rng.uniform(0.2, 8.0, size=p - 1)
-            sigma = assemble_sigma(build_orthobasis(u), EigenSpectrum(lam))
+            sigma = StructuredCovariance(build_orthobasis(u), EigenSpectrum(lam))
             S = sigma.matrix
             assert np.linalg.norm(S @ u - u) < 1e-10
             assert np.linalg.det(S) == pytest.approx(np.prod(lam), rel=1e-8)
@@ -205,7 +204,7 @@ class TestAssembleSigma:
 
     def test_scale_free_constraint(self, rng):
         u = random_unit(5, rng)
-        S = assemble_sigma(build_orthobasis(u), EigenSpectrum(rng.uniform(1, 4, 4))).matrix
+        S = StructuredCovariance(build_orthobasis(u), EigenSpectrum(rng.uniform(1, 4, 4))).matrix
         for c0 in (0.5, 3.0, 100.0):
             assert np.linalg.norm(S @ (c0 * u) - c0 * u) < 1e-8 * c0
 
@@ -220,13 +219,13 @@ class TestAssembleSigma:
         du = rng.standard_normal(4) * 1e-7
         u2 = (u + du) / np.linalg.norm(u + du)
         lam = rng.uniform(0.5, 5.0, 3)
-        s1 = assemble_sigma(build_orthobasis(u), EigenSpectrum(lam)).matrix
-        s2 = assemble_sigma(build_orthobasis(u2), EigenSpectrum(lam)).matrix
+        s1 = StructuredCovariance(build_orthobasis(u), EigenSpectrum(lam)).matrix
+        s2 = StructuredCovariance(build_orthobasis(u2), EigenSpectrum(lam)).matrix
         assert np.linalg.norm(s1 - s2) < 1e-4 * (1.0 + lam.max())
 
     def test_log_det(self):
         basis = build_orthobasis(np.array([0.0, 1.0, 0.0]))
-        sigma = assemble_sigma(basis, EigenSpectrum(np.array([2.0, 5.0])))
+        sigma = StructuredCovariance(basis, EigenSpectrum(np.array([2.0, 5.0])))
         assert sigma.log_det == pytest.approx(np.log(10.0))
 
 
