@@ -56,7 +56,7 @@ from .newton_map import (
     map_c0_update,
     map_lambda_update,
 )
-from .niw import NiwParams, niw_joint_log_density, niw_map, niw_posterior, siw_log_density
+from .niw import NiwParams, niw_map, niw_posterior, siw_log_density
 from .simulate import (
     RiskReport,
     TruthSpec,

@@ -63,8 +63,9 @@ class RunConfig:
 def ingest_csv(path: str) -> SampleSet:
     """Read an n x p comma-delimited numeric matrix, optional header row.
 
-    Rejects non-numeric and non-finite cells with the offending row and
-    column named in the error.
+    The first line is a header only when none of its cells parses as a
+    number; otherwise it is the first data row.  Rejects non-numeric and
+    non-finite cells with the offending row and column named in the error.
     """
     rows: list[list[float]] = []
     width = None
@@ -73,9 +74,8 @@ def ingest_csv(path: str) -> SampleSet:
     if not lines:
         raise TooFewRowsError(f"{path}: empty file")
     start = 0
-    first = lines[0].split(",")
-    if any(not _is_number(tok) for tok in first):
-        start = 1  # header row
+    if not any(_is_number(tok) for tok in lines[0].split(",")):
+        start = 1  # header row: no token is a number
     for i, line in enumerate(lines[start:], start=start + 1):
         toks = [t.strip() for t in line.split(",")]
         if width is None:
@@ -99,9 +99,10 @@ def ingest_csv(path: str) -> SampleSet:
 
 def _is_number(tok: str) -> bool:
     try:
-        return math.isfinite(float(tok))
+        float(tok)
     except ValueError:
         return False
+    return True
 
 
 def latlong_to_sphere(rows) -> SampleSet:
@@ -149,7 +150,7 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     """Dispatch one command; returns (exit status, result document)."""
     try:
         return _dispatch(cfg)
-    except (ParseError, TooFewRowsError, RangeError, ValueError) as exc:
+    except (ParseError, TooFewRowsError, RangeError, ValueError, OSError) as exc:
         return EXIT_CONFIG, _error_doc(cfg, "config-or-parse", exc)
     except (MeanCovError, np.linalg.LinAlgError) as exc:
         return EXIT_NUMERIC, _error_doc(cfg, "numeric", exc)

@@ -62,26 +62,6 @@ def niw_map(params: NiwParams, p: int) -> tuple[np.ndarray, np.ndarray]:
     return params.mu_n.copy(), params.Lambda_n / (params.nu_n + p + 2.0)
 
 
-def niw_joint_log_density(mu, Sigma, params: NiwParams) -> float:
-    """Unnormalized log density of the NIW posterior at ``(mu, Sigma)``.
-
-    Used by the grid-probe check that the returned mode is a local maximum.
-    """
-    mu = _as_vector(mu, "mu")
-    Sigma = np.asarray(Sigma, dtype=float)
-    p = mu.size
-    sign, logdet = np.linalg.slogdet(Sigma)
-    if sign <= 0:
-        return -np.inf
-    inv = np.linalg.inv(Sigma)
-    d = mu - params.mu_n
-    return float(
-        -0.5 * (params.nu_n + p + 2.0) * logdet
-        - 0.5 * np.trace(inv @ params.Lambda_n)
-        - 0.5 * params.kappa_n * (d @ inv @ d)
-    )
-
-
 def siw_log_density(Sigma, nu0: float, b: float, Lambda0) -> float:
     """Unnormalized log density of the shrinkage inverse Wishart.
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
+from .exceptions import MeanCovError
 from .gibbs import PriorConfig, map_from_chain, run_gibbs
 from .mle import fit_mle
 from .model import (
@@ -27,7 +29,7 @@ from .model import (
     build_orthobasis,
     tail_quadratic_forms,
 )
-from .newton_map import NewtonConfig, fit_map_newton
+from .newton_map import fit_map_newton
 from .niw import niw_map, niw_posterior
 
 GIBBS_MAX_P = 5
@@ -59,7 +61,8 @@ class RiskReport:
     sigma_risk: float
     replications: int
     failures: int
-    elapsed: float
+    failure_types: dict[str, int]  # exception type name -> count; sums to ``failures``
+    elapsed_seconds: float
     acceptance_rate: float | None = None
     ratio_vs_niw_mean: float | None = None
     ratio_vs_niw_sigma: float | None = None
@@ -100,24 +103,13 @@ def mle_estimator(data: SampleSet, rng: np.random.Generator):
     return fit.mean.mu, fit.covariance().matrix, {}
 
 
-def map_newton_estimator(
-    data: SampleSet,
-    rng: np.random.Generator,
-    prior: PriorConfig | None = None,
-    cfg: NewtonConfig | None = None,
-):
-    if prior is None:
-        # The harness runs the fast MAP in its flat-prior configuration so
-        # that the risk columns are comparable against the MLE columns; the
-        # informative reference prior shrinks the eigenvalues by a factor
-        # n / (n + 1 + 2a) and would inflate the covariance risk.
-        prior = PriorConfig(
-            mu0=np.zeros(data.p),
-            kappa0=0.0,
-            a=-0.5,
-            h0_diag=np.zeros(data.p),
-        )
-    fit = fit_map_newton(data, prior, cfg)
+def map_newton_estimator(data: SampleSet, rng: np.random.Generator):
+    # The harness runs the fast MAP in its flat-prior configuration so that
+    # the risk columns are comparable against the MLE columns; the
+    # informative reference prior shrinks the eigenvalues by a factor
+    # n / (n + 1 + 2a) and would inflate the covariance risk.
+    prior = PriorConfig(mu0=np.zeros(data.p), kappa0=0.0, a=-0.5, h0_diag=np.zeros(data.p))
+    fit = fit_map_newton(data, prior)
     return fit.mean.mu, fit.covariance().matrix, {}
 
 
@@ -135,10 +127,8 @@ def gibbs_estimator(
     return fit.mean.mu, fit.covariance().matrix, {"acceptance_rate": run.acceptance_rate}
 
 
-def niw_estimator(data: SampleSet, rng: np.random.Generator, kappa0: float = 1.5):
-    params = niw_posterior(
-        data, mu0=data.xbar, kappa0=kappa0, nu0=data.p + 1, Lambda0=np.eye(data.p)
-    )
+def niw_estimator(data: SampleSet, rng: np.random.Generator):
+    params = niw_posterior(data, mu0=data.xbar, kappa0=1.5, nu0=data.p + 1, Lambda0=np.eye(data.p))
     mu_hat, sigma_hat = niw_map(params, data.p)
     return mu_hat, sigma_hat, {}
 
@@ -161,11 +151,11 @@ def default_estimators(p: int, include_gibbs: bool | None = None) -> dict[str, E
     return ests
 
 
-def _estimator_rng(seed: int, cell: int, rep: int, name: str) -> np.random.Generator:
-    # Deterministic per (cell, rep, estimator name); independent of the
-    # order in which estimators run.
-    tag = zlib.crc32(name.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence([seed, cell, rep, tag]))
+def _risks(losses: list[tuple]) -> tuple[float, float]:
+    """Mean and covariance risk: the average losses, NaN when every replication failed."""
+    if not losses:
+        return float("nan"), float("nan")
+    return float(np.mean([m for m, _, _ in losses])), float(np.mean([s for _, s, _ in losses]))
 
 
 def run_experiment(
@@ -179,62 +169,54 @@ def run_experiment(
     """Run the risk study over a grid of (n, p) cells.
 
     Each replication generates a fresh truth (unless ``fix_truth``) and a
-    fresh data set shared by all estimators.  Estimator failures are counted
-    and excluded from the averages.  Deterministic for a given seed.
+    fresh data set shared by all estimators.  An estimator that raises a
+    ``MeanCovError`` or ``LinAlgError`` fails that replication: the failure is
+    counted by exception type and excluded from the averages.  Any other
+    exception propagates.  Deterministic for a given seed.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
     reports: list[RiskReport] = []
     for ci, (n, p) in enumerate(grid):
         ests = estimators if estimators is not None else default_estimators(p, include_gibbs)
-        failures = {name: 0 for name in ests}
-        acc_rates: dict[str, list[float]] = {name: [] for name in ests}
-        elapsed = {name: 0.0 for name in ests}
-        truth_losses: dict[str, list[tuple[float, float]]] = {name: [] for name in ests}
-
-        fixed_truth = None
+        # One outcome per replication: (mean loss, Sigma loss, acceptance
+        # rate or None), or the type name of the error the estimator raised.
+        outcomes: dict[str, list[tuple | str]] = {name: [] for name in ests}
+        elapsed = dict.fromkeys(ests, 0.0)
         if fix_truth:
-            fixed_truth = generate_truth(
-                p, np.random.default_rng(np.random.SeedSequence([seed, ci]))
-            )
+            truth = generate_truth(p, np.random.default_rng(np.random.SeedSequence([seed, ci])))
         for r in range(reps):
             rng = np.random.default_rng(np.random.SeedSequence([seed, ci, r]))
-            truth = fixed_truth if fix_truth else generate_truth(p, rng)
+            if not fix_truth:
+                truth = generate_truth(p, rng)
             data = sample_data(truth, n, rng)
             for name, fn in ests.items():
-                est_rng = _estimator_rng(seed, ci, r, name)
+                # Deterministic per (cell, rep, estimator name); independent
+                # of the order in which estimators run.
+                tag = zlib.crc32(name.encode("utf-8"))
+                est_rng = np.random.default_rng(np.random.SeedSequence([seed, ci, r, tag]))
                 t0 = time.perf_counter()
                 try:
                     mu_hat, sigma_hat, extras = fn(data, est_rng)
-                except Exception:
-                    failures[name] += 1
+                except (MeanCovError, np.linalg.LinAlgError) as exc:
+                    outcomes[name].append(type(exc).__name__)
                     continue
                 finally:
                     elapsed[name] += time.perf_counter() - t0
-                m_loss = float(np.sum((mu_hat - truth.mu_true) ** 2) / p)
-                s_loss = float(np.sum((sigma_hat - truth.sigma_true.matrix) ** 2) / p)
-                truth_losses[name].append((m_loss, s_loss))
-                if "acceptance_rate" in extras:
-                    acc_rates[name].append(float(extras["acceptance_rate"]))
+                outcomes[name].append((
+                    float(np.sum((mu_hat - truth.mu_true) ** 2) / p),
+                    float(np.sum((sigma_hat - truth.sigma_true.matrix) ** 2) / p),
+                    extras.get("acceptance_rate"),
+                ))
 
-        risks = {}
-        for name in ests:
-            losses = truth_losses[name]
-            if losses:
-                risks[name] = (
-                    float(np.mean([m for m, _ in losses])),
-                    float(np.mean([s for _, s in losses])),
-                )
-            else:
-                risks[name] = (float("nan"), float("nan"))
-        niw_risk = risks.get("niw")
-        for name in ests:
-            m_risk, s_risk = risks[name]
+        niw_risk = _risks([o for o in outcomes.get("niw", []) if not isinstance(o, str)])
+        for name, outs in outcomes.items():
+            losses = [o for o in outs if not isinstance(o, str)]
+            m_risk, s_risk = _risks(losses)
             ratio_m = ratio_s = None
-            if niw_risk is not None and np.isfinite(niw_risk[0]) and niw_risk[0] > 0:
-                ratio_m = m_risk / niw_risk[0]
-                ratio_s = s_risk / niw_risk[1]
-            acc = float(np.mean(acc_rates[name])) if acc_rates[name] else None
+            if np.isfinite(niw_risk[0]) and niw_risk[0] > 0:
+                ratio_m, ratio_s = m_risk / niw_risk[0], s_risk / niw_risk[1]
+            accs = [float(a) for _, _, a in losses if a is not None]
             reports.append(
                 RiskReport(
                     n=n,
@@ -242,10 +224,11 @@ def run_experiment(
                     estimator=name,
                     mean_risk=m_risk,
                     sigma_risk=s_risk,
-                    replications=reps - failures[name],
-                    failures=failures[name],
-                    elapsed=elapsed[name],
-                    acceptance_rate=acc,
+                    replications=len(losses),
+                    failures=reps - len(losses),
+                    failure_types=dict(Counter(o for o in outs if isinstance(o, str))),
+                    elapsed_seconds=elapsed[name],
+                    acceptance_rate=float(np.mean(accs)) if accs else None,
                     ratio_vs_niw_mean=ratio_m,
                     ratio_vs_niw_sigma=ratio_s,
                 )
@@ -254,47 +237,23 @@ def run_experiment(
 
 
 def reports_to_records(reports: list[RiskReport]) -> list[dict]:
-    """Machine-readable rows, one per cell and estimator."""
-    return [
-        {
-            "n": r.n,
-            "p": r.p,
-            "estimator": r.estimator,
-            "mean_risk": r.mean_risk,
-            "sigma_risk": r.sigma_risk,
-            "ratio_vs_niw_mean": r.ratio_vs_niw_mean,
-            "ratio_vs_niw_sigma": r.ratio_vs_niw_sigma,
-            "acceptance_rate": r.acceptance_rate,
-            "replications": r.replications,
-            "failures": r.failures,
-            "elapsed_seconds": r.elapsed,
-        }
-        for r in reports
-    ]
+    """Machine-readable rows, one per cell and estimator, keyed by the ``RiskReport`` fields."""
+    return [asdict(r) for r in reports]
 
 
 def format_table(reports: list[RiskReport]) -> str:
     """Aligned text table of the risk study."""
-    headers = [
-        "n", "p", "estimator", "mean_risk", "sigma_risk",
-        "ratio_mean", "ratio_sigma", "acc_rate", "fails",
+
+    def num(x: float | None) -> str:
+        return "-" if x is None else f"{x:.4f}"
+
+    rows = [["n", "p", "estimator", "mean_risk", "sigma_risk",
+             "ratio_mean", "ratio_sigma", "acc_rate", "fails"]]
+    rows += [
+        [str(r.n), str(r.p), r.estimator, num(r.mean_risk), num(r.sigma_risk),
+         num(r.ratio_vs_niw_mean), num(r.ratio_vs_niw_sigma), num(r.acceptance_rate),
+         str(r.failures)]
+        for r in reports
     ]
-    rows = []
-    for r in reports:
-        rows.append([
-            str(r.n),
-            str(r.p),
-            r.estimator,
-            f"{r.mean_risk:.4f}",
-            f"{r.sigma_risk:.4f}",
-            "-" if r.ratio_vs_niw_mean is None else f"{r.ratio_vs_niw_mean:.4f}",
-            "-" if r.ratio_vs_niw_sigma is None else f"{r.ratio_vs_niw_sigma:.4f}",
-            "-" if r.acceptance_rate is None else f"{r.acceptance_rate:.4f}",
-            str(r.failures),
-        ])
-    widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    widths = [max(len(c) for c in column) for column in zip(*rows)]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows)

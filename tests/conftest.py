@@ -32,6 +32,27 @@ def estimate_c0_general(data: SampleSet, u, lam) -> float:
     return float((u @ M @ data.xbar) / (u @ M @ u))
 
 
+def niw_joint_log_density(mu, Sigma, params) -> float:
+    """Unnormalized log density of the NIW posterior ``params`` at ``(mu, Sigma)``.
+
+    The grid-probe oracle for ``niw_map``: the returned mode must be a local
+    maximum of this density.
+    """
+    mu = np.asarray(mu, dtype=float)
+    Sigma = np.asarray(Sigma, dtype=float)
+    p = mu.size
+    sign, logdet = np.linalg.slogdet(Sigma)
+    if sign <= 0:
+        return -np.inf
+    inv = np.linalg.inv(Sigma)
+    d = mu - params.mu_n
+    return float(
+        -0.5 * (params.nu_n + p + 2.0) * logdet
+        - 0.5 * np.trace(inv @ params.Lambda_n)
+        - 0.5 * params.kappa_n * (d @ inv @ d)
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -26,7 +26,6 @@ from meancov import (
     h_hessian,
     h_value,
     lower_bound_h,
-    niw_joint_log_density,
     niw_map,
     niw_posterior,
     run_gibbs,
@@ -40,7 +39,7 @@ from meancov.simulate import mle_estimator, niw_estimator, reports_to_records, r
 from meancov.model import SampleSet
 from scipy.stats import multivariate_normal
 
-from conftest import estimate_c0_general, random_unit, simulated_data
+from conftest import estimate_c0_general, niw_joint_log_density, random_unit, simulated_data
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from meancov.cli import (
     run,
 )
 from meancov.exceptions import ParseError, RangeError, TooFewRowsError
+from meancov.simulate import RiskReport
 from conftest import simulated_data
 
 
@@ -65,6 +66,19 @@ class TestIngestCsv:
         data = ingest_csv(str(path))
         assert data.n == 2
         assert np.allclose(data.X[0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [("1,inf\n2,3\n4,5\n", "row 1, column 2: non-finite"),
+         ("1,,2\n3,4,5\n6,7,8\n", "row 1, column 2: not a number")],
+    )
+    def test_first_row_with_a_number_is_data(self, tmp_path, text, match):
+        # A first line with any numeric cell is a data row, so its bad cell
+        # is reported instead of the row being dropped as a header.
+        path = tmp_path / "first.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=match):
+            ingest_csv(str(path))
 
     def test_nan_token_names_cell(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -184,6 +198,8 @@ class TestDispatch:
         status, doc = run(cfg)
         assert status == EXIT_OK
         assert len(doc["results"]["table"]) == 3
+        report_fields = {f.name for f in fields(RiskReport)}
+        assert all(set(row) == report_fields for row in doc["results"]["table"])
         assert "summary_text" in doc
 
     def test_transform_sphere(self, tmp_path):
@@ -196,6 +212,19 @@ class TestDispatch:
 
     def test_missing_input_is_config_error(self):
         status, doc = run(RunConfig(command="fit-mle", input_path=None))
+        assert status == EXIT_CONFIG
+        assert doc["error"]["category"] == "config-or-parse"
+
+    def test_unreadable_input_is_config_error(self, tmp_path, capsys):
+        status = main(["fit-mle", str(tmp_path / "missing.csv")])
+        doc = json.loads(capsys.readouterr().out)
+        assert status == EXIT_CONFIG
+        assert doc["error"]["category"] == "config-or-parse"
+
+    def test_unwritable_chain_out_is_config_error(self, data_csv, tmp_path, capsys):
+        chain_out = str(tmp_path / "no-such-dir" / "chain.jsonl")
+        status = main(["fit-map-gibbs", data_csv, "--gibbs-s", "2", "--chain-out", chain_out])
+        doc = json.loads(capsys.readouterr().out)
         assert status == EXIT_CONFIG
         assert doc["error"]["category"] == "config-or-parse"
 

@@ -6,12 +6,11 @@ from scipy.stats import multivariate_normal
 
 from meancov import (
     DimensionMismatchError,
-    niw_joint_log_density,
     niw_map,
     niw_posterior,
     siw_log_density,
 )
-from conftest import simulated_data
+from conftest import niw_joint_log_density, simulated_data
 
 
 def _random_pd(p, rng, spread=1.0):

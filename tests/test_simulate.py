@@ -1,9 +1,13 @@
 """Tests for the Monte-Carlo risk harness."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from meancov import (
+    DegenerateDataError,
+    RiskReport,
     default_estimators,
     format_table,
     generate_truth,
@@ -161,7 +165,7 @@ class TestRunExperiment:
 
     def test_failures_counted_and_excluded(self):
         def broken(data, rng):
-            raise RuntimeError("boom")
+            raise DegenerateDataError("boom")
 
         ests = default_estimators(3, include_gibbs=False)
         ests["broken"] = broken
@@ -171,13 +175,35 @@ class TestRunExperiment:
         assert rec.replications == 0
         assert np.isnan(rec.mean_risk)
 
+    def test_failures_counted_by_type(self):
+        outcomes = iter([DegenerateDataError, None, np.linalg.LinAlgError, DegenerateDataError])
+
+        def flaky(data, rng):
+            error = next(outcomes)
+            if error is not None:
+                raise error("numeric")
+            return data.xbar, np.eye(data.p), {}
+
+        (rec,) = run_experiment([(20, 3)], estimators={"flaky": flaky}, reps=4, seed=5)
+        assert rec.failure_types == {"DegenerateDataError": 2, "LinAlgError": 1}
+        assert rec.failures == 3 and rec.replications == 1
+
+    def test_programming_errors_propagate(self):
+        def buggy(data, rng):
+            raise TypeError("not a numeric failure")
+
+        ests = default_estimators(3, include_gibbs=False)
+        ests["buggy"] = buggy
+        with pytest.raises(TypeError, match="not a numeric failure"):
+            run_experiment([(20, 3)], estimators=ests, reps=2, seed=5)
+
     def test_fixed_truth_flag(self):
         reports = run_experiment([(20, 3)], reps=2, seed=6, fix_truth=True, include_gibbs=False)
         assert all(np.isfinite(r.mean_risk) for r in reports)
 
     def test_newton_map_tracks_mle_risk(self):
-        # The fast MAP approximation and the MLE produce nearly identical
-        # risk columns at the reference hyperparameters.
+        # The harness runs the fast MAP under the flat prior, where its
+        # fixed point is the MLE, so the two risk columns nearly coincide.
         reports = run_experiment([(50, 3)], reps=30, seed=7, include_gibbs=False)
         rec = {r.estimator: r for r in reports}
         mle, newton = rec["mle"], rec["map-newton"]
@@ -197,6 +223,11 @@ class TestReporting:
         for rec in records:
             assert set(rec) >= {"n", "p", "estimator", "mean_risk", "sigma_risk",
                                 "ratio_vs_niw_mean", "ratio_vs_niw_sigma", "failures"}
+
+    def test_record_keys_are_report_fields(self):
+        reports = run_experiment([(20, 3)], reps=1, seed=8, include_gibbs=False)
+        report_fields = {f.name for f in fields(RiskReport)}
+        assert all(set(rec) == report_fields for rec in reports_to_records(reports))
         table = format_table(reports)
         lines = table.splitlines()
         assert len(lines) == len(reports) + 1
