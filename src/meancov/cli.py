@@ -9,6 +9,7 @@ so runs are reproducible from the output alone.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -63,9 +64,54 @@ class RunConfig:
 def ingest_csv(path: str) -> SampleSet:
     """Read an n x p comma-delimited numeric matrix, optional header row.
 
-    The first line is a header only when none of its cells parses as a
-    number; otherwise it is the first data row.  Rejects non-numeric and
-    non-finite cells with the offending row and column named in the error.
+    A cell is whatever Python ``float()`` accepts once ``str.strip`` has
+    removed the whitespace around it (so ``1_000`` too), and must be
+    finite; blank lines are skipped.  The first line is a header only when none of its cells parses
+    as a number; otherwise it is the first data row.  The file is streamed
+    once into the result array, so memory scales with that array, not with
+    the text; only a file that this read stops in is read a second time,
+    row by row (:func:`_ingest_row_by_row`).  The error names the first
+    fault in reading order: a row whose width differs from the first data
+    row's, or a non-numeric or non-finite cell, by its row and column.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = filter(None, map(str.strip, fh))
+        first = next(lines, None)
+        if first is None:
+            raise TooFewRowsError(f"{path}: empty file")
+        if not any(map(_is_number, first.split(","))):
+            first = next(lines, None)  # header row: no token is a number
+        rows = () if first is None else itertools.chain((first,), lines)
+        width = 1 if first is None else first.count(",") + 1
+        try:
+            X = np.fromiter(itertools.chain.from_iterable(_float_rows(rows, width)), dtype=float)
+        except ValueError:
+            X = None
+    if X is None or not np.isfinite(X).all():
+        return _ingest_row_by_row(path)
+    X = X.reshape(-1, width)
+    if len(X) < 2:
+        raise TooFewRowsError(f"{path}: need at least 2 data rows, got {len(X)}")
+    return SampleSet(X)
+
+
+def _float_rows(rows, width: int):
+    """Each row's cells as a lazy ``map(float, ...)``; ValueError on a row of another width."""
+    for line in rows:
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValueError(f"row of {len(cells)} fields, expected {width}")
+        yield map(float, cells)
+
+
+def _ingest_row_by_row(path: str) -> SampleSet:
+    """Read ``path`` as :func:`ingest_csv` does, a line and a cell at a time.
+
+    The fallback of the streamed read when that read stops at a bad cell or
+    a ragged row: this loop raises the :class:`ParseError` of the first
+    fault in reading order.  A cell is stripped before ``float()``, so one
+    that ends in an ASCII separator (``\\x1c`` to ``\\x1f``, which
+    ``str.strip`` removes and ``float()`` does not) is read here.
     """
     rows: list[list[float]] = []
     width = None
@@ -73,9 +119,7 @@ def ingest_csv(path: str) -> SampleSet:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise TooFewRowsError(f"{path}: empty file")
-    start = 0
-    if not any(_is_number(tok) for tok in lines[0].split(",")):
-        start = 1  # header row: no token is a number
+    start = 0 if any(_is_number(tok) for tok in lines[0].split(",")) else 1
     for i, line in enumerate(lines[start:], start=start + 1):
         toks = [t.strip() for t in line.split(",")]
         if width is None:
@@ -105,20 +149,27 @@ def _is_number(tok: str) -> bool:
     return True
 
 
-def latlong_to_sphere(rows) -> SampleSet:
+def latlong_to_sphere(latlong) -> SampleSet:
     """Map (latitude, longitude) degrees to points on the unit sphere.
 
-    Convention: ``x = cos(lat) cos(lon), y = cos(lat) sin(lon), z = sin(lat)``.
+    ``latlong`` is an (m, 2) array, or anything ``np.asarray`` makes one of,
+    such as a list of pairs.  Convention: ``x = cos(lat) cos(lon),
+    y = cos(lat) sin(lon), z = sin(lat)``.  Latitude must lie in [-90, 90]
+    and longitude in [-180, 360); the error names the first row out of
+    range, and its latitude when both are.
     """
-    out = []
-    for i, (lat, lon) in enumerate(rows, start=1):
-        if not -90.0 <= lat <= 90.0:
-            raise RangeError(f"row {i}: latitude {lat} outside [-90, 90]")
-        if not -180.0 <= lon < 360.0:
-            raise RangeError(f"row {i}: longitude {lon} outside [-180, 360)")
-        la, lo = math.radians(lat), math.radians(lon)
-        out.append([math.cos(la) * math.cos(lo), math.cos(la) * math.sin(lo), math.sin(la)])
-    return SampleSet(np.asarray(out))
+    lat, lon = np.asarray(latlong).T
+    bad_lat = ~((-90.0 <= lat) & (lat <= 90.0))
+    bad_lon = ~((-180.0 <= lon) & (lon < 360.0))
+    bad = np.flatnonzero(bad_lat | bad_lon)
+    if bad.size:
+        i = bad[0]
+        if bad_lat[i]:
+            raise RangeError(f"row {i + 1}: latitude {lat[i]} outside [-90, 90]")
+        raise RangeError(f"row {i + 1}: longitude {lon[i]} outside [-180, 360)")
+    la, lo = np.radians(lat), np.radians(lon)
+    cos_la = np.cos(la)
+    return SampleSet(np.column_stack([cos_la * np.cos(lo), cos_la * np.sin(lo), np.sin(la)]))
 
 
 def _prior_from_config(cfg: RunConfig, data: SampleSet) -> PriorConfig:
@@ -180,7 +231,7 @@ def _dispatch(cfg: RunConfig) -> tuple[int, dict]:
         raw = ingest_csv(cfg.input_path)
         if raw.p != 2:
             raise ParseError("transform-sphere expects two columns: latitude, longitude")
-        points = latlong_to_sphere([tuple(r) for r in raw.X])
+        points = latlong_to_sphere(raw.X)
         return EXIT_OK, _document(cfg, results={"points": points.X})
 
     data = ingest_csv(cfg.input_path)
@@ -326,8 +377,12 @@ def main(argv=None) -> int:
     status, doc = run(cfg)
     text = json.dumps(doc, sort_keys=True, indent=2)
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            status, doc = EXIT_CONFIG, _error_doc(cfg, "config-or-parse", exc)
+            text = json.dumps(doc, sort_keys=True, indent=2)
     if cfg.output_format == "table" and "summary_text" in doc:
         print(doc["summary_text"])
     else:

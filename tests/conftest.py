@@ -1,9 +1,12 @@
 """Shared fixtures and helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
 from meancov import SampleSet, build_orthobasis, generate_truth, sample_data
+from meancov.exceptions import ParseError, TooFewRowsError
 
 
 def random_unit(p: int, rng: np.random.Generator) -> np.ndarray:
@@ -51,6 +54,53 @@ def niw_joint_log_density(mu, Sigma, params) -> float:
         - 0.5 * np.trace(inv @ params.Lambda_n)
         - 0.5 * params.kappa_n * (d @ inv @ d)
     )
+
+
+def ingest_csv_reference(path: str) -> SampleSet:
+    """Row-by-row CSV reader: the oracle of ``cli.ingest_csv``.
+
+    Reads every non-blank line, drops a first line none of whose cells is a
+    number, then parses cell by cell, so the first fault in reading order (a
+    ragged row, a cell ``float()`` rejects or a non-finite cell) is the one
+    reported.  ``ingest_csv`` must return the same array or raise the same
+    exception with the same message.
+    """
+    rows: list[list[float]] = []
+    width = None
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise TooFewRowsError(f"{path}: empty file")
+    start = 0
+    if not any(_is_number(tok) for tok in lines[0].split(",")):
+        start = 1  # header row: no token is a number
+    for i, line in enumerate(lines[start:], start=start + 1):
+        toks = [t.strip() for t in line.split(",")]
+        if width is None:
+            width = len(toks)
+        elif len(toks) != width:
+            raise ParseError(f"{path}: row {i} has {len(toks)} fields, expected {width}")
+        row = []
+        for j, tok in enumerate(toks, start=1):
+            try:
+                val = float(tok)
+            except ValueError:
+                raise ParseError(f"{path}: row {i}, column {j}: not a number: {tok!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(f"{path}: row {i}, column {j}: non-finite value {tok!r}")
+            row.append(val)
+        rows.append(row)
+    if len(rows) < 2:
+        raise TooFewRowsError(f"{path}: need at least 2 data rows, got {len(rows)}")
+    return SampleSet(np.asarray(rows))
+
+
+def _is_number(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.fixture

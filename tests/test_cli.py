@@ -2,6 +2,8 @@
 exit codes, and output determinism."""
 
 import json
+import math
+import tracemalloc
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -23,7 +25,7 @@ from meancov.cli import (
 )
 from meancov.exceptions import ParseError, RangeError, TooFewRowsError
 from meancov.simulate import RiskReport
-from conftest import simulated_data
+from conftest import ingest_csv_reference, simulated_data
 
 
 def write_csv(path, rows, header=None):
@@ -43,6 +45,16 @@ def data_csv(tmp_path):
     data = simulated_data(40, 3, seed=81)
     path = tmp_path / "data.csv"
     write_csv(path, data.X)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory):
+    """A 20000 x 10 CSV with a header, cells written with ``%.17g``."""
+    X = np.random.default_rng(90).standard_normal((20000, 10)) * 10.0 ** np.arange(-4, 6)
+    path = tmp_path_factory.mktemp("wide") / "wide.csv"
+    header = ",".join(f"x{j}" for j in range(1, 11))
+    np.savetxt(path, X, delimiter=",", fmt="%.17g", header=header, comments="")
     return str(path)
 
 
@@ -119,6 +131,93 @@ class TestIngestCsv:
         assert np.all(np.abs(back - X) < 1e-15)
 
 
+def _outcome(read, path):
+    """What ``read(path)`` does: ("array", X) or (exception type, message)."""
+    try:
+        return "array", read(path).X
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+# Raw file contents on which ingest_csv must agree with its row-by-row oracle.
+ORACLE_CASES = {
+    "header": b"x,y\n1,2\n3,4\n",
+    "blank-lines": b"\n1,2\n\n   \n3,4\n\n",
+    "spaces-around-cells": b" 1 , 2 \n3 ,\t4\n\t5,  6\n",
+    "crlf": b"x,y\r\n1,2\r\n3,4\r\n",
+    "underscore-digits": b"1_000,2\n3,4_5.5\n",
+    "non-ascii-digits-and-space": "\u0661\u0662,\u00a02\n3,4\n".encode(),
+    "separator-chars-around-cells": b"\x1c1\x1d,2\x1e\n3,\x1f4\n",
+    "separator-chars-around-bad-cell": b"1\x1c,2\n3,\x1fx\n",
+    "nan": b"1,2\n3,nan\n5,6\n",
+    "inf": b"1,2\n-inf,4\n5,6\n",
+    "overflow": b"1,2\n3,1e999\n5,6\n",
+    "first-line-with-number-is-data": b"x,1\n2,3\n4,5\n",
+    "empty-cell": b"1,2\n3,\n5,6\n",
+    "trailing-comma": b"1,2,\n3,4,\n",
+    "ragged-before-bad-token": b"1,2\n3\n4,abc\n",
+    "ragged-longer-row": b"1,2\n3,4,5\n6,7\n",
+    "ragged-rows-filling-a-rectangle": b"1,2\n3\n4,5,6\n",
+    "ragged-row-with-bad-token": b"1,2\n3,abc,5\n",
+    "bad-token-before-ragged": b"1,2\n3,abc\n4\n",
+    "non-finite-before-unparsable": b"1,2\n3,inf\n4,abc\n",
+    "unparsable-before-non-finite": b"1,2\nabc,inf\n4,5\n",
+    "fault-deep-in-file": b"x,y\n" + b"1,2\n" * 15000 + b"3,1e999\n4,abc\n",
+    "header-only": b"x,y\n",
+    "header-then-bad-row": b"x,y\n1,\n2,3\n",
+    "single-data-row": b"1,2\n",
+    "empty": b"",
+    "only-blank-lines": b"\n  \n\n",
+    "invalid-utf8": b"1,2\n3,\xff\n",
+    "invalid-utf8-after-bad-token": b"1,2\n3,abc\n" + b"4,5\n" * 5000 + b"\xff\n",
+}
+
+
+class TestIngestCsvOracle:
+    @pytest.mark.parametrize("content", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def test_agrees_with_row_by_row_reader(self, tmp_path, content):
+        path = tmp_path / "in.csv"
+        path.write_bytes(content)
+        got, want = _outcome(ingest_csv, str(path)), _outcome(ingest_csv_reference, str(path))
+        assert got[0] == want[0]
+        if got[0] == "array":
+            assert got[1].shape == want[1].shape
+            assert np.array_equal(got[1], want[1])
+        else:
+            assert got[1] == want[1]
+
+    def test_agrees_on_large_file(self, wide_csv):
+        got = ingest_csv(wide_csv).X
+        assert got.shape == (20000, 10)
+        assert np.array_equal(got, ingest_csv_reference(wide_csv).X)
+
+    def test_peak_memory_scales_with_result(self, wide_csv):
+        # The text is streamed into the array: no list of lines or of rows
+        # is held, so the peak is the array while it grows plus the copy
+        # SampleSet keeps.
+        ingest_csv(wide_csv)
+        tracemalloc.start()
+        try:
+            data = ingest_csv(wide_csv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * data.X.nbytes
+
+
+def latlong_to_sphere_reference(rows) -> np.ndarray:
+    """Row-by-row ``math`` transform: the oracle of ``cli.latlong_to_sphere``."""
+    out = []
+    for i, (lat, lon) in enumerate(rows, start=1):
+        if not -90.0 <= lat <= 90.0:
+            raise RangeError(f"row {i}: latitude {lat} outside [-90, 90]")
+        if not -180.0 <= lon < 360.0:
+            raise RangeError(f"row {i}: longitude {lon} outside [-180, 360)")
+        la, lo = math.radians(lat), math.radians(lon)
+        out.append([math.cos(la) * math.cos(lo), math.cos(la) * math.sin(lo), math.sin(la)])
+    return np.asarray(out)
+
+
 class TestLatLongTransform:
     def test_north_pole(self):
         data = latlong_to_sphere([(90.0, 123.0), (90.0, -17.0)])
@@ -136,10 +235,43 @@ class TestLatLongTransform:
         assert np.allclose(np.linalg.norm(data.X, axis=1), 1.0, atol=1e-12)
 
     def test_range_errors(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match=r"^row 1: latitude 91.0 outside \[-90, 90\]$"):
             latlong_to_sphere([(91.0, 0.0), (0.0, 0.0)])
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match=r"^row 1: longitude 360.0 outside \[-180, 360\)$"):
             latlong_to_sphere([(0.0, 360.0), (0.0, 0.0)])
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(0.0, 0.0), (10.0, -180.5), (-90.5, 0.0)], "row 2: longitude -180.5 outside"),
+            ([(0.0, 0.0), (0.0, 1.0), (-95.0, 400.0), (0.0, 400.0)], "row 3: latitude -95.0"),
+            ([(0.0, 359.5), (90.0, 0.0), (float("nan"), 0.0)], "row 3: latitude nan"),
+        ],
+    )
+    def test_range_error_names_first_offending_row(self, rows, message):
+        # Rows are checked in order, and within a row latitude comes first.
+        with pytest.raises(RangeError) as got:
+            latlong_to_sphere(np.array(rows))
+        with pytest.raises(RangeError) as want:
+            latlong_to_sphere_reference(rows)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(message)
+
+    def test_matches_scalar_math_oracle(self, rng):
+        # Same formula in the same order, and NumPy's float64 radians, sin
+        # and cos round as math's do, so the points (and the CLI's JSON) are
+        # bitwise those of the scalar loop.
+        latlong = np.column_stack([rng.uniform(-90, 90, 5000), rng.uniform(-180, 360, 5000)])
+        latlong = np.vstack([latlong, [[90, 0], [-90, 359.999999], [0, -180], [45.0, 30.0]]])
+        got = latlong_to_sphere(latlong).X
+        assert np.array_equal(got, latlong_to_sphere_reference(latlong.tolist()))
+
+    def test_accepts_array_and_list_of_pairs(self, rng):
+        latlong = np.column_stack([rng.uniform(-90, 90, 20), rng.uniform(-180, 360, 20)])
+        from_array = latlong_to_sphere(latlong).X
+        assert from_array.shape == (20, 3)
+        assert np.array_equal(from_array, latlong_to_sphere([tuple(r) for r in latlong]).X)
+        assert np.array_equal(from_array, latlong_to_sphere(latlong.tolist()).X)
 
 
 class TestDispatch:
@@ -227,6 +359,15 @@ class TestDispatch:
         doc = json.loads(capsys.readouterr().out)
         assert status == EXIT_CONFIG
         assert doc["error"]["category"] == "config-or-parse"
+
+    def test_unwritable_out_is_config_error(self, data_csv, tmp_path, capsys):
+        out = str(tmp_path / "no-such-dir" / "out.json")
+        status = main(["fit-mle", data_csv, "--out", out])
+        doc = json.loads(capsys.readouterr().out)
+        assert status == EXIT_CONFIG
+        assert doc["error"]["category"] == "config-or-parse"
+        assert "no-such-dir" in doc["error"]["message"]
+        assert "results" not in doc
 
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.csv"
