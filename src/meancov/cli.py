@@ -3,7 +3,9 @@
 Every command is deterministic given its configuration, which holds the
 seed of the two commands that draw random numbers (``fit-map-gibbs`` and
 ``simulate``); the result document echoes the full effective configuration
-so runs are reproducible from the output alone.
+so runs are reproducible from the output alone.  The one exception is the
+wall-clock ``elapsed_seconds`` of each ``simulate`` report row, which
+differs from run to run; every other field repeats.
 """
 
 from __future__ import annotations
@@ -66,13 +68,14 @@ def ingest_csv(path: str) -> SampleSet:
 
     A cell is whatever Python ``float()`` accepts once ``str.strip`` has
     removed the whitespace around it (so ``1_000`` too), and must be
-    finite; blank lines are skipped.  The first line is a header only when none of its cells parses
-    as a number; otherwise it is the first data row.  The file is streamed
-    once into the result array, so memory scales with that array, not with
-    the text; only a file that this read stops in is read a second time,
-    row by row (:func:`_ingest_row_by_row`).  The error names the first
-    fault in reading order: a row whose width differs from the first data
-    row's, or a non-numeric or non-finite cell, by its row and column.
+    finite; blank lines are skipped.  The first line is a header only when
+    none of its cells parses as a number; otherwise it is the first data
+    row.  The data lines are parsed by NumPy's C reader, which converts a
+    cell with ``float()``'s C routine but rejects ``1_000`` and non-ASCII
+    digits; a file it rejects, or one with a non-finite value, is read
+    again by :func:`_ingest_row_by_row`.  The error names the first fault
+    in reading order: a row whose width differs from the first data row's,
+    or a non-numeric or non-finite cell, by its row and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = filter(None, map(str.strip, fh))
@@ -81,37 +84,31 @@ def ingest_csv(path: str) -> SampleSet:
             raise TooFewRowsError(f"{path}: empty file")
         if not any(map(_is_number, first.split(","))):
             first = next(lines, None)  # header row: no token is a number
-        rows = () if first is None else itertools.chain((first,), lines)
-        width = 1 if first is None else first.count(",") + 1
+        if first is None:
+            raise TooFewRowsError(f"{path}: need at least 2 data rows, got 0")
         try:
-            X = np.fromiter(itertools.chain.from_iterable(_float_rows(rows, width)), dtype=float)
+            X = np.loadtxt(
+                itertools.chain((first,), lines), delimiter=",", comments=None, dtype=float, ndmin=2
+            )
         except ValueError:
             X = None
     if X is None or not np.isfinite(X).all():
         return _ingest_row_by_row(path)
-    X = X.reshape(-1, width)
     if len(X) < 2:
         raise TooFewRowsError(f"{path}: need at least 2 data rows, got {len(X)}")
     return SampleSet(X)
 
 
-def _float_rows(rows, width: int):
-    """Each row's cells as a lazy ``map(float, ...)``; ValueError on a row of another width."""
-    for line in rows:
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ValueError(f"row of {len(cells)} fields, expected {width}")
-        yield map(float, cells)
-
-
 def _ingest_row_by_row(path: str) -> SampleSet:
     """Read ``path`` as :func:`ingest_csv` does, a line and a cell at a time.
 
-    The fallback of the streamed read when that read stops at a bad cell or
-    a ragged row: this loop raises the :class:`ParseError` of the first
-    fault in reading order.  A cell is stripped before ``float()``, so one
-    that ends in an ASCII separator (``\\x1c`` to ``\\x1f``, which
-    ``str.strip`` removes and ``float()`` does not) is read here.
+    The fallback of the C reader when that reader rejects a file or finds
+    a non-finite value: this loop reads the cells ``float()`` accepts and the
+    C reader does not (``1_000``, non-ASCII digits), and raises the
+    :class:`ParseError` of the first fault in reading order.  A cell is
+    stripped before ``float()``, so one that ends in an ASCII separator
+    (``\\x1c`` to ``\\x1f``, which ``str.strip`` removes and ``float()``
+    does not) is read here.
     """
     rows: list[list[float]] = []
     width = None
@@ -180,21 +177,49 @@ def _prior_from_config(cfg: RunConfig, data: SampleSet) -> PriorConfig:
     return PriorConfig(mu0=mu0, kappa0=cfg.prior_kappa0, a=a, h0_diag=h0)
 
 
-def _jsonable(x):
+def _render(x, pad: str = "\n") -> str:
+    """``json.dumps(x, sort_keys=True, indent=2)``, byte for byte, for string keys.
+
+    An array is written as its ``tolist()`` and a NumPy scalar as its
+    ``item()``.  With ``indent`` set, ``json`` runs its pure-Python encoder;
+    here a floating-point array whose values are all finite is written by
+    one ``%`` format, whose ``%r`` is the ``float.__repr__`` text ``json``
+    gives a finite float.  Keys and other scalars are written by
+    ``json.dumps``, so ``NaN``, ``Infinity`` and escapes keep its spelling.
+    ``pad`` is the newline and indentation of the line ``x`` starts on.
+    """
     if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
+        if x.dtype.kind == "f" and x.ndim and x.size and np.isfinite(x).all():
+            return _float_template(x.shape, pad) % tuple(x.ravel().tolist())
+        x = x.tolist()
+    elif isinstance(x, np.generic):
+        x = x.item()
+    inner = pad + "  "
     if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+        if not x:
+            return "{}"
+        items = (f"{json.dumps(k)}: {_render(v, inner)}" for k, v in sorted(x.items()))
+        open_, close = "{", "}"
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        items = (_render(v, inner) for v in x)
+        open_, close = "[", "]"
+    else:
+        return json.dumps(x)
+    return open_ + inner + ("," + inner).join(items) + pad + close
+
+
+def _float_template(shape: tuple, pad: str) -> str:
+    """The :func:`_render` layout of an array of ``shape``, no axis empty, one ``%r`` per value."""
+    inner = pad + "  "
+    item = "%r" if len(shape) == 1 else _float_template(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + pad + "]"
 
 
 def _document(cfg: RunConfig, **body) -> dict:
-    """The JSON document of a run: the command, its full configuration and ``body``."""
-    return _jsonable({"command": cfg.command, "config": asdict(cfg), **body})
+    """The result document of a run: the command, its full configuration and ``body``."""
+    return {"command": cfg.command, "config": asdict(cfg), **body}
 
 
 def run(cfg: RunConfig) -> tuple[int, dict]:
@@ -375,14 +400,14 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     cfg = config_from_args(args)
     status, doc = run(cfg)
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = _render(doc)
     if cfg.output_path:
         try:
             with open(cfg.output_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
             status, doc = EXIT_CONFIG, _error_doc(cfg, "config-or-parse", exc)
-            text = json.dumps(doc, sort_keys=True, indent=2)
+            text = _render(doc)
     if cfg.output_format == "table" and "summary_text" in doc:
         print(doc["summary_text"])
     else:

@@ -242,7 +242,8 @@ class SampleSet:
 
     ``xbar`` is the sample mean and ``a0 = sum_j x_j x_j^T`` is the scatter
     about the origin; both are computed once at construction.  The largest
-    eigenvalue of ``a0`` is computed on first use and then kept.
+    eigenvalue of ``a0`` and the scatter about the mean are computed on
+    first use and then kept.
     """
 
     X: np.ndarray
@@ -299,5 +300,11 @@ class SampleSet:
         return self.a0 - cross - cross.T + n * np.outer(mu, mu)
 
     def scatter_about_mean(self) -> np.ndarray:
-        """``A(xbar)``, the mean-centered scatter."""
-        return self.scatter(self.xbar)
+        """``A(xbar)``, the mean-centered scatter (read-only)."""
+        return self._scatter_about_mean
+
+    @cached_property
+    def _scatter_about_mean(self) -> np.ndarray:
+        a = self.scatter(self.xbar)
+        a.setflags(write=False)
+        return a

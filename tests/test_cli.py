@@ -164,12 +164,16 @@ ORACLE_CASES = {
     "unparsable-before-non-finite": b"1,2\nabc,inf\n4,5\n",
     "fault-deep-in-file": b"x,y\n" + b"1,2\n" * 15000 + b"3,1e999\n4,abc\n",
     "header-only": b"x,y\n",
+    "header-then-blank-lines": b"x,y\n\n  \n",
     "header-then-bad-row": b"x,y\n1,\n2,3\n",
     "single-data-row": b"1,2\n",
     "empty": b"",
     "only-blank-lines": b"\n  \n\n",
     "invalid-utf8": b"1,2\n3,\xff\n",
     "invalid-utf8-after-bad-token": b"1,2\n3,abc\n" + b"4,5\n" * 5000 + b"\xff\n",
+    "hash-inside-cell": b"1,2#3\n4,5\n",
+    "quoted-first-line": b'"1","2"\n3,4\n',
+    "quoted-cells": b'1,2\n"3","4"\n5,6\n',
 }
 
 
@@ -454,6 +458,96 @@ class TestMainEntry:
         doc = json.loads(out)
         assert doc["config"]["seed"] == 0
         assert doc["config"]["command"] == "fit-mle"
+
+
+def _jsonable(x):
+    """The document with arrays as lists and NumPy scalars as Python ones."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, (np.floating, np.integer)):
+        return x.item()
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    return x
+
+
+def render_reference(doc) -> str:
+    """The stdlib rendering of a document: the oracle of ``cli._render``."""
+    return json.dumps(_jsonable(doc), sort_keys=True, indent=2)
+
+
+class TestRender:
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("fit-mle", {}),
+            ("fit-niw", {}),
+            ("fit-map-newton", {}),
+            ("fit-map-gibbs", {"gibbs_s": 10, "gibbs_l": 2}),
+            ("simulate", {"grid": [(30, 3)], "reps": 2, "include_gibbs": True}),
+            ("transform-sphere", {}),
+            ("fit-mle", {"input_path": None}),  # config error document
+        ],
+    )
+    def test_command_documents_match_stdlib(self, data_csv, latlong_csv, command, overrides):
+        path = {"simulate": None, "transform-sphere": latlong_csv}.get(command, data_csv)
+        _, doc = run(RunConfig(command=command, **{"input_path": path, **overrides}))
+        assert cli._render(doc) == render_reference(doc)
+
+    @pytest.mark.parametrize("text", ["1.0,xyz\n2.0,3.0\n", "1,2\n2,4\n3,6\n"])
+    def test_error_documents_match_stdlib(self, tmp_path, text):
+        # A parse error and a numeric (degenerate data) error.
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        status, doc = run(RunConfig(command="fit-mle", input_path=str(path)))
+        assert status in (EXIT_CONFIG, EXIT_NUMERIC) and "error" in doc
+        assert cli._render(doc) == render_reference(doc)
+
+    def test_edge_values_match_stdlib(self):
+        doc = {
+            "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300, 0.1],
+            "numpy_scalars": [np.float64(-0.0), np.float64("nan"), np.int64(-7), np.float32(0.1)],
+            "empty": {"list": [], "dict": {}, "tuple": (), "array": np.zeros((0, 3))},
+            "empty_rows": np.zeros((2, 0)),
+            "strings": ["caf\u00e9 \u2603 \U0001f600", "tab\tquote\"back\\slash\nnl\x00"],
+            "\u00fcber \"key\"": 1,
+            "scalars": {"int": 3, "big": 10**30, "true": True, "false": False, "none": None},
+            "one_row": np.array([[1.5, -2.25, 1e-300]]),
+            "one_dim": np.array([3.0, -0.0, 5e-324, 1e300, 2.0 / 3.0]),
+            "three_dim": np.arange(12.0).reshape(2, 3, 2) / 7.0,
+            "float32": np.array([0.1, 1e-45, 3.4e38], dtype=np.float32),
+            "with_nan": np.array([[1.0, np.nan], [-np.inf, 2.0]]),
+            "zero_dim": np.array(2.5),
+            "ints": np.array([[1, -2], [3, 4]]),
+            "bools": np.array([True, False]),
+            "nested": [[np.array([1.0, 2.0]), {"b": (1, 2.5), "a": []}], [[]]],
+        }
+        assert cli._render(doc) == render_reference(doc)
+        assert cli._render(doc["one_dim"]) == render_reference(doc["one_dim"])
+        assert cli._render(3.5) == render_reference(3.5)
+
+    def test_main_writes_the_rendering(self, data_csv, tmp_path, capsys):
+        # stdout and --out carry the same bytes, the stdlib's rendering.
+        _, doc = run(RunConfig(command="fit-mle", input_path=data_csv))
+        out = tmp_path / "out.json"
+        assert main(["fit-mle", data_csv, "--out", str(out)]) == EXIT_OK
+        doc["config"]["output_path"] = str(out)
+        expected = render_reference(doc) + "\n"
+        assert capsys.readouterr().out == expected
+        assert out.read_text(encoding="utf-8") == expected
+
+
+def test_seeded_simulate_runs_agree_but_for_elapsed_seconds():
+    # The wall-clock elapsed_seconds of each report row is the one field
+    # that differs between two runs of one configuration.
+    cfg = RunConfig(command="simulate", grid=[(30, 3), (40, 4)], reps=2, seed=5)
+    docs = [run(cfg)[1] for _ in range(2)]
+    for doc in docs:
+        for row in doc["results"]["table"]:
+            assert row.pop("elapsed_seconds") >= 0.0
+    assert cli._render(docs[0]) == cli._render(docs[1])
 
 
 class TestArgumentParsing:

@@ -271,6 +271,22 @@ class TestScatterMatrix:
         with pytest.raises(DimensionMismatchError):
             data.scatter(np.zeros(2))
 
+    def test_scatter_about_mean_is_formed_once(self, rng, monkeypatch):
+        data = SampleSet(rng.standard_normal((6, 3)))
+        calls = []
+        scatter = SampleSet.scatter
+
+        def counted(self, mu):
+            calls.append(mu)
+            return scatter(self, mu)
+
+        monkeypatch.setattr(SampleSet, "scatter", counted)
+        A = data.scatter_about_mean()
+        assert data.scatter_about_mean() is A
+        assert len(calls) == 1
+        assert not A.flags.writeable
+        assert np.array_equal(A, scatter(data, data.xbar))
+
 
 class TestBMatrix:
     def test_leading_entry_at_mle_radius(self, rng):
