@@ -12,6 +12,7 @@ to call concurrently on shared instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,6 +33,17 @@ def _as_vector(x, name: str) -> np.ndarray:
     if v.ndim != 1:
         raise DimensionMismatchError(f"{name} must be a 1-d vector, got shape {v.shape}")
     return v
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-d float vector, bit for bit, without its dispatch.
+
+    ``np.linalg.norm`` takes the square root of ``x.dot(x)`` on a contiguous
+    copy; a strided view is copied the same way, since a strided dot sums in
+    another order.
+    """
+    v = np.ascontiguousarray(v)
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,14 @@ class OrthoBasis:
         P.setflags(write=False)
         object.__setattr__(self, "matrix", P)
 
+    @classmethod
+    def _adopt(cls, P: np.ndarray) -> "OrthoBasis":
+        """Wrap a square float matrix that nothing else references, without a copy."""
+        P.setflags(write=False)
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "matrix", P)
+        return basis
+
     @property
     def p(self) -> int:
         return self.matrix.shape[0]
@@ -149,7 +169,7 @@ def build_orthobasis(u) -> OrthoBasis:
     p = u.size
     if p < 2:
         raise DimensionMismatchError("need dimension p >= 2")
-    nrm = float(np.linalg.norm(u))
+    nrm = _norm(u)
     if nrm < UNIT_TOL:
         raise ZeroVectorError("direction has (near) zero norm")
     if abs(nrm - 1.0) > UNIT_TOL:
@@ -158,31 +178,34 @@ def build_orthobasis(u) -> OrthoBasis:
 
     # Drop the canonical vector along the dominant entry of u (last index on
     # ties, so the canonical-axis and equal-entries cases keep e_1..e_{p-1}).
-    absu = np.abs(u)
-    drop = p - 1 - int(np.argmax(absu[::-1]))
+    drop = p - 1 - int(np.abs(u)[::-1].argmax())
 
     P = np.empty((p, p))
     P[:, 0] = u
-    col = 1
+    cols = [P[:, 0]]  # column views, in the order they were completed
     for k in range(p):
         if k == drop:
             continue
-        v = np.zeros(p)
-        v[k] = 1.0
-        for _ in range(2):  # MGS plus one re-orthogonalization pass
-            for i in range(col):
-                v -= (P[:, i] @ v) * P[:, i]
-        v /= np.linalg.norm(v)
-        if v[int(np.argmax(np.abs(v)))] < 0.0:
+        # The first projection of e_k onto u in closed form: u @ e_k is
+        # exactly u[k], and 0 - x keeps the zeros of e_k - u[k] u positive.
+        v = 0.0 - u[k] * u
+        v[k] = 1.0 - u[k] * u[k]
+        for i in range(1, len(cols)):  # MGS
+            v -= cols[i].dot(v) * cols[i]
+        for c in cols:  # one re-orthogonalization pass
+            v -= c.dot(v) * c
+        v /= math.sqrt(v.dot(v))
+        if v[np.abs(v).argmax()] < 0.0:
             v = -v
-        P[:, col] = v
-        col += 1
-    return OrthoBasis(P)
+        j = len(cols)
+        P[:, j] = v
+        cols.append(P[:, j])
+    return OrthoBasis._adopt(P)
 
 
 def tail_quadratic_forms(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The quadratic forms ``V_i^T A V_i`` for every column ``V_i`` of ``V``."""
-    return np.sum(V * (A @ V), axis=0)
+    return (V * A.dot(V)).sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,41 @@ def estimate_c0_general(data: SampleSet, u, lam) -> float:
     return float((u @ M @ data.xbar) / (u @ M @ u))
 
 
+def build_orthobasis_reference(u) -> np.ndarray:
+    """Modified Gram-Schmidt completion, one projection at a time: the oracle
+    of ``build_orthobasis``.
+
+    Orthogonalizes ``{e_1, ..., e_p} \\ {e_k}`` against ``u`` and the columns
+    already built (``e_k`` on the dominant entry of ``u``, last index on
+    ties), with one re-orthogonalization pass, and signs each column so that
+    its largest-magnitude entry is positive.  ``build_orthobasis`` must
+    return the same matrix bit for bit.
+    """
+    u = np.asarray(u, dtype=float)
+    p = u.size
+    u = u / np.linalg.norm(u)
+    absu = np.abs(u)
+    drop = p - 1 - int(np.argmax(absu[::-1]))
+
+    P = np.empty((p, p))
+    P[:, 0] = u
+    col = 1
+    for k in range(p):
+        if k == drop:
+            continue
+        v = np.zeros(p)
+        v[k] = 1.0
+        for _ in range(2):  # MGS plus one re-orthogonalization pass
+            for i in range(col):
+                v -= (P[:, i] @ v) * P[:, i]
+        v /= np.linalg.norm(v)
+        if v[int(np.argmax(np.abs(v)))] < 0.0:
+            v = -v
+        P[:, col] = v
+        col += 1
+    return P
+
+
 def niw_joint_log_density(mu, Sigma, params) -> float:
     """Unnormalized log density of the NIW posterior ``params`` at ``(mu, Sigma)``.
 

@@ -43,6 +43,37 @@ def hn_matrix(data, mu, prior):
     return P.T @ data.scatter(mu) @ P + prior.kappa0 * np.outer(d, d) + np.diag(prior.h0_diag)
 
 
+def reference_gibbs(data, prior, s, l, rng):
+    """MH-within-Gibbs composed from ``log_posterior``, ``_basis``,
+    ``_proposal_diag`` and ``_log_q``: the oracle of ``run_gibbs``.
+
+    Evaluates the basis, the variances and the log posterior of every
+    proposed state, and of the current state at the start of each sweep,
+    from scratch, and draws from ``rng`` in the sampler's order.  It takes
+    the forward density from ``_log_q``, where the sampler reads it off the
+    normal draw; the two differ by rounding, which could move an accept
+    decision only if the uniform fell within rounding of the ratio.
+    Returns one ``(mu, lam, log_posterior, accepted)`` per sweep.
+    """
+    mu = data.xbar.copy()
+    states = []
+    accepted = 0
+    for _ in range(s):
+        lam = draw_lambda_conditional(data, mu, prior, rng)
+        P, d = _basis(mu), _proposal_diag(data, mu, lam)
+        lp = log_posterior(data, mu, lam, prior)
+        for _ in range(l):
+            mu_star = mu + P @ (np.sqrt(d) * rng.standard_normal(mu.size))
+            P_star, d_star = _basis(mu_star), _proposal_diag(data, mu_star, lam)
+            lp_star = log_posterior(data, mu_star, lam, prior)
+            log_r = lp_star - lp + _log_q(P_star, d_star, mu, mu_star) - _log_q(P, d, mu_star, mu)
+            if np.log(rng.uniform()) < log_r:
+                mu, P, d, lp = mu_star, P_star, d_star, lp_star
+                accepted += 1
+        states.append((mu.copy(), lam, lp, accepted))
+    return states
+
+
 @pytest.fixture
 def small_case():
     data = simulated_data(12, 3, seed=21)
@@ -105,6 +136,18 @@ class TestHnMatrix:
         data, prior = small_case
         with pytest.raises(ZeroMeanError):
             hn_diagonal(data, np.zeros(3), prior)
+
+    def test_length_checked_before_the_basis(self, small_case, monkeypatch):
+        # A wrong-length mean is a dimension error, zero or not, and costs no
+        # basis completion.
+        data, prior = small_case
+        with pytest.raises(DimensionMismatchError):
+            hn_diagonal(data, np.zeros(4), prior)
+        calls = []
+        monkeypatch.setattr(gibbs, "build_orthobasis", calls.append)
+        with pytest.raises(DimensionMismatchError):
+            hn_diagonal(data, np.ones(4), prior)
+        assert calls == []
 
 
 class TestLogPosterior:
@@ -354,7 +397,21 @@ class TestRunGibbs:
         monkeypatch.setattr(gibbs, "build_orthobasis", counted)
         s, l = 20, 3
         run_gibbs(data, prior, s=s, l=l, rng=np.random.default_rng(11))
-        assert len(calls) <= 1 + s + s * l
+        assert len(calls) == 1 + s * l  # the start, then one per proposed state
+
+    @pytest.mark.parametrize("n, p, seed", [(50, 3, 500), (50, 3, 501), (50, 5, 502), (200, 10, 503)])
+    def test_matches_reference_sampler_bit_for_bit(self, n, p, seed):
+        data = simulated_data(n, p, seed=seed)
+        prior = PriorConfig.default(data)
+        run = run_gibbs(data, prior, s=200, l=5, rng=np.random.default_rng(seed))
+        expected = reference_gibbs(data, prior, s=200, l=5, rng=np.random.default_rng(seed))
+        assert len(run.states) == len(expected)
+        for st, (mu, lam, lp, accepted) in zip(run.states, expected):
+            assert np.array_equal(st.mu, mu)
+            assert np.array_equal(st.lam, lam)
+            assert st.log_posterior == lp
+            assert st.accepted == accepted
+        assert run.accepted == expected[-1][3]
 
     def test_rejects_degenerate_requests(self, small_case):
         data, prior = small_case

@@ -15,7 +15,7 @@ from meancov import (
     ZeroVectorError,
     build_orthobasis,
 )
-from conftest import random_unit, simulated_data
+from conftest import build_orthobasis_reference, random_unit, simulated_data
 
 
 def b_matrix(data: SampleSet, mean: MeanState) -> np.ndarray:
@@ -149,6 +149,21 @@ class TestBuildOrthobasis:
     def test_rejects_scalar_dimension(self):
         with pytest.raises(DimensionMismatchError):
             build_orthobasis(np.array([1.0]))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 10, 50, 200])
+    def test_matches_mgs_oracle_bit_for_bit(self, p, rng):
+        axis = np.zeros(p)
+        axis[p // 2] = 1.0
+        negative = random_unit(p, rng)
+        negative[p // 3] = -2.0  # the dominant entry is negative
+        dirs = [axis, np.full(p, 1.0 / np.sqrt(p)), negative / np.linalg.norm(negative)]
+        if p <= 10:
+            dirs += [-axis] + [random_unit(p, rng) for _ in range(10)]
+        for u in dirs:
+            P = build_orthobasis(u).matrix
+            expected = build_orthobasis_reference(u)
+            assert np.array_equal(P, expected)
+            assert np.array_equal(np.signbit(P), np.signbit(expected))  # signed zeros too
 
     def test_closed_form_oracle(self):
         # Independent closed-form completion for means (m1, m2, m3, ..., m3).
