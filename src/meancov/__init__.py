@@ -42,7 +42,6 @@ from .model import (
     EigenSpectrum,
     Fit,
     MeanState,
-    OrthoBasis,
     SampleSet,
     StructuredCovariance,
     build_orthobasis,

@@ -104,7 +104,7 @@ def _basis(mu: np.ndarray) -> np.ndarray:
     nrm = _norm(mu)
     if nrm < _ZERO_MEAN_TOL:
         raise ZeroMeanError("posterior quantities need a nonzero mean vector")
-    return build_orthobasis(mu / nrm).matrix
+    return build_orthobasis(mu / nrm)
 
 
 def _hn_diagonal(data: SampleSet, mu: np.ndarray, P: np.ndarray, prior: PriorConfig) -> np.ndarray:
@@ -324,6 +324,6 @@ def map_from_chain(chain: list[ChainState], data: SampleSet, prior: PriorConfig)
     best = max(chain, key=lambda st: st.log_posterior)
     mean = MeanState.from_vector(best.mu)
     basis = build_orthobasis(mean.u)
-    cstar = _hn_diagonal(data, best.mu, basis.matrix, prior)[1:]
+    cstar = _hn_diagonal(data, best.mu, basis, prior)[1:]
     lam_hat = cstar / (data.n + 1.0 + 2.0 * prior.a)
     return Fit(mean=mean, spectrum=EigenSpectrum(lam_hat), basis=basis)

@@ -16,7 +16,6 @@ from .model import (
     EigenSpectrum,
     Fit,
     MeanState,
-    OrthoBasis,
     SampleSet,
     _as_vector,
     build_orthobasis,
@@ -32,7 +31,7 @@ def estimate_c0(data: SampleSet, u) -> float:
     return float(u @ data.xbar)
 
 
-def _tail_forms(data: SampleSet, basis: OrthoBasis) -> np.ndarray:
+def _tail_forms(data: SampleSet, basis: np.ndarray) -> np.ndarray:
     """``V_i^T A(0) V_i`` for the tail of ``basis``.
 
     Raises
@@ -40,7 +39,7 @@ def _tail_forms(data: SampleSet, basis: OrthoBasis) -> np.ndarray:
     DegenerateDataError
         If any quadratic form is numerically zero (data in a subspace).
     """
-    q = tail_quadratic_forms(data.a0, basis.tail)
+    q = tail_quadratic_forms(data.a0, basis[:, 1:])
     if np.any(q < _LAMBDA_FLOOR):
         raise DegenerateDataError("data lie in a proper subspace; eigenvalue estimate is zero")
     return q

@@ -6,8 +6,9 @@ orthonormal basis of R^p, and the ``lambda_i`` are free positive eigenvalues.
 By construction ``Sigma u = u``, i.e. the mean vector ``c0 * u`` is an
 eigenvector of the covariance with eigenvalue one, for every radius ``c0``.
 
-All objects here are immutable value types; the functions are pure and safe
-to call concurrently on shared instances.
+All objects here are immutable value types, and the basis ``P(u) = [u | V]``
+is a plain read-only ``ndarray`` from :func:`build_orthobasis`; the functions
+are pure and safe to call concurrently on shared instances.
 """
 
 from __future__ import annotations
@@ -107,43 +108,7 @@ class EigenSpectrum:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class OrthoBasis:
-    """Orthogonal matrix ``P = [u | V]`` whose first column is the mean direction."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        P = np.asarray(self.matrix, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise DimensionMismatchError(f"basis must be a square matrix, got {P.shape}")
-        P = P.copy()
-        P.setflags(write=False)
-        object.__setattr__(self, "matrix", P)
-
-    @classmethod
-    def _adopt(cls, P: np.ndarray) -> "OrthoBasis":
-        """Wrap a square float matrix that nothing else references, without a copy."""
-        P.setflags(write=False)
-        basis = object.__new__(cls)
-        object.__setattr__(basis, "matrix", P)
-        return basis
-
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.matrix[:, 0]
-
-    @property
-    def tail(self) -> np.ndarray:
-        """The p x (p-1) block of directions orthogonal to ``u``."""
-        return self.matrix[:, 1:]
-
-
-def build_orthobasis(u) -> OrthoBasis:
+def build_orthobasis(u) -> np.ndarray:
     """Deterministically complete a unit direction to an orthonormal basis.
 
     Runs modified Gram-Schmidt (with one re-orthogonalization pass) on the
@@ -161,9 +126,9 @@ def build_orthobasis(u) -> OrthoBasis:
 
     Returns
     -------
-    OrthoBasis
-        ``P = [u | V]`` with ``P^T P = I``; the first column is ``u``
-        rescaled to unit length.
+    numpy.ndarray
+        The read-only p x p matrix ``P = [u | V]`` with ``P^T P = I``; the
+        first column is ``u`` rescaled to unit length.
     """
     u = _as_vector(u, "u")
     p = u.size
@@ -200,7 +165,8 @@ def build_orthobasis(u) -> OrthoBasis:
         j = len(cols)
         P[:, j] = v
         cols.append(P[:, j])
-    return OrthoBasis._adopt(P)
+    P.setflags(write=False)
+    return P
 
 
 def tail_quadratic_forms(A: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -212,24 +178,19 @@ def tail_quadratic_forms(A: np.ndarray, V: np.ndarray) -> np.ndarray:
 class StructuredCovariance:
     """Covariance ``Sigma = u u^T + sum_i lambda_i V_i V_i^T``."""
 
-    basis: OrthoBasis
+    basis: np.ndarray
     spectrum: EigenSpectrum
 
     def __post_init__(self):
-        if len(self.spectrum) != self.basis.p - 1:
-            raise DimensionMismatchError(
-                f"spectrum length {len(self.spectrum)} != p - 1 = {self.basis.p - 1}"
-            )
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.basis.u
+        p = self.basis.shape[0]
+        if len(self.spectrum) != p - 1:
+            raise DimensionMismatchError(f"spectrum length {len(self.spectrum)} != p - 1 = {p - 1}")
 
     @property
     def matrix(self) -> np.ndarray:
         """Assemble Sigma from the rank-one sum; exactly symmetric."""
-        u = self.basis.u
-        V = self.basis.tail
+        u = self.basis[:, 0]
+        V = self.basis[:, 1:]
         return np.outer(u, u) + (V * self.spectrum.values) @ V.T
 
     @property
@@ -241,16 +202,16 @@ class StructuredCovariance:
 class Fit:
     """A constrained estimate ``mu = c0 u``, ``Sigma = P(u) diag(1, lambda) P(u)^T``.
 
-    Every constrained estimator returns this shape.  ``basis`` is
-    ``build_orthobasis(mean.u)``, which the estimator completes and
-    :meth:`covariance` reads.  ``converged`` and ``outer_iterations``
+    Every constrained estimator returns this shape.  ``basis`` is the
+    read-only matrix ``P = build_orthobasis(mean.u)``, which the estimator
+    completes and :meth:`covariance` reads.  ``converged`` and ``outer_iterations``
     describe an iterative fit (a closed-form fit keeps the defaults);
     ``diagnostics`` holds the values particular to one estimator.
     """
 
     mean: MeanState
     spectrum: EigenSpectrum
-    basis: OrthoBasis = field(repr=False)
+    basis: np.ndarray = field(repr=False)
     converged: bool = True
     outer_iterations: int = 0
     diagnostics: dict = field(default_factory=dict)

@@ -20,7 +20,6 @@ from .model import (
     EigenSpectrum,
     Fit,
     MeanState,
-    OrthoBasis,
     SampleSet,
     _as_vector,
     build_orthobasis,
@@ -69,10 +68,10 @@ def map_c0_update(data: SampleSet, u, lam, prior: PriorConfig) -> float:
 
 
 def _lambda_update(
-    data: SampleSet, basis: OrthoBasis, u: np.ndarray, c0: float, prior: PriorConfig
+    data: SampleSet, basis: np.ndarray, u: np.ndarray, c0: float, prior: PriorConfig
 ) -> np.ndarray:
     """Eigenvalue refresh at ``c0 * u``; ``basis`` is ``build_orthobasis(u)``."""
-    q = tail_quadratic_forms(data.a0, basis.tail)
+    q = tail_quadratic_forms(data.a0, basis[:, 1:])
     d = c0 * u - prior.mu0
     return (q + prior.kappa0 * d[1:] ** 2 + prior.h0_diag[1:]) / (2.0 * _t(data, prior))
 

@@ -85,7 +85,7 @@ def generate_truth(p: int, rng: np.random.Generator) -> TruthSpec:
     psi = L @ L.T
     assert np.linalg.eigvalsh(psi)[0] > 0.0
     basis = build_orthobasis(mu / np.linalg.norm(mu))
-    lam = tail_quadratic_forms(psi, basis.tail)
+    lam = tail_quadratic_forms(psi, basis[:, 1:])
     return TruthSpec(mu_true=mu, sigma_true=StructuredCovariance(basis, EigenSpectrum(lam)))
 
 

@@ -29,7 +29,7 @@ def estimate_c0_general(data: SampleSet, u, lam) -> float:
     """
     lam = np.asarray(lam, dtype=float)
     u = np.asarray(u, dtype=float)
-    P = build_orthobasis(u).matrix
+    P = build_orthobasis(u)
     dinv = 1.0 / np.concatenate(([1.0], lam))
     M = (P * dinv) @ P.T
     return float((u @ M @ data.xbar) / (u @ M @ u))

@@ -69,9 +69,8 @@ def test_criterion_1_constraint_and_orthogonality(verdict):
         for _ in range(200):
             u = random_unit(p, rng)
             lam = rng.uniform(0.2, 9.0, size=p - 1)
-            basis = build_orthobasis(u)
-            P = basis.matrix
-            S = StructuredCovariance(basis, EigenSpectrum(lam)).matrix
+            P = build_orthobasis(u)
+            S = StructuredCovariance(P, EigenSpectrum(lam)).matrix
             ok &= np.linalg.norm(P.T @ P - np.eye(p)) < 1e-10
             ok &= np.linalg.norm(S @ u - u) < 1e-10
             sign, logdet = np.linalg.slogdet(S)

@@ -38,7 +38,7 @@ def hn_matrix(data, mu, prior):
     anchored at ``mu / ||mu||``, and the prior quadratic and ``H0`` are added
     in ambient components.
     """
-    P = build_orthobasis(mu / np.linalg.norm(mu)).matrix
+    P = build_orthobasis(mu / np.linalg.norm(mu))
     d = mu - prior.mu0
     return P.T @ data.scatter(mu) @ P + prior.kappa0 * np.outer(d, d) + np.diag(prior.h0_diag)
 
@@ -108,7 +108,7 @@ class TestHnMatrix:
         mu = data.xbar * 1.1
         H = hn_matrix(data, mu, prior)
         u = mu / np.linalg.norm(mu)
-        P = build_orthobasis(u).matrix
+        P = build_orthobasis(u)
         d = mu - prior.mu0
         expected = P.T @ data.scatter(mu) @ P + prior.kappa0 * np.outer(d, d) + np.eye(3)
         assert np.allclose(H, expected, atol=1e-12)
@@ -161,7 +161,7 @@ class TestLogPosterior:
         mu = np.array([0.6, 0.3])
         lam = np.array([1.4])
         u = mu / np.linalg.norm(mu)
-        P = build_orthobasis(u).matrix
+        P = build_orthobasis(u)
         A = sum(np.outer(x - mu, x - mu) for x in X)
         d = mu - prior.mu0
         H = P.T @ A @ P + prior.kappa0 * np.outer(d, d) + np.diag(prior.h0_diag)
@@ -495,7 +495,7 @@ class TestMapFromChain:
         prior = PriorConfig.default(data)
         run = run_gibbs(data, prior, s=20, l=3, rng=np.random.default_rng(seed))
         fit = map_from_chain(run.states, data, prior)
-        assert np.array_equal(fit.basis.matrix, build_orthobasis(fit.mean.u).matrix)
+        assert np.array_equal(fit.basis, build_orthobasis(fit.mean.u))
         assert fit.covariance().basis is fit.basis
         mu = fit.mean.mu
         assert np.linalg.norm(fit.covariance().matrix @ mu - mu) < 1e-10 * np.linalg.norm(mu)

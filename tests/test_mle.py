@@ -76,7 +76,7 @@ class TestEstimateLambdas:
         data = simulated_data(20, 5, seed=4)
         u = random_unit(5, rng)
         lam = estimate_lambdas(data, MeanState(u=u, c0=1.0))
-        P = build_orthobasis(u).matrix
+        P = build_orthobasis(u)
         expected = np.diag(P.T @ data.a0 @ P)[1:] / data.n
         assert np.allclose(lam.values, expected, atol=1e-10)
 
@@ -220,6 +220,6 @@ class TestFitMle:
     def test_stored_basis_is_completion_of_reported_direction(self, n, p, seed):
         data = simulated_data(n, p, seed=seed)
         fit = fit_mle(data)
-        assert np.array_equal(fit.basis.matrix, build_orthobasis(fit.mean.u).matrix)
+        assert np.array_equal(fit.basis, build_orthobasis(fit.mean.u))
         assert fit.covariance().basis is fit.basis
         assert fit.diagnostics["profile_loglik"] == profile_loglik(data, fit.mean.u)

@@ -25,7 +25,7 @@ def b_matrix(data: SampleSet, mean: MeanState) -> np.ndarray:
     ``c0``, and the leading entry equals
     ``u^T A(xbar) u + n (c0 - u^T xbar)^2``.
     """
-    P = build_orthobasis(mean.u).matrix
+    P = build_orthobasis(mean.u)
     return P.T @ data.scatter(mean.mu) @ P
 
 
@@ -112,7 +112,7 @@ class TestBuildOrthobasis:
         # For the equal-entries direction at p=3 the completion has a known
         # closed form: (2, -1, -1)/sqrt(6) and (0, 1, -1)/sqrt(2).
         u = np.full(3, 1.0 / np.sqrt(3.0))
-        P = build_orthobasis(u).matrix
+        P = build_orthobasis(u)
         expected1 = np.array([2.0, -1.0, -1.0]) / np.sqrt(6.0)
         expected2 = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
         assert np.allclose(P[:, 0], u, atol=1e-14)
@@ -120,7 +120,7 @@ class TestBuildOrthobasis:
         assert np.allclose(P[:, 2], expected2, atol=1e-12)
 
     def test_canonical_axis(self):
-        P = build_orthobasis(np.array([0.0, 0.0, 1.0])).matrix
+        P = build_orthobasis(np.array([0.0, 0.0, 1.0]))
         # Gram-Schmidt leaves the remaining canonical vectors intact
         # (column signs fixed by the largest-entry-positive convention).
         assert np.allclose(np.abs(P), np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
@@ -130,14 +130,14 @@ class TestBuildOrthobasis:
     def test_orthogonality_random(self, p, rng):
         for _ in range(100):
             u = random_unit(p, rng)
-            P = build_orthobasis(u).matrix
+            P = build_orthobasis(u)
             assert np.linalg.norm(P.T @ P - np.eye(p)) < 1e-10
             assert np.linalg.norm(P[:, 0] - u) < 1e-14
 
     def test_deterministic(self, rng):
         u = random_unit(6, rng)
-        P1 = build_orthobasis(u).matrix
-        P2 = build_orthobasis(u.copy()).matrix
+        P1 = build_orthobasis(u)
+        P2 = build_orthobasis(u.copy())
         assert np.array_equal(P1, P2)
 
     def test_rejects_zero_and_non_unit(self):
@@ -160,7 +160,7 @@ class TestBuildOrthobasis:
         if p <= 10:
             dirs += [-axis] + [random_unit(p, rng) for _ in range(10)]
         for u in dirs:
-            P = build_orthobasis(u).matrix
+            P = build_orthobasis(u)
             expected = build_orthobasis_reference(u)
             assert np.array_equal(P, expected)
             assert np.array_equal(np.signbit(P), np.signbit(expected))  # signed zeros too
@@ -178,7 +178,7 @@ class TestBuildOrthobasis:
     def test_closed_form_oracle_matches_basis_at_equal_means(self):
         mu = np.full(3, 1.0)
         w1, w2 = repeated_tail_eigenvectors(mu)
-        V = build_orthobasis(mu / np.linalg.norm(mu)).tail
+        V = build_orthobasis(mu / np.linalg.norm(mu))[:, 1:]
         # Same orthocomplement plane; compare up to the deterministic signs.
         assert np.allclose(np.abs(V[:, 0] @ w1), 1.0, atol=1e-12) or np.allclose(
             np.abs(V[:, 0] @ w2), 1.0, atol=1e-12
@@ -324,7 +324,7 @@ class TestBMatrix:
         c0 = 1.7
         mean = MeanState(u=u, c0=c0)
         B = b_matrix(data, mean)
-        V = build_orthobasis(u).tail
+        V = build_orthobasis(u)[:, 1:]
         lead = float(u @ data.scatter_about_mean() @ u) + data.n * (c0 - u @ data.xbar) ** 2
         assert B[0, 0] == pytest.approx(lead, abs=1e-9)
         for i in range(3):
