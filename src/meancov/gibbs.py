@@ -77,11 +77,9 @@ class PriorConfig:
         object.__setattr__(self, "h0_diag", h0)
 
     @classmethod
-    def default(cls, data: SampleSet, kappa0: float = 1.5, a: float | None = None) -> "PriorConfig":
+    def default(cls, data: SampleSet) -> "PriorConfig":
         """Reference hyperparameters: mu0 = xbar, H0 = I, kappa0 = 1.5, a = p + 1."""
-        if a is None:
-            a = data.p + 1
-        return cls(mu0=data.xbar, kappa0=kappa0, a=a, h0_diag=np.ones(data.p))
+        return cls(mu0=data.xbar, kappa0=1.5, a=data.p + 1, h0_diag=np.ones(data.p))
 
 
 @dataclass(frozen=True)

@@ -174,8 +174,8 @@ def fit_map_newton(
     The basis of the direction is completed once per distinct iterate: it is
     taken from the MLE (or completed for the warm start), reused by every
     eigenvalue refresh, and completed again only after an outer iteration
-    that moved the direction.  The fit's ``basis`` is that of the reported
-    ``mean.u``.
+    that moved the direction.  The fit's ``basis`` and ``spectrum`` are those
+    of the reported ``mean.u``.
 
     The diagnostic ``h_trace`` holds the surrogate value after the initial
     point and every accepted update; the acceptance rule makes it
@@ -245,12 +245,12 @@ def fit_map_newton(
             converged = True
             break
 
-    lam = _lambda_update(data, basis, u, c0, prior)
     mean = MeanState(u=u, c0=c0)
     if not np.array_equal(mean.u, u):
         # Renormalization (or a sign flip for c0 < 0) moved a bit of u;
-        # the covariance is anchored at mean.u itself.
+        # the spectrum and the covariance are anchored at mean.u itself.
         basis = build_orthobasis(mean.u)
+    lam = _lambda_update(data, basis, mean.u, mean.c0, prior)
     return Fit(
         mean=mean,
         spectrum=EigenSpectrum(lam),

@@ -346,6 +346,13 @@ class TestDispatch:
         pts = np.asarray(doc["results"]["points"])
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
+    def test_transform_sphere_rejects_three_columns(self, tmp_path):
+        path = tmp_path / "latlonz.csv"
+        write_csv(path, [[45.0, 30.0, 1.0], [-10.0, 200.0, 2.0]])
+        status, doc = run(RunConfig(command="transform-sphere", input_path=str(path)))
+        assert status == EXIT_CONFIG
+        assert "expects two columns" in doc["error"]["message"]
+
     def test_missing_input_is_config_error(self):
         status, doc = run(RunConfig(command="fit-mle", input_path=None))
         assert status == EXIT_CONFIG

@@ -245,6 +245,14 @@ class TestLambdaConditional:
         cstar = hn_diagonal(data, data.xbar, prior)[1:]
         assert np.allclose(scales / (shape + 1.0), cstar / (data.n + 1.0 + 2.0 * prior.a))
 
+    def test_rejects_non_positive_shape(self, small_case):
+        # The inverse-gamma shape (n + 2a - 1)/2 is zero at a = (1 - n)/2.
+        data, _ = small_case
+        p = data.p
+        prior = PriorConfig(mu0=np.zeros(p), kappa0=0.0, a=(1 - data.n) / 2, h0_diag=np.ones(p))
+        with pytest.raises(ValueError, match="shape"):
+            draw_lambda_conditional(data, data.xbar, prior, np.random.default_rng(0))
+
     def test_draws_positive(self, small_case):
         data, prior = small_case
         rng = np.random.default_rng(9)

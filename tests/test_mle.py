@@ -194,6 +194,10 @@ class TestFitMle:
         with pytest.raises(DegenerateDataError):
             fit_mle(SampleSet(X))
 
+    def test_single_row_rejected(self):
+        with pytest.raises(DegenerateDataError, match="two observations"):
+            fit_mle(SampleSet(np.array([[1.0, 2.0, 3.0]])))
+
     def test_positive_spectrum(self):
         fit = fit_mle(simulated_data(50, 5, seed=16))
         assert np.all(fit.spectrum.values > 0.0)

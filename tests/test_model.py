@@ -80,6 +80,10 @@ class TestMeanState:
         with pytest.raises(ZeroVectorError):
             MeanState(u=np.zeros(3), c0=1.0)
 
+    def test_rejects_matrix_direction(self):
+        with pytest.raises(DimensionMismatchError):
+            MeanState(u=np.eye(2), c0=1.0)
+
     def test_from_vector_round_trip(self, rng):
         mu = rng.standard_normal(4)
         m = MeanState.from_vector(mu)
@@ -97,6 +101,10 @@ class TestEigenSpectrum:
             EigenSpectrum(np.array([1.0, 0.0]))
         with pytest.raises(NonPositiveEigenvalueError):
             EigenSpectrum(np.array([-1.0]))
+
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionMismatchError):
+            EigenSpectrum(np.array([]))
 
     def test_len(self):
         assert len(EigenSpectrum(np.array([2.0, 3.0, 4.0]))) == 3
@@ -133,6 +141,12 @@ class TestBuildOrthobasis:
             P = build_orthobasis(u)
             assert np.linalg.norm(P.T @ P - np.eye(p)) < 1e-10
             assert np.linalg.norm(P[:, 0] - u) < 1e-14
+
+    def test_read_only(self):
+        P = build_orthobasis(np.array([0.6, 0.8]))
+        assert not P.flags.writeable
+        with pytest.raises(ValueError):
+            P[0, 0] = 1.0
 
     def test_deterministic(self, rng):
         u = random_unit(6, rng)

@@ -265,6 +265,20 @@ class TestFitMapNewton:
         assert fit.outer_iterations == 1
         assert not fit.converged
 
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_unusable_hessian_falls_back_to_gradient_steps(self, monkeypatch, fill):
+        # A singular Hessian makes the solve raise; a NaN one makes it return
+        # a non-finite step.  Either way every inner step is a backtracked
+        # gradient step, which must still climb the surrogate from far away.
+        data = simulated_data(50, 3, seed=48)
+        far = MeanState(u=np.array([0.0, 0.0, 1.0]), c0=1.0)
+        monkeypatch.setattr(newton_map, "h_hessian", lambda *args: np.full((3, 3), fill))
+        fit = fit_map_newton(data, PriorConfig.default(data), init_mean=far)
+        trace = fit.diagnostics["h_trace"]
+        assert len(trace) > 2
+        assert np.all(np.diff(trace) >= 0.0)
+        assert not np.array_equal(fit.mean.u, far.u)
+
     def test_basis_completions_bounded_by_outer_iterations(self, monkeypatch):
         # Warm-started at the sample mean, which is off the flat-prior
         # optimum, the iteration has to move u.
@@ -284,9 +298,12 @@ class TestFitMapNewton:
         assert not np.array_equal(fit.mean.u, start.u)
         assert len(calls) <= 2 + fit.outer_iterations
 
-    # (60, 5) seeds 20 and 37 end at an iterate that MeanState renormalizes
-    # to a different bit pattern, so the basis must be completed again there.
-    @pytest.mark.parametrize("n, p, seed", [(50, 3, 6), (60, 5, 20), (60, 5, 37)])
+    # (60, 5) seeds 20 and 37, (50, 3) seed 82 and (200, 10) seed 0 end at an
+    # iterate that MeanState renormalizes to a different bit pattern, so the
+    # basis and the eigenvalue refresh must be taken again at mean.u there.
+    @pytest.mark.parametrize(
+        "n, p, seed", [(50, 3, 6), (60, 5, 20), (60, 5, 37), (50, 3, 82), (200, 10, 0)]
+    )
     @pytest.mark.parametrize("flat", [False, True])
     @pytest.mark.parametrize("warm", [False, True])
     def test_stored_basis_is_completion_of_reported_direction(self, n, p, seed, flat, warm):
@@ -296,6 +313,7 @@ class TestFitMapNewton:
         fit = fit_map_newton(data, prior, init_mean=init)
         assert np.array_equal(fit.basis, build_orthobasis(fit.mean.u))
         assert fit.covariance().basis is fit.basis
+        assert np.array_equal(fit.spectrum.values, map_lambda_update(data, fit.mean, prior).values)
 
 
 class TestNewtonConfig:
