@@ -204,9 +204,10 @@ class Fit:
 
     Every constrained estimator returns this shape.  ``basis`` is the
     read-only matrix ``P = build_orthobasis(mean.u)``, which the estimator
-    completes and :meth:`covariance` reads.  ``converged`` and ``outer_iterations``
-    describe an iterative fit (a closed-form fit keeps the defaults);
-    ``diagnostics`` holds the values particular to one estimator.
+    completes and :meth:`covariance` reads.  ``converged`` and
+    ``outer_iterations`` describe an iterative fit (a closed-form fit keeps
+    the defaults); ``diagnostics`` holds the values particular to one
+    estimator.
     """
 
     mean: MeanState
