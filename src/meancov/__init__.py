@@ -39,12 +39,11 @@ from .mle import (
     profile_loglik,
 )
 from .model import (
-    EigenSpectrum,
     Fit,
     MeanState,
     SampleSet,
-    StructuredCovariance,
     build_orthobasis,
+    structured_covariance,
 )
 from .newton_map import (
     NewtonConfig,

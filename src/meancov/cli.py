@@ -306,8 +306,8 @@ def _fit_outcome(cfg: RunConfig, fit: Fit, **extra) -> tuple[int, dict]:
         "u": fit.mean.u,
         "c0": fit.mean.c0,
         "mu": fit.mean.mu,
-        "lambda": fit.spectrum.values,
-        "sigma": fit.covariance().matrix,
+        "lambda": fit.spectrum,
+        "sigma": fit.covariance(),
         "converged": fit.converged,
         "outer_iterations": fit.outer_iterations,
         **fit.diagnostics,

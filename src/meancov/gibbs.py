@@ -30,7 +30,6 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, EmptyChainError, ZeroMeanError
 from .model import (
-    EigenSpectrum,
     Fit,
     MeanState,
     SampleSet,
@@ -324,4 +323,4 @@ def map_from_chain(chain: list[ChainState], data: SampleSet, prior: PriorConfig)
     basis = build_orthobasis(mean.u)
     cstar = _hn_diagonal(data, best.mu, basis, prior)[1:]
     lam_hat = cstar / (data.n + 1.0 + 2.0 * prior.a)
-    return Fit(mean=mean, spectrum=EigenSpectrum(lam_hat), basis=basis)
+    return Fit(mean=mean, spectrum=lam_hat, basis=basis)

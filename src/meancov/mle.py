@@ -13,7 +13,6 @@ import numpy as np
 
 from .exceptions import DegenerateDataError
 from .model import (
-    EigenSpectrum,
     Fit,
     MeanState,
     SampleSet,
@@ -51,7 +50,7 @@ def _profile_loglik(data: SampleSet, u: np.ndarray, q: np.ndarray) -> float:
     return float(-0.5 * n * np.sum(np.log(q / n)) - 0.5 * (quad + n * (data.p - 1)))
 
 
-def estimate_lambdas(data: SampleSet, mean: MeanState) -> EigenSpectrum:
+def estimate_lambdas(data: SampleSet, mean: MeanState) -> np.ndarray:
     """Closed-form eigenvalue estimates ``V_i^T A(0) V_i / n``.
 
     Raises
@@ -59,7 +58,7 @@ def estimate_lambdas(data: SampleSet, mean: MeanState) -> EigenSpectrum:
     DegenerateDataError
         If any quadratic form is numerically zero (data in a subspace).
     """
-    return EigenSpectrum(_tail_forms(data, build_orthobasis(mean.u)) / data.n)
+    return _tail_forms(data, build_orthobasis(mean.u)) / data.n
 
 
 def profile_loglik(data: SampleSet, u) -> float:
@@ -120,7 +119,7 @@ def fit_mle(data: SampleSet) -> Fit:
     q = _tail_forms(data, basis)
     return Fit(
         mean=mean,
-        spectrum=EigenSpectrum(q / data.n),
+        spectrum=q / data.n,
         basis=basis,
         diagnostics={
             "profile_loglik": _profile_loglik(data, mean.u, q),

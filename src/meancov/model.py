@@ -6,9 +6,11 @@ orthonormal basis of R^p, and the ``lambda_i`` are free positive eigenvalues.
 By construction ``Sigma u = u``, i.e. the mean vector ``c0 * u`` is an
 eigenvector of the covariance with eigenvalue one, for every radius ``c0``.
 
-All objects here are immutable value types, and the basis ``P(u) = [u | V]``
-is a plain read-only ``ndarray`` from :func:`build_orthobasis`; the functions
-are pure and safe to call concurrently on shared instances.
+The basis ``P(u) = [u | V]``, the free eigenvalues and the covariance are
+plain read-only ``ndarray``s: :func:`build_orthobasis` completes the basis and
+:func:`structured_covariance` assembles ``Sigma`` from it.  ``MeanState``,
+``Fit`` and ``SampleSet`` are frozen; the functions are pure and safe to call
+concurrently on shared instances.
 """
 
 from __future__ import annotations
@@ -88,26 +90,6 @@ class MeanState:
         return cls(u=mu / nrm, c0=nrm)
 
 
-@dataclass(frozen=True)
-class EigenSpectrum:
-    """The p-1 free eigenvalues; the leading eigenvalue is fixed at one."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _as_vector(self.values, "values")
-        if v.size < 1:
-            raise DimensionMismatchError("spectrum needs at least one free eigenvalue")
-        if np.any(v <= 0.0):
-            raise NonPositiveEigenvalueError(f"eigenvalues must be > 0, got {v}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def build_orthobasis(u) -> np.ndarray:
     """Deterministically complete a unit direction to an orthonormal basis.
 
@@ -174,28 +156,28 @@ def tail_quadratic_forms(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (V * A.dot(V)).sum(axis=0)
 
 
-@dataclass(frozen=True)
-class StructuredCovariance:
-    """Covariance ``Sigma = u u^T + sum_i lambda_i V_i V_i^T``."""
+def _spectrum(lam, p: int) -> np.ndarray:
+    """``lam`` as a vector of ``p - 1`` free eigenvalues; the length check
+    also keeps a length-1 ``lam`` from broadcasting over the tail columns."""
+    lam = _as_vector(lam, "spectrum")
+    if lam.size != p - 1:
+        raise DimensionMismatchError(f"spectrum length {lam.size} != p - 1 = {p - 1}")
+    return lam
 
-    basis: np.ndarray
-    spectrum: EigenSpectrum
 
-    def __post_init__(self):
-        p = self.basis.shape[0]
-        if len(self.spectrum) != p - 1:
-            raise DimensionMismatchError(f"spectrum length {len(self.spectrum)} != p - 1 = {p - 1}")
+def structured_covariance(basis: np.ndarray, lam) -> np.ndarray:
+    """``Sigma = P diag(1, lam) P^T`` for the basis ``P = [u | V]`` and ``p - 1`` eigenvalues.
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Assemble Sigma from the rank-one sum; exactly symmetric."""
-        u = self.basis[:, 0]
-        V = self.basis[:, 1:]
-        return np.outer(u, u) + (V * self.spectrum.values) @ V.T
-
-    @property
-    def log_det(self) -> float:
-        return float(np.sum(np.log(self.spectrum.values)))
+    Assembled as ``u u^T + sum_i lam_i V_i V_i^T``, which is exactly
+    symmetric, and returned read-only; a ``lam`` of another length raises
+    ``DimensionMismatchError``.
+    """
+    lam = _spectrum(lam, basis.shape[0])
+    u = basis[:, 0]
+    V = basis[:, 1:]
+    sigma = np.outer(u, u) + (V * lam) @ V.T
+    sigma.setflags(write=False)
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -204,21 +186,33 @@ class Fit:
 
     Every constrained estimator returns this shape.  ``basis`` is the
     read-only matrix ``P = build_orthobasis(mean.u)``, which the estimator
-    completes and :meth:`covariance` reads.  ``converged`` and
+    completes and :meth:`covariance` reads.  ``spectrum`` is a read-only
+    copy of the ``p - 1`` free eigenvalues (the leading one is fixed at one);
+    construction raises ``DimensionMismatchError`` for another length and
+    ``NonPositiveEigenvalueError`` unless each is > 0.  ``converged`` and
     ``outer_iterations`` describe an iterative fit (a closed-form fit keeps
     the defaults); ``diagnostics`` holds the values particular to one
     estimator.
     """
 
     mean: MeanState
-    spectrum: EigenSpectrum
+    spectrum: np.ndarray
     basis: np.ndarray = field(repr=False)
     converged: bool = True
     outer_iterations: int = 0
     diagnostics: dict = field(default_factory=dict)
 
-    def covariance(self) -> StructuredCovariance:
-        return StructuredCovariance(self.basis, self.spectrum)
+    def __post_init__(self):
+        lam = _spectrum(self.spectrum, self.basis.shape[0])
+        if np.any(lam <= 0.0):
+            raise NonPositiveEigenvalueError(f"eigenvalues must be > 0, got {lam}")
+        lam = lam.copy()
+        lam.setflags(write=False)
+        object.__setattr__(self, "spectrum", lam)
+
+    def covariance(self) -> np.ndarray:
+        """The read-only matrix ``Sigma`` of :func:`structured_covariance`."""
+        return structured_covariance(self.basis, self.spectrum)
 
 
 @dataclass(frozen=True)

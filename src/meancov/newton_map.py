@@ -17,7 +17,6 @@ import numpy as np
 from .gibbs import PriorConfig
 from .mle import fit_mle
 from .model import (
-    EigenSpectrum,
     Fit,
     MeanState,
     SampleSet,
@@ -76,14 +75,14 @@ def _lambda_update(
     return (q + prior.kappa0 * d[1:] ** 2 + prior.h0_diag[1:]) / (2.0 * _t(data, prior))
 
 
-def map_lambda_update(data: SampleSet, mean: MeanState, prior: PriorConfig) -> EigenSpectrum:
+def map_lambda_update(data: SampleSet, mean: MeanState, prior: PriorConfig) -> np.ndarray:
     """Closed-form eigenvalue update: trailing diagonal of H_N over ``n+1+2a``.
 
     Coincides with the mode of the inverse-gamma full conditional of each
     eigenvalue at the same mean.
     """
     basis = build_orthobasis(mean.u)
-    return EigenSpectrum(_lambda_update(data, basis, mean.u, mean.c0, prior))
+    return _lambda_update(data, basis, mean.u, mean.c0, prior)
 
 
 def h_value(data: SampleSet, u, c0: float, prior: PriorConfig) -> float:
@@ -253,7 +252,7 @@ def fit_map_newton(
     lam = _lambda_update(data, basis, mean.u, mean.c0, prior)
     return Fit(
         mean=mean,
-        spectrum=EigenSpectrum(lam),
+        spectrum=lam,
         basis=basis,
         converged=converged,
         outer_iterations=outer_used,

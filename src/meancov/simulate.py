@@ -22,13 +22,7 @@ import numpy as np
 from .exceptions import MeanCovError
 from .gibbs import PriorConfig, map_from_chain, run_gibbs
 from .mle import fit_mle
-from .model import (
-    EigenSpectrum,
-    SampleSet,
-    StructuredCovariance,
-    build_orthobasis,
-    tail_quadratic_forms,
-)
+from .model import SampleSet, build_orthobasis, structured_covariance, tail_quadratic_forms
 from .newton_map import fit_map_newton
 from .niw import niw_map, niw_posterior
 
@@ -40,10 +34,10 @@ EstimatorFn = Callable[[SampleSet, np.random.Generator], tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class TruthSpec:
-    """A constrained truth pair for one replication."""
+    """A constrained truth pair for one replication; ``sigma_true`` is read-only."""
 
     mu_true: np.ndarray
-    sigma_true: StructuredCovariance
+    sigma_true: np.ndarray
 
     @property
     def p(self) -> int:
@@ -86,21 +80,21 @@ def generate_truth(p: int, rng: np.random.Generator) -> TruthSpec:
     assert np.linalg.eigvalsh(psi)[0] > 0.0
     basis = build_orthobasis(mu / np.linalg.norm(mu))
     lam = tail_quadratic_forms(psi, basis[:, 1:])
-    return TruthSpec(mu_true=mu, sigma_true=StructuredCovariance(basis, EigenSpectrum(lam)))
+    return TruthSpec(mu_true=mu, sigma_true=structured_covariance(basis, lam))
 
 
 def sample_data(spec: TruthSpec, n: int, rng: np.random.Generator) -> SampleSet:
     """Draw n i.i.d. multivariate normal rows from the truth via Cholesky."""
     if n < 2:
         raise ValueError("need at least two observations")
-    L = np.linalg.cholesky(spec.sigma_true.matrix)
+    L = np.linalg.cholesky(spec.sigma_true)
     Z = rng.standard_normal((n, spec.p))
     return SampleSet(spec.mu_true + Z @ L.T)
 
 
 def mle_estimator(data: SampleSet, rng: np.random.Generator):
     fit = fit_mle(data)
-    return fit.mean.mu, fit.covariance().matrix, {}
+    return fit.mean.mu, fit.covariance(), {}
 
 
 def map_newton_estimator(data: SampleSet, rng: np.random.Generator):
@@ -110,7 +104,7 @@ def map_newton_estimator(data: SampleSet, rng: np.random.Generator):
     # n / (n + 1 + 2a) and would inflate the covariance risk.
     prior = PriorConfig(mu0=np.zeros(data.p), kappa0=0.0, a=-0.5, h0_diag=np.zeros(data.p))
     fit = fit_map_newton(data, prior)
-    return fit.mean.mu, fit.covariance().matrix, {}
+    return fit.mean.mu, fit.covariance(), {}
 
 
 def gibbs_estimator(
@@ -124,7 +118,7 @@ def gibbs_estimator(
         prior = PriorConfig.default(data)
     run = run_gibbs(data, prior, s=s, l=l, rng=rng)
     fit = map_from_chain(run.states, data, prior)
-    return fit.mean.mu, fit.covariance().matrix, {"acceptance_rate": run.acceptance_rate}
+    return fit.mean.mu, fit.covariance(), {"acceptance_rate": run.acceptance_rate}
 
 
 def niw_estimator(data: SampleSet, rng: np.random.Generator):
@@ -205,7 +199,7 @@ def run_experiment(
                     elapsed[name] += time.perf_counter() - t0
                 outcomes[name].append((
                     float(np.sum((mu_hat - truth.mu_true) ** 2) / p),
-                    float(np.sum((sigma_hat - truth.sigma_true.matrix) ** 2) / p),
+                    float(np.sum((sigma_hat - truth.sigma_true) ** 2) / p),
                     extras.get("acceptance_rate"),
                 ))
 

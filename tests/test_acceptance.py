@@ -14,10 +14,9 @@ import pytest
 
 from meancov import (
     MeanState,
-    EigenSpectrum,
     PriorConfig,
-    StructuredCovariance,
     build_orthobasis,
+    structured_covariance,
     estimate_c0,
     estimate_lambdas,
     fit_map_newton,
@@ -70,7 +69,7 @@ def test_criterion_1_constraint_and_orthogonality(verdict):
             u = random_unit(p, rng)
             lam = rng.uniform(0.2, 9.0, size=p - 1)
             P = build_orthobasis(u)
-            S = StructuredCovariance(P, EigenSpectrum(lam)).matrix
+            S = structured_covariance(P, lam)
             ok &= np.linalg.norm(P.T @ P - np.eye(p)) < 1e-10
             ok &= np.linalg.norm(S @ u - u) < 1e-10
             sign, logdet = np.linalg.slogdet(S)
@@ -331,5 +330,5 @@ def test_criterion_9_prior_free_reduction(verdict):
         mle = fit_mle(data)
         fit = fit_map_newton(data, flat)
         ok &= np.linalg.norm(fit.mean.mu - mle.mean.mu) < 1e-6
-        ok &= np.linalg.norm(fit.spectrum.values - mle.spectrum.values) < 1e-6
+        ok &= np.linalg.norm(fit.spectrum - mle.spectrum) < 1e-6
     assert verdict("9 prior-free-reduction", bool(ok))

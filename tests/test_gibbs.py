@@ -20,6 +20,7 @@ from meancov import (
     log_posterior,
     map_from_chain,
     run_gibbs,
+    structured_covariance,
 )
 from meancov.gibbs import (
     _basis,
@@ -173,11 +174,10 @@ class TestLogPosterior:
         # Differences of the exact likelihood-times-prior log density across
         # parameter pairs; the dropped additive constant cancels.
         data, prior = small_case
-        from meancov import EigenSpectrum, StructuredCovariance
 
         def direct(mu, lam):
             u = mu / np.linalg.norm(mu)
-            sigma = StructuredCovariance(build_orthobasis(u), EigenSpectrum(lam)).matrix
+            sigma = structured_covariance(build_orthobasis(u), lam)
             ll = multivariate_normal.logpdf(data.X, mean=mu, cov=sigma).sum()
             D = np.concatenate(([1.0], lam))
             lp_mu = -0.5 * np.sum(np.log(D)) - 0.5 * prior.kappa0 * np.sum(
@@ -481,14 +481,14 @@ class TestMapFromChain:
         fit = map_from_chain([st], data, prior)
         assert np.allclose(fit.mean.mu, data.xbar)
         cstar = hn_diagonal(data, data.xbar, prior)[1:]
-        assert np.allclose(fit.spectrum.values, cstar / (data.n + 1.0 + 2.0 * prior.a))
+        assert np.allclose(fit.spectrum, cstar / (data.n + 1.0 + 2.0 * prior.a))
 
     def test_recomputed_lambda_dominates(self, small_case):
         data, prior = small_case
         run = run_gibbs(data, prior, s=30, l=2, rng=np.random.default_rng(15))
         fit = map_from_chain(run.states, data, prior)
         best = max(run.states, key=lambda st: st.log_posterior)
-        assert log_posterior(data, fit.mean.mu, fit.spectrum.values, prior) >= best.log_posterior
+        assert log_posterior(data, fit.mean.mu, fit.spectrum, prior) >= best.log_posterior
 
     def test_picks_highest_posterior_state(self, small_case):
         data, prior = small_case
@@ -504,6 +504,7 @@ class TestMapFromChain:
         run = run_gibbs(data, prior, s=20, l=3, rng=np.random.default_rng(seed))
         fit = map_from_chain(run.states, data, prior)
         assert np.array_equal(fit.basis, build_orthobasis(fit.mean.u))
-        assert fit.covariance().basis is fit.basis
+        sigma = structured_covariance(build_orthobasis(fit.mean.u), fit.spectrum)
+        assert np.array_equal(fit.covariance(), sigma)
         mu = fit.mean.mu
-        assert np.linalg.norm(fit.covariance().matrix @ mu - mu) < 1e-10 * np.linalg.norm(mu)
+        assert np.linalg.norm(fit.covariance() @ mu - mu) < 1e-10 * np.linalg.norm(mu)

@@ -6,16 +6,15 @@ from scipy.stats import multivariate_normal
 
 from meancov import (
     DegenerateDataError,
-    EigenSpectrum,
     MeanState,
     SampleSet,
-    StructuredCovariance,
     build_orthobasis,
     estimate_c0,
     estimate_lambdas,
     fit_mle,
     lower_bound_h,
     profile_loglik,
+    structured_covariance,
 )
 from meancov import mle as mle_module
 from conftest import estimate_c0_general, random_unit, simulated_data
@@ -23,7 +22,7 @@ from conftest import estimate_c0_general, random_unit, simulated_data
 
 def _full_loglik(data, u, c0, lam):
     """Independent oracle: exact Gaussian log likelihood at the structured pair."""
-    sigma = StructuredCovariance(build_orthobasis(u), EigenSpectrum(lam)).matrix
+    sigma = structured_covariance(build_orthobasis(u), lam)
     return float(multivariate_normal.logpdf(data.X, mean=c0 * u, cov=sigma).sum())
 
 
@@ -58,7 +57,7 @@ class TestEstimateLambdas:
         data = SampleSet(X)
         assert np.allclose(data.a0, 4.0 * np.eye(2))
         lam = estimate_lambdas(data, MeanState(u=np.array([1.0, 0.0]), c0=0.0))
-        assert np.allclose(lam.values, [1.0])
+        assert np.allclose(lam, [1.0])
 
     def test_canonical_direction_diagonal_scatter(self):
         a, b = 6.0, 10.0
@@ -70,7 +69,7 @@ class TestEstimateLambdas:
         data = SampleSet(X)
         assert np.allclose(data.a0, np.diag([a, b, 2.0]))
         lam = estimate_lambdas(data, MeanState(u=np.array([0.0, 0.0, 1.0]), c0=1.0))
-        assert np.allclose(lam.values, [a / 6.0, b / 6.0])
+        assert np.allclose(lam, [a / 6.0, b / 6.0])
 
     def test_matches_rotated_scatter_diagonal(self, rng):
         data = simulated_data(20, 5, seed=4)
@@ -78,7 +77,7 @@ class TestEstimateLambdas:
         lam = estimate_lambdas(data, MeanState(u=u, c0=1.0))
         P = build_orthobasis(u)
         expected = np.diag(P.T @ data.a0 @ P)[1:] / data.n
-        assert np.allclose(lam.values, expected, atol=1e-10)
+        assert np.allclose(lam, expected, atol=1e-10)
 
     def test_degenerate_subspace_data(self):
         v = np.array([1.0, 2.0, 0.5])
@@ -110,7 +109,7 @@ class TestProfileLoglik:
         for _ in range(10):
             u = random_unit(3, rng)
             c0 = estimate_c0(data, u)
-            lam = estimate_lambdas(data, MeanState(u=u, c0=max(c0, 1e-12))).values
+            lam = estimate_lambdas(data, MeanState(u=u, c0=max(c0, 1e-12)))
             assert profile_loglik(data, u) + const == pytest.approx(
                 _full_loglik(data, u, c0, lam), abs=1e-8
             )
@@ -127,7 +126,7 @@ class TestProfileLoglik:
             u = np.array([np.cos(th), np.sin(th)])
             prof[i] = profile_loglik(data, u)
             c0 = estimate_c0(data, u)
-            lam = estimate_lambdas(data, MeanState(u=u, c0=c0 if c0 else 1.0)).values
+            lam = estimate_lambdas(data, MeanState(u=u, c0=c0 if c0 else 1.0))
             full[i] = _full_loglik(data, u, c0, lam)
         gap = abs(thetas[np.argmax(prof)] - thetas[np.argmax(full)])
         assert min(gap, np.pi - gap) < 2.0 * np.pi * 1e-4
@@ -163,7 +162,7 @@ class TestFitMle:
 
     def test_constraint_holds_at_fit(self):
         fit = fit_mle(simulated_data(50, 4, seed=11))
-        S = fit.covariance().matrix
+        S = fit.covariance()
         mu = fit.mean.mu
         assert np.linalg.norm(S @ mu - mu) < 1e-10 * max(1.0, np.linalg.norm(mu))
 
@@ -171,7 +170,7 @@ class TestFitMle:
         data = simulated_data(30, 3, seed=12)
         fit1 = fit_mle(data)
         fit2 = fit_mle(SampleSet(-data.X))
-        assert np.linalg.norm(fit1.covariance().matrix - fit2.covariance().matrix) < 1e-10
+        assert np.linalg.norm(fit1.covariance() - fit2.covariance()) < 1e-10
 
     def test_sign_convention(self):
         fit = fit_mle(simulated_data(25, 3, seed=13))
@@ -200,7 +199,7 @@ class TestFitMle:
 
     def test_positive_spectrum(self):
         fit = fit_mle(simulated_data(50, 5, seed=16))
-        assert np.all(fit.spectrum.values > 0.0)
+        assert np.all(fit.spectrum > 0.0)
 
     def test_smallest_eigenvalue_recorded(self):
         data = simulated_data(20, 3, seed=17)
@@ -225,5 +224,6 @@ class TestFitMle:
         data = simulated_data(n, p, seed=seed)
         fit = fit_mle(data)
         assert np.array_equal(fit.basis, build_orthobasis(fit.mean.u))
-        assert fit.covariance().basis is fit.basis
+        sigma = structured_covariance(build_orthobasis(fit.mean.u), fit.spectrum)
+        assert np.array_equal(fit.covariance(), sigma)
         assert fit.diagnostics["profile_loglik"] == profile_loglik(data, fit.mean.u)

@@ -6,14 +6,14 @@ import pytest
 
 from meancov import (
     DimensionMismatchError,
-    EigenSpectrum,
+    Fit,
     MeanState,
     NonPositiveEigenvalueError,
     NonUnitVectorError,
     SampleSet,
-    StructuredCovariance,
     ZeroVectorError,
     build_orthobasis,
+    structured_covariance,
 )
 from conftest import build_orthobasis_reference, random_unit, simulated_data
 
@@ -95,24 +95,37 @@ class TestMeanState:
             MeanState.from_vector(np.zeros(2))
 
 
-class TestEigenSpectrum:
+def _fit(u, lam) -> Fit:
+    return Fit(mean=MeanState(u=u, c0=1.0), spectrum=lam, basis=build_orthobasis(u))
+
+
+class TestFitSpectrum:
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveEigenvalueError):
-            EigenSpectrum(np.array([1.0, 0.0]))
+            _fit(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0]))
         with pytest.raises(NonPositiveEigenvalueError):
-            EigenSpectrum(np.array([-1.0]))
+            _fit(np.array([0.0, 1.0]), np.array([-1.0]))
 
     def test_rejects_empty(self):
         with pytest.raises(DimensionMismatchError):
-            EigenSpectrum(np.array([]))
+            _fit(np.array([0.0, 0.0, 1.0]), np.array([]))
 
-    def test_len(self):
-        assert len(EigenSpectrum(np.array([2.0, 3.0, 4.0]))) == 3
+    def test_dimension_mismatch(self, rng):
+        # A length-1 spectrum would broadcast over all three tail columns.
+        u = random_unit(4, rng)
+        for lam in (np.ones(1), np.ones(2), np.ones((3, 1))):
+            with pytest.raises(DimensionMismatchError):
+                _fit(u, lam)
 
-    def test_immutable(self):
-        s = EigenSpectrum(np.array([1.0, 2.0]))
+    def test_immutable_copy(self):
+        lam = np.array([1.0, 2.0])
+        fit = _fit(np.array([0.0, 0.0, 1.0]), lam)
+        lam[0] = 5.0
+        assert fit.spectrum[0] == 1.0
         with pytest.raises(ValueError):
-            s.values[0] = 5.0
+            fit.spectrum[0] = 5.0
+        with pytest.raises(ValueError):
+            fit.covariance()[0, 0] = 5.0
 
 
 class TestBuildOrthobasis:
@@ -212,35 +225,36 @@ class TestBuildOrthobasis:
 class TestAssembleSigma:
     def test_unit_spectrum_gives_identity(self, rng):
         u = random_unit(4, rng)
-        sigma = StructuredCovariance(build_orthobasis(u), EigenSpectrum(np.ones(3)))
-        assert np.allclose(sigma.matrix, np.eye(4), atol=1e-12)
+        sigma = structured_covariance(build_orthobasis(u), np.ones(3))
+        assert np.allclose(sigma, np.eye(4), atol=1e-12)
 
     def test_canonical_diagonal(self):
         basis = build_orthobasis(np.array([0.0, 0.0, 1.0]))
-        sigma = StructuredCovariance(basis, EigenSpectrum(np.array([2.0, 3.0])))
-        assert np.allclose(sigma.matrix, np.diag([2.0, 3.0, 1.0]), atol=1e-12)
+        sigma = structured_covariance(basis, np.array([2.0, 3.0]))
+        assert np.allclose(sigma, np.diag([2.0, 3.0, 1.0]), atol=1e-12)
 
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_eigenvector_constraint_and_determinant(self, p, rng):
         for _ in range(20):
             u = random_unit(p, rng)
             lam = rng.uniform(0.2, 8.0, size=p - 1)
-            sigma = StructuredCovariance(build_orthobasis(u), EigenSpectrum(lam))
-            S = sigma.matrix
+            S = structured_covariance(build_orthobasis(u), lam)
             assert np.linalg.norm(S @ u - u) < 1e-10
             assert np.linalg.det(S) == pytest.approx(np.prod(lam), rel=1e-8)
             assert np.linalg.norm(S - S.T) < 1e-12
 
     def test_scale_free_constraint(self, rng):
         u = random_unit(5, rng)
-        S = StructuredCovariance(build_orthobasis(u), EigenSpectrum(rng.uniform(1, 4, 4))).matrix
+        S = structured_covariance(build_orthobasis(u), rng.uniform(1, 4, 4))
         for c0 in (0.5, 3.0, 100.0):
             assert np.linalg.norm(S @ (c0 * u) - c0 * u) < 1e-8 * c0
 
     def test_dimension_mismatch(self, rng):
         basis = build_orthobasis(random_unit(4, rng))
-        with pytest.raises(DimensionMismatchError):
-            StructuredCovariance(basis=basis, spectrum=EigenSpectrum(np.ones(2)))
+        # A length-1 spectrum would broadcast over all three tail columns.
+        for lam in (np.ones(1), np.ones(2)):
+            with pytest.raises(DimensionMismatchError):
+                structured_covariance(basis, lam)
 
     def test_continuity_probe(self, rng):
         # Nearby directions with the same pivot give nearby covariances.
@@ -248,14 +262,9 @@ class TestAssembleSigma:
         du = rng.standard_normal(4) * 1e-7
         u2 = (u + du) / np.linalg.norm(u + du)
         lam = rng.uniform(0.5, 5.0, 3)
-        s1 = StructuredCovariance(build_orthobasis(u), EigenSpectrum(lam)).matrix
-        s2 = StructuredCovariance(build_orthobasis(u2), EigenSpectrum(lam)).matrix
+        s1 = structured_covariance(build_orthobasis(u), lam)
+        s2 = structured_covariance(build_orthobasis(u2), lam)
         assert np.linalg.norm(s1 - s2) < 1e-4 * (1.0 + lam.max())
-
-    def test_log_det(self):
-        basis = build_orthobasis(np.array([0.0, 1.0, 0.0]))
-        sigma = StructuredCovariance(basis, EigenSpectrum(np.array([2.0, 5.0])))
-        assert sigma.log_det == pytest.approx(np.log(10.0))
 
 
 class TestSampleSet:

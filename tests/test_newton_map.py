@@ -20,6 +20,7 @@ from meancov import (
     log_posterior,
     map_c0_update,
     map_lambda_update,
+    structured_covariance,
 )
 from meancov import mle as mle_module
 from meancov import newton_map
@@ -84,7 +85,7 @@ class TestLambdaUpdate:
         u = random_unit(3, rng)
         mean = MeanState(u=u, c0=float(u @ data.xbar))
         lam = map_lambda_update(data, mean, prior_free(3))
-        assert np.allclose(lam.values, estimate_lambdas(data, mean).values, atol=1e-12)
+        assert np.allclose(lam, estimate_lambdas(data, mean), atol=1e-12)
 
     def test_equals_conditional_mode(self, case, rng):
         data, prior = case
@@ -92,7 +93,7 @@ class TestLambdaUpdate:
         mean = MeanState(u=u, c0=1.2)
         lam = map_lambda_update(data, mean, prior)
         shape, scales = lambda_conditional_params(data, mean.mu, prior)
-        assert np.allclose(lam.values, scales / (shape + 1.0), atol=1e-12)
+        assert np.allclose(lam, scales / (shape + 1.0), atol=1e-12)
 
     def test_hand_sized_naive_oracle(self):
         from meancov import SampleSet
@@ -109,7 +110,7 @@ class TestLambdaUpdate:
         d = mean.mu - prior.mu0
         hn_tail = float(V[:, 0] @ data.a0 @ V[:, 0]) + prior.kappa0 * d[1] ** 2 + 0.7
         t = 0.5 * (3.0 + 1.0 + 2.0 * 3.0)
-        assert lam.values[0] == pytest.approx(hn_tail / (2.0 * t), abs=1e-10)
+        assert lam[0] == pytest.approx(hn_tail / (2.0 * t), abs=1e-10)
 
 
 def _profiled_posterior(data, u, c0, prior):
@@ -232,7 +233,7 @@ class TestFitMapNewton:
         mle = fit_mle(data)
         fit = fit_map_newton(data, prior_free(4))
         assert np.linalg.norm(fit.mean.mu - mle.mean.mu) < 1e-6
-        assert np.linalg.norm(fit.spectrum.values - mle.spectrum.values) < 1e-6
+        assert np.linalg.norm(fit.spectrum - mle.spectrum) < 1e-6
 
     def test_continuity_of_converged_covariance(self, rng):
         data = simulated_data(50, 3, seed=46)
@@ -244,13 +245,13 @@ class TestFitMapNewton:
         fit1 = fit_map_newton(data, prior, init_mean=base)
         fit2 = fit_map_newton(data, prior, init_mean=MeanState(u=u2, c0=base.c0))
         assert np.linalg.norm(base.u - u2) < 1e-6
-        diff = np.linalg.norm(fit1.covariance().matrix - fit2.covariance().matrix)
+        diff = np.linalg.norm(fit1.covariance() - fit2.covariance())
         assert diff < 1e-4
 
     def test_constraint_holds_at_fit(self):
         data = simulated_data(50, 5, seed=47)
         fit = fit_map_newton(data, PriorConfig.default(data))
-        S = fit.covariance().matrix
+        S = fit.covariance()
         mu = fit.mean.mu
         assert np.linalg.norm(S @ mu - mu) < 1e-8 * max(1.0, np.linalg.norm(mu))
 
@@ -312,8 +313,9 @@ class TestFitMapNewton:
         init = MeanState.from_vector(data.xbar) if warm else None
         fit = fit_map_newton(data, prior, init_mean=init)
         assert np.array_equal(fit.basis, build_orthobasis(fit.mean.u))
-        assert fit.covariance().basis is fit.basis
-        assert np.array_equal(fit.spectrum.values, map_lambda_update(data, fit.mean, prior).values)
+        sigma = structured_covariance(build_orthobasis(fit.mean.u), fit.spectrum)
+        assert np.array_equal(fit.covariance(), sigma)
+        assert np.array_equal(fit.spectrum, map_lambda_update(data, fit.mean, prior))
 
 
 class TestNewtonConfig:

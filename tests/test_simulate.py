@@ -22,7 +22,7 @@ class TestGenerateTruth:
     def test_constraint_satisfied(self, rng):
         for p in (2, 3, 5, 10):
             truth = generate_truth(p, rng)
-            S = truth.sigma_true.matrix
+            S = truth.sigma_true
             assert np.linalg.norm(S @ truth.mu_true - truth.mu_true) < 1e-10 * max(
                 1.0, np.linalg.norm(truth.mu_true)
             )
@@ -35,7 +35,7 @@ class TestGenerateTruth:
         diags = []
         for _ in range(100):
             truth = generate_truth(p, rng)
-            diags.append(np.diag(truth.sigma_true.matrix).mean())
+            diags.append(np.diag(truth.sigma_true).mean())
         avg = np.mean(diags)
         assert 15.0 < avg < 40.0
 
@@ -43,7 +43,7 @@ class TestGenerateTruth:
         t1 = generate_truth(4, np.random.default_rng(62))
         t2 = generate_truth(4, np.random.default_rng(62))
         assert np.array_equal(t1.mu_true, t2.mu_true)
-        assert np.array_equal(t1.sigma_true.matrix, t2.sigma_true.matrix)
+        assert np.array_equal(t1.sigma_true, t2.sigma_true)
 
     def test_rejects_p1(self):
         with pytest.raises(ValueError):
@@ -55,7 +55,7 @@ class TestSampleData:
         rng = np.random.default_rng(63)
         truth = generate_truth(3, rng)
         data = sample_data(truth, 100_000, rng)
-        lam_max = np.linalg.eigvalsh(truth.sigma_true.matrix)[-1]
+        lam_max = np.linalg.eigvalsh(truth.sigma_true)[-1]
         bound = 4.0 * np.sqrt(lam_max / data.n)
         assert np.all(np.abs(data.xbar - truth.mu_true) < bound)
 
@@ -64,7 +64,7 @@ class TestSampleData:
         truth = generate_truth(3, rng)
         data = sample_data(truth, 100_000, rng)
         S_hat = data.scatter_about_mean() / data.n
-        err = np.sum((S_hat - truth.sigma_true.matrix) ** 2) / 3.0
+        err = np.sum((S_hat - truth.sigma_true) ** 2) / 3.0
         assert err < 0.1
 
     def test_seeded_determinism(self):
@@ -100,19 +100,19 @@ def harness_risks(monkeypatch, truth, estimates):
 class TestFrobeniusRisk:
     def test_perfect_estimates(self, monkeypatch):
         truth = generate_truth(3, np.random.default_rng(68))
-        m, s = harness_risks(monkeypatch, truth, [(truth.mu_true, truth.sigma_true.matrix)])
+        m, s = harness_risks(monkeypatch, truth, [(truth.mu_true, truth.sigma_true)])
         assert m == 0.0 and s == 0.0
 
     def test_unit_coordinate_error(self, monkeypatch):
         truth = generate_truth(4, np.random.default_rng(69))
         mu_hat = truth.mu_true + np.array([1.0, 0.0, 0.0, 0.0])
-        m, _ = harness_risks(monkeypatch, truth, [(mu_hat, truth.sigma_true.matrix)])
+        m, _ = harness_risks(monkeypatch, truth, [(mu_hat, truth.sigma_true)])
         assert m == pytest.approx(0.25)
 
     def test_matches_naive_average(self, rng, monkeypatch):
         truth = generate_truth(3, np.random.default_rng(70))
         estimates = [
-            (rng.standard_normal(3), truth.sigma_true.matrix + rng.standard_normal((3, 3)) * 0.1)
+            (rng.standard_normal(3), truth.sigma_true + rng.standard_normal((3, 3)) * 0.1)
             for _ in range(7)
         ]
         m, s = harness_risks(monkeypatch, truth, estimates)
@@ -120,7 +120,7 @@ class TestFrobeniusRisk:
             [np.sum((mu - truth.mu_true) ** 2) / 3.0 for mu, _ in estimates]
         )
         s_naive = np.mean(
-            [np.sum((S - truth.sigma_true.matrix) ** 2) / 3.0 for _, S in estimates]
+            [np.sum((S - truth.sigma_true) ** 2) / 3.0 for _, S in estimates]
         )
         assert m == pytest.approx(m_naive, abs=1e-12)
         assert s == pytest.approx(s_naive, abs=1e-12)
