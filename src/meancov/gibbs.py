@@ -135,6 +135,11 @@ def _lambda_conditional(data: SampleSet, hn: np.ndarray, prior: PriorConfig):
     return 0.5 * (data.n + 2.0 * prior.a - 1.0), 0.5 * hn[1:]
 
 
+def _lambda_mode(data: SampleSet, hn: np.ndarray, prior: PriorConfig) -> np.ndarray:
+    """Mode ``c*_i / (n + 1 + 2a)`` of each eigenvalue's full conditional from ``hn``."""
+    return hn[1:] / (data.n + 1.0 + 2.0 * prior.a)
+
+
 def _draw_lambda(shape: float, scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Inverse-gamma draws with a common shape and per-coordinate scales."""
     if shape <= 0.0:
@@ -321,6 +326,5 @@ def map_from_chain(chain: list[ChainState], data: SampleSet, prior: PriorConfig)
     best = max(chain, key=lambda st: st.log_posterior)
     mean = MeanState.from_vector(best.mu)
     basis = build_orthobasis(mean.u)
-    cstar = _hn_diagonal(data, best.mu, basis, prior)[1:]
-    lam_hat = cstar / (data.n + 1.0 + 2.0 * prior.a)
+    lam_hat = _lambda_mode(data, _hn_diagonal(data, best.mu, basis, prior), prior)
     return Fit(mean=mean, spectrum=lam_hat, basis=basis)

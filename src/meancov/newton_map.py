@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import PriorConfig
+from .gibbs import PriorConfig, _hn_diagonal, _lambda_mode
 from .mle import fit_mle
-from .model import (
-    Fit,
-    MeanState,
-    SampleSet,
-    _as_vector,
-    build_orthobasis,
-    tail_quadratic_forms,
-)
+from .model import Fit, MeanState, SampleSet, _as_vector, build_orthobasis
 
 
 @dataclass(frozen=True)
@@ -66,23 +59,14 @@ def map_c0_update(data: SampleSet, u, lam, prior: PriorConfig) -> float:
     return num / den
 
 
-def _lambda_update(
-    data: SampleSet, basis: np.ndarray, u: np.ndarray, c0: float, prior: PriorConfig
-) -> np.ndarray:
-    """Eigenvalue refresh at ``c0 * u``; ``basis`` is ``build_orthobasis(u)``."""
-    q = tail_quadratic_forms(data.a0, basis[:, 1:])
-    d = c0 * u - prior.mu0
-    return (q + prior.kappa0 * d[1:] ** 2 + prior.h0_diag[1:]) / (2.0 * _t(data, prior))
-
-
 def map_lambda_update(data: SampleSet, mean: MeanState, prior: PriorConfig) -> np.ndarray:
     """Closed-form eigenvalue update: trailing diagonal of H_N over ``n+1+2a``.
 
-    Coincides with the mode of the inverse-gamma full conditional of each
-    eigenvalue at the same mean.
+    This is the mode of the inverse-gamma full conditional of each
+    eigenvalue at ``mean``, the formula the Gibbs MAP uses too.
     """
-    basis = build_orthobasis(mean.u)
-    return _lambda_update(data, basis, mean.u, mean.c0, prior)
+    hn = _hn_diagonal(data, mean.mu, build_orthobasis(mean.u), prior)
+    return _lambda_mode(data, hn, prior)
 
 
 def h_value(data: SampleSet, u, c0: float, prior: PriorConfig) -> float:
@@ -189,7 +173,7 @@ def fit_map_newton(
         start, basis = init_mean, build_orthobasis(init_mean.u)
     u = start.u.copy()
     c0 = start.c0
-    lam = _lambda_update(data, basis, u, c0, prior)
+    lam = _lambda_mode(data, _hn_diagonal(data, c0 * u, basis, prior), prior)
     h_cur = h_value(data, u, c0, prior)
     h_trace = [h_cur]
     converged = False
@@ -198,7 +182,7 @@ def fit_map_newton(
     for _ in range(cfg.max_outer):
         outer_used += 1
         c0_new = map_c0_update(data, u, lam, prior)
-        lam_new = _lambda_update(data, basis, u, c0_new, prior)
+        lam_new = _lambda_mode(data, _hn_diagonal(data, c0_new * u, basis, prior), prior)
         h_new = h_value(data, u, c0_new, prior)
         if h_new < h_cur:
             # The refresh maximizes the exact conditional posterior, not h;
@@ -249,7 +233,7 @@ def fit_map_newton(
         # Renormalization (or a sign flip for c0 < 0) moved a bit of u;
         # the spectrum and the covariance are anchored at mean.u itself.
         basis = build_orthobasis(mean.u)
-    lam = _lambda_update(data, basis, mean.u, mean.c0, prior)
+    lam = _lambda_mode(data, _hn_diagonal(data, mean.mu, basis, prior), prior)
     return Fit(
         mean=mean,
         spectrum=lam,
