@@ -275,11 +275,7 @@ class GibbsRun:
 
 
 def run_gibbs(
-    data: SampleSet,
-    prior: PriorConfig,
-    s: int = 100,
-    l: int = 5,
-    rng: np.random.Generator | None = None,
+    data: SampleSet, prior: PriorConfig, s: int, l: int, rng: np.random.Generator
 ) -> GibbsRun:
     """Metropolis-Hastings within Gibbs sampler for ``(mu, lambda)``.
 
@@ -292,8 +288,6 @@ def run_gibbs(
         raise ValueError("need at least one posterior sample (s >= 1)")
     if l < 1:
         raise ValueError("need at least one inner MH step (l >= 1)")
-    if rng is None:
-        rng = np.random.default_rng()
 
     mu = data.xbar.copy()
     P = _basis(mu)

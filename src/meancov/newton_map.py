@@ -18,16 +18,17 @@ from .gibbs import PriorConfig, _hn_diagonal, _lambda_mode
 from .mle import fit_mle
 from .model import Fit, MeanState, SampleSet, _as_vector, build_orthobasis
 
+MAX_INNER = 50
+MAX_BACKTRACKS = 30
+
 
 @dataclass(frozen=True)
 class NewtonConfig:
     """Step-size and termination controls for the modified Newton iteration."""
 
     alpha: float = 0.5
-    max_backtracks: int = 30
     epsilon: float = 1e-8
     max_outer: int = 100
-    max_inner: int = 50
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -146,13 +147,14 @@ def fit_map_newton(
 ) -> Fit:
     """Alternate closed-form radius/eigenvalue updates with Newton steps on h.
 
-    Starts from the approximate MLE unless a warm start is supplied.  Each
-    Newton direction is backtracked
-    (halving by ``alpha``) until the surrogate increases, and the direction
-    iterate is renormalized to unit length after every accepted step; a
-    singular Hessian falls back to a backtracked gradient-ascent step.  The
-    outer loop stops when the direction stops moving or when a radius
-    refresh would decrease the surrogate.
+    Starts from the approximate MLE unless a warm start is supplied.  An
+    outer iteration takes up to ``MAX_INNER`` Newton steps.  Each Newton
+    direction is backtracked (halving by ``alpha``, up to ``MAX_BACKTRACKS``
+    times) until the surrogate increases, and the direction iterate is
+    renormalized to unit length after every accepted step; a singular
+    Hessian falls back to a backtracked gradient-ascent step.  The outer
+    loop stops when the direction stops moving or when a radius refresh
+    would decrease the surrogate.
 
     The basis of the direction is completed once per distinct iterate: it is
     taken from the MLE (or completed for the warm start), reused by every
@@ -193,7 +195,7 @@ def fit_map_newton(
         h_trace.append(h_cur)
 
         u_outer = u
-        for _ in range(cfg.max_inner):
+        for _ in range(MAX_INNER):
             grad_neg = -h_gradient(data, u, c0, prior)
             hess_neg = -h_hessian(data, u, c0, prior)
             try:
@@ -205,7 +207,7 @@ def fit_map_newton(
             accepted = False
             cand = u
             h_cand = h_cur
-            for lbt in range(cfg.max_backtracks + 1):
+            for lbt in range(MAX_BACKTRACKS + 1):
                 trial = u - cfg.alpha**lbt * v
                 nrm = float(np.linalg.norm(trial))
                 if nrm < 1e-12:

@@ -424,9 +424,9 @@ class TestRunGibbs:
     def test_rejects_degenerate_requests(self, small_case):
         data, prior = small_case
         with pytest.raises(ValueError):
-            run_gibbs(data, prior, s=1, l=0)
+            run_gibbs(data, prior, s=1, l=0, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            run_gibbs(data, prior, s=0, l=1)
+            run_gibbs(data, prior, s=0, l=1, rng=np.random.default_rng(0))
 
     def test_chain_states_valid(self, small_case):
         data, prior = small_case

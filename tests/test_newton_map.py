@@ -260,7 +260,7 @@ class TestFitMapNewton:
         # single outer pass: the direction must still be moving when the
         # iteration budget runs out, so the fit reports non-convergence.
         data = simulated_data(50, 3, seed=48)
-        cfg = NewtonConfig(epsilon=1e-300, max_outer=1, max_inner=1)
+        cfg = NewtonConfig(epsilon=1e-300, max_outer=1)
         far = MeanState(u=np.array([0.0, 0.0, 1.0]), c0=1.0)
         fit = fit_map_newton(data, PriorConfig.default(data), cfg, init_mean=far)
         assert fit.outer_iterations == 1
