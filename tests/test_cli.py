@@ -167,6 +167,7 @@ ORACLE_CASES = {
     "header-then-blank-lines": b"x,y\n\n  \n",
     "header-then-bad-row": b"x,y\n1,\n2,3\n",
     "single-data-row": b"1,2\n",
+    "underscore-single-row": b"x,y\n1_000,2\n",
     "empty": b"",
     "only-blank-lines": b"\n  \n\n",
     "invalid-utf8": b"1,2\n3,\xff\n",
