@@ -13,6 +13,7 @@ from .exceptions import (
     DimensionMismatchError,
     EmptyChainError,
     MeanCovError,
+    NegativeRadiusError,
     NonPositiveEigenvalueError,
     NonUnitVectorError,
     ParseError,
@@ -22,7 +23,6 @@ from .exceptions import (
     ZeroVectorError,
 )
 from .gibbs import (
-    ChainState,
     GibbsRun,
     PriorConfig,
     draw_lambda_conditional,
@@ -40,7 +40,6 @@ from .mle import (
 )
 from .model import (
     Fit,
-    MeanState,
     SampleSet,
     build_orthobasis,
     structured_covariance,

@@ -283,13 +283,13 @@ def _dispatch(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.command == "fit-map-gibbs":
         rng = np.random.default_rng(cfg.seed)
         chain = run_gibbs(data, prior, s=cfg.gibbs_s, l=cfg.gibbs_l, rng=rng)
-        fit = map_from_chain(chain.states, data, prior)
+        fit = map_from_chain(chain, data, prior)
         if cfg.chain_out:
             with open(cfg.chain_out, "w", encoding="utf-8") as fh:
                 for rec in chain.records():
                     fh.write(json.dumps(rec, sort_keys=True) + "\n")
         return _fit_outcome(
-            cfg, fit, acceptance_rate=chain.acceptance_rate, samples=len(chain.states)
+            cfg, fit, acceptance_rate=chain.acceptance_rate, samples=len(chain.mu)
         )
 
     raise ValueError(f"unknown command: {cfg.command}")
@@ -303,9 +303,9 @@ def _fit_outcome(cfg: RunConfig, fit: Fit, **extra) -> tuple[int, dict]:
     with ``EXIT_NO_CONVERGENCE``.
     """
     results = {
-        "u": fit.mean.u,
-        "c0": fit.mean.c0,
-        "mu": fit.mean.mu,
+        "u": fit.u,
+        "c0": fit.c0,
+        "mu": fit.mu,
         "lambda": fit.spectrum,
         "sigma": fit.covariance(),
         "converged": fit.converged,

@@ -21,6 +21,10 @@ class NonPositiveEigenvalueError(MeanCovError):
     """An eigenvalue that must be strictly positive is not."""
 
 
+class NegativeRadiusError(MeanCovError):
+    """A mean radius ``c0`` that must be ``>= 0`` is negative or NaN."""
+
+
 class DegenerateDataError(MeanCovError):
     """The data lie in a proper subspace, so the estimator is undefined."""
 

@@ -20,6 +20,10 @@ nearly all of it the fixed cost of a few dozen calls on 3-vectors; the
 basis completion is about 40 % of it.  Seeded chains are reproducible bit for bit,
 so a step takes a cheaper call (``.dot`` for ``@``, ``.sum()`` for
 ``np.sum``) only where it rounds identically, and no sum is reordered.
+
+A run, :class:`GibbsRun`, keeps its chain as read-only arrays with one row
+per sweep (means, eigenvalue draws, log posteriors and running accepted
+counts), and :func:`map_from_chain` reads the MAP off them.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ import numpy as np
 from .exceptions import DimensionMismatchError, EmptyChainError, ZeroMeanError
 from .model import (
     Fit,
-    MeanState,
     SampleSet,
     _as_vector,
     _norm,
+    _polar,
     build_orthobasis,
     tail_quadratic_forms,
 )
@@ -79,21 +83,6 @@ class PriorConfig:
     def default(cls, data: SampleSet) -> "PriorConfig":
         """Reference hyperparameters: mu0 = xbar, H0 = I, kappa0 = 1.5, a = p + 1."""
         return cls(mu0=data.xbar, kappa0=1.5, a=data.p + 1, h0_diag=np.ones(data.p))
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """One collected posterior draw (mean vector, free eigenvalues).
-
-    ``accepted`` is the number of MH proposals the chain had accepted by the
-    end of sweep ``iteration``.
-    """
-
-    mu: np.ndarray
-    lam: np.ndarray
-    log_posterior: float
-    iteration: int
-    accepted: int
 
 
 def _basis(mu: np.ndarray) -> np.ndarray:
@@ -250,9 +239,19 @@ def _mh_once(data, mu, P, d, lam, lp_cur, prior, rng):
 
 @dataclass(frozen=True)
 class GibbsRun:
-    """Collected chain plus Metropolis-Hastings acceptance bookkeeping."""
+    """A collected chain as read-only arrays plus Metropolis-Hastings totals.
 
-    states: list[ChainState]
+    Row ``j`` of each array is the state at the end of sweep ``j + 1``: the
+    mean ``mu`` (s x p), the eigenvalue draw ``lam`` (s x (p - 1)), its
+    ``log_posterior`` and ``accepted_count``, the number of MH proposals the
+    chain had accepted by then.  ``accepted`` and ``proposals`` are the
+    totals, as Python ints.
+    """
+
+    mu: np.ndarray
+    lam: np.ndarray
+    log_posterior: np.ndarray
+    accepted_count: np.ndarray
     accepted: int
     proposals: int
 
@@ -261,16 +260,11 @@ class GibbsRun:
         return self.accepted / self.proposals if self.proposals else float("nan")
 
     def records(self) -> list[dict]:
-        """Line-delimited-friendly records of the chain."""
+        """Line-delimited-friendly records of the chain, one per sweep."""
+        arrays = (self.mu, self.lam, self.log_posterior, self.accepted_count)
         return [
-            {
-                "iteration": s.iteration,
-                "mu": list(s.mu),
-                "lambda": list(s.lam),
-                "log_posterior": s.log_posterior,
-                "accepted_count": s.accepted,
-            }
-            for s in self.states
+            {"iteration": j, "mu": mu, "lambda": lam, "log_posterior": lp, "accepted_count": acc}
+            for j, (mu, lam, lp, acc) in enumerate(zip(*(a.tolist() for a in arrays)), start=1)
         ]
 
 
@@ -291,9 +285,12 @@ def run_gibbs(
 
     mu = data.xbar.copy()
     P = _basis(mu)
-    states: list[ChainState] = []
+    mus = np.empty((s, data.p))
+    lams = np.empty((s, data.p - 1))
+    lps = np.empty(s)
+    counts = np.empty(s, dtype=np.int64)
     accepted = 0
-    for j in range(1, s + 1):
+    for j in range(s):
         hn = _hn_diagonal(data, mu, P, prior)
         lam = _draw_lambda(*_lambda_conditional(data, hn, prior), rng)
         lp = _log_density(data, hn, lam, prior)
@@ -301,24 +298,25 @@ def run_gibbs(
         for _ in range(l):
             mu, P, d, acc, lp = _mh_once(data, mu, P, d, lam, lp, prior, rng)
             accepted += int(acc)
-        states.append(
-            ChainState(mu=mu.copy(), lam=lam, log_posterior=lp, iteration=j, accepted=accepted)
-        )
-    return GibbsRun(states=states, accepted=accepted, proposals=s * l)
+        mus[j], lams[j], lps[j], counts[j] = mu, lam, lp, accepted
+    for a in (mus, lams, lps, counts):
+        a.setflags(write=False)
+    return GibbsRun(mus, lams, lps, counts, accepted=accepted, proposals=s * l)
 
 
-def map_from_chain(chain: list[ChainState], data: SampleSet, prior: PriorConfig) -> Fit:
+def map_from_chain(run: GibbsRun, data: SampleSet, prior: PriorConfig) -> Fit:
     """Extract the MAP estimate from posterior draws.
 
-    Keeps the mean of the highest-posterior state, discards its eigenvalue
-    draw, and replaces it with the mode of the eigenvalue full conditional
-    at that mean, ``c*_i / (n + 1 + 2a)``.  One basis ``P(mean.u)`` serves
-    both the diagonal of ``H_N`` and the covariance.
+    Keeps the mean of the first highest-posterior state, discards its
+    eigenvalue draw, and replaces it with the mode of the eigenvalue full
+    conditional at that mean, ``c*_i / (n + 1 + 2a)``.  The mean is
+    normalised once into ``u``, and one basis ``P(u)`` serves both the
+    diagonal of ``H_N`` and the covariance.
     """
-    if not chain:
+    if not len(run.log_posterior):
         raise EmptyChainError("cannot extract a MAP estimate from an empty chain")
-    best = max(chain, key=lambda st: st.log_posterior)
-    mean = MeanState.from_vector(best.mu)
-    basis = build_orthobasis(mean.u)
-    lam_hat = _lambda_mode(data, _hn_diagonal(data, best.mu, basis, prior), prior)
-    return Fit(mean=mean, spectrum=lam_hat, basis=basis)
+    mu = run.mu[int(np.argmax(run.log_posterior))]
+    u, c0 = _polar(mu)
+    basis = build_orthobasis(u)
+    lam_hat = _lambda_mode(data, _hn_diagonal(data, mu, basis, prior), prior)
+    return Fit(u=u, c0=c0, spectrum=lam_hat, basis=basis)

@@ -14,9 +14,9 @@ import numpy as np
 from .exceptions import DegenerateDataError
 from .model import (
     Fit,
-    MeanState,
     SampleSet,
     _as_vector,
+    _norm,
     build_orthobasis,
     tail_quadratic_forms,
 )
@@ -50,15 +50,15 @@ def _profile_loglik(data: SampleSet, u: np.ndarray, q: np.ndarray) -> float:
     return float(-0.5 * n * np.sum(np.log(q / n)) - 0.5 * (quad + n * (data.p - 1)))
 
 
-def estimate_lambdas(data: SampleSet, mean: MeanState) -> np.ndarray:
-    """Closed-form eigenvalue estimates ``V_i^T A(0) V_i / n``.
+def estimate_lambdas(data: SampleSet, u) -> np.ndarray:
+    """Closed-form eigenvalue estimates ``V_i^T A(0) V_i / n`` at the unit direction ``u``.
 
     Raises
     ------
     DegenerateDataError
         If any quadratic form is numerically zero (data in a subspace).
     """
-    return _tail_forms(data, build_orthobasis(mean.u)) / data.n
+    return _tail_forms(data, build_orthobasis(u)) / data.n
 
 
 def profile_loglik(data: SampleSet, u) -> float:
@@ -92,7 +92,8 @@ def fit_mle(data: SampleSet) -> Fit:
     ``A(xbar)``, signed so that ``u^T xbar >= 0``; the radius and eigenvalues
     follow from their closed forms at that direction.  The basis ``P(u)`` is
     completed once and serves the eigenvalues, the profile log-likelihood and
-    the covariance.
+    the covariance.  The eigenvector is normalised once, so the fit's ``u``
+    is the direction that basis completes.
 
     The diagnostics are ``profile_loglik`` and ``lower_bound`` at the fit,
     ``smallest_eig_of_A_xbar``, ``degenerate_direction`` (a numerically
@@ -109,20 +110,19 @@ def fit_mle(data: SampleSet) -> Fit:
         raise DegenerateDataError("A(xbar) is rank deficient")
     degenerate = bool(evals[1] - evals[0] <= 1e-9 * tr)
     u = evecs[:, 0]
-    proj = float(u @ data.xbar)
-    if proj < 0.0:
-        u = -u
-        proj = -proj
-    c0 = proj
-    mean = MeanState(u=u, c0=c0)
-    basis = build_orthobasis(mean.u)
+    c0 = float(u @ data.xbar)
+    if c0 < 0.0:
+        u, c0 = -u, -c0
+    unit = u / _norm(u)
+    basis = build_orthobasis(unit)
     q = _tail_forms(data, basis)
     return Fit(
-        mean=mean,
+        u=unit,
+        c0=c0,
         spectrum=q / data.n,
         basis=basis,
         diagnostics={
-            "profile_loglik": _profile_loglik(data, mean.u, q),
+            "profile_loglik": _profile_loglik(data, unit, q),
             "lower_bound": lower_bound_h(data, u),
             "smallest_eig_of_A_xbar": float(evals[0]),
             "degenerate_direction": degenerate,

@@ -8,8 +8,10 @@ eigenvector of the covariance with eigenvalue one, for every radius ``c0``.
 
 The basis ``P(u) = [u | V]``, the free eigenvalues and the covariance are
 plain read-only ``ndarray``s: :func:`build_orthobasis` completes the basis and
-:func:`structured_covariance` assembles ``Sigma`` from it.  ``MeanState``,
-``Fit`` and ``SampleSet`` are frozen; the functions are pure and safe to call
+:func:`structured_covariance` assembles ``Sigma`` from it.  A fit,
+:class:`Fit`, holds the direction ``u`` and the radius ``c0`` of the mean
+``mu = c0 u`` next to them, as arrays and scalars.  ``Fit`` and
+``SampleSet`` are frozen; the functions are pure and safe to call
 concurrently on shared instances.
 """
 
@@ -23,6 +25,7 @@ import numpy as np
 
 from .exceptions import (
     DimensionMismatchError,
+    NegativeRadiusError,
     NonPositiveEigenvalueError,
     NonUnitVectorError,
     ZeroVectorError,
@@ -49,45 +52,23 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-@dataclass(frozen=True)
-class MeanState:
-    """Polar factorization ``mu = c0 * u`` of a mean vector.
+def _unit_norm(u: np.ndarray) -> float:
+    """The norm of the 1-d ``u``; raises unless it is one within ``UNIT_TOL``."""
+    nrm = _norm(u)
+    if nrm < UNIT_TOL:
+        raise ZeroVectorError("direction has (near) zero norm")
+    if not abs(nrm - 1.0) <= UNIT_TOL:
+        raise NonUnitVectorError(f"direction norm {nrm} is not 1 within {UNIT_TOL}")
+    return nrm
 
-    ``u`` is stored exactly unit length (renormalized if within ``1e-8`` of
-    unit norm) and ``c0 >= 0``; any sign is absorbed into ``u``.
-    """
 
-    u: np.ndarray
-    c0: float
-
-    def __post_init__(self):
-        u = _as_vector(self.u, "u")
-        nrm = float(np.linalg.norm(u))
-        if nrm < UNIT_TOL:
-            raise ZeroVectorError("mean direction has (near) zero norm")
-        if abs(nrm - 1.0) > UNIT_TOL:
-            raise NonUnitVectorError(f"mean direction norm {nrm} is not 1 within {UNIT_TOL}")
-        u = u / nrm
-        c0 = float(self.c0)
-        if c0 < 0.0:
-            u, c0 = -u, -c0
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "c0", c0)
-
-    @property
-    def mu(self) -> np.ndarray:
-        """The assembled mean vector ``c0 * u``."""
-        return self.c0 * self.u
-
-    @classmethod
-    def from_vector(cls, mu) -> "MeanState":
-        """Factor a nonzero mean vector into direction and radius."""
-        mu = _as_vector(mu, "mu")
-        nrm = float(np.linalg.norm(mu))
-        if nrm < UNIT_TOL:
-            raise ZeroVectorError("cannot factor a zero mean vector into c0 * u")
-        return cls(u=mu / nrm, c0=nrm)
+def _polar(mu) -> tuple[np.ndarray, float]:
+    """Factor a nonzero mean vector as ``mu = c0 u``: ``(mu / ||mu||, ||mu||)``."""
+    mu = _as_vector(mu, "mu")
+    c0 = _norm(mu)
+    if c0 < UNIT_TOL:
+        raise ZeroVectorError("cannot factor a zero mean vector into c0 * u")
+    return mu / c0, c0
 
 
 def build_orthobasis(u) -> np.ndarray:
@@ -116,12 +97,7 @@ def build_orthobasis(u) -> np.ndarray:
     p = u.size
     if p < 2:
         raise DimensionMismatchError("need dimension p >= 2")
-    nrm = _norm(u)
-    if nrm < UNIT_TOL:
-        raise ZeroVectorError("direction has (near) zero norm")
-    if abs(nrm - 1.0) > UNIT_TOL:
-        raise NonUnitVectorError(f"direction norm {nrm} is not 1 within {UNIT_TOL}")
-    u = u / nrm
+    u = u / _unit_norm(u)
 
     # Drop the canonical vector along the dominant entry of u (last index on
     # ties, so the canonical-axis and equal-entries cases keep e_1..e_{p-1}).
@@ -184,18 +160,19 @@ def structured_covariance(basis: np.ndarray, lam) -> np.ndarray:
 class Fit:
     """A constrained estimate ``mu = c0 u``, ``Sigma = P(u) diag(1, lambda) P(u)^T``.
 
-    Every constrained estimator returns this shape.  ``basis`` is the
-    read-only matrix ``P = build_orthobasis(mean.u)``, which the estimator
-    completes and :meth:`covariance` reads.  ``spectrum`` is a read-only
-    copy of the ``p - 1`` free eigenvalues (the leading one is fixed at one);
-    construction raises ``DimensionMismatchError`` for another length and
-    ``NonPositiveEigenvalueError`` unless each is > 0.  ``converged`` and
-    ``outer_iterations`` describe an iterative fit (a closed-form fit keeps
-    the defaults); ``diagnostics`` holds the values particular to one
-    estimator.
+    Every constrained estimator returns this shape, and construction checks
+    it.  ``u`` is a read-only copy of the direction as the estimator
+    completed it, unit within ``UNIT_TOL``; ``c0 >= 0`` is the radius.
+    ``basis`` is the read-only matrix ``P = build_orthobasis(u)`` that
+    :meth:`covariance` reads, and ``spectrum`` a read-only copy of the
+    ``p - 1`` free eigenvalues, each > 0 (the leading one is fixed at one).
+    ``converged`` and ``outer_iterations`` describe an iterative fit (a
+    closed-form fit keeps the defaults); ``diagnostics`` holds the values
+    particular to one estimator.
     """
 
-    mean: MeanState
+    u: np.ndarray
+    c0: float
     spectrum: np.ndarray
     basis: np.ndarray = field(repr=False)
     converged: bool = True
@@ -203,12 +180,28 @@ class Fit:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        lam = _spectrum(self.spectrum, self.basis.shape[0])
-        if np.any(lam <= 0.0):
+        p = self.basis.shape[0]
+        u = _as_vector(self.u, "u")
+        if u.size != p:
+            raise DimensionMismatchError(f"direction length {u.size} != p = {p}")
+        _unit_norm(u)
+        c0 = float(self.c0)
+        if not c0 >= 0.0:
+            raise NegativeRadiusError(f"radius c0 must be >= 0, got {c0}")
+        lam = _spectrum(self.spectrum, p)
+        if not np.all(lam > 0.0):
             raise NonPositiveEigenvalueError(f"eigenvalues must be > 0, got {lam}")
-        lam = lam.copy()
+        u, lam = u.copy(), lam.copy()
+        u.setflags(write=False)
         lam.setflags(write=False)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "spectrum", lam)
+
+    @property
+    def mu(self) -> np.ndarray:
+        """The mean vector ``c0 * u``."""
+        return self.c0 * self.u
 
     def covariance(self) -> np.ndarray:
         """The read-only matrix ``Sigma`` of :func:`structured_covariance`."""

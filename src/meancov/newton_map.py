@@ -5,7 +5,8 @@ by constants built from the largest eigenvalue of ``A(0)``, leaving a smooth
 surrogate ``h(u)`` of the mean direction at a given radius.  ``h`` is
 maximized by Newton steps with backtracking that only accepts increases;
 radius and eigenvalues are refreshed from their closed forms between Newton
-passes.  The iteration starts from the approximate MLE.
+passes.  The iteration starts from the approximate MLE or from a given
+start vector.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .gibbs import PriorConfig, _hn_diagonal, _lambda_mode
 from .mle import fit_mle
-from .model import Fit, MeanState, SampleSet, _as_vector, build_orthobasis
+from .model import Fit, SampleSet, _as_vector, _polar, build_orthobasis
 
 MAX_INNER = 50
 MAX_BACKTRACKS = 30
@@ -35,15 +36,8 @@ class NewtonConfig:
             raise ValueError("backtracking factor alpha must lie in (0, 1)")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be > 0")
-
-
-def _bound_constants(data: SampleSet, prior: PriorConfig) -> np.ndarray:
-    """``m_i = lambda_max(A(0)) + (H0)_{i+1,i+1}`` for i = 1..p-1."""
-    return data.a0_lambda_max + prior.h0_diag[1:]
-
-
-def _t(data: SampleSet, prior: PriorConfig) -> float:
-    return 0.5 * (data.n + 1.0 + 2.0 * prior.a)
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
 
 
 def map_c0_update(data: SampleSet, u, lam, prior: PriorConfig) -> float:
@@ -60,14 +54,31 @@ def map_c0_update(data: SampleSet, u, lam, prior: PriorConfig) -> float:
     return num / den
 
 
-def map_lambda_update(data: SampleSet, mean: MeanState, prior: PriorConfig) -> np.ndarray:
+def map_lambda_update(data: SampleSet, u, c0: float, prior: PriorConfig) -> np.ndarray:
     """Closed-form eigenvalue update: trailing diagonal of H_N over ``n+1+2a``.
 
     This is the mode of the inverse-gamma full conditional of each
-    eigenvalue at ``mean``, the formula the Gibbs MAP uses too.
+    eigenvalue at the mean ``c0 * u``, the formula the Gibbs MAP uses too.
     """
-    hn = _hn_diagonal(data, mean.mu, build_orthobasis(mean.u), prior)
+    u = _as_vector(u, "u")
+    hn = _hn_diagonal(data, c0 * u, build_orthobasis(u), prior)
     return _lambda_mode(data, hn, prior)
+
+
+def _surrogate_terms(data: SampleSet, u, c0: float, prior: PriorConfig):
+    """The terms :func:`h_value`, :func:`h_gradient` and :func:`h_hessian` share.
+
+    Returns ``u`` as a vector, the bound constants
+    ``m_i = lambda_max(A(0)) + (H0)_{i+1,i+1}`` for i = 1..p-1,
+    ``t = (n + 1 + 2a) / 2``, the prior residual ``d = c0 u - mu0``,
+    ``g = kappa0 ||d||^2``, ``u^T u`` and ``u^T xbar``.
+    """
+    u = _as_vector(u, "u")
+    m = data.a0_lambda_max + prior.h0_diag[1:]
+    t = 0.5 * (data.n + 1.0 + 2.0 * prior.a)
+    d = c0 * u - prior.mu0
+    g = prior.kappa0 * float(d @ d)
+    return u, m, t, d, g, float(u @ u), float(u @ data.xbar)
 
 
 def h_value(data: SampleSet, u, c0: float, prior: PriorConfig) -> float:
@@ -80,13 +91,7 @@ def h_value(data: SampleSet, u, c0: float, prior: PriorConfig) -> float:
     residual, matching the leading diagonal entry of H_N.  Treated as a
     smooth function of ``u`` in ambient coordinates.
     """
-    u = _as_vector(u, "u")
-    m = _bound_constants(data, prior)
-    t = _t(data, prior)
-    d = c0 * u - prior.mu0
-    g = prior.kappa0 * float(d @ d)
-    uu = float(u @ u)
-    ux = float(u @ data.xbar)
+    u, m, t, d, g, uu, ux = _surrogate_terms(data, u, c0, prior)
     quad = float(u @ data.a0 @ u) - 2.0 * data.n * c0 * ux * uu + data.n * c0**2 * uu**2
     neg_h = t * np.sum(np.log((m + g) / (2.0 * t))) + 0.5 * (
         quad + prior.kappa0 * d[0] ** 2 + m[0]
@@ -96,14 +101,8 @@ def h_value(data: SampleSet, u, c0: float, prior: PriorConfig) -> float:
 
 def h_gradient(data: SampleSet, u, c0: float, prior: PriorConfig) -> np.ndarray:
     """Exact ambient gradient of :func:`h_value` with respect to ``u``."""
-    u = _as_vector(u, "u")
-    m = _bound_constants(data, prior)
-    t = _t(data, prior)
-    d = c0 * u - prior.mu0
-    g = prior.kappa0 * float(d @ d)
+    u, m, t, d, g, uu, ux = _surrogate_terms(data, u, c0, prior)
     s1 = float(np.sum(1.0 / (m + g)))
-    uu = float(u @ u)
-    ux = float(u @ data.xbar)
     n = data.n
     grad_neg = (
         2.0 * t * prior.kappa0 * c0 * s1 * d
@@ -117,18 +116,11 @@ def h_gradient(data: SampleSet, u, c0: float, prior: PriorConfig) -> np.ndarray:
 
 def h_hessian(data: SampleSet, u, c0: float, prior: PriorConfig) -> np.ndarray:
     """Exact ambient Hessian of :func:`h_value` with respect to ``u``."""
-    u = _as_vector(u, "u")
-    p = u.size
-    m = _bound_constants(data, prior)
-    t = _t(data, prior)
-    d = c0 * u - prior.mu0
-    g = prior.kappa0 * float(d @ d)
+    u, m, t, d, g, uu, ux = _surrogate_terms(data, u, c0, prior)
     s1 = float(np.sum(1.0 / (m + g)))
     s2 = float(np.sum(1.0 / (m + g) ** 2))
-    uu = float(u @ u)
-    ux = float(u @ data.xbar)
     n = data.n
-    eye = np.eye(p)
+    eye = np.eye(u.size)
     hess_neg = (
         2.0 * t * prior.kappa0 * c0**2 * (s1 * eye - 2.0 * prior.kappa0 * s2 * np.outer(d, d))
         + data.a0
@@ -143,11 +135,13 @@ def fit_map_newton(
     data: SampleSet,
     prior: PriorConfig,
     cfg: NewtonConfig | None = None,
-    init_mean: MeanState | None = None,
+    init_mu=None,
 ) -> Fit:
     """Alternate closed-form radius/eigenvalue updates with Newton steps on h.
 
-    Starts from the approximate MLE unless a warm start is supplied.  An
+    Starts from the approximate MLE unless a nonzero start vector ``init_mu``
+    is supplied, which is taken as the direction ``init_mu / ||init_mu||``
+    at the radius ``||init_mu||`` (``ZeroVectorError`` for a zero vector).  An
     outer iteration takes up to ``MAX_INNER`` Newton steps.  Each Newton
     direction is backtracked (halving by ``alpha``, up to ``MAX_BACKTRACKS``
     times) until the surrogate increases, and the direction iterate is
@@ -156,11 +150,16 @@ def fit_map_newton(
     loop stops when the direction stops moving or when a radius refresh
     would decrease the surrogate.
 
-    The basis of the direction is completed once per distinct iterate: it is
-    taken from the MLE (or completed for the warm start), reused by every
-    eigenvalue refresh, and completed again only after an outer iteration
-    that moved the direction.  The fit's ``basis`` and ``spectrum`` are those
-    of the reported ``mean.u``.
+    A radius refresh may turn ``c0`` negative; the fit reports the same mean
+    ``c0 u = (-c0)(-u)`` with the sign moved onto the direction, so that
+    ``c0 >= 0``.
+
+    The basis is completed once per distinct direction: it is taken from the
+    MLE (or completed for the start vector), reused by every eigenvalue
+    refresh, and completed again only after an outer iteration that moved
+    the direction, or for ``-u`` after a sign flip.  The fit's ``u`` is the
+    last direction completed, bit for bit, and its ``basis`` and
+    ``spectrum`` are those of ``u``.
 
     The diagnostic ``h_trace`` holds the surrogate value after the initial
     point and every accepted update; the acceptance rule makes it
@@ -168,13 +167,12 @@ def fit_map_newton(
     """
     if cfg is None:
         cfg = NewtonConfig()
-    if init_mean is None:
+    if init_mu is None:
         mle = fit_mle(data)
-        start, basis = mle.mean, mle.basis
+        u, c0, basis = mle.u, mle.c0, mle.basis
     else:
-        start, basis = init_mean, build_orthobasis(init_mean.u)
-    u = start.u.copy()
-    c0 = start.c0
+        u, c0 = _polar(init_mu)
+        basis = build_orthobasis(u)
     lam = _lambda_mode(data, _hn_diagonal(data, c0 * u, basis, prior), prior)
     h_cur = h_value(data, u, c0, prior)
     h_trace = [h_cur]
@@ -230,14 +228,13 @@ def fit_map_newton(
             converged = True
             break
 
-    mean = MeanState(u=u, c0=c0)
-    if not np.array_equal(mean.u, u):
-        # Renormalization (or a sign flip for c0 < 0) moved a bit of u;
-        # the spectrum and the covariance are anchored at mean.u itself.
-        basis = build_orthobasis(mean.u)
-    lam = _lambda_mode(data, _hn_diagonal(data, mean.mu, basis, prior), prior)
+    if c0 < 0.0:
+        u, c0 = -u, -c0
+        basis = build_orthobasis(u)
+    lam = _lambda_mode(data, _hn_diagonal(data, c0 * u, basis, prior), prior)
     return Fit(
-        mean=mean,
+        u=u,
+        c0=c0,
         spectrum=lam,
         basis=basis,
         converged=converged,

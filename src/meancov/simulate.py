@@ -94,7 +94,7 @@ def sample_data(spec: TruthSpec, n: int, rng: np.random.Generator) -> SampleSet:
 
 def mle_estimator(data: SampleSet, rng: np.random.Generator):
     fit = fit_mle(data)
-    return fit.mean.mu, fit.covariance(), {}
+    return fit.mu, fit.covariance(), {}
 
 
 def map_newton_estimator(data: SampleSet, rng: np.random.Generator):
@@ -104,7 +104,7 @@ def map_newton_estimator(data: SampleSet, rng: np.random.Generator):
     # n / (n + 1 + 2a) and would inflate the covariance risk.
     prior = PriorConfig(mu0=np.zeros(data.p), kappa0=0.0, a=-0.5, h0_diag=np.zeros(data.p))
     fit = fit_map_newton(data, prior)
-    return fit.mean.mu, fit.covariance(), {}
+    return fit.mu, fit.covariance(), {}
 
 
 def gibbs_estimator(
@@ -117,8 +117,8 @@ def gibbs_estimator(
     if prior is None:
         prior = PriorConfig.default(data)
     run = run_gibbs(data, prior, s=s, l=l, rng=rng)
-    fit = map_from_chain(run.states, data, prior)
-    return fit.mean.mu, fit.covariance(), {"acceptance_rate": run.acceptance_rate}
+    fit = map_from_chain(run, data, prior)
+    return fit.mu, fit.covariance(), {"acceptance_rate": run.acceptance_rate}
 
 
 def niw_estimator(data: SampleSet, rng: np.random.Generator):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from meancov import (
-    MeanState,
     PriorConfig,
     build_orthobasis,
     structured_covariance,
@@ -92,7 +91,7 @@ def test_criterion_2_mle_grid_optimality(verdict):
     for p, seed in ((2, 201), (3, 202)):
         data = simulated_data(60, p, seed=seed)
         fit = fit_mle(data)
-        h_hat = lower_bound_h(data, fit.mean.u)
+        h_hat = lower_bound_h(data, fit.u)
         if p == 2:
             thetas = np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False)
             grid = np.column_stack([np.cos(thetas), np.sin(thetas)])
@@ -329,6 +328,6 @@ def test_criterion_9_prior_free_reduction(verdict):
         flat = PriorConfig(mu0=np.zeros(p), kappa0=0.0, a=-0.5, h0_diag=np.zeros(p))
         mle = fit_mle(data)
         fit = fit_map_newton(data, flat)
-        ok &= np.linalg.norm(fit.mean.mu - mle.mean.mu) < 1e-6
+        ok &= np.linalg.norm(fit.mu - mle.mu) < 1e-6
         ok &= np.linalg.norm(fit.spectrum - mle.spectrum) < 1e-6
     assert verdict("9 prior-free-reduction", bool(ok))

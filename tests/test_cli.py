@@ -9,7 +9,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from meancov import MeanState, cli
+from meancov import cli
 from meancov.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -381,6 +381,14 @@ class TestDispatch:
         assert "no-such-dir" in doc["error"]["message"]
         assert "results" not in doc
 
+    @pytest.mark.parametrize("max_iter", ["0", "-2"])
+    def test_newton_max_iter_below_one_is_config_error(self, data_csv, capsys, max_iter):
+        status = main(["fit-map-newton", data_csv, "--newton-max-iter", max_iter])
+        doc = json.loads(capsys.readouterr().out)
+        assert status == EXIT_CONFIG
+        assert doc["error"]["category"] == "config-or-parse"
+        assert "max_outer" in doc["error"]["message"]
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.csv"
         with open(path, "w") as fh:
@@ -410,8 +418,7 @@ class TestDispatch:
         fit_map_newton = cli.fit_map_newton
 
         def far_start(data, prior, config):
-            far = MeanState(u=np.array([0.0, 0.0, 1.0]), c0=1.0)
-            return fit_map_newton(data, prior, config, init_mean=far)
+            return fit_map_newton(data, prior, config, init_mu=np.array([0.0, 0.0, 1.0]))
 
         monkeypatch.setattr(cli, "fit_map_newton", far_start)
         cfg = RunConfig(command="fit-map-newton", input_path=data_csv,

@@ -7,9 +7,9 @@ from scipy.stats import invgamma, kstest, multivariate_normal
 
 from meancov import gibbs
 from meancov import (
-    ChainState,
     DimensionMismatchError,
     EmptyChainError,
+    GibbsRun,
     PriorConfig,
     SampleSet,
     ZeroMeanError,
@@ -293,7 +293,7 @@ class TestMhStep:
         # each tail column at the MLE agrees with it.
         data = simulated_data(2000, p, seed=70 + p)
         prior = PriorConfig.default(data)
-        mu = fit_mle(data).mean.mu
+        mu = fit_mle(data).mu
         shape, scales = lambda_conditional_params(data, mu, prior)
         lam = scales / (shape + 1.0)
         P, d = _basis(mu), _proposal_diag(data, mu, lam)
@@ -350,16 +350,11 @@ class TestMhStep:
 
     def test_step_interface(self, small_case):
         data, prior = small_case
-        lam = np.array([12.0, 9.0])
-        state = ChainState(
-            mu=data.xbar, lam=lam, log_posterior=log_posterior(data, data.xbar, lam, prior),
-            iteration=0, accepted=0,
-        )
+        mu, lam = data.xbar, np.array([12.0, 9.0])
+        lp = log_posterior(data, mu, lam, prior)
         rng = np.random.default_rng(2)
-        d = _proposal_diag(data, state.mu, state.lam)
-        mu_new, _, _, accepted, _ = _mh_once(
-            data, state.mu, _basis(state.mu), d, state.lam, state.log_posterior, prior, rng
-        )
+        d = _proposal_diag(data, mu, lam)
+        mu_new, _, _, accepted, _ = _mh_once(data, mu, _basis(mu), d, lam, lp, prior, rng)
         assert mu_new.shape == (3,)
         assert isinstance(accepted, (bool, np.bool_))
 
@@ -413,12 +408,12 @@ class TestRunGibbs:
         prior = PriorConfig.default(data)
         run = run_gibbs(data, prior, s=200, l=5, rng=np.random.default_rng(seed))
         expected = reference_gibbs(data, prior, s=200, l=5, rng=np.random.default_rng(seed))
-        assert len(run.states) == len(expected)
-        for st, (mu, lam, lp, accepted) in zip(run.states, expected):
-            assert np.array_equal(st.mu, mu)
-            assert np.array_equal(st.lam, lam)
-            assert st.log_posterior == lp
-            assert st.accepted == accepted
+        assert len(run.mu) == len(expected)
+        for j, (mu, lam, lp, accepted) in enumerate(expected):
+            assert np.array_equal(run.mu[j], mu)
+            assert np.array_equal(run.lam[j], lam)
+            assert run.log_posterior[j] == lp
+            assert run.accepted_count[j] == accepted
         assert run.accepted == expected[-1][3]
 
     def test_rejects_degenerate_requests(self, small_case):
@@ -431,10 +426,13 @@ class TestRunGibbs:
     def test_chain_states_valid(self, small_case):
         data, prior = small_case
         run = run_gibbs(data, prior, s=100, l=2, rng=np.random.default_rng(12))
-        assert len(run.states) == 100
-        for st in run.states:
-            assert np.all(st.lam > 0.0)
-            assert np.isfinite(st.log_posterior)
+        assert run.mu.shape == (100, data.p)
+        assert run.lam.shape == (100, data.p - 1)
+        assert run.log_posterior.shape == run.accepted_count.shape == (100,)
+        assert np.all(run.lam > 0.0)
+        assert np.all(np.isfinite(run.log_posterior))
+        for a in (run.mu, run.lam, run.log_posterior, run.accepted_count):
+            assert not a.flags.writeable
         assert run.proposals == 200
         assert 0.0 <= run.acceptance_rate <= 1.0
 
@@ -452,9 +450,8 @@ class TestRunGibbs:
         r1 = run_gibbs(data, prior, s=15, l=2, rng=np.random.default_rng(13))
         r2 = run_gibbs(data, prior, s=15, l=2, rng=np.random.default_rng(13))
         assert r1.accepted == r2.accepted
-        for s1, s2 in zip(r1.states, r2.states):
-            assert np.array_equal(s1.mu, s2.mu)
-            assert s1.log_posterior == s2.log_posterior
+        assert np.array_equal(r1.mu, r2.mu)
+        assert np.array_equal(r1.log_posterior, r2.log_posterior)
 
     def test_records_serializable(self, small_case):
         import json
@@ -465,46 +462,53 @@ class TestRunGibbs:
         assert len(text.splitlines()) == 3
 
 
+def _chain(mus, lams, lps) -> GibbsRun:
+    """A hand-built run whose states were all rejected proposals."""
+    count = np.zeros(len(lps), dtype=int)
+    return GibbsRun(np.array(mus), np.array(lams), np.array(lps), count, accepted=0, proposals=0)
+
+
 class TestMapFromChain:
     def test_empty_chain(self, small_case):
         data, prior = small_case
         with pytest.raises(EmptyChainError):
-            map_from_chain([], data, prior)
+            map_from_chain(_chain(np.empty((0, 3)), np.empty((0, 2)), []), data, prior)
 
     def test_single_state(self, small_case):
         data, prior = small_case
         lam = np.array([5.0, 4.0])
-        st = ChainState(
-            mu=data.xbar, lam=lam,
-            log_posterior=log_posterior(data, data.xbar, lam, prior), iteration=1, accepted=0,
-        )
-        fit = map_from_chain([st], data, prior)
-        assert np.allclose(fit.mean.mu, data.xbar)
+        lp = log_posterior(data, data.xbar, lam, prior)
+        fit = map_from_chain(_chain([data.xbar], [lam], [lp]), data, prior)
+        assert np.allclose(fit.mu, data.xbar)
         cstar = hn_diagonal(data, data.xbar, prior)[1:]
         assert np.allclose(fit.spectrum, cstar / (data.n + 1.0 + 2.0 * prior.a))
+
+    def test_first_of_tied_states(self, small_case):
+        data, prior = small_case
+        mus = [data.xbar, 2.0 * data.xbar, 3.0 * data.xbar]
+        fit = map_from_chain(_chain(mus, np.ones((3, 2)), [1.0, 5.0, 5.0]), data, prior)
+        assert np.allclose(fit.mu, mus[1])
 
     def test_recomputed_lambda_dominates(self, small_case):
         data, prior = small_case
         run = run_gibbs(data, prior, s=30, l=2, rng=np.random.default_rng(15))
-        fit = map_from_chain(run.states, data, prior)
-        best = max(run.states, key=lambda st: st.log_posterior)
-        assert log_posterior(data, fit.mean.mu, fit.spectrum, prior) >= best.log_posterior
+        fit = map_from_chain(run, data, prior)
+        assert log_posterior(data, fit.mu, fit.spectrum, prior) >= run.log_posterior.max()
 
     def test_picks_highest_posterior_state(self, small_case):
         data, prior = small_case
         run = run_gibbs(data, prior, s=25, l=2, rng=np.random.default_rng(16))
-        fit = map_from_chain(run.states, data, prior)
-        best = max(run.states, key=lambda st: st.log_posterior)
-        assert np.allclose(fit.mean.mu, best.mu)
+        fit = map_from_chain(run, data, prior)
+        assert np.allclose(fit.mu, run.mu[np.argmax(run.log_posterior)])
 
     @pytest.mark.parametrize("n, p, seed", [(12, 3, 21), (50, 3, 19), (60, 5, 20)])
     def test_stored_basis_is_completion_of_reported_direction(self, n, p, seed):
         data = simulated_data(n, p, seed=seed)
         prior = PriorConfig.default(data)
         run = run_gibbs(data, prior, s=20, l=3, rng=np.random.default_rng(seed))
-        fit = map_from_chain(run.states, data, prior)
-        assert np.array_equal(fit.basis, build_orthobasis(fit.mean.u))
-        sigma = structured_covariance(build_orthobasis(fit.mean.u), fit.spectrum)
+        fit = map_from_chain(run, data, prior)
+        assert np.array_equal(fit.basis, build_orthobasis(fit.u))
+        sigma = structured_covariance(build_orthobasis(fit.u), fit.spectrum)
         assert np.array_equal(fit.covariance(), sigma)
-        mu = fit.mean.mu
+        mu = fit.mu
         assert np.linalg.norm(fit.covariance() @ mu - mu) < 1e-10 * np.linalg.norm(mu)

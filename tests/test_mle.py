@@ -6,7 +6,6 @@ from scipy.stats import multivariate_normal
 
 from meancov import (
     DegenerateDataError,
-    MeanState,
     SampleSet,
     build_orthobasis,
     estimate_c0,
@@ -56,7 +55,7 @@ class TestEstimateLambdas:
         X = np.array([[np.sqrt(2), 0.0], [-np.sqrt(2), 0.0], [0.0, np.sqrt(2)], [0.0, -np.sqrt(2)]])
         data = SampleSet(X)
         assert np.allclose(data.a0, 4.0 * np.eye(2))
-        lam = estimate_lambdas(data, MeanState(u=np.array([1.0, 0.0]), c0=0.0))
+        lam = estimate_lambdas(data, np.array([1.0, 0.0]))
         assert np.allclose(lam, [1.0])
 
     def test_canonical_direction_diagonal_scatter(self):
@@ -68,13 +67,13 @@ class TestEstimateLambdas:
         ])
         data = SampleSet(X)
         assert np.allclose(data.a0, np.diag([a, b, 2.0]))
-        lam = estimate_lambdas(data, MeanState(u=np.array([0.0, 0.0, 1.0]), c0=1.0))
+        lam = estimate_lambdas(data, np.array([0.0, 0.0, 1.0]))
         assert np.allclose(lam, [a / 6.0, b / 6.0])
 
     def test_matches_rotated_scatter_diagonal(self, rng):
         data = simulated_data(20, 5, seed=4)
         u = random_unit(5, rng)
-        lam = estimate_lambdas(data, MeanState(u=u, c0=1.0))
+        lam = estimate_lambdas(data, u)
         P = build_orthobasis(u)
         expected = np.diag(P.T @ data.a0 @ P)[1:] / data.n
         assert np.allclose(lam, expected, atol=1e-10)
@@ -85,7 +84,7 @@ class TestEstimateLambdas:
         data = SampleSet(X)
         u = v / np.linalg.norm(v)
         with pytest.raises(DegenerateDataError):
-            estimate_lambdas(data, MeanState(u=u, c0=1.0))
+            estimate_lambdas(data, u)
 
 
 class TestProfileLoglik:
@@ -109,7 +108,7 @@ class TestProfileLoglik:
         for _ in range(10):
             u = random_unit(3, rng)
             c0 = estimate_c0(data, u)
-            lam = estimate_lambdas(data, MeanState(u=u, c0=max(c0, 1e-12)))
+            lam = estimate_lambdas(data, u)
             assert profile_loglik(data, u) + const == pytest.approx(
                 _full_loglik(data, u, c0, lam), abs=1e-8
             )
@@ -126,7 +125,7 @@ class TestProfileLoglik:
             u = np.array([np.cos(th), np.sin(th)])
             prof[i] = profile_loglik(data, u)
             c0 = estimate_c0(data, u)
-            lam = estimate_lambdas(data, MeanState(u=u, c0=c0 if c0 else 1.0))
+            lam = estimate_lambdas(data, u)
             full[i] = _full_loglik(data, u, c0, lam)
         gap = abs(thetas[np.argmax(prof)] - thetas[np.argmax(full)])
         assert min(gap, np.pi - gap) < 2.0 * np.pi * 1e-4
@@ -157,13 +156,13 @@ class TestFitMle:
         mu = np.array([0.0, 2.0])
         X = mu + rng.standard_normal((n, 2)) * np.sqrt([5.0, 1.0])
         fit = fit_mle(SampleSet(X))
-        angle = np.arccos(min(abs(fit.mean.u @ np.array([0.0, 1.0])), 1.0))
+        angle = np.arccos(min(abs(fit.u @ np.array([0.0, 1.0])), 1.0))
         assert angle < 0.05
 
     def test_constraint_holds_at_fit(self):
         fit = fit_mle(simulated_data(50, 4, seed=11))
         S = fit.covariance()
-        mu = fit.mean.mu
+        mu = fit.mu
         assert np.linalg.norm(S @ mu - mu) < 1e-10 * max(1.0, np.linalg.norm(mu))
 
     def test_reflection_invariance(self):
@@ -174,8 +173,8 @@ class TestFitMle:
 
     def test_sign_convention(self):
         fit = fit_mle(simulated_data(25, 3, seed=13))
-        assert fit.mean.u @ simulated_data(25, 3, seed=13).xbar >= 0.0
-        assert fit.mean.c0 >= 0.0
+        assert fit.u @ simulated_data(25, 3, seed=13).xbar >= 0.0
+        assert fit.c0 >= 0.0
 
     def test_profile_dominates_bound_at_fit(self):
         fit = fit_mle(simulated_data(40, 5, seed=14))
@@ -184,7 +183,7 @@ class TestFitMle:
     def test_lower_bound_optimality(self, rng):
         data = simulated_data(35, 3, seed=15)
         fit = fit_mle(data)
-        best = lower_bound_h(data, fit.mean.u)
+        best = lower_bound_h(data, fit.u)
         for _ in range(1000):
             assert best >= lower_bound_h(data, random_unit(3, rng)) - 1e-12
 
@@ -223,7 +222,7 @@ class TestFitMle:
     def test_stored_basis_is_completion_of_reported_direction(self, n, p, seed):
         data = simulated_data(n, p, seed=seed)
         fit = fit_mle(data)
-        assert np.array_equal(fit.basis, build_orthobasis(fit.mean.u))
-        sigma = structured_covariance(build_orthobasis(fit.mean.u), fit.spectrum)
+        assert np.array_equal(fit.basis, build_orthobasis(fit.u))
+        sigma = structured_covariance(build_orthobasis(fit.u), fit.spectrum)
         assert np.array_equal(fit.covariance(), sigma)
-        assert fit.diagnostics["profile_loglik"] == profile_loglik(data, fit.mean.u)
+        assert fit.diagnostics["profile_loglik"] == profile_loglik(data, fit.u)

@@ -7,7 +7,7 @@ import pytest
 from meancov import (
     DimensionMismatchError,
     Fit,
-    MeanState,
+    NegativeRadiusError,
     NonPositiveEigenvalueError,
     NonUnitVectorError,
     SampleSet,
@@ -18,15 +18,15 @@ from meancov import (
 from conftest import build_orthobasis_reference, random_unit, simulated_data
 
 
-def b_matrix(data: SampleSet, mean: MeanState) -> np.ndarray:
+def b_matrix(data: SampleSet, u, c0: float) -> np.ndarray:
     """The scatter about the mean rotated into its basis, ``P(u)^T A(c0 u) P(u)``.
 
     Its trailing diagonal entries ``V_i^T A(0) V_i`` do not depend on
     ``c0``, and the leading entry equals
     ``u^T A(xbar) u + n (c0 - u^T xbar)^2``.
     """
-    P = build_orthobasis(mean.u)
-    return P.T @ data.scatter(mean.mu) @ P
+    P = build_orthobasis(u)
+    return P.T @ data.scatter(c0 * u) @ P
 
 
 def repeated_tail_eigenvectors(mu) -> tuple[np.ndarray, np.ndarray]:
@@ -57,46 +57,47 @@ def repeated_tail_eigenvectors(mu) -> tuple[np.ndarray, np.ndarray]:
     return w1, w2
 
 
-class TestMeanState:
+def _fit(u, lam, c0=1.0) -> Fit:
+    return Fit(u=u, c0=c0, spectrum=lam, basis=build_orthobasis(u))
+
+
+class TestFitMean:
     def test_mu_assembly(self):
-        m = MeanState(u=np.array([0.6, 0.8]), c0=2.5)
-        assert np.allclose(m.mu, [1.5, 2.0])
+        fit = _fit(np.array([0.6, 0.8]), np.ones(1), c0=2.5)
+        assert np.allclose(fit.mu, [1.5, 2.0])
 
-    def test_negative_radius_absorbed_into_direction(self):
-        m = MeanState(u=np.array([0.0, 1.0]), c0=-3.0)
-        assert m.c0 == 3.0
-        assert np.allclose(m.u, [0.0, -1.0])
-
-    def test_renormalizes_within_tolerance(self):
+    def test_keeps_direction_within_tolerance_bitwise(self):
         u = np.array([1.0, 0.0]) * (1.0 + 5e-9)
-        m = MeanState(u=u, c0=1.0)
-        assert np.linalg.norm(m.u) == pytest.approx(1.0, abs=1e-15)
+        fit = _fit(u, np.ones(1))
+        assert np.array_equal(fit.u, u)
+        with pytest.raises(ValueError):
+            fit.u[0] = 0.5
 
     def test_rejects_non_unit_direction(self):
         with pytest.raises(NonUnitVectorError):
-            MeanState(u=np.array([1.0, 1.0]), c0=1.0)
+            Fit(u=np.array([1.0, 1.0]), c0=1.0, spectrum=np.ones(1), basis=np.eye(2))
+        with pytest.raises(NonUnitVectorError):
+            Fit(u=np.array([np.nan, 0.0]), c0=1.0, spectrum=np.ones(1), basis=np.eye(2))
 
     def test_rejects_zero_direction(self):
         with pytest.raises(ZeroVectorError):
-            MeanState(u=np.zeros(3), c0=1.0)
+            Fit(u=np.zeros(3), c0=1.0, spectrum=np.ones(2), basis=np.eye(3))
 
     def test_rejects_matrix_direction(self):
         with pytest.raises(DimensionMismatchError):
-            MeanState(u=np.eye(2), c0=1.0)
+            Fit(u=np.eye(2), c0=1.0, spectrum=np.ones(1), basis=np.eye(2))
 
-    def test_from_vector_round_trip(self, rng):
-        mu = rng.standard_normal(4)
-        m = MeanState.from_vector(mu)
-        assert np.allclose(m.mu, mu)
-        assert m.c0 == pytest.approx(np.linalg.norm(mu))
+    def test_rejects_direction_of_other_length(self):
+        with pytest.raises(DimensionMismatchError):
+            Fit(u=np.array([0.0, 1.0]), c0=1.0, spectrum=np.ones(2), basis=np.eye(3))
 
-    def test_from_vector_rejects_zero(self):
-        with pytest.raises(ZeroVectorError):
-            MeanState.from_vector(np.zeros(2))
+    @pytest.mark.parametrize("c0", [-3.0, -1e-300, np.nan])
+    def test_rejects_negative_or_nan_radius(self, c0):
+        with pytest.raises(NegativeRadiusError):
+            _fit(np.array([0.0, 1.0]), np.ones(1), c0=c0)
 
-
-def _fit(u, lam) -> Fit:
-    return Fit(mean=MeanState(u=u, c0=1.0), spectrum=lam, basis=build_orthobasis(u))
+    def test_accepts_zero_radius(self):
+        assert _fit(np.array([0.0, 1.0]), np.ones(1), c0=0.0).c0 == 0.0
 
 
 class TestFitSpectrum:
@@ -105,6 +106,10 @@ class TestFitSpectrum:
             _fit(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0]))
         with pytest.raises(NonPositiveEigenvalueError):
             _fit(np.array([0.0, 1.0]), np.array([-1.0]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(NonPositiveEigenvalueError):
+            _fit(np.array([0.0, 0.0, 1.0]), np.array([1.0, np.nan]))
 
     def test_rejects_empty(self):
         with pytest.raises(DimensionMismatchError):
@@ -330,23 +335,21 @@ class TestBMatrix:
     def test_leading_entry_at_mle_radius(self, rng):
         data = simulated_data(20, 3, seed=7)
         u = random_unit(3, rng)
-        mean = MeanState(u=u, c0=float(u @ data.xbar))
-        B = b_matrix(data, mean)
+        B = b_matrix(data, u, float(u @ data.xbar))
         expected = float(u @ data.scatter_about_mean() @ u)
         assert B[0, 0] == pytest.approx(expected, abs=1e-10)
 
     def test_single_row_equal_to_mean(self):
         u = np.array([0.0, 1.0])
         data = SampleSet(np.array([[0.0, 2.0]]))
-        B = b_matrix(data, MeanState(u=u, c0=2.0))
+        B = b_matrix(data, u, 2.0)
         assert np.allclose(B, np.zeros((2, 2)), atol=1e-14)
 
     def test_diagonal_closed_forms(self, rng):
         data = simulated_data(15, 4, seed=3)
         u = random_unit(4, rng)
         c0 = 1.7
-        mean = MeanState(u=u, c0=c0)
-        B = b_matrix(data, mean)
+        B = b_matrix(data, u, c0)
         V = build_orthobasis(u)[:, 1:]
         lead = float(u @ data.scatter_about_mean() @ u) + data.n * (c0 - u @ data.xbar) ** 2
         assert B[0, 0] == pytest.approx(lead, abs=1e-9)
@@ -356,6 +359,6 @@ class TestBMatrix:
     def test_tail_diagonal_independent_of_radius(self, rng):
         data = simulated_data(12, 3, seed=11)
         u = random_unit(3, rng)
-        B1 = b_matrix(data, MeanState(u=u, c0=0.3))
-        B2 = b_matrix(data, MeanState(u=u, c0=4.0))
+        B1 = b_matrix(data, u, 0.3)
+        B2 = b_matrix(data, u, 4.0)
         assert np.allclose(np.diag(B1)[1:], np.diag(B2)[1:], atol=1e-9)

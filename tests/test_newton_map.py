@@ -5,9 +5,9 @@ import pytest
 from scipy.optimize import minimize, minimize_scalar
 
 from meancov import (
-    MeanState,
     NewtonConfig,
     PriorConfig,
+    ZeroVectorError,
     build_orthobasis,
     estimate_c0,
     estimate_lambdas,
@@ -25,7 +25,6 @@ from meancov import (
 from meancov import mle as mle_module
 from meancov import newton_map
 from meancov.gibbs import lambda_conditional_params
-from meancov.newton_map import _t
 from conftest import random_unit, simulated_data
 
 
@@ -83,16 +82,14 @@ class TestLambdaUpdate:
     def test_prior_free_limit_is_mle_spectrum(self, case, rng):
         data, _ = case
         u = random_unit(3, rng)
-        mean = MeanState(u=u, c0=float(u @ data.xbar))
-        lam = map_lambda_update(data, mean, prior_free(3))
-        assert np.allclose(lam, estimate_lambdas(data, mean), atol=1e-12)
+        lam = map_lambda_update(data, u, float(u @ data.xbar), prior_free(3))
+        assert np.allclose(lam, estimate_lambdas(data, u), atol=1e-12)
 
     def test_equals_conditional_mode(self, case, rng):
         data, prior = case
         u = random_unit(3, rng)
-        mean = MeanState(u=u, c0=1.2)
-        lam = map_lambda_update(data, mean, prior)
-        shape, scales = lambda_conditional_params(data, mean.mu, prior)
+        lam = map_lambda_update(data, u, 1.2, prior)
+        shape, scales = lambda_conditional_params(data, 1.2 * u, prior)
         assert np.allclose(lam, scales / (shape + 1.0), atol=1e-12)
 
     def test_hand_sized_naive_oracle(self):
@@ -103,11 +100,11 @@ class TestLambdaUpdate:
         prior = PriorConfig(
             mu0=np.array([0.4, 0.1]), kappa0=2.0, a=3.0, h0_diag=np.array([1.0, 0.7])
         )
-        mean = MeanState.from_vector(np.array([0.6, 0.3]))
-        lam = map_lambda_update(data, mean, prior)
-        u = mean.u
+        mu = np.array([0.6, 0.3])
+        u = mu / np.linalg.norm(mu)
+        lam = map_lambda_update(data, u, np.linalg.norm(mu), prior)
         V = build_orthobasis(u)[:, 1:]
-        d = mean.mu - prior.mu0
+        d = mu - prior.mu0
         hn_tail = float(V[:, 0] @ data.a0 @ V[:, 0]) + prior.kappa0 * d[1] ** 2 + 0.7
         t = 0.5 * (3.0 + 1.0 + 2.0 * 3.0)
         assert lam[0] == pytest.approx(hn_tail / (2.0 * t), abs=1e-10)
@@ -117,7 +114,7 @@ def _profiled_posterior(data, u, c0, prior):
     """Exact profiled log posterior with the eigenvalues at their closed-form
     maximizers; used as the upper envelope for h."""
     hn = hn_diagonal(data, c0 * u, prior)
-    t = _t(data, prior)
+    t = 0.5 * (data.n + 1.0 + 2.0 * prior.a)
     return float(-t * np.sum(np.log(hn[1:] / (2.0 * t))) - 0.5 * (hn[0] + (data.p - 1) * t))
 
 
@@ -141,7 +138,7 @@ class TestHValue:
         data, _ = case
         prior = prior_free(3)
         fit = fit_mle(data)
-        u_hat, c0 = fit.mean.u, fit.mean.c0
+        u_hat, c0 = fit.u, fit.c0
         best = h_value(data, u_hat, c0, prior)
         for _ in range(500):
             assert best >= h_value(data, random_unit(3, rng), c0, prior) - 1e-9
@@ -232,18 +229,18 @@ class TestFitMapNewton:
         data = simulated_data(50, 4, seed=45)
         mle = fit_mle(data)
         fit = fit_map_newton(data, prior_free(4))
-        assert np.linalg.norm(fit.mean.mu - mle.mean.mu) < 1e-6
+        assert np.linalg.norm(fit.mu - mle.mu) < 1e-6
         assert np.linalg.norm(fit.spectrum - mle.spectrum) < 1e-6
 
     def test_continuity_of_converged_covariance(self, rng):
         data = simulated_data(50, 3, seed=46)
         prior = PriorConfig.default(data)
-        base = fit_mle(data).mean
+        base = fit_mle(data)
         du = rng.standard_normal(3) * 1e-7
         u2 = base.u + du
         u2 /= np.linalg.norm(u2)
-        fit1 = fit_map_newton(data, prior, init_mean=base)
-        fit2 = fit_map_newton(data, prior, init_mean=MeanState(u=u2, c0=base.c0))
+        fit1 = fit_map_newton(data, prior, init_mu=base.mu)
+        fit2 = fit_map_newton(data, prior, init_mu=base.c0 * u2)
         assert np.linalg.norm(base.u - u2) < 1e-6
         diff = np.linalg.norm(fit1.covariance() - fit2.covariance())
         assert diff < 1e-4
@@ -252,7 +249,7 @@ class TestFitMapNewton:
         data = simulated_data(50, 5, seed=47)
         fit = fit_map_newton(data, PriorConfig.default(data))
         S = fit.covariance()
-        mu = fit.mean.mu
+        mu = fit.mu
         assert np.linalg.norm(S @ mu - mu) < 1e-8 * max(1.0, np.linalg.norm(mu))
 
     def test_non_convergence_reported(self):
@@ -261,8 +258,8 @@ class TestFitMapNewton:
         # iteration budget runs out, so the fit reports non-convergence.
         data = simulated_data(50, 3, seed=48)
         cfg = NewtonConfig(epsilon=1e-300, max_outer=1)
-        far = MeanState(u=np.array([0.0, 0.0, 1.0]), c0=1.0)
-        fit = fit_map_newton(data, PriorConfig.default(data), cfg, init_mean=far)
+        far = np.array([0.0, 0.0, 1.0])
+        fit = fit_map_newton(data, PriorConfig.default(data), cfg, init_mu=far)
         assert fit.outer_iterations == 1
         assert not fit.converged
 
@@ -272,19 +269,18 @@ class TestFitMapNewton:
         # a non-finite step.  Either way every inner step is a backtracked
         # gradient step, which must still climb the surrogate from far away.
         data = simulated_data(50, 3, seed=48)
-        far = MeanState(u=np.array([0.0, 0.0, 1.0]), c0=1.0)
+        far = np.array([0.0, 0.0, 1.0])
         monkeypatch.setattr(newton_map, "h_hessian", lambda *args: np.full((3, 3), fill))
-        fit = fit_map_newton(data, PriorConfig.default(data), init_mean=far)
+        fit = fit_map_newton(data, PriorConfig.default(data), init_mu=far)
         trace = fit.diagnostics["h_trace"]
         assert len(trace) > 2
         assert np.all(np.diff(trace) >= 0.0)
-        assert not np.array_equal(fit.mean.u, far.u)
+        assert not np.array_equal(fit.u, far)
 
     def test_basis_completions_bounded_by_outer_iterations(self, monkeypatch):
         # Warm-started at the sample mean, which is off the flat-prior
         # optimum, the iteration has to move u.
         data = simulated_data(50, 3, seed=6)
-        start = MeanState.from_vector(data.xbar)
         calls = []
         build = newton_map.build_orthobasis
 
@@ -294,14 +290,14 @@ class TestFitMapNewton:
 
         monkeypatch.setattr(mle_module, "build_orthobasis", counted)
         monkeypatch.setattr(newton_map, "build_orthobasis", counted)
-        fit = fit_map_newton(data, prior_free(3), init_mean=start)
+        fit = fit_map_newton(data, prior_free(3), init_mu=data.xbar)
         fit.covariance()
-        assert not np.array_equal(fit.mean.u, start.u)
+        assert not np.array_equal(fit.u, data.xbar / np.linalg.norm(data.xbar))
         assert len(calls) <= 2 + fit.outer_iterations
 
-    # (60, 5) seeds 20 and 37, (50, 3) seed 82 and (200, 10) seed 0 end at an
-    # iterate that MeanState renormalizes to a different bit pattern, so the
-    # basis and the eigenvalue refresh must be taken again at mean.u there.
+    # The fit's u is the last direction the iteration completed: no second
+    # normalisation moves its bits, so the basis, the covariance and the
+    # eigenvalue refresh are those of fit.u itself.
     @pytest.mark.parametrize(
         "n, p, seed", [(50, 3, 6), (60, 5, 20), (60, 5, 37), (50, 3, 82), (200, 10, 0)]
     )
@@ -310,12 +306,64 @@ class TestFitMapNewton:
     def test_stored_basis_is_completion_of_reported_direction(self, n, p, seed, flat, warm):
         data = simulated_data(n, p, seed=seed)
         prior = prior_free(data.p) if flat else PriorConfig.default(data)
-        init = MeanState.from_vector(data.xbar) if warm else None
-        fit = fit_map_newton(data, prior, init_mean=init)
-        assert np.array_equal(fit.basis, build_orthobasis(fit.mean.u))
-        sigma = structured_covariance(build_orthobasis(fit.mean.u), fit.spectrum)
+        fit = fit_map_newton(data, prior, init_mu=data.xbar if warm else None)
+        assert np.array_equal(fit.basis, build_orthobasis(fit.u))
+        sigma = structured_covariance(build_orthobasis(fit.u), fit.spectrum)
         assert np.array_equal(fit.covariance(), sigma)
-        assert np.array_equal(fit.spectrum, map_lambda_update(data, fit.mean, prior))
+        assert np.array_equal(fit.spectrum, map_lambda_update(data, fit.u, fit.c0, prior))
+
+    # On these data sets normalising the final iterate again changes its
+    # bits; the fit must not complete a basis for such a rounding copy of a
+    # direction it has already completed.
+    @pytest.mark.parametrize("n, p, seed", [(60, 5, 20), (60, 5, 37), (50, 3, 82), (200, 10, 0)])
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_one_completion_per_distinct_direction(self, monkeypatch, n, p, seed, flat, warm):
+        data = simulated_data(n, p, seed=seed)
+        prior = prior_free(data.p) if flat else PriorConfig.default(data)
+        inputs = []
+        build = newton_map.build_orthobasis
+
+        def recorded(u):
+            inputs.append(np.array(u))
+            return build(u)
+
+        monkeypatch.setattr(mle_module, "build_orthobasis", recorded)
+        monkeypatch.setattr(newton_map, "build_orthobasis", recorded)
+        fit = fit_map_newton(data, prior, init_mu=data.xbar if warm else None)
+        assert np.array_equal(inputs[-1], fit.u)
+        for i, a in enumerate(inputs):
+            for b in inputs[i + 1 :]:
+                assert np.linalg.norm(a - b) > 1e-12
+
+    def test_start_vector_is_factored_into_direction_and_radius(self, monkeypatch, rng):
+        data = simulated_data(40, 4, seed=49)
+        prior = PriorConfig.default(data)
+        v = random_unit(4, rng)
+        inputs = []
+        build = newton_map.build_orthobasis
+        monkeypatch.setattr(newton_map, "build_orthobasis", lambda u: inputs.append(u) or build(u))
+        fit = fit_map_newton(data, prior, NewtonConfig(max_outer=1), init_mu=2.5 * v)
+        assert np.allclose(inputs[0], v, atol=1e-15)
+        assert fit.diagnostics["h_trace"][0] == pytest.approx(h_value(data, v, 2.5, prior))
+
+    def test_zero_start_vector_rejected(self):
+        data = simulated_data(40, 3, seed=49)
+        with pytest.raises(ZeroVectorError):
+            fit_map_newton(data, PriorConfig.default(data), init_mu=np.zeros(3))
+
+    def test_negative_radius_moves_sign_onto_direction(self):
+        # Started at the mirror image of the MLE direction, the flat-prior
+        # radius refresh u^T xbar is negative and stays so; the fit reports
+        # the same mean with a nonnegative radius.
+        data = simulated_data(50, 3, seed=6)
+        mle = fit_mle(data)
+        fit = fit_map_newton(data, prior_free(3), init_mu=-mle.u)
+        assert fit.c0 > 0.0
+        assert fit.u @ mle.u > 0.99
+        assert np.array_equal(fit.basis, build_orthobasis(fit.u))
+        assert np.allclose(fit.mu, mle.mu, atol=1e-6)
+        assert np.array_equal(fit.spectrum, map_lambda_update(data, fit.u, fit.c0, prior_free(3)))
 
 
 class TestNewtonConfig:
@@ -324,3 +372,8 @@ class TestNewtonConfig:
             NewtonConfig(alpha=1.5)
         with pytest.raises(ValueError):
             NewtonConfig(epsilon=0.0)
+
+    @pytest.mark.parametrize("max_outer", [0, -2])
+    def test_rejects_fewer_than_one_outer_iteration(self, max_outer):
+        with pytest.raises(ValueError, match="max_outer"):
+            NewtonConfig(max_outer=max_outer)
