@@ -96,7 +96,7 @@ def ingest_csv(path: str) -> SampleSet:
         return _ingest_row_by_row(path)
     if len(X) < 2:
         raise TooFewRowsError(f"{path}: need at least 2 data rows, got {len(X)}")
-    return SampleSet(X)
+    return SampleSet._owning(X)
 
 
 def _ingest_row_by_row(path: str) -> SampleSet:
@@ -135,7 +135,7 @@ def _ingest_row_by_row(path: str) -> SampleSet:
         rows.append(row)
     if len(rows) < 2:
         raise TooFewRowsError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    return SampleSet(np.asarray(rows))
+    return SampleSet._owning(np.asarray(rows))
 
 
 def _is_number(tok: str) -> bool:
@@ -166,7 +166,9 @@ def latlong_to_sphere(latlong) -> SampleSet:
         raise RangeError(f"row {i + 1}: longitude {lon[i]} outside [-180, 360)")
     la, lo = np.radians(lat), np.radians(lon)
     cos_la = np.cos(la)
-    return SampleSet(np.column_stack([cos_la * np.cos(lo), cos_la * np.sin(lo), np.sin(la)]))
+    return SampleSet._owning(
+        np.column_stack([cos_la * np.cos(lo), cos_la * np.sin(lo), np.sin(la)])
+    )
 
 
 def _prior_from_config(cfg: RunConfig, data: SampleSet) -> PriorConfig:

@@ -7,19 +7,23 @@ an inverse-gamma full conditional, while the mean is updated by a
 Metropolis-Hastings step whose Gaussian proposal covariance
 ``P(mu) diag(1/n, s_1, ..., s_{p-1}) P(mu)^T`` holds, along each column of
 the basis, the inverse Fisher information of the likelihood at the current
-point (see :func:`_proposal_diag`).
+point (see :func:`_variances`).
 
 Cost model of the sampler: one basis completion per MH proposal and no
 scatter rebuild.  The basis ``P(mu*)`` of a proposed state is built once and
 serves its log posterior, the reverse proposal density and, if the proposal
-is accepted, the next forward step and the next eigenvalue draw.  The
-diagonal of ``H_N`` is read from the cached ``A(0)``, because the tail
-columns of ``P(mu)`` are orthogonal to ``mu``.  At p = 3 one proposal takes
-about 54 us at best (x86-64 2-vCPU VM, NumPy 2.4, OpenBLAS on one thread),
-nearly all of it the fixed cost of a few dozen calls on 3-vectors; the
-basis completion is about 40 % of it.  Seeded chains are reproducible bit for bit,
-so a step takes a cheaper call (``.dot`` for ``@``, ``.sum()`` for
-``np.sum``) only where it rounds identically, and no sum is reordered.
+is accepted, the next forward step and the next eigenvalue draw.  A state
+carries its proposal variances, their log sum, the diagonal of ``H_N`` and
+its log posterior, so each is computed once per proposed state; a sweep
+computes the eigenvalue terms its steps share (``sum log lambda`` and
+``(lambda - 1)^2``) once.  The diagonal of ``H_N`` is read from the cached
+``A(0)``, because the tail columns of ``P(mu)`` are orthogonal to ``mu``.
+At p = 3 one proposal takes about 46 us at best (x86-64 2-vCPU VM, NumPy
+2.4, OpenBLAS on one thread), nearly all of it the fixed cost of a few
+dozen calls on 3-vectors; the basis completion is about 17 us of it.  Seeded
+chains are reproducible bit for bit, so a step takes a cheaper call
+(``.dot`` for ``@``, ``.sum()`` for ``np.sum``) only where it rounds
+identically, and no sum is reordered.
 
 A run, :class:`GibbsRun`, keeps its chain as read-only arrays with one row
 per sweep (means, eigenvalue draws, log posteriors and running accepted
@@ -113,10 +117,16 @@ def _hn_diagonal(data: SampleSet, mu: np.ndarray, P: np.ndarray, prior: PriorCon
     return b + prior.kappa0 * (d * d) + prior.h0_diag
 
 
-def _log_density(data: SampleSet, hn: np.ndarray, lam: np.ndarray, prior: PriorConfig) -> float:
-    """:func:`log_posterior` from the diagonal ``hn`` of ``H_N``."""
-    t2 = data.n + 1.0 + 2.0 * prior.a
-    return float(-0.5 * t2 * np.log(lam).sum() - 0.5 * (hn[0] + (hn[1:] / lam).sum()))
+def _log_lam_term(data: SampleSet, lam: np.ndarray, prior: PriorConfig) -> float:
+    """``-((n + 1 + 2a)/2) sum_i log lambda_i``, the part of the log posterior
+    that depends on ``lambda`` alone."""
+    return -0.5 * (data.n + 1.0 + 2.0 * prior.a) * np.log(lam).sum()
+
+
+def _log_density(hn: np.ndarray, lam: np.ndarray, lam_term: float) -> float:
+    """:func:`log_posterior` from the diagonal ``hn`` of ``H_N`` and the
+    :func:`_log_lam_term` of ``lam``."""
+    return float(lam_term - 0.5 * (hn[0] + (hn[1:] / lam).sum()))
 
 
 def _lambda_conditional(data: SampleSet, hn: np.ndarray, prior: PriorConfig):
@@ -153,7 +163,7 @@ def log_posterior(data: SampleSet, mu, lam, prior: PriorConfig) -> float:
     lam = _as_vector(lam, "lam")
     if lam.size != data.p - 1:
         raise DimensionMismatchError(f"lambda has length {lam.size}, expected {data.p - 1}")
-    return _log_density(data, hn_diagonal(data, mu, prior), lam, prior)
+    return _log_density(hn_diagonal(data, mu, prior), lam, _log_lam_term(data, lam, prior))
 
 
 def lambda_conditional_params(
@@ -180,19 +190,20 @@ def draw_lambda_conditional(
     return _draw_lambda(*lambda_conditional_params(data, mu, prior), rng)
 
 
-def _proposal_diag(data: SampleSet, mu: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _variances(data: SampleSet, mu: np.ndarray, eig: np.ndarray, gap2: np.ndarray) -> np.ndarray:
     """Proposal variances along the columns of ``P(mu)``: ``(1/n, s_1, ...)``.
 
-    Each is the inverse Fisher information of the likelihood for a move of
-    ``mu`` along that column at fixed ``lambda``.  One observation has
-    information ``m^T S^{-1} m + tr(S^{-1} S' S^{-1} S')/2`` about a scalar
-    ``t``, where ``m`` and ``S'`` are the derivatives of the mean and of the
-    covariance ``S``.  Along ``u = mu/c0`` (``c0 = ||mu||``) the covariance is
-    fixed and ``m = u``, so the radial variance is ``1/n``.  Along a tail
-    column ``V_i``, ``m = V_i`` gives ``1/lambda_i``; the direction turns as
-    ``u' = V_i/c0`` and ``V_i' = -u/c0`` (``V_i`` stays orthogonal to ``u``),
-    so ``S' = ((1 - lambda_i)/c0)(u V_i^T + V_i u^T)`` and the trace term is
-    ``(lambda_i - 1)^2/(c0^2 lambda_i)``.  Hence::
+    ``eig = (1, lambda)`` and ``gap2 = (eig - 1)^2`` are fixed for a sweep.
+    Each variance is the inverse Fisher information of the likelihood for a
+    move of ``mu`` along that column at fixed ``lambda``.  One observation
+    has information ``m^T S^{-1} m + tr(S^{-1} S' S^{-1} S')/2`` about a
+    scalar ``t``, where ``m`` and ``S'`` are the derivatives of the mean and
+    of the covariance ``S``.  Along ``u = mu/c0`` (``c0 = ||mu||``) the
+    covariance is fixed and ``m = u``, so the radial variance is ``1/n``.
+    Along a tail column ``V_i``, ``m = V_i`` gives ``1/lambda_i``; the
+    direction turns as ``u' = V_i/c0`` and ``V_i' = -u/c0`` (``V_i`` stays
+    orthogonal to ``u``), so ``S' = ((1 - lambda_i)/c0)(u V_i^T + V_i u^T)``
+    and the trace term is ``(lambda_i - 1)^2/(c0^2 lambda_i)``.  Hence::
 
         s_i = c0^2 lambda_i / (n ((lambda_i - 1)^2 + c0^2))
 
@@ -204,37 +215,58 @@ def _proposal_diag(data: SampleSet, mu: np.ndarray, lam: np.ndarray) -> np.ndarr
     model, and is left out.
     """
     c2 = float(mu.dot(mu))
+    return c2 * eig / (data.n * (gap2 + c2))
+
+
+def _sweep(data: SampleSet, mu: np.ndarray, P: np.ndarray, hn: np.ndarray, lam: np.ndarray,
+           prior: PriorConfig) -> tuple[tuple, tuple]:
+    """The terms of a sweep with eigenvalues ``lam`` and the MH state it starts from.
+
+    The terms ``(lam, eig, gap2, lam_term)`` serve every MH step of the
+    sweep: ``eig = (1, lam)`` and ``gap2 = (eig - 1)^2`` for
+    :func:`_variances`, and the :func:`_log_lam_term` of ``lam``.  The state
+    of ``mu``, given its basis ``P`` and the diagonal ``hn`` of ``H_N`` at
+    it, is ``(mu, P, d, log_det, hn, log_posterior)`` with the proposal
+    variances ``d`` and ``log_det = sum log d``, so that a step reads them
+    instead of computing them again.
+    """
     eig = np.empty(lam.size + 1)
     eig[0] = 1.0
     eig[1:] = lam
     gap = eig - 1.0
-    return c2 * eig / (data.n * (gap * gap + c2))
+    gap2 = gap * gap
+    lam_term = _log_lam_term(data, lam, prior)
+    d = _variances(data, mu, eig, gap2)
+    state = (mu, P, d, np.log(d).sum(), hn, _log_density(hn, lam, lam_term))
+    return (lam, eig, gap2, lam_term), state
 
 
-def _log_q(P: np.ndarray, d: np.ndarray, y: np.ndarray, x: np.ndarray) -> float:
-    """Gaussian proposal log density (constants dropped) of y given center x."""
-    z = P.T.dot(y - x)
-    return float(-0.5 * (np.log(d).sum() + (z * z / d).sum()))
+def _mh_once(data: SampleSet, state: tuple, sweep: tuple, prior: PriorConfig, rng):
+    """One MH update of the mean from a state with the terms of its sweep (see :func:`_sweep`).
 
-
-def _mh_once(data, mu, P, d, lam, lp_cur, prior, rng):
-    """One MH update of ``mu`` with basis ``P`` and proposal variances ``d``.
-
-    Returns the new state with its basis and variances.  The forward density
-    ``q(mu* | mu)`` is read off the standard normal draw ``z``; the reverse
-    density ``q(mu | mu*)`` uses the basis and the variances of ``mu*``,
-    which an accepted proposal hands on to the next step.
+    Returns the next state and whether the proposal was accepted.  The
+    forward density ``q(mu* | mu)`` is read off the standard normal draw
+    ``z``; the reverse density ``q(mu | mu*)`` uses the basis and the
+    variances of ``mu*``.  An accepted proposal hands its basis, variances,
+    ``log_det``, ``H_N`` diagonal and log posterior on to the next step and
+    to the next sweep's eigenvalue draw.
     """
+    mu, P, d, log_det, hn, lp = state
+    lam, eig, gap2, lam_term = sweep
     z = rng.standard_normal(mu.size)
     mu_star = mu + P.dot(np.sqrt(d) * z)
     P_star = _basis(mu_star)
-    d_star = _proposal_diag(data, mu_star, lam)
-    lp_star = _log_density(data, _hn_diagonal(data, mu_star, P_star, prior), lam, prior)
-    log_q_fwd = -0.5 * float(np.log(d).sum() + z.dot(z))
-    log_r = lp_star - lp_cur + _log_q(P_star, d_star, mu, mu_star) - log_q_fwd
+    d_star = _variances(data, mu_star, eig, gap2)
+    log_det_star = np.log(d_star).sum()
+    hn_star = _hn_diagonal(data, mu_star, P_star, prior)
+    lp_star = _log_density(hn_star, lam, lam_term)
+    z_rev = P_star.T.dot(mu - mu_star)
+    log_q_rev = float(-0.5 * (log_det_star + (z_rev * z_rev / d_star).sum()))
+    log_q_fwd = -0.5 * float(log_det + z.dot(z))
+    log_r = lp_star - lp + log_q_rev - log_q_fwd
     if np.log(rng.uniform()) < log_r:
-        return mu_star, P_star, d_star, True, lp_star
-    return mu, P, d, False, lp_cur
+        return (mu_star, P_star, d_star, log_det_star, hn_star, lp_star), True
+    return state, False
 
 
 @dataclass(frozen=True)
@@ -285,19 +317,19 @@ def run_gibbs(
 
     mu = data.xbar.copy()
     P = _basis(mu)
+    hn = _hn_diagonal(data, mu, P, prior)
     mus = np.empty((s, data.p))
     lams = np.empty((s, data.p - 1))
     lps = np.empty(s)
     counts = np.empty(s, dtype=np.int64)
     accepted = 0
     for j in range(s):
-        hn = _hn_diagonal(data, mu, P, prior)
         lam = _draw_lambda(*_lambda_conditional(data, hn, prior), rng)
-        lp = _log_density(data, hn, lam, prior)
-        d = _proposal_diag(data, mu, lam)
+        sweep, state = _sweep(data, mu, P, hn, lam, prior)
         for _ in range(l):
-            mu, P, d, acc, lp = _mh_once(data, mu, P, d, lam, lp, prior, rng)
+            state, acc = _mh_once(data, state, sweep, prior, rng)
             accepted += int(acc)
+        mu, P, _, _, hn, lp = state
         mus[j], lams[j], lps[j], counts[j] = mu, lam, lp, accepted
     for a in (mus, lams, lps, counts):
         a.setflags(write=False)

@@ -86,7 +86,12 @@ def lower_bound_h(data: SampleSet, u) -> float:
 
 
 def fit_mle(data: SampleSet) -> Fit:
-    """Three-step non-iterative fit.
+    """Three-step non-iterative fit, computed once per data set.
+
+    The first call on a ``SampleSet`` fits it and keeps the fit on it; every
+    later call on the same instance, such as the cold start of the Newton
+    MAP, returns that same read-only :class:`Fit`.  A call that raises keeps
+    nothing, so the next call raises again.
 
     The direction estimate is the eigenvector of the smallest eigenvalue of
     ``A(xbar)``, signed so that ``u^T xbar >= 0``; the radius and eigenvalues
@@ -101,6 +106,11 @@ def fit_mle(data: SampleSet) -> Fit:
     with ``c0 = 0``, where the mean vector no longer identifies the
     direction).
     """
+    return data._mle
+
+
+def _fit_mle(data: SampleSet) -> Fit:
+    """The fit :func:`fit_mle` keeps on ``data``, computed afresh."""
     if data.n < 2:
         raise DegenerateDataError("need at least two observations")
     A = data.scatter_about_mean()

@@ -18,8 +18,10 @@ concurrently on shared instances.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -167,8 +169,10 @@ class Fit:
     :meth:`covariance` reads, and ``spectrum`` a read-only copy of the
     ``p - 1`` free eigenvalues, each > 0 (the leading one is fixed at one).
     ``converged`` and ``outer_iterations`` describe an iterative fit (a
-    closed-form fit keeps the defaults); ``diagnostics`` holds the values
-    particular to one estimator.
+    closed-form fit keeps the defaults); ``diagnostics`` is a read-only
+    mapping, over a copy of the one given, of the values particular to one
+    estimator.  A fit may be shared (one MLE serves every caller on the
+    same data), so none of it can be written.
     """
 
     u: np.ndarray
@@ -177,7 +181,7 @@ class Fit:
     basis: np.ndarray = field(repr=False)
     converged: bool = True
     outer_iterations: int = 0
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         p = self.basis.shape[0]
@@ -197,6 +201,12 @@ class Fit:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "spectrum", lam)
+        object.__setattr__(self, "diagnostics", MappingProxyType(dict(self.diagnostics)))
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled: rebuild the fit from a plain dict.
+        return (type(self), (self.u, self.c0, self.spectrum, self.basis, self.converged,
+                             self.outer_iterations, dict(self.diagnostics)))
 
     @property
     def mu(self) -> np.ndarray:
@@ -212,21 +222,37 @@ class Fit:
 class SampleSet:
     """An n x p data matrix with the cached mean and zero-centered scatter.
 
-    ``xbar`` is the sample mean and ``a0 = sum_j x_j x_j^T`` is the scatter
-    about the origin; both are computed once at construction.  The largest
-    eigenvalue of ``a0`` and the scatter about the mean are computed on
-    first use and then kept.
+    ``X`` is a read-only copy of the matrix given.  ``xbar`` is the sample
+    mean and ``a0 = sum_j x_j x_j^T`` is the scatter about the origin; both
+    are computed once at construction.  The largest eigenvalue of ``a0``,
+    the scatter about the mean and the MLE (:func:`meancov.mle.fit_mle`)
+    are computed on first use and then kept.
     """
 
     X: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
+        self._set_up(self.X, copy=True)
+
+    @classmethod
+    def _owning(cls, X: np.ndarray) -> "SampleSet":
+        """A ``SampleSet`` that keeps the fresh array ``X`` itself, without the copy.
+
+        For a caller that has just built ``X`` and hands it over; ``X`` is
+        made read-only.  The data, and every value computed from them, are
+        those of ``SampleSet(X)`` bit for bit.
+        """
+        data = object.__new__(cls)
+        data._set_up(X, copy=False)
+        return data
+
+    def _set_up(self, X, copy: bool) -> None:
+        X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise DimensionMismatchError(f"data must be an n x p matrix, got shape {X.shape}")
         if X.shape[1] < 2:
             raise DimensionMismatchError("need dimension p >= 2")
-        X = X.copy()
+        X = X.copy() if copy else np.ascontiguousarray(X)
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
         xbar = X.mean(axis=0)
@@ -280,3 +306,10 @@ class SampleSet:
         a = self.scatter(self.xbar)
         a.setflags(write=False)
         return a
+
+    @cached_property
+    def _mle(self) -> Fit:
+        """The fit :func:`meancov.mle.fit_mle` returns; one that raises is not kept."""
+        from .mle import _fit_mle  # imported on use: mle imports this module
+
+        return _fit_mle(self)

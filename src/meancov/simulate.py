@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import MeanCovError
+from .exceptions import MeanCovError, NonPositiveEigenvalueError
 from .gibbs import PriorConfig, map_from_chain, run_gibbs
 from .mle import fit_mle
 from .model import SampleSet, build_orthobasis, structured_covariance, tail_quadratic_forms
@@ -77,7 +77,8 @@ def generate_truth(p: int, rng: np.random.Generator) -> TruthSpec:
     L = rng.standard_normal((p, p))
     L[np.diag_indices(p)] += 5.0
     psi = L @ L.T
-    assert np.linalg.eigvalsh(psi)[0] > 0.0
+    if not np.linalg.eigvalsh(psi)[0] > 0.0:
+        raise NonPositiveEigenvalueError("the drawn factor covariance L L^T is singular")
     basis = build_orthobasis(mu / np.linalg.norm(mu))
     lam = tail_quadratic_forms(psi, basis[:, 1:])
     return TruthSpec(mu_true=mu, sigma_true=structured_covariance(basis, lam))
@@ -89,7 +90,7 @@ def sample_data(spec: TruthSpec, n: int, rng: np.random.Generator) -> SampleSet:
         raise ValueError("need at least two observations")
     L = np.linalg.cholesky(spec.sigma_true)
     Z = rng.standard_normal((n, spec.p))
-    return SampleSet(spec.mu_true + Z @ L.T)
+    return SampleSet._owning(spec.mu_true + Z @ L.T)
 
 
 def mle_estimator(data: SampleSet, rng: np.random.Generator):
@@ -167,6 +168,12 @@ def run_experiment(
     ``MeanCovError`` or ``LinAlgError`` fails that replication: the failure is
     counted by exception type and excluded from the averages.  Any other
     exception propagates.  Deterministic for a given seed.
+
+    The shared ``SampleSet`` keeps its MLE once fitted (see ``fit_mle``), so
+    the default battery fits it once per replication, in the ``mle`` column,
+    and the Newton MAP's cold start reuses it.  A column's
+    ``elapsed_seconds`` leaves out an MLE that an earlier column fitted on
+    the same data: timings depend on the order of the columns, risks do not.
     """
     if reps < 1:
         raise ValueError("need at least one replication")

@@ -24,12 +24,33 @@ from meancov import (
 )
 from meancov.gibbs import (
     _basis,
-    _log_q,
     _mh_once,
-    _proposal_diag,
+    _sweep,
     lambda_conditional_params,
 )
 from conftest import simulated_data
+
+
+def _proposal_diag(data, mu, lam):
+    """Proposal variances ``c0^2 (1, lam) / (n ((1, lam) - 1)^2 + c0^2))`` at ``mu``,
+    in the sampler's order of operations: the oracle of ``gibbs._variances``."""
+    eig = np.concatenate(([1.0], lam))
+    gap = eig - 1.0
+    c2 = float(mu.dot(mu))
+    return c2 * eig / (data.n * (gap * gap + c2))
+
+
+def _log_q(P, d, y, x):
+    """Gaussian proposal log density (constants dropped) of ``y`` given center ``x``,
+    for the basis ``P`` and variances ``d`` at ``x``: the oracle of the densities
+    the MH step reads off its draw and its carried ``sum log d``."""
+    z = P.T.dot(y - x)
+    return float(-0.5 * (np.log(d).sum() + (z * z / d).sum()))
+
+
+def _step_state(data, mu, lam, prior):
+    """The sampler's sweep terms and MH state at ``mu`` for the eigenvalues ``lam``."""
+    return _sweep(data, mu, _basis(mu), hn_diagonal(data, mu, prior), lam, prior)
 
 
 def hn_matrix(data, mu, prior):
@@ -342,9 +363,11 @@ class TestMhStep:
             def uniform(self):
                 return self.u
 
+        sweep, state = _step_state(data, mu, lam, prior)
+        assert state[5] == lp and np.array_equal(state[2], d)
         for shift, accepted in ((-1e-9, True), (1e-9, False)):
-            out = _mh_once(data, mu, P, d, lam, lp, prior, FixedDraws(np.exp(log_r + shift)))
-            assert out[3] is accepted
+            out, acc = _mh_once(data, state, sweep, prior, FixedDraws(np.exp(log_r + shift)))
+            assert acc is accepted
             assert np.allclose(out[0], mu_star if accepted else mu)
             assert np.array_equal(out[2], d_star if accepted else d)
 
@@ -353,10 +376,30 @@ class TestMhStep:
         mu, lam = data.xbar, np.array([12.0, 9.0])
         lp = log_posterior(data, mu, lam, prior)
         rng = np.random.default_rng(2)
-        d = _proposal_diag(data, mu, lam)
-        mu_new, _, _, accepted, _ = _mh_once(data, mu, _basis(mu), d, lam, lp, prior, rng)
+        sweep, state = _step_state(data, mu, lam, prior)
+        assert state[5] == lp
+        (mu_new, *_), accepted = _mh_once(data, state, sweep, prior, rng)
         assert mu_new.shape == (3,)
         assert isinstance(accepted, (bool, np.bool_))
+
+    def test_carried_values_match_the_state(self, small_case):
+        # A state hands on its basis, variances, their log sum, H_N diagonal
+        # and log posterior; each equals its value computed afresh.
+        data, prior = small_case
+        lam = np.array([12.0, 9.0])
+        sweep, state = _step_state(data, data.xbar, lam, prior)
+        rng = np.random.default_rng(4)
+        accepted = 0
+        for _ in range(30):
+            state, acc = _mh_once(data, state, sweep, prior, rng)
+            accepted += acc
+            mu, P, d, log_det, hn, lp = state
+            assert np.array_equal(P, _basis(mu))
+            assert np.array_equal(d, _proposal_diag(data, mu, lam))
+            assert log_det == np.log(d).sum()
+            assert np.array_equal(hn, hn_diagonal(data, mu, prior))
+            assert lp == log_posterior(data, mu, lam, prior)
+        assert accepted > 0
 
     def test_discretized_detailed_balance(self):
         # Project a long p=2 chain onto coarse bins of the mean's first
@@ -367,14 +410,13 @@ class TestMhStep:
         rng = np.random.default_rng(3)
         mu = data.xbar.copy()
         lam = np.array([float(np.linalg.eigvalsh(data.scatter_about_mean() / data.n)[-1])])
-        lp = log_posterior(data, mu, lam, prior)
-        P, d = _basis(mu), _proposal_diag(data, mu, lam)
+        sweep, state = _step_state(data, mu, lam, prior)
         for _ in range(2000):  # burn-in at fixed lambda
-            mu, P, d, _, lp = _mh_once(data, mu, P, d, lam, lp, prior, rng)
+            state, _ = _mh_once(data, state, sweep, prior, rng)
         traj = np.empty(100_000)
         for i in range(traj.size):
-            mu, P, d, _, lp = _mh_once(data, mu, P, d, lam, lp, prior, rng)
-            traj[i] = mu[0]
+            state, _ = _mh_once(data, state, sweep, prior, rng)
+            traj[i] = state[0][0]
         edges = np.quantile(traj, [0.25, 0.5, 0.75])
         bins = np.digitize(traj, edges)
         counts = np.zeros((4, 4))

@@ -192,6 +192,36 @@ class TestFitMle:
         with pytest.raises(DegenerateDataError):
             fit_mle(SampleSet(X))
 
+    def test_degenerate_fit_raises_again(self, monkeypatch):
+        # A fit that raises is not kept: the second call fits again.
+        data = SampleSet(np.outer(np.array([1.0, 2.0, -1.0, 0.5]), np.array([1.0, 1.0])))
+        calls = []
+        eigh = mle_module.np.linalg.eigh
+
+        def counted(a):
+            calls.append(1)
+            return eigh(a)
+
+        monkeypatch.setattr(mle_module.np.linalg, "eigh", counted)
+        for attempt in (1, 2):
+            with pytest.raises(DegenerateDataError):
+                fit_mle(data)
+            assert len(calls) == attempt
+
+    def test_fit_kept_on_the_data(self):
+        data = simulated_data(50, 5, seed=18)
+        assert fit_mle(data) is fit_mle(data)
+
+    def test_equal_data_get_their_own_equal_fit(self):
+        data = simulated_data(60, 5, seed=20)
+        fit = fit_mle(data)
+        other = fit_mle(SampleSet(data.X))
+        assert other is not fit
+        for a, b in ((other.u, fit.u), (other.spectrum, fit.spectrum), (other.basis, fit.basis)):
+            assert np.array_equal(a, b)
+        assert other.c0 == fit.c0
+        assert dict(other.diagnostics) == dict(fit.diagnostics)
+
     def test_single_row_rejected(self):
         with pytest.raises(DegenerateDataError, match="two observations"):
             fit_mle(SampleSet(np.array([[1.0, 2.0, 3.0]])))

@@ -1,6 +1,9 @@
 """Tests for the structured-covariance core: basis construction, assembly,
 scatter algebra, and the value types they rest on."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,35 @@ class TestFitSpectrum:
             fit.spectrum[0] = 5.0
         with pytest.raises(ValueError):
             fit.covariance()[0, 0] = 5.0
+
+
+class TestFitDiagnostics:
+    def test_read_only_copy(self):
+        given = {"profile_loglik": -3.5, "h_trace": [1.0, 2.0]}
+        u = np.array([0.0, 1.0])
+        fit = Fit(u=u, c0=1.0, spectrum=np.ones(1), basis=build_orthobasis(u), diagnostics=given)
+        with pytest.raises(TypeError):
+            fit.diagnostics["profile_loglik"] = 0.0
+        with pytest.raises(TypeError):
+            fit.diagnostics["new"] = 1.0
+        given["profile_loglik"] = 7.0
+        assert dict(fit.diagnostics) == {"profile_loglik": -3.5, "h_trace": [1.0, 2.0]}
+
+    def test_pickles_and_deep_copies(self):
+        u = np.array([0.6, 0.8])
+        fit = Fit(u=u, c0=2.0, spectrum=np.full(1, 3.0), basis=build_orthobasis(u),
+                  converged=False, outer_iterations=4, diagnostics={"h_trace": [1.0, 2.0]})
+        for other in (pickle.loads(pickle.dumps(fit)), copy.deepcopy(fit)):
+            for a, b in ((other.u, fit.u), (other.spectrum, fit.spectrum), (other.basis, fit.basis)):
+                assert np.array_equal(a, b)
+            assert (other.c0, other.converged, other.outer_iterations) == (2.0, False, 4)
+            assert dict(other.diagnostics) == {"h_trace": [1.0, 2.0]}
+            with pytest.raises(TypeError):
+                other.diagnostics["h_trace"] = []
+
+    def test_default_is_empty(self):
+        with pytest.raises(TypeError):
+            _fit(np.array([0.0, 1.0]), np.ones(1)).diagnostics["x"] = 1.0
 
 
 class TestBuildOrthobasis:
@@ -291,6 +323,17 @@ class TestSampleSet:
         data = SampleSet(X)
         X[0, 0] = 99.0
         assert data.X[0, 0] != 99.0
+
+    def test_owning_keeps_the_array_and_its_values(self, rng):
+        X = rng.standard_normal((7, 3))
+        owned = SampleSet._owning(X)
+        copied = SampleSet(X)
+        assert owned.X is X and not X.flags.writeable
+        assert copied.X is not X
+        for a, b in ((owned.X, copied.X), (owned.xbar, copied.xbar), (owned.a0, copied.a0)):
+            assert np.array_equal(a, b)
+        with pytest.raises(DimensionMismatchError):
+            SampleSet._owning(np.zeros((4, 1)))
 
 
 class TestScatterMatrix:

@@ -7,13 +7,16 @@ import pytest
 
 from meancov import (
     DegenerateDataError,
+    NonPositiveEigenvalueError,
     RiskReport,
+    SampleSet,
     default_estimators,
     format_table,
     generate_truth,
     run_experiment,
     sample_data,
 )
+from meancov import mle as mle_module
 from meancov import simulate
 from meancov.simulate import GIBBS_MAX_P, reports_to_records
 
@@ -48,6 +51,18 @@ class TestGenerateTruth:
     def test_rejects_p1(self):
         with pytest.raises(ValueError):
             generate_truth(1, np.random.default_rng(0))
+
+    def test_singular_factor_raises(self):
+        # The factor draw -5 I cancels the added diagonal, so L and Psi are
+        # zero; the check must hold under ``python -O`` too.
+        class ZeroFactor:
+            def standard_normal(self, size):
+                if isinstance(size, tuple):
+                    return -5.0 * np.eye(size[0])
+                return np.ones(size)
+
+        with pytest.raises(NonPositiveEigenvalueError):
+            generate_truth(3, ZeroFactor())
 
 
 class TestSampleData:
@@ -209,6 +224,31 @@ class TestRunExperiment:
         mle, newton = rec["mle"], rec["map-newton"]
         assert abs(newton.mean_risk - mle.mean_risk) / mle.mean_risk < 0.05
         assert abs(newton.sigma_risk - mle.sigma_risk) / mle.sigma_risk < 0.05
+
+    def test_mle_fitted_once_per_replication(self, monkeypatch):
+        calls = []
+        build = mle_module.build_orthobasis
+
+        def counted(u):
+            calls.append(1)
+            return build(u)
+
+        monkeypatch.setattr(mle_module, "build_orthobasis", counted)
+        ests = {k: v for k, v in default_estimators(5).items() if k in ("mle", "map-newton")}
+        run_experiment([(60, 5)], estimators=ests, reps=3, seed=4)
+        assert len(calls) == 3
+
+    def test_shared_mle_leaves_risks_unchanged(self):
+        # Each estimator on its own copy of the data fits its own MLE.
+        ests = {k: v for k, v in default_estimators(5).items() if k in ("mle", "map-newton")}
+        fresh = {name: (lambda data, rng, fn=fn: fn(SampleSet(data.X), rng))
+                 for name, fn in ests.items()}
+        shared = run_experiment([(60, 5)], estimators=ests, reps=3, seed=4)
+        apart = run_experiment([(60, 5)], estimators=fresh, reps=3, seed=4)
+        for a, b in zip(shared, apart):
+            assert (a.estimator, a.mean_risk, a.sigma_risk) == (
+                b.estimator, b.mean_risk, b.sigma_risk)
+            assert a.failures == b.failures == 0
 
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError):
