@@ -272,7 +272,7 @@ def _dispatch(cfg: RunConfig) -> tuple[int, dict]:
         params = niw_posterior(
             data, mu0=prior.mu0, kappa0=prior.kappa0, nu0=data.p + 1, Lambda0=np.eye(data.p)
         )
-        mu_hat, sigma_hat = niw_map(params, data.p)
+        mu_hat, sigma_hat = niw_map(params)
         results = {"mu": mu_hat, "sigma": sigma_hat, "kappa_n": params.kappa_n, "nu_n": params.nu_n}
         return EXIT_OK, _document(cfg, results=results)
 

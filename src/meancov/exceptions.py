@@ -29,7 +29,7 @@ class DegenerateDataError(MeanCovError):
     """The data lie in a proper subspace, so the estimator is undefined."""
 
 
-class ZeroMeanError(MeanCovError):
+class ZeroMeanError(ZeroVectorError):
     """A nonzero mean vector is required but the supplied one is (near) zero."""
 
 

@@ -36,18 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, EmptyChainError, ZeroMeanError
-from .model import (
-    Fit,
-    SampleSet,
-    _as_vector,
-    _norm,
-    _polar,
-    build_orthobasis,
-    tail_quadratic_forms,
-)
-
-_ZERO_MEAN_TOL = 1e-10
+from .exceptions import DimensionMismatchError, EmptyChainError
+from .model import Fit, SampleSet, _as_vector, _polar, build_orthobasis, tail_quadratic_forms
 
 
 @dataclass(frozen=True)
@@ -90,11 +80,9 @@ class PriorConfig:
 
 
 def _basis(mu: np.ndarray) -> np.ndarray:
-    """The matrix ``P(mu / ||mu||)`` of the basis anchored at a nonzero mean."""
-    nrm = _norm(mu)
-    if nrm < _ZERO_MEAN_TOL:
-        raise ZeroMeanError("posterior quantities need a nonzero mean vector")
-    return build_orthobasis(mu / nrm)
+    """The matrix ``P(mu / ||mu||)`` of the basis anchored at a nonzero mean
+    (``ZeroMeanError`` for a zero one)."""
+    return build_orthobasis(_polar(mu)[0])
 
 
 def _hn_diagonal(data: SampleSet, mu: np.ndarray, P: np.ndarray, prior: PriorConfig) -> np.ndarray:

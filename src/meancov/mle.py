@@ -97,8 +97,9 @@ def fit_mle(data: SampleSet) -> Fit:
     ``A(xbar)``, signed so that ``u^T xbar >= 0``; the radius and eigenvalues
     follow from their closed forms at that direction.  The basis ``P(u)`` is
     completed once and serves the eigenvalues, the profile log-likelihood and
-    the covariance.  The eigenvector is normalised once, so the fit's ``u``
-    is the direction that basis completes.
+    the covariance.  The eigenvector is normalised once, after its sign is
+    fixed; the fit's ``u`` is that unit vector, the first column of its
+    basis, and every diagnostic is taken at it.
 
     The diagnostics are ``profile_loglik`` and ``lower_bound`` at the fit,
     ``smallest_eig_of_A_xbar``, ``degenerate_direction`` (a numerically
@@ -123,16 +124,16 @@ def _fit_mle(data: SampleSet) -> Fit:
     c0 = float(u @ data.xbar)
     if c0 < 0.0:
         u, c0 = -u, -c0
-    unit = u / _norm(u)
-    basis = build_orthobasis(unit)
+    u = u / _norm(u)
+    basis = build_orthobasis(u)
     q = _tail_forms(data, basis)
     return Fit(
-        u=unit,
+        u=u,
         c0=c0,
         spectrum=q / data.n,
         basis=basis,
         diagnostics={
-            "profile_loglik": _profile_loglik(data, unit, q),
+            "profile_loglik": _profile_loglik(data, u, q),
             "lower_bound": lower_bound_h(data, u),
             "smallest_eig_of_A_xbar": float(evals[0]),
             "degenerate_direction": degenerate,

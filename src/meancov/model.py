@@ -30,6 +30,7 @@ from .exceptions import (
     NegativeRadiusError,
     NonPositiveEigenvalueError,
     NonUnitVectorError,
+    ZeroMeanError,
     ZeroVectorError,
 )
 
@@ -54,22 +55,25 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _unit_norm(u: np.ndarray) -> float:
-    """The norm of the 1-d ``u``; raises unless it is one within ``UNIT_TOL``."""
+def _check_unit(u: np.ndarray) -> None:
+    """Raise unless the 1-d ``u`` has norm one within ``UNIT_TOL`` (NaN fails)."""
     nrm = _norm(u)
     if nrm < UNIT_TOL:
         raise ZeroVectorError("direction has (near) zero norm")
     if not abs(nrm - 1.0) <= UNIT_TOL:
         raise NonUnitVectorError(f"direction norm {nrm} is not 1 within {UNIT_TOL}")
-    return nrm
 
 
 def _polar(mu) -> tuple[np.ndarray, float]:
-    """Factor a nonzero mean vector as ``mu = c0 u``: ``(mu / ||mu||, ||mu||)``."""
+    """Factor a nonzero mean vector as ``mu = c0 u``: ``(mu / ||mu||, ||mu||)``.
+
+    The one place a mean becomes a direction; a mean of norm below
+    ``UNIT_TOL`` raises ``ZeroMeanError``.
+    """
     mu = _as_vector(mu, "mu")
     c0 = _norm(mu)
     if c0 < UNIT_TOL:
-        raise ZeroVectorError("cannot factor a zero mean vector into c0 * u")
+        raise ZeroMeanError("cannot factor a zero mean vector into c0 * u")
     return mu / c0, c0
 
 
@@ -93,13 +97,13 @@ def build_orthobasis(u) -> np.ndarray:
     -------
     numpy.ndarray
         The read-only p x p matrix ``P = [u | V]`` with ``P^T P = I``; the
-        first column is ``u`` rescaled to unit length.
+        first column is ``u``.
     """
     u = _as_vector(u, "u")
     p = u.size
     if p < 2:
         raise DimensionMismatchError("need dimension p >= 2")
-    u = u / _unit_norm(u)
+    _check_unit(u)
 
     # Drop the canonical vector along the dominant entry of u (last index on
     # ties, so the canonical-axis and equal-entries cases keep e_1..e_{p-1}).
@@ -188,7 +192,7 @@ class Fit:
         u = _as_vector(self.u, "u")
         if u.size != p:
             raise DimensionMismatchError(f"direction length {u.size} != p = {p}")
-        _unit_norm(u)
+        _check_unit(u)
         c0 = float(self.c0)
         if not c0 >= 0.0:
             raise NegativeRadiusError(f"radius c0 must be >= 0, got {c0}")

@@ -141,13 +141,13 @@ def fit_map_newton(
 
     Starts from the approximate MLE unless a nonzero start vector ``init_mu``
     is supplied, which is taken as the direction ``init_mu / ||init_mu||``
-    at the radius ``||init_mu||`` (``ZeroVectorError`` for a zero vector).  An
-    outer iteration takes up to ``MAX_INNER`` Newton steps.  Each Newton
-    direction is backtracked (halving by ``alpha``, up to ``MAX_BACKTRACKS``
-    times) until the surrogate increases, and the direction iterate is
-    renormalized to unit length after every accepted step; a singular
-    Hessian falls back to a backtracked gradient-ascent step.  The outer
-    loop stops when the direction stops moving or when a radius refresh
+    at the radius ``||init_mu||`` (``ZeroMeanError``, a ``ZeroVectorError``,
+    for a zero vector).  An outer iteration takes up to ``MAX_INNER`` Newton
+    steps.  Each Newton direction is backtracked (halving by ``alpha``, up to
+    ``MAX_BACKTRACKS`` times) until the surrogate increases, and the direction
+    iterate is renormalized to unit length after every accepted step; a
+    singular Hessian falls back to a backtracked gradient-ascent step.  The
+    outer loop stops when the direction stops moving or when a radius refresh
     would decrease the surrogate.
 
     A radius refresh may turn ``c0`` negative; the fit reports the same mean

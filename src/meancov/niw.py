@@ -53,12 +53,14 @@ def niw_posterior(
     return NiwParams(mu_n=mu_n, kappa_n=kappa0 + n, nu_n=nu0 + n, Lambda_n=Lambda_n)
 
 
-def niw_map(params: NiwParams, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Joint posterior mode: ``(mu_n, Lambda_n / (nu_n + p + 2))``.
+def niw_map(params: NiwParams) -> tuple[np.ndarray, np.ndarray]:
+    """Joint posterior mode: ``(mu_n, Lambda_n / (nu_n + p + 2))``, with p the
+    order of ``Lambda_n``.
 
     The mode's rank-one term ``kappa_n (mu - mu_n)(mu - mu_n)^T`` vanishes
     at ``mu = mu_n``, so the covariance mode is the scaled scale matrix.
     """
+    p = params.Lambda_n.shape[0]
     return params.mu_n.copy(), params.Lambda_n / (params.nu_n + p + 2.0)
 
 

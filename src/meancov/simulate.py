@@ -22,7 +22,7 @@ import numpy as np
 from .exceptions import MeanCovError, NonPositiveEigenvalueError
 from .gibbs import PriorConfig, map_from_chain, run_gibbs
 from .mle import fit_mle
-from .model import SampleSet, build_orthobasis, structured_covariance, tail_quadratic_forms
+from .model import SampleSet, _polar, build_orthobasis, structured_covariance, tail_quadratic_forms
 from .newton_map import fit_map_newton
 from .niw import niw_map, niw_posterior
 
@@ -79,7 +79,7 @@ def generate_truth(p: int, rng: np.random.Generator) -> TruthSpec:
     psi = L @ L.T
     if not np.linalg.eigvalsh(psi)[0] > 0.0:
         raise NonPositiveEigenvalueError("the drawn factor covariance L L^T is singular")
-    basis = build_orthobasis(mu / np.linalg.norm(mu))
+    basis = build_orthobasis(_polar(mu)[0])
     lam = tail_quadratic_forms(psi, basis[:, 1:])
     return TruthSpec(mu_true=mu, sigma_true=structured_covariance(basis, lam))
 
@@ -124,7 +124,7 @@ def gibbs_estimator(
 
 def niw_estimator(data: SampleSet, rng: np.random.Generator):
     params = niw_posterior(data, mu0=data.xbar, kappa0=1.5, nu0=data.p + 1, Lambda0=np.eye(data.p))
-    mu_hat, sigma_hat = niw_map(params, data.p)
+    mu_hat, sigma_hat = niw_map(params)
     return mu_hat, sigma_hat, {}
 
 

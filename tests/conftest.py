@@ -39,7 +39,8 @@ def build_orthobasis_reference(u) -> np.ndarray:
     """Modified Gram-Schmidt completion, one projection at a time: the oracle
     of ``build_orthobasis``.
 
-    Orthogonalizes ``{e_1, ..., e_p} \\ {e_k}`` against ``u`` and the columns
+    Keeps the given unit ``u`` as the first column as it is, and
+    orthogonalizes ``{e_1, ..., e_p} \\ {e_k}`` against ``u`` and the columns
     already built (``e_k`` on the dominant entry of ``u``, last index on
     ties), with one re-orthogonalization pass, and signs each column so that
     its largest-magnitude entry is positive.  ``build_orthobasis`` must
@@ -47,7 +48,6 @@ def build_orthobasis_reference(u) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     p = u.size
-    u = u / np.linalg.norm(u)
     absu = np.abs(u)
     drop = p - 1 - int(np.argmax(absu[::-1]))
 

@@ -234,7 +234,7 @@ def test_criterion_7_niw_siw_identities(verdict):
 
     data = simulated_data(12, 2, seed=700)
     params = niw_posterior(data, mu0=np.zeros(2), kappa0=2.0, nu0=3.0, Lambda0=np.eye(2))
-    mu_hat, sigma_hat = niw_map(params, 2)
+    mu_hat, sigma_hat = niw_map(params)
     base = niw_joint_log_density(mu_hat, sigma_hat, params)
     for dx in np.linspace(-0.2, 0.2, 5):
         for dy in np.linspace(-0.2, 0.2, 5):

@@ -159,6 +159,16 @@ class TestHnMatrix:
         with pytest.raises(ZeroMeanError):
             hn_diagonal(data, np.zeros(3), prior)
 
+    def test_mean_below_unit_tol_rejected(self, small_case):
+        # A mean of norm 5e-9 < UNIT_TOL has no direction, in the sampler as
+        # wherever else a mean is factored into c0 * u.
+        data, prior = small_case
+        mu = np.array([3e-9, 0.0, 4e-9])
+        with pytest.raises(ZeroMeanError):
+            hn_diagonal(data, mu, prior)
+        with pytest.raises(ZeroMeanError):
+            map_from_chain(_chain([mu], [np.ones(2)], [0.0]), data, prior)
+
     def test_length_checked_before_the_basis(self, small_case, monkeypatch):
         # A wrong-length mean is a dimension error, zero or not, and costs no
         # basis completion.
@@ -549,6 +559,7 @@ class TestMapFromChain:
         prior = PriorConfig.default(data)
         run = run_gibbs(data, prior, s=20, l=3, rng=np.random.default_rng(seed))
         fit = map_from_chain(run, data, prior)
+        assert np.array_equal(fit.basis[:, 0], fit.u)
         assert np.array_equal(fit.basis, build_orthobasis(fit.u))
         sigma = structured_covariance(build_orthobasis(fit.u), fit.spectrum)
         assert np.array_equal(fit.covariance(), sigma)

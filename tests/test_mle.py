@@ -248,10 +248,13 @@ class TestFitMle:
         fit_mle(simulated_data(50, 5, seed=18)).covariance()
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("n, p, seed", [(50, 3, 19), (60, 5, 20), (500, 50, 21)])
+    @pytest.mark.parametrize(
+        "n, p, seed", [(50, 3, 19), (60, 5, 20), (500, 50, 21), (60, 5, 34), (100, 10, 26)]
+    )
     def test_stored_basis_is_completion_of_reported_direction(self, n, p, seed):
         data = simulated_data(n, p, seed=seed)
         fit = fit_mle(data)
+        assert np.array_equal(fit.basis[:, 0], fit.u)
         assert np.array_equal(fit.basis, build_orthobasis(fit.u))
         sigma = structured_covariance(build_orthobasis(fit.u), fit.spectrum)
         assert np.array_equal(fit.covariance(), sigma)

@@ -229,6 +229,16 @@ class TestBuildOrthobasis:
             assert np.array_equal(P, expected)
             assert np.array_equal(np.signbit(P), np.signbit(expected))  # signed zeros too
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 10, 50])
+    def test_first_column_is_the_given_unit_vector(self, p, rng):
+        # Unit within UNIT_TOL but not to rounding: the completion keeps the
+        # input as its first column instead of dividing it by its norm again.
+        u = random_unit(p, rng) * (1.0 + 1e-12)
+        assert np.linalg.norm(u) != 1.0
+        P = build_orthobasis(u)
+        assert np.array_equal(P[:, 0], u)
+        assert np.array_equal(P, build_orthobasis_reference(u))
+
     def test_closed_form_oracle(self):
         # Independent closed-form completion for means (m1, m2, m3, ..., m3).
         mu = np.array([1.3, -0.7, 0.4])

@@ -295,11 +295,12 @@ class TestFitMapNewton:
         assert not np.array_equal(fit.u, data.xbar / np.linalg.norm(data.xbar))
         assert len(calls) <= 2 + fit.outer_iterations
 
-    # The fit's u is the last direction the iteration completed: no second
-    # normalisation moves its bits, so the basis, the covariance and the
-    # eigenvalue refresh are those of fit.u itself.
+    # The fit's u is the last direction the iteration completed and the first
+    # column of its basis: no second normalisation moves its bits, so the
+    # basis, the covariance and the eigenvalue refresh are those of fit.u.
     @pytest.mark.parametrize(
-        "n, p, seed", [(50, 3, 6), (60, 5, 20), (60, 5, 37), (50, 3, 82), (200, 10, 0)]
+        "n, p, seed",
+        [(50, 3, 6), (60, 5, 20), (60, 5, 37), (50, 3, 82), (200, 10, 0), (60, 5, 23)],
     )
     @pytest.mark.parametrize("flat", [False, True])
     @pytest.mark.parametrize("warm", [False, True])
@@ -307,6 +308,7 @@ class TestFitMapNewton:
         data = simulated_data(n, p, seed=seed)
         prior = prior_free(data.p) if flat else PriorConfig.default(data)
         fit = fit_map_newton(data, prior, init_mu=data.xbar if warm else None)
+        assert np.array_equal(fit.basis[:, 0], fit.u)
         assert np.array_equal(fit.basis, build_orthobasis(fit.u))
         sigma = structured_covariance(build_orthobasis(fit.u), fit.spectrum)
         assert np.array_equal(fit.covariance(), sigma)

@@ -70,13 +70,13 @@ class TestNiwMap:
 
         fake = NiwParams(mu_n=params.mu_n, kappa_n=params.kappa_n, nu_n=params.nu_n,
                          Lambda_n=7.0 * np.eye(2))
-        _, sigma = niw_map(fake, 2)
+        _, sigma = niw_map(fake)
         assert np.allclose(sigma, 7.0 / (params.nu_n + 4.0) * np.eye(2))
 
     def test_reference_hyperparameters_give_pd(self):
         data = simulated_data(30, 5, seed=57)
         params = niw_posterior(data, mu0=data.xbar, kappa0=1.5, nu0=6.0, Lambda0=np.eye(5))
-        mu_hat, sigma_hat = niw_map(params, 5)
+        mu_hat, sigma_hat = niw_map(params)
         assert np.linalg.eigvalsh(sigma_hat)[0] > 0.0
         assert mu_hat.shape == (5,)
 
@@ -85,7 +85,7 @@ class TestNiwMap:
         # the joint density at the mode.
         data = simulated_data(12, 2, seed=58)
         params = niw_posterior(data, mu0=np.zeros(2), kappa0=2.0, nu0=3.0, Lambda0=np.eye(2))
-        mu_hat, sigma_hat = niw_map(params, 2)
+        mu_hat, sigma_hat = niw_map(params)
         base = niw_joint_log_density(mu_hat, sigma_hat, params)
         offsets = np.linspace(-0.2, 0.2, 5)
         for dx in offsets:
