@@ -18,9 +18,9 @@ its log posterior, so each is computed once per proposed state; a sweep
 computes the eigenvalue terms its steps share (``sum log lambda`` and
 ``(lambda - 1)^2``) once.  The diagonal of ``H_N`` is read from the cached
 ``A(0)``, because the tail columns of ``P(mu)`` are orthogonal to ``mu``.
-At p = 3 one proposal takes about 46 us at best (x86-64 2-vCPU VM, NumPy
+At p = 3 one proposal takes about 44 us at best (x86-64 2-vCPU VM, NumPy
 2.4, OpenBLAS on one thread), nearly all of it the fixed cost of a few
-dozen calls on 3-vectors; the basis completion is about 17 us of it.  Seeded
+dozen calls on 3-vectors; the basis completion is about 15 us of it.  Seeded
 chains are reproducible bit for bit, so a step takes a cheaper call
 (``.dot`` for ``@``, ``.sum()`` for ``np.sum``) only where it rounds
 identically, and no sum is reordered.

@@ -97,8 +97,9 @@ def fit_mle(data: SampleSet) -> Fit:
     ``A(xbar)``, signed so that ``u^T xbar >= 0``; the radius and eigenvalues
     follow from their closed forms at that direction.  The basis ``P(u)`` is
     completed once and serves the eigenvalues, the profile log-likelihood and
-    the covariance.  The eigenvector is normalised once, after its sign is
-    fixed; the fit's ``u`` is that unit vector, the first column of its
+    the covariance.  The eigenvector is normalised once, before the radius is
+    taken and the sign fixed, so the fit's ``c0`` is ``estimate_c0(data, u)``
+    bit for bit; the fit's ``u`` is that unit vector, the first column of its
     basis, and every diagnostic is taken at it.
 
     The diagnostics are ``profile_loglik`` and ``lower_bound`` at the fit,
@@ -120,11 +121,10 @@ def _fit_mle(data: SampleSet) -> Fit:
     if evals[0] <= max(tr, 1.0) * 1e-12:
         raise DegenerateDataError("A(xbar) is rank deficient")
     degenerate = bool(evals[1] - evals[0] <= 1e-9 * tr)
-    u = evecs[:, 0]
-    c0 = float(u @ data.xbar)
+    u = evecs[:, 0] / _norm(evecs[:, 0])
+    c0 = estimate_c0(data, u)
     if c0 < 0.0:
         u, c0 = -u, -c0
-    u = u / _norm(u)
     basis = build_orthobasis(u)
     q = _tail_forms(data, basis)
     return Fit(

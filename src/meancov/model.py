@@ -35,6 +35,7 @@ from .exceptions import (
 )
 
 UNIT_TOL = 1e-8
+SIGN_TIE_RTOL = 1e-12
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -80,13 +81,24 @@ def _polar(mu) -> tuple[np.ndarray, float]:
 def build_orthobasis(u) -> np.ndarray:
     """Deterministically complete a unit direction to an orthonormal basis.
 
-    Runs modified Gram-Schmidt (with one re-orthogonalization pass) on the
-    sequence ``{u, e_1, ..., e_p} \\ {e_k}`` where ``e_k`` is the canonical
-    vector of the largest-magnitude entry of ``u`` (ties resolved to the
-    largest index), which guarantees linear independence.  Each column after
-    the first is sign-normalized so that its largest-magnitude entry is
-    positive, making the construction reproducible and continuous in ``u``
-    away from pivot/sign switches.
+    Runs one modified Gram-Schmidt (MGS) pass over the sequence
+    ``{u, e_1, ..., e_p} \\ {e_k}``, where ``e_k`` is the canonical vector of
+    the largest-magnitude entry of ``u`` (ties resolved to the largest
+    index).  Each ``e_j`` is projected once onto ``u``, in closed form and
+    divided by ``u^T u`` so that the tail is orthogonal to ``u`` also when
+    ``u`` is unit only within ``UNIT_TOL``, and once onto each tail column
+    already built.  One pass suffices: since ``|u_k| >= 1/sqrt(p)`` the
+    sequence has condition number at most ``2 sqrt(p)``, and MGS loses
+    orthogonality only in proportion to it (Bjorck 1967): for equal
+    entries, the worst case, ``|P^T P - I|`` is about ``0.2 p eps`` at
+    p = 50 and 200.
+
+    Each column after the first is signed so that its lead entry is
+    positive: the first entry whose magnitude is within ``SIGN_TIE_RTOL``
+    (1e-12) of the column's largest.  Magnitudes that tie up to rounding
+    thus give the same sign whatever their last bits, which makes the
+    construction reproducible and continuous in ``u`` away from pivot and
+    sign switches.
 
     Parameters
     ----------
@@ -108,27 +120,30 @@ def build_orthobasis(u) -> np.ndarray:
     # Drop the canonical vector along the dominant entry of u (last index on
     # ties, so the canonical-axis and equal-entries cases keep e_1..e_{p-1}).
     drop = p - 1 - int(np.abs(u)[::-1].argmax())
+    uu = u.dot(u)
 
     P = np.empty((p, p))
     P[:, 0] = u
-    cols = [P[:, 0]]  # column views, in the order they were completed
+    tail = []  # views of the tail columns, in the order they were completed
     for k in range(p):
         if k == drop:
             continue
-        # The first projection of e_k onto u in closed form: u @ e_k is
-        # exactly u[k], and 0 - x keeps the zeros of e_k - u[k] u positive.
-        v = 0.0 - u[k] * u
-        v[k] = 1.0 - u[k] * u[k]
-        for i in range(1, len(cols)):  # MGS
-            v -= cols[i].dot(v) * cols[i]
-        for c in cols:  # one re-orthogonalization pass
+        # The projection of e_k onto u in closed form (u @ e_k is exactly
+        # u[k]); 0 - x keeps the zeros of e_k - w u positive.
+        w = u[k] / uu
+        v = 0.0 - w * u
+        v[k] = 1.0 - w * u[k]
+        for c in tail:  # one MGS pass
             v -= c.dot(v) * c
         v /= math.sqrt(v.dot(v))
-        if v[np.abs(v).argmax()] < 0.0:
+        # Sign the column so that its lead entry is positive: the first
+        # entry whose magnitude is within SIGN_TIE_RTOL of the largest.
+        a = np.abs(v)
+        if v[(a >= a[a.argmax()] * (1.0 - SIGN_TIE_RTOL)).argmax()] < 0.0:
             v = -v
-        j = len(cols)
+        j = len(tail) + 1
         P[:, j] = v
-        cols.append(P[:, j])
+        tail.append(P[:, j])
     P.setflags(write=False)
     return P
 

@@ -259,3 +259,22 @@ class TestFitMle:
         sigma = structured_covariance(build_orthobasis(fit.u), fit.spectrum)
         assert np.array_equal(fit.covariance(), sigma)
         assert fit.diagnostics["profile_loglik"] == profile_loglik(data, fit.u)
+
+    @pytest.mark.parametrize("p", [3, 5, 10, 50])
+    def test_radius_is_estimate_c0_at_the_fit(self, p):
+        # The radius is taken at the unit direction the fit reports, so it is
+        # the README's c0 = u^T xbar bit for bit (hex compares signed zeros).
+        for seed in range(8):
+            data = simulated_data(max(50, 2 * p), p, seed=seed)
+            fit = fit_mle(data)
+            assert fit.c0.hex() == estimate_c0(data, fit.u).hex()
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_zero_radius_is_estimate_c0_at_the_fit(self, p):
+        # Integer rows and their negatives: the sample mean is exactly zero.
+        half = np.random.default_rng(p).integers(-9, 10, size=(20, p)).astype(float)
+        data = SampleSet(np.vstack([half, -half]))
+        assert not np.any(data.xbar)
+        fit = fit_mle(data)
+        assert fit.c0 == 0.0 and fit.diagnostics["zero_radius"]
+        assert fit.c0.hex() == estimate_c0(data, fit.u).hex()
