@@ -26,7 +26,7 @@ class NegativeRadiusError(MeanCovError):
 
 
 class DegenerateDataError(MeanCovError):
-    """The data lie in a proper subspace, so the estimator is undefined."""
+    """The data are not finite, too few or in a proper subspace: the estimator is undefined."""
 
 
 class ZeroMeanError(ZeroVectorError):

@@ -18,9 +18,9 @@ its log posterior, so each is computed once per proposed state; a sweep
 computes the eigenvalue terms its steps share (``sum log lambda`` and
 ``(lambda - 1)^2``) once.  The diagonal of ``H_N`` is read from the cached
 ``A(0)``, because the tail columns of ``P(mu)`` are orthogonal to ``mu``.
-At p = 3 one proposal takes about 44 us at best (x86-64 2-vCPU VM, NumPy
+At p = 3 one proposal takes about 45 us at best (x86-64 2-vCPU VM, NumPy
 2.4, OpenBLAS on one thread), nearly all of it the fixed cost of a few
-dozen calls on 3-vectors; the basis completion is about 15 us of it.  Seeded
+dozen calls on 3-vectors; the basis completion is about 13 us of it.  Seeded
 chains are reproducible bit for bit, so a step takes a cheaper call
 (``.dot`` for ``@``, ``.sum()`` for ``np.sum``) only where it rounds
 identically, and no sum is reordered.
@@ -46,8 +46,8 @@ class PriorConfig:
 
     ``h0_diag`` is the diagonal of the eigenvalue-scale matrix (leading entry
     conventionally one); ``a`` sets the inverse-gamma shape ``a - 1``.
-    Degenerate values (``kappa0 = 0``, ``h0_diag = 0``) are accepted so that
-    prior-free limits can be exercised.
+    Every value must be finite.  Degenerate values (``kappa0 = 0``,
+    ``h0_diag = 0``) are accepted so that prior-free limits can be exercised.
     """
 
     mu0: np.ndarray
@@ -60,6 +60,8 @@ class PriorConfig:
         h0 = _as_vector(self.h0_diag, "h0_diag")
         if mu0.size != h0.size:
             raise DimensionMismatchError("mu0 and h0_diag must have the same length")
+        if not all(np.isfinite(v).all() for v in (mu0, self.kappa0, self.a, h0)):
+            raise ValueError("prior values mu0, kappa0, a and h0_diag must be finite")
         if self.kappa0 < 0.0:
             raise ValueError("kappa0 must be >= 0")
         if np.any(h0 < 0.0):

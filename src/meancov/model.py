@@ -26,6 +26,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .exceptions import (
+    DegenerateDataError,
     DimensionMismatchError,
     NegativeRadiusError,
     NonPositiveEigenvalueError,
@@ -35,7 +36,6 @@ from .exceptions import (
 )
 
 UNIT_TOL = 1e-8
-SIGN_TIE_RTOL = 1e-12
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -93,12 +93,9 @@ def build_orthobasis(u) -> np.ndarray:
     entries, the worst case, ``|P^T P - I|`` is about ``0.2 p eps`` at
     p = 50 and 200.
 
-    Each column after the first is signed so that its lead entry is
-    positive: the first entry whose magnitude is within ``SIGN_TIE_RTOL``
-    (1e-12) of the column's largest.  Magnitudes that tie up to rounding
-    thus give the same sign whatever their last bits, which makes the
-    construction reproducible and continuous in ``u`` away from pivot and
-    sign switches.
+    Tail column j is positive on its own axis ``k_j`` (the index of the
+    ``e_k`` it is built from), as Gram-Schmidt leaves it: that entry is a
+    largest one of the column and at least ``1 / sqrt(p)``.
 
     Parameters
     ----------
@@ -125,9 +122,7 @@ def build_orthobasis(u) -> np.ndarray:
     P = np.empty((p, p))
     P[:, 0] = u
     tail = []  # views of the tail columns, in the order they were completed
-    for k in range(p):
-        if k == drop:
-            continue
+    for j, k in enumerate([k for k in range(p) if k != drop], start=1):
         # The projection of e_k onto u in closed form (u @ e_k is exactly
         # u[k]); 0 - x keeps the zeros of e_k - w u positive.
         w = u[k] / uu
@@ -136,12 +131,6 @@ def build_orthobasis(u) -> np.ndarray:
         for c in tail:  # one MGS pass
             v -= c.dot(v) * c
         v /= math.sqrt(v.dot(v))
-        # Sign the column so that its lead entry is positive: the first
-        # entry whose magnitude is within SIGN_TIE_RTOL of the largest.
-        a = np.abs(v)
-        if v[(a >= a[a.argmax()] * (1.0 - SIGN_TIE_RTOL)).argmax()] < 0.0:
-            v = -v
-        j = len(tail) + 1
         P[:, j] = v
         tail.append(P[:, j])
     P.setflags(write=False)
@@ -241,9 +230,10 @@ class Fit:
 class SampleSet:
     """An n x p data matrix with the cached mean and zero-centered scatter.
 
-    ``X`` is a read-only copy of the matrix given.  ``xbar`` is the sample
-    mean and ``a0 = sum_j x_j x_j^T`` is the scatter about the origin; both
-    are computed once at construction.  The largest eigenvalue of ``a0``,
+    ``X`` is a read-only copy of the matrix given, which must be finite
+    (``DegenerateDataError`` otherwise).  ``xbar`` is the sample mean and
+    ``a0 = sum_j x_j x_j^T`` is the scatter about the origin; both are
+    computed once at construction.  The largest eigenvalue of ``a0``,
     the scatter about the mean and the MLE (:func:`meancov.mle.fit_mle`)
     are computed on first use and then kept.
     """
@@ -271,6 +261,8 @@ class SampleSet:
             raise DimensionMismatchError(f"data must be an n x p matrix, got shape {X.shape}")
         if X.shape[1] < 2:
             raise DimensionMismatchError("need dimension p >= 2")
+        if not np.isfinite(X).all():
+            raise DegenerateDataError("data must be finite, got a NaN or an infinity")
         X = X.copy() if copy else np.ascontiguousarray(X)
         X.setflags(write=False)
         object.__setattr__(self, "X", X)

@@ -34,8 +34,8 @@ class NewtonConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("backtracking factor alpha must lie in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be > 0")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
 

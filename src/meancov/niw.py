@@ -37,13 +37,16 @@ def niw_posterior(
 
     ``mu_n`` is the precision-weighted blend of prior mean and sample mean;
     ``Lambda_n`` adds the mean-centered scatter and the shrunk rank-one
-    deviation of the sample mean from the prior mean.
+    deviation of the sample mean from the prior mean.  Every hyperparameter
+    must be finite, and ``kappa0 > 0``.
     """
     mu0 = _as_vector(mu0, "mu0")
     Lambda0 = np.asarray(Lambda0, dtype=float)
     p = data.p
     if mu0.size != p or Lambda0.shape != (p, p):
         raise DimensionMismatchError("prior hyperparameters do not match the data dimension")
+    if not all(np.isfinite(v).all() for v in (mu0, kappa0, nu0, Lambda0)):
+        raise ValueError("prior values mu0, kappa0, nu0 and Lambda0 must be finite")
     if kappa0 <= 0.0:
         raise ValueError("kappa0 must be > 0")
     n = data.n

@@ -7,7 +7,6 @@ import pytest
 
 from meancov import SampleSet, build_orthobasis, generate_truth, sample_data
 from meancov.exceptions import ParseError, TooFewRowsError
-from meancov.model import SIGN_TIE_RTOL
 
 
 def random_unit(p: int, rng: np.random.Generator) -> np.ndarray:
@@ -44,11 +43,10 @@ def build_orthobasis_reference(u) -> np.ndarray:
     orthogonalizes ``{e_1, ..., e_p} \\ {e_k}`` against ``u`` and the columns
     already built (``e_k`` on the dominant entry of ``u``, last index on
     ties), with one re-orthogonalization pass, which the library's single
-    pass does without.  Each column is signed so that its lead entry is
-    positive: the first whose magnitude is within ``SIGN_TIE_RTOL`` of the
-    column's largest.  ``build_orthobasis`` must return the same first
-    column bit for bit, and the same matrix, with the same column signs, to
-    rounding.
+    pass does without.  No column is re-signed: tail column j is positive on
+    its own axis ``k_j``, as Gram-Schmidt leaves it.  ``build_orthobasis``
+    must return the same first column bit for bit, and the same matrix, with
+    the same column signs, to rounding.
     """
     u = np.asarray(u, dtype=float)
     p = u.size
@@ -67,10 +65,6 @@ def build_orthobasis_reference(u) -> np.ndarray:
             for i in range(col):
                 v -= (P[:, i] @ v) * P[:, i]
         v /= np.linalg.norm(v)
-        absv = np.abs(v)
-        lead = int(np.flatnonzero(absv >= absv.max() * (1.0 - SIGN_TIE_RTOL))[0])
-        if v[lead] < 0.0:
-            v = -v
         P[:, col] = v
         col += 1
     return P

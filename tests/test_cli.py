@@ -389,6 +389,24 @@ class TestDispatch:
         assert doc["error"]["category"] == "config-or-parse"
         assert "max_outer" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("fit-niw", "--prior-kappa0", "nan"),
+        ("fit-niw", "--prior-kappa0", "inf"),
+        ("fit-map-newton", "--prior-kappa0", "nan"),
+        ("fit-map-newton", "--prior-a", "nan"),
+        ("fit-map-newton", "--prior-h0", "nan"),
+        ("fit-map-newton", "--newton-eps", "nan"),
+        ("fit-map-newton", "--newton-eps", "inf"),
+        ("fit-map-gibbs", "--prior-h0", "inf"),
+    ])
+    def test_non_finite_option_is_config_error(self, data_csv, capsys, command, option, value):
+        status = main([command, data_csv, option, value])
+        doc = json.loads(capsys.readouterr().out)
+        assert status == EXIT_CONFIG
+        assert doc["error"]["category"] == "config-or-parse"
+        assert "must be finite" in doc["error"]["message"]
+        assert "results" not in doc
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.csv"
         with open(path, "w") as fh:

@@ -117,6 +117,12 @@ class TestPriorConfig:
             PriorConfig(mu0=np.zeros(2), kappa0=1.0, a=3.0, h0_diag=np.array([1.0, -1.0]))
         with pytest.raises(DimensionMismatchError):
             PriorConfig(mu0=np.zeros(3), kappa0=1.0, a=3.0, h0_diag=np.ones(2))
+        good = dict(mu0=np.zeros(2), kappa0=1.0, a=3.0, h0_diag=np.ones(2))
+        for name, bad in [("kappa0", np.nan), ("kappa0", np.inf), ("a", np.nan),
+                          ("a", -np.inf), ("mu0", np.array([0.0, np.nan])),
+                          ("h0_diag", np.array([1.0, np.inf]))]:
+            with pytest.raises(ValueError, match="must be finite"):
+                PriorConfig(**{**good, name: bad})
 
     def test_prior_free_limits_accepted(self):
         # kappa0 = 0 and H0 = 0 must be representable for the reduction tests.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from meancov import (
+    DegenerateDataError,
     DimensionMismatchError,
     Fit,
     NegativeRadiusError,
@@ -28,9 +29,9 @@ def assert_matches_oracle(P: np.ndarray, u) -> None:
 
     The kernel runs one MGS pass where the oracle runs two, so the two agree
     entrywise within ``16 p eps`` (they differ by at most ``0.5 p eps`` at
-    p = 2 ... 200); a flipped column would differ by twice its lead entry,
-    at least ``2 / sqrt(p)``, and its dot with the oracle's column would be
-    negative.
+    p = 2 ... 200); a flipped column would differ by twice its own-axis
+    entry, at least ``2 / sqrt(p)``, and its dot with the oracle's column
+    would be negative.
     """
     expected = build_orthobasis_reference(u)
     p = expected.shape[0]
@@ -76,6 +77,32 @@ def repeated_tail_eigenvectors(mu) -> tuple[np.ndarray, np.ndarray]:
     w2 = np.concatenate(([0.0], [(p - 2) * m3], np.full(p - 2, -m2)))
     w2 = w2 / ((p - 2) * m0)
     return w1, w2
+
+
+def closed_form_tail(u) -> tuple[np.ndarray, list[int]]:
+    """The tail columns of ``build_orthobasis(u)`` in closed form, and their axes.
+
+    Tail column j is built from ``e_k`` with ``k = k_j``, the j-th index
+    other than ``drop`` (the largest ``|u_i|``, last index on ties).  With
+    ``S_j`` the indices not yet eliminated (``S_1`` all of them,
+    ``S_{j+1} = S_j \\ {k_j}``) and ``T_j = sum_{i in S_j} u_i^2``, it is
+    ``(e_k T_{j+1} - u_k u|S_{j+1}) / sqrt(T_j T_{j+1})``, where ``u|S`` is
+    ``u`` with the entries outside ``S`` set to zero.  Its own-axis entry
+    ``sqrt(T_{j+1} / T_j)`` is positive, at least ``1 / sqrt(p)``.
+    """
+    u = np.asarray(u, dtype=float)
+    p = u.size
+    drop = p - 1 - int(np.argmax(np.abs(u)[::-1]))
+    axes = [k for k in range(p) if k != drop]
+    V = np.zeros((p, p - 1))
+    for j, k in enumerate(axes):
+        rest = axes[j + 1:] + [drop]  # S_{j+1}
+        t_next = np.sum(u[rest] ** 2)
+        t = t_next + u[k] ** 2
+        V[k, j] = t_next
+        V[rest, j] = -u[k] * u[rest]
+        V[:, j] /= np.sqrt(t * t_next)
+    return V, axes
 
 
 def _fit(u, lam, c0=1.0) -> Fit:
@@ -197,8 +224,8 @@ class TestBuildOrthobasis:
 
     def test_canonical_axis(self):
         P = build_orthobasis(np.array([0.0, 0.0, 1.0]))
-        # Gram-Schmidt leaves the remaining canonical vectors intact
-        # (column signs fixed by the largest-entry-positive convention).
+        # Gram-Schmidt leaves the remaining canonical vectors intact, each
+        # positive on its own axis.
         assert np.allclose(np.abs(P), np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
         assert np.allclose(P[:, 0], [0.0, 0.0, 1.0])
 
@@ -263,6 +290,47 @@ class TestBuildOrthobasis:
         # that multiple of eps (measured: 0.22 p eps at p=50, 0.20 p eps at p=200).
         P = build_orthobasis(np.full(p, 1.0 / np.sqrt(p)))
         assert np.abs(P.T @ P - np.eye(p)).max() <= 2 * p * EPS
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 10, 50, 200])
+    def test_tail_columns_are_positive_on_their_own_axes(self, p, rng):
+        # The sign convention is Gram-Schmidt's own, with no sign step: every
+        # tail column is the closed form to rounding, so its entry on the
+        # axis of the e_k it is built from is positive and a largest one.
+        axis = np.zeros(p)
+        axis[p // 2] = 1.0
+        negative = random_unit(p, rng)
+        negative[p // 3] = -2.0  # the dominant entry is negative
+        integers = rng.integers(-3, 4, size=p).astype(float)
+        integers[0], integers[-1] = 0.0, 2.0  # at least one zero, never all zero
+        dirs = [random_unit(p, rng) for _ in range(5)]
+        dirs += [np.full(p, 1.0 / np.sqrt(p)), negative / np.linalg.norm(negative),
+                 axis, -axis, integers / np.linalg.norm(integers)]
+        tol = 16 * p * EPS
+        for u in dirs:
+            V = build_orthobasis(u)[:, 1:]
+            expected, axes = closed_form_tail(u)
+            assert np.abs(V - expected).max() <= tol
+            own = V[axes, np.arange(p - 1)]
+            assert np.all(own >= 1.0 / np.sqrt(p) - tol)
+            assert np.all(np.abs(V).max(axis=0) <= own + tol)
+
+    def test_near_tie_keeps_the_own_axis_sign(self):
+        # u ~ (1, 1 - 1e-13, 0) pivots on entry 0, so column 1 is built from
+        # e_1 and is positive there; the exact tie pivots on entry 1 (last
+        # index on ties), and its column 1, built from e_0, is the negative
+        # of that.  The pivot switch flips the column, and Sigma, which does
+        # not see column signs, does not move.
+        near = np.array([1.0, 1.0 - 1e-13, 0.0])
+        tie = np.array([1.0, 1.0, 0.0])
+        P = build_orthobasis(near / np.linalg.norm(near))
+        Q = build_orthobasis(tie / np.linalg.norm(tie))
+        assert np.allclose(P[:, 1], np.array([-1.0, 1.0, 0.0]) / np.sqrt(2.0), atol=1e-12)
+        assert not np.signbit(P[2, 1])
+        assert np.allclose(Q[:, 1], -P[:, 1], atol=1e-12)
+        assert np.array_equal(P[:, 2], [0.0, 0.0, 1.0])
+        lam = np.array([2.0, 0.5])
+        assert np.allclose(structured_covariance(P, lam), structured_covariance(Q, lam),
+                           atol=1e-12)
 
     @pytest.mark.parametrize("p", [3, 10])
     def test_column_signs_stable_at_ties(self, p):
@@ -363,6 +431,15 @@ class TestSampleSet:
             SampleSet(np.zeros(5))
         with pytest.raises(DimensionMismatchError):
             SampleSet(np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        # Typed and raised up front, before a NaN reaches eigh as LinAlgError.
+        X = np.ones((4, 3))
+        X[2, 1] = value
+        for make in (SampleSet, SampleSet._owning):
+            with pytest.raises(DegenerateDataError, match="must be finite"):
+                make(X)
 
     def test_input_is_copied(self, rng):
         X = rng.standard_normal((3, 2))

@@ -374,6 +374,9 @@ class TestNewtonConfig:
             NewtonConfig(alpha=1.5)
         with pytest.raises(ValueError):
             NewtonConfig(epsilon=0.0)
+        for epsilon in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                NewtonConfig(epsilon=epsilon)
 
     @pytest.mark.parametrize("max_outer", [0, -2])
     def test_rejects_fewer_than_one_outer_iteration(self, max_outer):

@@ -60,6 +60,12 @@ class TestNiwPosterior:
             niw_posterior(data, mu0=np.zeros(2), kappa0=1.0, nu0=4.0, Lambda0=np.eye(3))
         with pytest.raises(ValueError):
             niw_posterior(data, mu0=np.zeros(3), kappa0=0.0, nu0=4.0, Lambda0=np.eye(3))
+        good = dict(mu0=np.zeros(3), kappa0=1.0, nu0=4.0, Lambda0=np.eye(3))
+        for name, bad in [("kappa0", np.nan), ("kappa0", np.inf), ("nu0", np.nan),
+                          ("mu0", np.array([0.0, np.inf, 0.0])),
+                          ("Lambda0", np.diag([1.0, np.nan, 1.0]))]:
+            with pytest.raises(ValueError, match="must be finite"):
+                niw_posterior(data, **{**good, name: bad})
 
 
 class TestNiwMap:
