@@ -25,7 +25,7 @@ from .mle import fit_mle
 from .model import Fit, SampleSet
 from .newton_map import NewtonConfig, fit_map_newton
 from .niw import niw_map, niw_posterior
-from .simulate import format_table, reports_to_records, run_experiment
+from .simulate import ESTIMATORS, format_table, reports_to_records, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,12 +59,12 @@ class RunConfig:
     newton_max_iter: int = NewtonConfig.max_outer
     grid: list[tuple[int, int]] = field(default_factory=lambda: [(50, 3)])
     reps: int = 100
-    include_gibbs: bool | None = None
+    include_gibbs: bool = False
     fix_truth: bool = False
 
 
 def ingest_csv(path: str) -> SampleSet:
-    """Read an n x p comma-delimited numeric matrix, optional header row.
+    """Read an n x p comma-delimited numeric matrix (n, p >= 2), optional header row.
 
     A cell is whatever Python ``float()`` accepts once ``str.strip`` has
     removed the whitespace around it (so ``1_000`` too), and must be
@@ -93,14 +93,16 @@ def ingest_csv(path: str) -> SampleSet:
         except ValueError:
             X = None
     if X is None or not np.isfinite(X).all():
-        return _ingest_row_by_row(path)
+        X = _ingest_row_by_row(path)
     if len(X) < 2:
         raise TooFewRowsError(f"{path}: need at least 2 data rows, got {len(X)}")
+    if X.shape[1] < 2:
+        raise ParseError(f"{path}: need at least 2 columns, got {X.shape[1]}")
     return SampleSet._owning(X)
 
 
-def _ingest_row_by_row(path: str) -> SampleSet:
-    """Read ``path`` as :func:`ingest_csv` does, a line and a cell at a time.
+def _ingest_row_by_row(path: str) -> np.ndarray:
+    """The matrix :func:`ingest_csv` reads from ``path``, read a line and a cell at a time.
 
     The fallback of the C reader when that reader rejects a file or finds
     a non-finite value: this loop reads the cells ``float()`` accepts and the
@@ -113,9 +115,7 @@ def _ingest_row_by_row(path: str) -> SampleSet:
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise TooFewRowsError(f"{path}: empty file")
+        lines = [ln.strip() for ln in fh if ln.strip()]  # not empty: ingest_csv read a line
     start = 0 if any(_is_number(tok) for tok in lines[0].split(",")) else 1
     for i, line in enumerate(lines[start:], start=start + 1):
         toks = [t.strip() for t in line.split(",")]
@@ -133,9 +133,7 @@ def _ingest_row_by_row(path: str) -> SampleSet:
                 raise ParseError(f"{path}: row {i}, column {j}: non-finite value {tok!r}")
             row.append(val)
         rows.append(row)
-    if len(rows) < 2:
-        raise TooFewRowsError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    return SampleSet._owning(np.asarray(rows))
+    return np.asarray(rows)
 
 
 def _is_number(tok: str) -> bool:
@@ -240,13 +238,8 @@ def _error_doc(cfg: RunConfig, category: str, exc: Exception) -> dict:
 
 def _dispatch(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.command == "simulate":
-        reports = run_experiment(
-            grid=cfg.grid,
-            reps=cfg.reps,
-            seed=cfg.seed,
-            fix_truth=cfg.fix_truth,
-            include_gibbs=cfg.include_gibbs,
-        )
+        reports = run_experiment(cfg.grid, ESTIMATORS if cfg.include_gibbs else None,
+                                 reps=cfg.reps, seed=cfg.seed, fix_truth=cfg.fix_truth)
         doc = _document(cfg, results={"table": reports_to_records(reports)})
         doc["summary_text"] = format_table(reports)
         return EXIT_OK, doc

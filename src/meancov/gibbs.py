@@ -125,8 +125,11 @@ def _lambda_conditional(data: SampleSet, hn: np.ndarray, prior: PriorConfig):
 
 
 def _lambda_mode(data: SampleSet, hn: np.ndarray, prior: PriorConfig) -> np.ndarray:
-    """Mode ``c*_i / (n + 1 + 2a)`` of each eigenvalue's full conditional from ``hn``."""
-    return hn[1:] / (data.n + 1.0 + 2.0 * prior.a)
+    """Mode ``c*_i / (n + 1 + 2a)`` of each eigenvalue's full conditional (``n + 1 + 2a > 0``)."""
+    t = data.n + 1.0 + 2.0 * prior.a
+    if not t > 0.0:
+        raise ValueError(f"n + 1 + 2a must be > 0 for an eigenvalue mode, got {t}")
+    return hn[1:] / t
 
 
 def _draw_lambda(shape: float, scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gibbs import PriorConfig, _hn_diagonal, _lambda_mode
 from .mle import fit_mle
-from .model import Fit, SampleSet, _as_vector, _polar, build_orthobasis
+from .model import Fit, SampleSet, _as_vector, _norm, _polar, build_orthobasis
 
 MAX_INNER = 50
 MAX_BACKTRACKS = 30
@@ -201,13 +201,13 @@ def fit_map_newton(
                 if not np.all(np.isfinite(v)):
                     raise np.linalg.LinAlgError
             except np.linalg.LinAlgError:
-                v = grad_neg / max(1.0, float(np.linalg.norm(grad_neg)))
+                v = grad_neg / max(1.0, _norm(grad_neg))
             accepted = False
             cand = u
             h_cand = h_cur
             for lbt in range(MAX_BACKTRACKS + 1):
                 trial = u - cfg.alpha**lbt * v
-                nrm = float(np.linalg.norm(trial))
+                nrm = _norm(trial)
                 if nrm < 1e-12:
                     continue
                 trial = trial / nrm
@@ -217,14 +217,14 @@ def fit_map_newton(
                     break
             if not accepted:
                 break
-            delta = float(np.linalg.norm(cand - u))
+            delta = _norm(cand - u)
             u, h_cur = cand, h_cand
             h_trace.append(h_cur)
             if delta < cfg.epsilon:
                 break
         if u is not u_outer:
             basis = build_orthobasis(u)
-        if float(np.linalg.norm(u - u_outer)) < cfg.epsilon:
+        if _norm(u - u_outer) < cfg.epsilon:
             converged = True
             break
 

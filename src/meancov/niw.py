@@ -38,7 +38,7 @@ def niw_posterior(
     ``mu_n`` is the precision-weighted blend of prior mean and sample mean;
     ``Lambda_n`` adds the mean-centered scatter and the shrunk rank-one
     deviation of the sample mean from the prior mean.  Every hyperparameter
-    must be finite, and ``kappa0 > 0``.
+    must be finite, and ``kappa0 > 0``; so must ``mu_n`` and ``Lambda_n`` be.
     """
     mu0 = _as_vector(mu0, "mu0")
     Lambda0 = np.asarray(Lambda0, dtype=float)
@@ -51,8 +51,12 @@ def niw_posterior(
         raise ValueError("kappa0 must be > 0")
     n = data.n
     diff = data.xbar - mu0
-    mu_n = (kappa0 * mu0 + n * data.xbar) / (kappa0 + n)
-    Lambda_n = Lambda0 + data.scatter_about_mean() + (n * kappa0 / (kappa0 + n)) * np.outer(diff, diff)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        mu_n = (kappa0 * mu0 + n * data.xbar) / (kappa0 + n)
+        shrink = n * kappa0 / (kappa0 + n)
+        Lambda_n = Lambda0 + data.scatter_about_mean() + shrink * np.outer(diff, diff)
+    if not (np.isfinite(mu_n).all() and np.isfinite(Lambda_n).all()):
+        raise ValueError("the NIW posterior overflows: mu_n or Lambda_n is not finite")
     return NiwParams(mu_n=mu_n, kappa_n=kappa0 + n, nu_n=nu0 + n, Lambda_n=Lambda_n)
 
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 import time
 import zlib
 from collections import Counter
+from collections.abc import Callable, Mapping
 from dataclasses import asdict, dataclass
-from typing import Callable
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .model import SampleSet, _polar, build_orthobasis, structured_covariance, t
 from .newton_map import fit_map_newton
 from .niw import niw_map, niw_posterior
 
-GIBBS_MAX_P = 5
+GIBBS_MAX_P = 5  # the largest p with a Gibbs column by default; see default_estimators
 
 # An estimator maps (data, rng) to (mean estimate, covariance estimate, extras).
 EstimatorFn = Callable[[SampleSet, np.random.Generator], tuple[np.ndarray, np.ndarray, dict]]
@@ -69,7 +70,7 @@ def generate_truth(p: int, rng: np.random.Generator) -> TruthSpec:
     the covariance is rebuilt as ``u u^T + sum_i (V_i^T Psi V_i) V_i V_i^T``
     with ``u = mu / ||mu||``: the quadratic forms of ``Psi`` along the
     orthocomplement directions are preserved and ``Sigma mu = mu`` holds
-    exactly.
+    exactly.  Each kept form must be > 0, so that ``Sigma`` is positive definite.
     """
     if p < 2:
         raise ValueError("need dimension p >= 2")
@@ -77,10 +78,10 @@ def generate_truth(p: int, rng: np.random.Generator) -> TruthSpec:
     L = rng.standard_normal((p, p))
     L[np.diag_indices(p)] += 5.0
     psi = L @ L.T
-    if not np.linalg.eigvalsh(psi)[0] > 0.0:
-        raise NonPositiveEigenvalueError("the drawn factor covariance L L^T is singular")
     basis = build_orthobasis(_polar(mu)[0])
     lam = tail_quadratic_forms(psi, basis[:, 1:])
+    if not np.all(lam > 0.0):
+        raise NonPositiveEigenvalueError(f"the truth's tail eigenvalues must be > 0, got {lam}")
     return TruthSpec(mu_true=mu, sigma_true=structured_covariance(basis, lam))
 
 
@@ -128,22 +129,21 @@ def niw_estimator(data: SampleSet, rng: np.random.Generator):
     return mu_hat, sigma_hat, {}
 
 
-def default_estimators(p: int, include_gibbs: bool | None = None) -> dict[str, EstimatorFn]:
-    """Estimator battery for one grid cell.
+# The one table of the battery, in column order; read-only.
+ESTIMATORS: Mapping[str, EstimatorFn] = MappingProxyType({
+    "niw": niw_estimator,
+    "mle": mle_estimator,
+    "map-newton": map_newton_estimator,
+    "gibbs": gibbs_estimator,
+})
 
-    The Gibbs MAP is included only for ``p <= 5`` unless forced; its runtime
-    grows steeply with the dimension.
-    """
-    ests: dict[str, EstimatorFn] = {
-        "niw": niw_estimator,
-        "mle": mle_estimator,
-        "map-newton": map_newton_estimator,
-    }
-    if include_gibbs is None:
-        include_gibbs = p <= GIBBS_MAX_P
-    if include_gibbs:
-        ests["gibbs"] = gibbs_estimator
-    return ests
+
+def default_estimators(p: int) -> dict[str, EstimatorFn]:
+    """:data:`ESTIMATORS`, without ``gibbs`` when ``p > GIBBS_MAX_P``: one Gibbs replication
+    (s=100, l=5, one BLAS thread, 2-vCPU x86-64 VM) takes 38 ms at (n, p) = (50, 3), 82 ms
+    at (100, 10) and 1.1 s at (500, 50), 19-230 times the other three columns together,
+    and at (200, 10) 8 of 12 chains stay trapped far below the MLE."""
+    return {name: fn for name, fn in ESTIMATORS.items() if name != "gibbs" or p <= GIBBS_MAX_P}
 
 
 def _risks(losses: list[tuple]) -> tuple[float, float]:
@@ -155,11 +155,10 @@ def _risks(losses: list[tuple]) -> tuple[float, float]:
 
 def run_experiment(
     grid: list[tuple[int, int]],
-    estimators: dict[str, EstimatorFn] | None = None,
+    estimators: Mapping[str, EstimatorFn] | None = None,
     reps: int = 100,
     seed: int = 0,
     fix_truth: bool = False,
-    include_gibbs: bool | None = None,
 ) -> list[RiskReport]:
     """Run the risk study over a grid of (n, p) cells.
 
@@ -179,7 +178,7 @@ def run_experiment(
         raise ValueError("need at least one replication")
     reports: list[RiskReport] = []
     for ci, (n, p) in enumerate(grid):
-        ests = estimators if estimators is not None else default_estimators(p, include_gibbs)
+        ests = estimators if estimators is not None else default_estimators(p)
         # One outcome per replication: (mean loss, Sigma loss, acceptance
         # rate or None), or the type name of the error the estimator raised.
         outcomes: dict[str, list[tuple | str]] = {name: [] for name in ests}

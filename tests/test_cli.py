@@ -24,7 +24,7 @@ from meancov.cli import (
     run,
 )
 from meancov.exceptions import ParseError, RangeError, TooFewRowsError
-from meancov.simulate import RiskReport
+from meancov.simulate import ESTIMATORS, GIBBS_MAX_P, RiskReport
 from conftest import ingest_csv_reference, simulated_data
 
 
@@ -111,6 +111,13 @@ class TestIngestCsv:
         with open(path, "w") as fh:
             fh.write("1.0,2.0\n3.0\n")
         with pytest.raises(ParseError, match="row 2"):
+            ingest_csv(str(path))
+
+    @pytest.mark.parametrize("text", ["1\n2\n3\n", "x\n1_000\n2\n"])  # C reader, fallback
+    def test_one_column(self, tmp_path, text):
+        path = tmp_path / "one.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="need at least 2 columns, got 1"):
             ingest_csv(str(path))
 
     def test_too_few_rows(self, tmp_path):
@@ -331,13 +338,22 @@ class TestDispatch:
         assert set(doc["results"]) == common | own_keys
 
     def test_simulate_document(self):
-        cfg = RunConfig(command="simulate", grid=[(30, 3)], reps=1, include_gibbs=False)
+        cfg = RunConfig(command="simulate", grid=[(30, 3)], reps=1)
         status, doc = run(cfg)
         assert status == EXIT_OK
-        assert len(doc["results"]["table"]) == 3
+        assert [row["estimator"] for row in doc["results"]["table"]] == list(ESTIMATORS)
         report_fields = {f.name for f in fields(RiskReport)}
         assert all(set(row) == report_fields for row in doc["results"]["table"])
         assert "summary_text" in doc
+
+    @pytest.mark.parametrize("include_gibbs", [False, True])
+    def test_include_gibbs_runs_gibbs_on_every_cell(self, include_gibbs):
+        grid = [(30, 3), (30, GIBBS_MAX_P + 1)]
+        cfg = RunConfig(command="simulate", grid=grid, reps=1, include_gibbs=include_gibbs)
+        status, doc = run(cfg)
+        assert status == EXIT_OK
+        gibbs_cells = [row["p"] for row in doc["results"]["table"] if row["estimator"] == "gibbs"]
+        assert gibbs_cells == ([3, GIBBS_MAX_P + 1] if include_gibbs else [3])
 
     def test_transform_sphere(self, tmp_path):
         path = tmp_path / "latlon.csv"
@@ -406,6 +422,32 @@ class TestDispatch:
         assert doc["error"]["category"] == "config-or-parse"
         assert "must be finite" in doc["error"]["message"]
         assert "results" not in doc
+
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("fit-map-newton", "--prior-a", "-20.5", "n + 1 + 2a must be > 0"),  # n = 40
+        ("fit-map-newton", "--prior-a", "-30", "n + 1 + 2a must be > 0"),
+        ("fit-map-gibbs", "--prior-a", "-30", "must be positive"),
+        ("fit-niw", "--prior-kappa0", "1e308", "overflows"),
+    ])
+    def test_out_of_range_prior_is_config_error(
+        self, data_csv, capsys, command, option, value, message
+    ):
+        # Raised before a logarithm or an overflow could warn.
+        status = main([command, data_csv, option, value])
+        doc = json.loads(capsys.readouterr().out)
+        assert status == EXIT_CONFIG
+        assert doc["error"]["category"] == "config-or-parse"
+        assert message in doc["error"]["message"]
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "simulate"])
+    def test_one_column_csv_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "one.csv"
+        write_csv(path, [[1.0], [2.0], [3.0]])
+        status = main([command, str(path)])
+        doc = json.loads(capsys.readouterr().out)
+        assert status == EXIT_CONFIG
+        assert doc["error"]["category"] == "config-or-parse"
+        assert "need at least 2 columns, got 1" in doc["error"]["message"]
 
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.csv"

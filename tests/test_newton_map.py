@@ -109,6 +109,16 @@ class TestLambdaUpdate:
         t = 0.5 * (3.0 + 1.0 + 2.0 * 3.0)
         assert lam[0] == pytest.approx(hn_tail / (2.0 * t), abs=1e-10)
 
+    @pytest.mark.parametrize("a", [-25.5, -30.0])  # n + 1 + 2a = 0 and < 0 at n = 50
+    def test_no_mode_without_a_positive_shape(self, case, a):
+        # Raised before any logarithm of a non-positive shape is taken.
+        data, default = case
+        prior = PriorConfig(mu0=default.mu0, kappa0=default.kappa0, a=a, h0_diag=default.h0_diag)
+        with pytest.raises(ValueError, match=r"n \+ 1 \+ 2a must be > 0"):
+            map_lambda_update(data, data.xbar / np.linalg.norm(data.xbar), 1.0, prior)
+        with pytest.raises(ValueError, match=r"n \+ 1 \+ 2a must be > 0"):
+            fit_map_newton(data, prior)
+
 
 def _profiled_posterior(data, u, c0, prior):
     """Exact profiled log posterior with the eigenvalues at their closed-form

@@ -66,6 +66,10 @@ class TestNiwPosterior:
                           ("Lambda0", np.diag([1.0, np.nan, 1.0]))]:
             with pytest.raises(ValueError, match="must be finite"):
                 niw_posterior(data, **{**good, name: bad})
+        # Finite values whose posterior overflows raise, with no RuntimeWarning.
+        for name, huge in [("kappa0", 1e308), ("mu0", np.full(3, 1e308))]:
+            with pytest.raises(ValueError, match="overflows"):
+                niw_posterior(data, **{**good, name: huge})
 
 
 class TestNiwMap:

@@ -10,6 +10,7 @@ from meancov import (
     NonPositiveEigenvalueError,
     RiskReport,
     SampleSet,
+    build_orthobasis,
     default_estimators,
     format_table,
     generate_truth,
@@ -18,7 +19,10 @@ from meancov import (
 )
 from meancov import mle as mle_module
 from meancov import simulate
-from meancov.simulate import GIBBS_MAX_P, reports_to_records
+from meancov.simulate import ESTIMATORS, GIBBS_MAX_P, reports_to_records
+
+# The battery without the Gibbs MAP, for tests that need no sampler.
+NO_GIBBS = {name: fn for name, fn in ESTIMATORS.items() if name != "gibbs"}
 
 
 class TestGenerateTruth:
@@ -63,6 +67,24 @@ class TestGenerateTruth:
 
         with pytest.raises(NonPositiveEigenvalueError):
             generate_truth(3, ZeroFactor())
+
+    def test_singular_factor_with_positive_tail_forms_is_accepted(self):
+        # L = w e_1^T makes Psi = w w^T of rank one, but no tail column of
+        # P(u) is orthogonal to w, so every kept form (V_i^T w)^2 is > 0.
+        w = np.array([1.0, 2.0, 4.0])
+
+        class RankOneFactor:
+            def standard_normal(self, size):
+                if isinstance(size, tuple):
+                    draw = -5.0 * np.eye(size[0])
+                    draw[:, 0] += w
+                    return draw
+                return np.ones(size)
+
+        truth = generate_truth(3, RankOneFactor())
+        V = build_orthobasis(truth.mu_true / np.linalg.norm(truth.mu_true))[:, 1:]
+        np.testing.assert_allclose(np.diag(V.T @ truth.sigma_true @ V), (V.T @ w) ** 2)
+        np.linalg.cholesky(truth.sigma_true)  # positive definite
 
 
 class TestSampleData:
@@ -143,23 +165,28 @@ class TestFrobeniusRisk:
 
 class TestDefaultEstimators:
     def test_gibbs_inclusion_threshold(self):
-        assert "gibbs" in default_estimators(GIBBS_MAX_P)
-        assert "gibbs" not in default_estimators(GIBBS_MAX_P + 1)
-        assert "gibbs" in default_estimators(GIBBS_MAX_P + 1, include_gibbs=True)
-        for name in ("niw", "mle", "map-newton"):
-            assert name in default_estimators(3)
+        assert list(default_estimators(GIBBS_MAX_P).items()) == list(ESTIMATORS.items())
+        assert list(default_estimators(GIBBS_MAX_P + 1).items()) == list(NO_GIBBS.items())
+        assert list(ESTIMATORS) == ["niw", "mle", "map-newton", "gibbs"]
+
+    def test_estimator_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            ESTIMATORS["other"] = ESTIMATORS["mle"]
+        ests = default_estimators(3)
+        ests["other"] = ESTIMATORS["mle"]  # a fresh dict on every call
+        assert "other" not in ESTIMATORS and "other" not in default_estimators(3)
 
 
 class TestRunExperiment:
     def test_smoke_single_replication(self):
-        reports = run_experiment([(50, 3), (30, 4)], reps=1, seed=1, include_gibbs=False)
+        reports = run_experiment([(50, 3), (30, 4)], NO_GIBBS, reps=1, seed=1)
         assert len(reports) == 6  # 2 cells x 3 estimators
         for r in reports:
             assert np.isfinite(r.mean_risk) and np.isfinite(r.sigma_risk)
             assert r.replications == 1 and r.failures == 0
 
     def test_seed_determinism(self):
-        kw = dict(grid=[(20, 3)], reps=3, seed=9, include_gibbs=False)
+        kw = dict(grid=[(20, 3)], estimators=NO_GIBBS, reps=3, seed=9)
         r1 = run_experiment(**kw)
         r2 = run_experiment(**kw)
         for a, b in zip(r1, r2):
@@ -168,7 +195,7 @@ class TestRunExperiment:
             assert a.sigma_risk == b.sigma_risk
 
     def test_estimator_order_invariance(self):
-        ests = default_estimators(3, include_gibbs=False)
+        ests = NO_GIBBS
         reversed_ests = dict(reversed(list(ests.items())))
         r1 = run_experiment([(20, 3)], estimators=ests, reps=3, seed=4)
         r2 = run_experiment([(20, 3)], estimators=reversed_ests, reps=3, seed=4)
@@ -182,7 +209,7 @@ class TestRunExperiment:
         def broken(data, rng):
             raise DegenerateDataError("boom")
 
-        ests = default_estimators(3, include_gibbs=False)
+        ests = dict(NO_GIBBS)
         ests["broken"] = broken
         reports = run_experiment([(20, 3)], estimators=ests, reps=2, seed=5)
         rec = {r.estimator: r for r in reports}["broken"]
@@ -207,19 +234,19 @@ class TestRunExperiment:
         def buggy(data, rng):
             raise TypeError("not a numeric failure")
 
-        ests = default_estimators(3, include_gibbs=False)
+        ests = dict(NO_GIBBS)
         ests["buggy"] = buggy
         with pytest.raises(TypeError, match="not a numeric failure"):
             run_experiment([(20, 3)], estimators=ests, reps=2, seed=5)
 
     def test_fixed_truth_flag(self):
-        reports = run_experiment([(20, 3)], reps=2, seed=6, fix_truth=True, include_gibbs=False)
+        reports = run_experiment([(20, 3)], NO_GIBBS, reps=2, seed=6, fix_truth=True)
         assert all(np.isfinite(r.mean_risk) for r in reports)
 
     def test_newton_map_tracks_mle_risk(self):
         # The harness runs the fast MAP under the flat prior, where its
         # fixed point is the MLE, so the two risk columns nearly coincide.
-        reports = run_experiment([(50, 3)], reps=30, seed=7, include_gibbs=False)
+        reports = run_experiment([(50, 3)], NO_GIBBS, reps=30, seed=7)
         rec = {r.estimator: r for r in reports}
         mle, newton = rec["mle"], rec["map-newton"]
         assert abs(newton.mean_risk - mle.mean_risk) / mle.mean_risk < 0.05
@@ -257,7 +284,7 @@ class TestRunExperiment:
 
 class TestReporting:
     def test_records_and_table(self):
-        reports = run_experiment([(20, 3)], reps=1, seed=8, include_gibbs=False)
+        reports = run_experiment([(20, 3)], NO_GIBBS, reps=1, seed=8)
         records = reports_to_records(reports)
         assert len(records) == len(reports)
         for rec in records:
@@ -265,7 +292,7 @@ class TestReporting:
                                 "ratio_vs_niw_mean", "ratio_vs_niw_sigma", "failures"}
 
     def test_record_keys_are_report_fields(self):
-        reports = run_experiment([(20, 3)], reps=1, seed=8, include_gibbs=False)
+        reports = run_experiment([(20, 3)], NO_GIBBS, reps=1, seed=8)
         report_fields = {f.name for f in fields(RiskReport)}
         assert all(set(rec) == report_fields for rec in reports_to_records(reports))
         table = format_table(reports)
