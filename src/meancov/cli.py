@@ -5,7 +5,13 @@ seed of the two commands that draw random numbers (``fit-map-gibbs`` and
 ``simulate``); the result document echoes the full effective configuration
 so runs are reproducible from the output alone.  The one exception is the
 wall-clock ``elapsed_seconds`` of each ``simulate`` report row, which
-differs from run to run; every other field repeats.
+differs from run to run; every other field repeats.  The document is one
+line of JSON with sorted keys; pipe it through ``python -m json.tool`` to
+read it.
+
+Exit codes: 0 success; 2 a parse or configuration error; 3 a numeric
+failure (degenerate or overflowing data, a ``numpy.linalg.LinAlgError``);
+4 a constrained fit that did not converge.
 """
 
 from __future__ import annotations
@@ -177,44 +183,16 @@ def _prior_from_config(cfg: RunConfig, data: SampleSet) -> PriorConfig:
     return PriorConfig(mu0=mu0, kappa0=cfg.prior_kappa0, a=a, h0_diag=h0)
 
 
-def _render(x, pad: str = "\n") -> str:
-    """``json.dumps(x, sort_keys=True, indent=2)``, byte for byte, for string keys.
-
-    An array is written as its ``tolist()`` and a NumPy scalar as its
-    ``item()``.  With ``indent`` set, ``json`` runs its pure-Python encoder;
-    here a floating-point array whose values are all finite is written by
-    one ``%`` format, whose ``%r`` is the ``float.__repr__`` text ``json``
-    gives a finite float.  Keys and other scalars are written by
-    ``json.dumps``, so ``NaN``, ``Infinity`` and escapes keep its spelling.
-    ``pad`` is the newline and indentation of the line ``x`` starts on.
-    """
-    if isinstance(x, np.ndarray):
-        if x.dtype.kind == "f" and x.ndim and x.size and np.isfinite(x).all():
-            return _float_template(x.shape, pad) % tuple(x.ravel().tolist())
-        x = x.tolist()
-    elif isinstance(x, np.generic):
-        x = x.item()
-    inner = pad + "  "
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        items = (f"{json.dumps(k)}: {_render(v, inner)}" for k, v in sorted(x.items()))
-        open_, close = "{", "}"
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        items = (_render(v, inner) for v in x)
-        open_, close = "[", "]"
-    else:
-        return json.dumps(x)
-    return open_ + inner + ("," + inner).join(items) + pad + close
+def _dumps(doc) -> str:
+    """``doc`` as one line of JSON with sorted keys, written by the stdlib's C encoder."""
+    return json.dumps(doc, sort_keys=True, default=_tolist)
 
 
-def _float_template(shape: tuple, pad: str) -> str:
-    """The :func:`_render` layout of an array of ``shape``, no axis empty, one ``%r`` per value."""
-    inner = pad + "  "
-    item = "%r" if len(shape) == 1 else _float_template(shape[1:], inner)
-    return "[" + inner + ("," + inner).join([item] * shape[0]) + pad + "]"
+def _tolist(x):
+    """The ``default`` of :func:`_dumps`: an array or a NumPy scalar as its ``tolist()``."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _document(cfg: RunConfig, **body) -> dict:
@@ -226,9 +204,11 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     """Dispatch one command; returns (exit status, result document)."""
     try:
         return _dispatch(cfg)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but numeric
+        return EXIT_NUMERIC, _error_doc(cfg, "numeric", exc)
     except (ParseError, TooFewRowsError, RangeError, ValueError, OSError) as exc:
         return EXIT_CONFIG, _error_doc(cfg, "config-or-parse", exc)
-    except (MeanCovError, np.linalg.LinAlgError) as exc:
+    except MeanCovError as exc:
         return EXIT_NUMERIC, _error_doc(cfg, "numeric", exc)
 
 
@@ -395,14 +375,14 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     cfg = config_from_args(args)
     status, doc = run(cfg)
-    text = _render(doc)
+    text = _dumps(doc)
     if cfg.output_path:
         try:
             with open(cfg.output_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
             status, doc = EXIT_CONFIG, _error_doc(cfg, "config-or-parse", exc)
-            text = _render(doc)
+            text = _dumps(doc)
     if cfg.output_format == "table" and "summary_text" in doc:
         print(doc["summary_text"])
     else:

@@ -233,9 +233,10 @@ class SampleSet:
     ``X`` is a read-only copy of the matrix given, which must be finite
     (``DegenerateDataError`` otherwise).  ``xbar`` is the sample mean and
     ``a0 = sum_j x_j x_j^T`` is the scatter about the origin; both are
-    computed once at construction.  The largest eigenvalue of ``a0``,
-    the scatter about the mean and the MLE (:func:`meancov.mle.fit_mle`)
-    are computed on first use and then kept.
+    computed once at construction, and data whose mean or scatter
+    overflows raise ``DegenerateDataError`` too.  The largest eigenvalue
+    of ``a0``, the scatter about the mean and the MLE
+    (:func:`meancov.mle.fit_mle`) are computed on first use and then kept.
     """
 
     X: np.ndarray
@@ -266,8 +267,11 @@ class SampleSet:
         X = X.copy() if copy else np.ascontiguousarray(X)
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
-        xbar = X.mean(axis=0)
-        a0 = X.T @ X
+        with np.errstate(over="ignore", invalid="ignore"):
+            xbar = X.mean(axis=0)
+            a0 = X.T @ X
+        if not (np.isfinite(xbar).all() and np.isfinite(a0).all()):
+            raise DegenerateDataError("data overflow: the mean or the scatter is not finite")
         xbar.setflags(write=False)
         a0.setflags(write=False)
         object.__setattr__(self, "_xbar", xbar)

@@ -24,6 +24,7 @@ from meancov.cli import (
     run,
 )
 from meancov.exceptions import ParseError, RangeError, TooFewRowsError
+from meancov.gibbs import run_gibbs
 from meancov.simulate import ESTIMATORS, GIBBS_MAX_P, RiskReport
 from conftest import ingest_csv_reference, simulated_data
 
@@ -317,9 +318,18 @@ class TestDispatch:
         assert doc["results"]["samples"] == 10
         with open(chain_path) as fh:
             lines = fh.read().splitlines()
-        assert len(lines) == 10
-        rec = json.loads(lines[0])
-        assert set(rec) >= {"iteration", "mu", "lambda", "log_posterior"}
+        # Line j is sweep j of the same-seed chain, bit for bit.
+        data = ingest_csv(data_csv)
+        chain = run_gibbs(data, cli._prior_from_config(cfg, data), s=10, l=2,
+                          rng=np.random.default_rng(cfg.seed))
+        assert len(lines) == len(chain.mu) == 10
+        for j, line in enumerate(lines):
+            rec = json.loads(line)
+            assert rec["iteration"] == j + 1
+            assert rec["mu"] == chain.mu[j].tolist()
+            assert rec["lambda"] == chain.lam[j].tolist()
+            assert rec["log_posterior"] == chain.log_posterior[j]
+            assert rec["accepted_count"] == chain.accepted_count[j]
 
     @pytest.mark.parametrize(
         "command, own_keys",
@@ -456,6 +466,36 @@ class TestDispatch:
         status, doc = run(RunConfig(command="fit-mle", input_path=str(path)))
         assert status == EXIT_CONFIG
 
+    def test_no_mode_on_five_rows_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "five.csv"
+        write_csv(path, simulated_data(5, 3, seed=81).X)
+        status = main(["fit-map-newton", str(path), "--prior-a", "-10"])
+        doc = json.loads(capsys.readouterr().out)
+        assert status == EXIT_CONFIG
+        assert doc["error"]["category"] == "config-or-parse"
+        assert "n + 1 + 2a must be > 0" in doc["error"]["message"]
+
+    def test_linalg_error_is_numeric(self, data_csv, monkeypatch):
+        # LinAlgError subclasses ValueError, yet it is a numeric failure.
+        def eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        status, doc = run(RunConfig(command="fit-mle", input_path=data_csv))
+        assert status == EXIT_NUMERIC
+        assert doc["error"] == {"category": "numeric", "message": "Eigenvalues did not converge"}
+
+    @pytest.mark.parametrize("command", ["fit-mle", "fit-niw", "fit-map-newton", "fit-map-gibbs"])
+    def test_overflowing_data_is_numeric(self, tmp_path, capsys, command):
+        # Finite cells whose scatter overflows: rejected before any RuntimeWarning.
+        path = tmp_path / "huge.csv"
+        write_csv(path, np.linspace(1e200, 5e200, 15).reshape(5, 3))
+        status = main([command, str(path)])
+        doc = json.loads(capsys.readouterr().out)
+        assert status == EXIT_NUMERIC
+        assert doc["error"]["category"] == "numeric"
+        assert "overflow" in doc["error"]["message"]
+
     def test_degenerate_data_exit_code(self, tmp_path):
         path = tmp_path / "flat.csv"
         write_csv(path, np.outer([1.0, 2.0, 3.0], [1.0, 1.0]))
@@ -549,8 +589,8 @@ def _jsonable(x):
 
 
 def render_reference(doc) -> str:
-    """The stdlib rendering of a document: the oracle of ``cli._render``."""
-    return json.dumps(_jsonable(doc), sort_keys=True, indent=2)
+    """The stdlib's compact rendering of a document: the oracle of ``cli._dumps``."""
+    return json.dumps(_jsonable(doc), sort_keys=True)
 
 
 class TestRender:
@@ -569,7 +609,7 @@ class TestRender:
     def test_command_documents_match_stdlib(self, data_csv, latlong_csv, command, overrides):
         path = {"simulate": None, "transform-sphere": latlong_csv}.get(command, data_csv)
         _, doc = run(RunConfig(command=command, **{"input_path": path, **overrides}))
-        assert cli._render(doc) == render_reference(doc)
+        assert cli._dumps(doc) == render_reference(doc)
 
     @pytest.mark.parametrize("text", ["1.0,xyz\n2.0,3.0\n", "1,2\n2,4\n3,6\n"])
     def test_error_documents_match_stdlib(self, tmp_path, text):
@@ -578,7 +618,7 @@ class TestRender:
         path.write_text(text)
         status, doc = run(RunConfig(command="fit-mle", input_path=str(path)))
         assert status in (EXIT_CONFIG, EXIT_NUMERIC) and "error" in doc
-        assert cli._render(doc) == render_reference(doc)
+        assert cli._dumps(doc) == render_reference(doc)
 
     def test_edge_values_match_stdlib(self):
         doc = {
@@ -599,9 +639,11 @@ class TestRender:
             "bools": np.array([True, False]),
             "nested": [[np.array([1.0, 2.0]), {"b": (1, 2.5), "a": []}], [[]]],
         }
-        assert cli._render(doc) == render_reference(doc)
-        assert cli._render(doc["one_dim"]) == render_reference(doc["one_dim"])
-        assert cli._render(3.5) == render_reference(3.5)
+        assert cli._dumps(doc) == render_reference(doc)
+        assert cli._dumps(doc["one_dim"]) == render_reference(doc["one_dim"])
+        assert cli._dumps(3.5) == render_reference(3.5)
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            cli._dumps({"set": {1}})
 
     def test_fit_document_reads_diagnostics_as_plain_values(self, data_csv):
         # Fit.diagnostics is a read-only mapping; the document holds its
@@ -615,7 +657,7 @@ class TestRender:
             **dict(fit.diagnostics),
         }
         expected = {"command": "fit-mle", "config": asdict(cfg), "results": results}
-        assert cli._render(doc) == render_reference(expected)
+        assert cli._dumps(doc) == render_reference(expected)
 
     def test_main_writes_the_rendering(self, data_csv, tmp_path, capsys):
         # stdout and --out carry the same bytes, the stdlib's rendering.
@@ -636,7 +678,7 @@ def test_seeded_simulate_runs_agree_but_for_elapsed_seconds():
     for doc in docs:
         for row in doc["results"]["table"]:
             assert row.pop("elapsed_seconds") >= 0.0
-    assert cli._render(docs[0]) == cli._render(docs[1])
+    assert cli._dumps(docs[0]) == cli._dumps(docs[1])
 
 
 class TestArgumentParsing:

@@ -441,6 +441,16 @@ class TestSampleSet:
             with pytest.raises(DegenerateDataError, match="must be finite"):
                 make(X)
 
+    @pytest.mark.parametrize("X", [
+        np.linspace(1e200, 5e200, 15).reshape(5, 3),  # the scatter overflows
+        np.array([[1.7e308, 1.0], [1.7e308, 2.0], [0.0, 3.0]]),  # and the mean's sum too
+    ])
+    def test_rejects_overflowing_data(self, X):
+        # Finite data whose mean or scatter is not: raised with no RuntimeWarning.
+        for make in (SampleSet, SampleSet._owning):
+            with pytest.raises(DegenerateDataError, match="overflow"):
+                make(X.copy())
+
     def test_input_is_copied(self, rng):
         X = rng.standard_normal((3, 2))
         data = SampleSet(X)
