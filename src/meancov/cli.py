@@ -69,7 +69,7 @@ class RunConfig:
     fix_truth: bool = False
 
 
-def ingest_csv(path: str) -> SampleSet:
+def ingest_csv(path: str) -> np.ndarray:
     """Read an n x p comma-delimited numeric matrix (n, p >= 2), optional header row.
 
     A cell is whatever Python ``float()`` accepts once ``str.strip`` has
@@ -81,7 +81,8 @@ def ingest_csv(path: str) -> SampleSet:
     digits; a file it rejects, or one with a non-finite value, is read
     again by :func:`_ingest_row_by_row`.  The error names the first fault
     in reading order: a row whose width differs from the first data row's,
-    or a non-numeric or non-finite cell, by its row and column.
+    or a non-numeric or non-finite cell, by its row and column.  The matrix
+    is a C-ordered float array, which ``SampleSet`` reads without a copy.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = filter(None, map(str.strip, fh))
@@ -104,7 +105,7 @@ def ingest_csv(path: str) -> SampleSet:
         raise TooFewRowsError(f"{path}: need at least 2 data rows, got {len(X)}")
     if X.shape[1] < 2:
         raise ParseError(f"{path}: need at least 2 columns, got {X.shape[1]}")
-    return SampleSet._owning(X)
+    return X
 
 
 def _ingest_row_by_row(path: str) -> np.ndarray:
@@ -150,8 +151,8 @@ def _is_number(tok: str) -> bool:
     return True
 
 
-def latlong_to_sphere(latlong) -> SampleSet:
-    """Map (latitude, longitude) degrees to points on the unit sphere.
+def latlong_to_sphere(latlong) -> np.ndarray:
+    """Map (latitude, longitude) degrees to points on the unit sphere, as an (m, 3) matrix.
 
     ``latlong`` is an (m, 2) array, or anything ``np.asarray`` makes one of,
     such as a list of pairs.  Convention: ``x = cos(lat) cos(lon),
@@ -170,9 +171,7 @@ def latlong_to_sphere(latlong) -> SampleSet:
         raise RangeError(f"row {i + 1}: longitude {lon[i]} outside [-180, 360)")
     la, lo = np.radians(lat), np.radians(lon)
     cos_la = np.cos(la)
-    return SampleSet._owning(
-        np.column_stack([cos_la * np.cos(lo), cos_la * np.sin(lo), np.sin(la)])
-    )
+    return np.column_stack([cos_la * np.cos(lo), cos_la * np.sin(lo), np.sin(la)])
 
 
 def _prior_from_config(cfg: RunConfig, data: SampleSet) -> PriorConfig:
@@ -228,13 +227,12 @@ def _dispatch(cfg: RunConfig) -> tuple[int, dict]:
         raise ValueError(f"command {cfg.command} requires an input file")
 
     if cfg.command == "transform-sphere":
-        raw = ingest_csv(cfg.input_path)
-        if raw.p != 2:
+        latlong = ingest_csv(cfg.input_path)
+        if latlong.shape[1] != 2:
             raise ParseError("transform-sphere expects two columns: latitude, longitude")
-        points = latlong_to_sphere(raw.X)
-        return EXIT_OK, _document(cfg, results={"points": points.X})
+        return EXIT_OK, _document(cfg, results={"points": latlong_to_sphere(latlong)})
 
-    data = ingest_csv(cfg.input_path)
+    data = SampleSet(ingest_csv(cfg.input_path))
 
     if cfg.command == "fit-mle":
         return _fit_outcome(cfg, fit_mle(data))

@@ -21,7 +21,9 @@ from .model import (
     tail_quadratic_forms,
 )
 
-_LAMBDA_FLOOR = 1e-12
+# A smallest eigenvalue of A(xbar), or a tail form of A(0), at most this
+# times trace(A(xbar)) is zero: the test scales with the data.
+_RANK_RTOL = 1e-12
 
 
 def estimate_c0(data: SampleSet, u) -> float:
@@ -36,10 +38,12 @@ def _tail_forms(data: SampleSet, basis: np.ndarray) -> np.ndarray:
     Raises
     ------
     DegenerateDataError
-        If any quadratic form is numerically zero (data in a subspace).
+        If any quadratic form is numerically zero relative to
+        ``trace(A(xbar))`` (data in a proper affine subspace: each form is at
+        least the smallest eigenvalue of ``A(xbar)``).
     """
     q = tail_quadratic_forms(data.a0, basis[:, 1:])
-    if np.any(q < _LAMBDA_FLOOR):
+    if np.any(q <= _RANK_RTOL * np.trace(data.scatter_about_mean())):
         raise DegenerateDataError("data lie in a proper subspace; eigenvalue estimate is zero")
     return q
 
@@ -118,7 +122,7 @@ def _fit_mle(data: SampleSet) -> Fit:
     A = data.scatter_about_mean()
     evals, evecs = np.linalg.eigh(A)
     tr = float(np.trace(A))
-    if evals[0] <= max(tr, 1.0) * 1e-12:
+    if evals[0] <= _RANK_RTOL * tr:
         raise DegenerateDataError("A(xbar) is rank deficient")
     degenerate = bool(evals[1] - evals[0] <= 1e-9 * tr)
     u = evecs[:, 0] / _norm(evecs[:, 0])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
@@ -228,45 +228,31 @@ class Fit:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """An n x p data matrix with the cached mean and zero-centered scatter.
+    """The sufficient statistics of an n x p data matrix ``X``: ``n``, ``xbar`` and ``a0``.
 
-    ``X`` is a read-only copy of the matrix given, which must be finite
-    (``DegenerateDataError`` otherwise).  ``xbar`` is the sample mean and
-    ``a0 = sum_j x_j x_j^T`` is the scatter about the origin; both are
-    computed once at construction, and data whose mean or scatter
-    overflows raise ``DegenerateDataError`` too.  The largest eigenvalue
-    of ``a0``, the scatter about the mean and the MLE
+    Every estimator reads the data only through the row count, the sample
+    mean ``xbar`` and the scatter about the origin ``a0 = sum_j x_j x_j^T``,
+    both read-only; ``X`` is reduced to them and not kept.  ``X``, its mean
+    and its scatter must be finite (``DegenerateDataError`` otherwise); it is
+    read as a C-ordered float array, copied only when it is not one.  The
+    largest eigenvalue of ``a0``, the scatter about the mean and the MLE
     (:func:`meancov.mle.fit_mle`) are computed on first use and then kept.
     """
 
-    X: np.ndarray
+    X: InitVar[np.ndarray]
+    n: int = field(init=False)
+    xbar: np.ndarray = field(init=False)
+    a0: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self._set_up(self.X, copy=True)
-
-    @classmethod
-    def _owning(cls, X: np.ndarray) -> "SampleSet":
-        """A ``SampleSet`` that keeps the fresh array ``X`` itself, without the copy.
-
-        For a caller that has just built ``X`` and hands it over; ``X`` is
-        made read-only.  The data, and every value computed from them, are
-        those of ``SampleSet(X)`` bit for bit.
-        """
-        data = object.__new__(cls)
-        data._set_up(X, copy=False)
-        return data
-
-    def _set_up(self, X, copy: bool) -> None:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise DimensionMismatchError(f"data must be an n x p matrix, got shape {X.shape}")
+    def __post_init__(self, X):
+        shape = np.shape(X)  # before ascontiguousarray makes a 0-d input 1-d
+        if len(shape) != 2:
+            raise DimensionMismatchError(f"data must be an n x p matrix, got shape {shape}")
+        X = np.ascontiguousarray(X, dtype=float)
         if X.shape[1] < 2:
             raise DimensionMismatchError("need dimension p >= 2")
         if not np.isfinite(X).all():
             raise DegenerateDataError("data must be finite, got a NaN or an infinity")
-        X = X.copy() if copy else np.ascontiguousarray(X)
-        X.setflags(write=False)
-        object.__setattr__(self, "X", X)
         with np.errstate(over="ignore", invalid="ignore"):
             xbar = X.mean(axis=0)
             a0 = X.T @ X
@@ -274,25 +260,13 @@ class SampleSet:
             raise DegenerateDataError("data overflow: the mean or the scatter is not finite")
         xbar.setflags(write=False)
         a0.setflags(write=False)
-        object.__setattr__(self, "_xbar", xbar)
-        object.__setattr__(self, "_a0", a0)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
+        object.__setattr__(self, "n", X.shape[0])
+        object.__setattr__(self, "xbar", xbar)
+        object.__setattr__(self, "a0", a0)
 
     @property
     def p(self) -> int:
-        return self.X.shape[1]
-
-    @property
-    def xbar(self) -> np.ndarray:
-        return self._xbar
-
-    @property
-    def a0(self) -> np.ndarray:
-        """Scatter about the origin, ``A(0) = sum_j x_j x_j^T``."""
-        return self._a0
+        return self.xbar.size
 
     @cached_property
     def a0_lambda_max(self) -> float:

@@ -85,13 +85,13 @@ def generate_truth(p: int, rng: np.random.Generator) -> TruthSpec:
     return TruthSpec(mu_true=mu, sigma_true=structured_covariance(basis, lam))
 
 
-def sample_data(spec: TruthSpec, n: int, rng: np.random.Generator) -> SampleSet:
-    """Draw n i.i.d. multivariate normal rows from the truth via Cholesky."""
+def sample_data(spec: TruthSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n i.i.d. multivariate normal rows from the truth via Cholesky, as an n x p matrix."""
     if n < 2:
         raise ValueError("need at least two observations")
     L = np.linalg.cholesky(spec.sigma_true)
     Z = rng.standard_normal((n, spec.p))
-    return SampleSet._owning(spec.mu_true + Z @ L.T)
+    return spec.mu_true + Z @ L.T
 
 
 def mle_estimator(data: SampleSet, rng: np.random.Generator):
@@ -189,7 +189,7 @@ def run_experiment(
             rng = np.random.default_rng(np.random.SeedSequence([seed, ci, r]))
             if not fix_truth:
                 truth = generate_truth(p, rng)
-            data = sample_data(truth, n, rng)
+            data = SampleSet(sample_data(truth, n, rng))
             for name, fn in ests.items():
                 # Deterministic per (cell, rep, estimator name); independent
                 # of the order in which estimators run.

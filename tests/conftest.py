@@ -14,10 +14,15 @@ def random_unit(p: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def simulated_data(n: int, p: int, seed: int) -> SampleSet:
-    """A data set drawn from a random constrained truth."""
+def simulated_rows(n: int, p: int, seed: int) -> np.ndarray:
+    """The n x p matrix of a data set drawn from a random constrained truth."""
     rng = np.random.default_rng(seed)
     return sample_data(generate_truth(p, rng), n, rng)
+
+
+def simulated_data(n: int, p: int, seed: int) -> SampleSet:
+    """The statistics of the data set :func:`simulated_rows` draws."""
+    return SampleSet(simulated_rows(n, p, seed))
 
 
 def estimate_c0_general(data: SampleSet, u, lam) -> float:
@@ -91,7 +96,7 @@ def niw_joint_log_density(mu, Sigma, params) -> float:
     )
 
 
-def ingest_csv_reference(path: str) -> SampleSet:
+def ingest_csv_reference(path: str) -> np.ndarray:
     """Row-by-row CSV reader: the oracle of ``cli.ingest_csv``.
 
     Reads every non-blank line, drops a first line none of whose cells is a
@@ -127,7 +132,7 @@ def ingest_csv_reference(path: str) -> SampleSet:
         rows.append(row)
     if len(rows) < 2:
         raise TooFewRowsError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    return SampleSet(np.asarray(rows))
+    return np.asarray(rows)
 
 
 def _is_number(tok: str) -> bool:

@@ -37,7 +37,9 @@ from meancov.simulate import mle_estimator, niw_estimator, reports_to_records, r
 from meancov.model import SampleSet
 from scipy.stats import multivariate_normal
 
-from conftest import estimate_c0_general, niw_joint_log_density, random_unit, simulated_data
+from conftest import (
+    estimate_c0_general, niw_joint_log_density, random_unit, simulated_data, simulated_rows,
+)
 
 
 @pytest.fixture
@@ -246,7 +248,8 @@ def test_criterion_7_niw_siw_identities(verdict):
                 continue
             ok &= niw_joint_log_density(mu_hat, sigma, params) <= base + 1e-12
 
-    data3 = simulated_data(10, 3, seed=701)
+    X3 = simulated_rows(10, 3, seed=701)
+    data3 = SampleSet(X3)
     mu0 = rng.standard_normal(3)
     kappa0, nu0 = 2.0, 5.0
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -254,7 +257,7 @@ def test_criterion_7_niw_siw_identities(verdict):
     post = niw_posterior(data3, mu0=mu0, kappa0=kappa0, nu0=nu0, Lambda0=Lambda0)
 
     def joint(mu, sigma):
-        ll = multivariate_normal.logpdf(data3.X, mean=mu, cov=sigma).sum()
+        ll = multivariate_normal.logpdf(X3, mean=mu, cov=sigma).sum()
         pm = multivariate_normal.logpdf(mu, mean=mu0, cov=sigma / kappa0)
         return float(ll + pm + siw_log_density(sigma, nu0, 1.0, Lambda0))
 
@@ -282,10 +285,10 @@ def test_criterion_8_cli_determinism_and_transforms(verdict, tmp_path):
     # transform checks.
     ok = True
 
-    data = simulated_data(40, 3, seed=800)
+    X = simulated_rows(40, 3, seed=800)
     csv = tmp_path / "data.csv"
     with open(csv, "w", encoding="utf-8") as fh:
-        for row in data.X:
+        for row in X:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     out = str(tmp_path / "out.json")
     for command in (
@@ -302,13 +305,13 @@ def test_criterion_8_cli_determinism_and_transforms(verdict, tmp_path):
         ok &= json.loads(b1)["command"] == command[0]
 
     pole = latlong_to_sphere([(90.0, 10.0), (90.0, -120.0)])
-    ok &= np.allclose(pole.X, [[0.0, 0.0, 1.0]] * 2, atol=1e-12)
+    ok &= np.allclose(pole, [[0.0, 0.0, 1.0]] * 2, atol=1e-12)
     eq = latlong_to_sphere([(0.0, 0.0), (0.0, 90.0)])
-    ok &= np.allclose(eq.X[0], [1.0, 0.0, 0.0], atol=1e-12)
-    ok &= np.allclose(eq.X[1], [0.0, 1.0, 0.0], atol=1e-12)
+    ok &= np.allclose(eq[0], [1.0, 0.0, 0.0], atol=1e-12)
+    ok &= np.allclose(eq[1], [0.0, 1.0, 0.0], atol=1e-12)
     rng = np.random.default_rng(1008)
     rows = [(float(a), float(b)) for a, b in zip(rng.uniform(-90, 90, 50), rng.uniform(-180, 360, 50))]
-    ok &= np.allclose(np.linalg.norm(latlong_to_sphere(rows).X, axis=1), 1.0, atol=1e-12)
+    ok &= np.allclose(np.linalg.norm(latlong_to_sphere(rows), axis=1), 1.0, atol=1e-12)
     for bad in ([(91.0, 0.0), (0.0, 0.0)], [(0.0, 360.0), (0.0, 0.0)]):
         try:
             latlong_to_sphere(bad)

@@ -4,12 +4,13 @@ exit codes, and output determinism."""
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from meancov import cli, fit_mle
+from meancov import SampleSet, cli, fit_mle
 from meancov.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -26,7 +27,7 @@ from meancov.cli import (
 from meancov.exceptions import ParseError, RangeError, TooFewRowsError
 from meancov.gibbs import run_gibbs
 from meancov.simulate import ESTIMATORS, GIBBS_MAX_P, RiskReport
-from conftest import ingest_csv_reference, simulated_data
+from conftest import ingest_csv_reference, simulated_rows
 
 
 def write_csv(path, rows, header=None):
@@ -43,9 +44,8 @@ COMMANDS = ("fit-mle", "fit-niw", "fit-map-newton", "fit-map-gibbs", "simulate",
 
 @pytest.fixture
 def data_csv(tmp_path):
-    data = simulated_data(40, 3, seed=81)
     path = tmp_path / "data.csv"
-    write_csv(path, data.X)
+    write_csv(path, simulated_rows(40, 3, seed=81))
     return str(path)
 
 
@@ -70,15 +70,14 @@ class TestIngestCsv:
     def test_well_formed(self, tmp_path):
         path = tmp_path / "a.csv"
         write_csv(path, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        data = ingest_csv(str(path))
-        assert data.n == 3 and data.p == 2
+        assert ingest_csv(str(path)).shape == (3, 2)
 
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "b.csv"
         write_csv(path, [[1.0, 2.0], [3.0, 4.0]], header=["x", "y"])
-        data = ingest_csv(str(path))
-        assert data.n == 2
-        assert np.allclose(data.X[0], [1.0, 2.0])
+        X = ingest_csv(str(path))
+        assert len(X) == 2
+        assert np.allclose(X[0], [1.0, 2.0])
 
     @pytest.mark.parametrize(
         "text, match",
@@ -135,14 +134,14 @@ class TestIngestCsv:
         X = rng.standard_normal((5, 3))
         path = tmp_path / "h.csv"
         write_csv(path, X)
-        back = ingest_csv(str(path)).X
+        back = ingest_csv(str(path))
         assert np.all(np.abs(back - X) < 1e-15)
 
 
 def _outcome(read, path):
     """What ``read(path)`` does: ("array", X) or (exception type, message)."""
     try:
-        return "array", read(path).X
+        return "array", read(path)
     except Exception as exc:  # compared, not handled
         return type(exc), str(exc)
 
@@ -200,22 +199,35 @@ class TestIngestCsvOracle:
             assert got[1] == want[1]
 
     def test_agrees_on_large_file(self, wide_csv):
-        got = ingest_csv(wide_csv).X
+        got = ingest_csv(wide_csv)
         assert got.shape == (20000, 10)
-        assert np.array_equal(got, ingest_csv_reference(wide_csv).X)
+        assert np.array_equal(got, ingest_csv_reference(wide_csv))
 
     def test_peak_memory_scales_with_result(self, wide_csv):
         # The text is streamed into the array: no list of lines or of rows
-        # is held, and SampleSet keeps that array without a copy, so the
-        # peak is the array while it grows (1.18x its final size measured).
+        # is held, so the peak is the array while it grows (1.18x its final
+        # size measured).
         ingest_csv(wide_csv)
         tracemalloc.start()
         try:
-            data = ingest_csv(wide_csv)
+            X = ingest_csv(wide_csv)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * data.X.nbytes
+        assert peak <= 1.25 * X.nbytes
+
+    def test_statistics_of_the_file_peak_within_the_same_bound(self, wide_csv):
+        # SampleSet reduces the C-ordered float matrix ingest_csv returns
+        # without copying it, so forming the statistics adds nothing to the
+        # peak of reading the file.
+        SampleSet(ingest_csv(wide_csv))
+        tracemalloc.start()
+        try:
+            data = SampleSet(ingest_csv(wide_csv))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * data.n * data.p * np.dtype(float).itemsize
 
 
 def latlong_to_sphere_reference(rows) -> np.ndarray:
@@ -233,19 +245,19 @@ def latlong_to_sphere_reference(rows) -> np.ndarray:
 
 class TestLatLongTransform:
     def test_north_pole(self):
-        data = latlong_to_sphere([(90.0, 123.0), (90.0, -17.0)])
-        assert np.allclose(data.X, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], atol=1e-12)
+        points = latlong_to_sphere([(90.0, 123.0), (90.0, -17.0)])
+        assert np.allclose(points, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], atol=1e-12)
 
     def test_equator_prime_meridian(self):
-        data = latlong_to_sphere([(0.0, 0.0), (0.0, 90.0)])
-        assert np.allclose(data.X[0], [1.0, 0.0, 0.0], atol=1e-12)
-        assert np.allclose(data.X[1], [0.0, 1.0, 0.0], atol=1e-12)
+        points = latlong_to_sphere([(0.0, 0.0), (0.0, 90.0)])
+        assert np.allclose(points[0], [1.0, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(points[1], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_unit_norm(self, rng):
         rows = [(float(lat), float(lon))
                 for lat, lon in zip(rng.uniform(-90, 90, 50), rng.uniform(-180, 360, 50))]
-        data = latlong_to_sphere(rows)
-        assert np.allclose(np.linalg.norm(data.X, axis=1), 1.0, atol=1e-12)
+        points = latlong_to_sphere(rows)
+        assert np.allclose(np.linalg.norm(points, axis=1), 1.0, atol=1e-12)
 
     def test_range_errors(self):
         with pytest.raises(RangeError, match=r"^row 1: latitude 91.0 outside \[-90, 90\]$"):
@@ -276,15 +288,15 @@ class TestLatLongTransform:
         # bitwise those of the scalar loop.
         latlong = np.column_stack([rng.uniform(-90, 90, 5000), rng.uniform(-180, 360, 5000)])
         latlong = np.vstack([latlong, [[90, 0], [-90, 359.999999], [0, -180], [45.0, 30.0]]])
-        got = latlong_to_sphere(latlong).X
+        got = latlong_to_sphere(latlong)
         assert np.array_equal(got, latlong_to_sphere_reference(latlong.tolist()))
 
     def test_accepts_array_and_list_of_pairs(self, rng):
         latlong = np.column_stack([rng.uniform(-90, 90, 20), rng.uniform(-180, 360, 20)])
-        from_array = latlong_to_sphere(latlong).X
+        from_array = latlong_to_sphere(latlong)
         assert from_array.shape == (20, 3)
-        assert np.array_equal(from_array, latlong_to_sphere([tuple(r) for r in latlong]).X)
-        assert np.array_equal(from_array, latlong_to_sphere(latlong.tolist()).X)
+        assert np.array_equal(from_array, latlong_to_sphere([tuple(r) for r in latlong]))
+        assert np.array_equal(from_array, latlong_to_sphere(latlong.tolist()))
 
 
 class TestDispatch:
@@ -319,7 +331,7 @@ class TestDispatch:
         with open(chain_path) as fh:
             lines = fh.read().splitlines()
         # Line j is sweep j of the same-seed chain, bit for bit.
-        data = ingest_csv(data_csv)
+        data = SampleSet(ingest_csv(data_csv))
         chain = run_gibbs(data, cli._prior_from_config(cfg, data), s=10, l=2,
                           rng=np.random.default_rng(cfg.seed))
         assert len(lines) == len(chain.mu) == 10
@@ -379,6 +391,25 @@ class TestDispatch:
         status, doc = run(RunConfig(command="transform-sphere", input_path=str(path)))
         assert status == EXIT_CONFIG
         assert "expects two columns" in doc["error"]["message"]
+
+    def test_transform_sphere_out_of_range_latitude_is_config_error(self, tmp_path):
+        # The range check runs on the raw matrix: no mean or scatter of the
+        # latitudes is formed, so nothing overflows before it.
+        path = tmp_path / "huge.csv"
+        path.write_text("lat,lon\n1e200,3\n2,4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, doc = run(RunConfig(command="transform-sphere", input_path=str(path)))
+        assert status == EXIT_CONFIG
+        assert doc["error"] == {
+            "category": "config-or-parse",
+            "message": "row 1: latitude 1e+200 outside [-90, 90]",
+        }
+
+    def test_unknown_command_is_config_error(self, data_csv):
+        status, doc = run(RunConfig(command="bogus", input_path=data_csv))
+        assert status == EXIT_CONFIG
+        assert doc["error"]["message"] == "unknown command: bogus"
 
     def test_missing_input_is_config_error(self):
         status, doc = run(RunConfig(command="fit-mle", input_path=None))
@@ -468,7 +499,7 @@ class TestDispatch:
 
     def test_no_mode_on_five_rows_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "five.csv"
-        write_csv(path, simulated_data(5, 3, seed=81).X)
+        write_csv(path, simulated_rows(5, 3, seed=81))
         status = main(["fit-map-newton", str(path), "--prior-a", "-10"])
         doc = json.loads(capsys.readouterr().out)
         assert status == EXIT_CONFIG
@@ -650,7 +681,7 @@ class TestRender:
         # values as the plain dict it was built from would.
         cfg = RunConfig(command="fit-mle", input_path=data_csv)
         _, doc = run(cfg)
-        fit = fit_mle(ingest_csv(data_csv))
+        fit = fit_mle(SampleSet(ingest_csv(data_csv)))
         results = {
             "u": fit.u, "c0": fit.c0, "mu": fit.mu, "lambda": fit.spectrum,
             "sigma": fit.covariance(), "converged": True, "outer_iterations": 0,

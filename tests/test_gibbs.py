@@ -28,7 +28,7 @@ from meancov.gibbs import (
     _sweep,
     lambda_conditional_params,
 )
-from conftest import simulated_data
+from conftest import simulated_data, simulated_rows
 
 
 def _proposal_diag(data, mu, lam):
@@ -96,9 +96,13 @@ def reference_gibbs(data, prior, s, l, rng):
     return states
 
 
+def _small_rows():
+    return simulated_rows(12, 3, seed=21)
+
+
 @pytest.fixture
 def small_case():
-    data = simulated_data(12, 3, seed=21)
+    data = SampleSet(_small_rows())
     return data, PriorConfig.default(data)
 
 
@@ -211,11 +215,12 @@ class TestLogPosterior:
         # Differences of the exact likelihood-times-prior log density across
         # parameter pairs; the dropped additive constant cancels.
         data, prior = small_case
+        X = _small_rows()
 
         def direct(mu, lam):
             u = mu / np.linalg.norm(mu)
             sigma = structured_covariance(build_orthobasis(u), lam)
-            ll = multivariate_normal.logpdf(data.X, mean=mu, cov=sigma).sum()
+            ll = multivariate_normal.logpdf(X, mean=mu, cov=sigma).sum()
             D = np.concatenate(([1.0], lam))
             lp_mu = -0.5 * np.sum(np.log(D)) - 0.5 * prior.kappa0 * np.sum(
                 (mu - prior.mu0) ** 2 / D

@@ -16,13 +16,13 @@ from meancov import (
     structured_covariance,
 )
 from meancov import mle as mle_module
-from conftest import estimate_c0_general, random_unit, simulated_data
+from conftest import estimate_c0_general, random_unit, simulated_data, simulated_rows
 
 
-def _full_loglik(data, u, c0, lam):
-    """Independent oracle: exact Gaussian log likelihood at the structured pair."""
+def _full_loglik(X, u, c0, lam):
+    """Independent oracle: exact Gaussian log likelihood of the rows ``X`` at the pair."""
     sigma = structured_covariance(build_orthobasis(u), lam)
-    return float(multivariate_normal.logpdf(data.X, mean=c0 * u, cov=sigma).sum())
+    return float(multivariate_normal.logpdf(X, mean=c0 * u, cov=sigma).sum())
 
 
 class TestEstimateC0:
@@ -103,21 +103,23 @@ class TestProfileLoglik:
         # Profiling only substitutes the closed-form maximizers, so the value
         # must equal the exact log likelihood at those plug-ins up to the
         # constant -(n p / 2) log(2 pi) that the convention drops.
-        data = simulated_data(25, 3, seed=7)
+        X = simulated_rows(25, 3, seed=7)
+        data = SampleSet(X)
         const = -0.5 * data.n * data.p * np.log(2.0 * np.pi)
         for _ in range(10):
             u = random_unit(3, rng)
             c0 = estimate_c0(data, u)
             lam = estimate_lambdas(data, u)
             assert profile_loglik(data, u) + const == pytest.approx(
-                _full_loglik(data, u, c0, lam), abs=1e-8
+                _full_loglik(X, u, c0, lam), abs=1e-8
             )
 
     def test_p2_grid_maximizer_matches_full_likelihood_grid(self):
         # Dense-angle oracle: the profile maximizer over 10^4 directions must
         # agree with the argmax of the exact profiled likelihood on the same
         # grid (directions are identified up to sign).
-        data = simulated_data(40, 2, seed=8)
+        X = simulated_rows(40, 2, seed=8)
+        data = SampleSet(X)
         thetas = np.linspace(0.0, np.pi, 10_000, endpoint=False)
         prof = np.empty_like(thetas)
         full = np.empty_like(thetas)
@@ -126,7 +128,7 @@ class TestProfileLoglik:
             prof[i] = profile_loglik(data, u)
             c0 = estimate_c0(data, u)
             lam = estimate_lambdas(data, u)
-            full[i] = _full_loglik(data, u, c0, lam)
+            full[i] = _full_loglik(X, u, c0, lam)
         gap = abs(thetas[np.argmax(prof)] - thetas[np.argmax(full)])
         assert min(gap, np.pi - gap) < 2.0 * np.pi * 1e-4
 
@@ -166,9 +168,9 @@ class TestFitMle:
         assert np.linalg.norm(S @ mu - mu) < 1e-10 * max(1.0, np.linalg.norm(mu))
 
     def test_reflection_invariance(self):
-        data = simulated_data(30, 3, seed=12)
-        fit1 = fit_mle(data)
-        fit2 = fit_mle(SampleSet(-data.X))
+        X = simulated_rows(30, 3, seed=12)
+        fit1 = fit_mle(SampleSet(X))
+        fit2 = fit_mle(SampleSet(-X))
         assert np.linalg.norm(fit1.covariance() - fit2.covariance()) < 1e-10
 
     def test_sign_convention(self):
@@ -192,6 +194,23 @@ class TestFitMle:
         with pytest.raises(DegenerateDataError):
             fit_mle(SampleSet(X))
 
+    @pytest.mark.parametrize("scale", [1e-7, 1e-9, 1e-12])
+    def test_fit_is_scale_equivariant(self, scale):
+        # The degeneracy checks are relative to trace(A(xbar)), so small
+        # full-rank data fit like the same data at unit scale.
+        X = simulated_rows(50, 3, seed=1)
+        fit = fit_mle(SampleSet(X))
+        small = fit_mle(SampleSet(X * scale))
+        assert np.allclose(small.u, fit.u, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(small.spectrum / scale**2, fit.spectrum, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-7])
+    def test_affine_subspace_data_raise_at_any_scale(self, scale):
+        X = simulated_rows(50, 3, seed=1)
+        X[:, 2] = X[:, 0] + X[:, 1]
+        with pytest.raises(DegenerateDataError):
+            fit_mle(SampleSet(X * scale))
+
     def test_degenerate_fit_raises_again(self, monkeypatch):
         # A fit that raises is not kept: the second call fits again.
         data = SampleSet(np.outer(np.array([1.0, 2.0, -1.0, 0.5]), np.array([1.0, 1.0])))
@@ -213,9 +232,9 @@ class TestFitMle:
         assert fit_mle(data) is fit_mle(data)
 
     def test_equal_data_get_their_own_equal_fit(self):
-        data = simulated_data(60, 5, seed=20)
-        fit = fit_mle(data)
-        other = fit_mle(SampleSet(data.X))
+        X = simulated_rows(60, 5, seed=20)
+        fit = fit_mle(SampleSet(X))
+        other = fit_mle(SampleSet(X))
         assert other is not fit
         for a, b in ((other.u, fit.u), (other.spectrum, fit.spectrum), (other.basis, fit.basis)):
             assert np.array_equal(a, b)

@@ -3,6 +3,7 @@ scatter algebra, and the value types they rest on."""
 
 import copy
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -427,6 +428,8 @@ class TestSampleSet:
         assert np.allclose(data.a0, X.T @ X)
 
     def test_rejects_bad_shapes(self):
+        with pytest.raises(DimensionMismatchError, match=r"got shape \(\)$"):
+            SampleSet(np.array(3.0))
         with pytest.raises(DimensionMismatchError):
             SampleSet(np.zeros(5))
         with pytest.raises(DimensionMismatchError):
@@ -437,9 +440,8 @@ class TestSampleSet:
         # Typed and raised up front, before a NaN reaches eigh as LinAlgError.
         X = np.ones((4, 3))
         X[2, 1] = value
-        for make in (SampleSet, SampleSet._owning):
-            with pytest.raises(DegenerateDataError, match="must be finite"):
-                make(X)
+        with pytest.raises(DegenerateDataError, match="must be finite"):
+            SampleSet(X)
 
     @pytest.mark.parametrize("X", [
         np.linspace(1e200, 5e200, 15).reshape(5, 3),  # the scatter overflows
@@ -447,26 +449,39 @@ class TestSampleSet:
     ])
     def test_rejects_overflowing_data(self, X):
         # Finite data whose mean or scatter is not: raised with no RuntimeWarning.
-        for make in (SampleSet, SampleSet._owning):
-            with pytest.raises(DegenerateDataError, match="overflow"):
-                make(X.copy())
+        with pytest.raises(DegenerateDataError, match="overflow"):
+            SampleSet(X)
 
-    def test_input_is_copied(self, rng):
-        X = rng.standard_normal((3, 2))
-        data = SampleSet(X)
-        X[0, 0] = 99.0
-        assert data.X[0, 0] != 99.0
-
-    def test_owning_keeps_the_array_and_its_values(self, rng):
+    def test_keeps_no_reference_to_the_input(self, rng):
         X = rng.standard_normal((7, 3))
-        owned = SampleSet._owning(X)
-        copied = SampleSet(X)
-        assert owned.X is X and not X.flags.writeable
-        assert copied.X is not X
-        for a, b in ((owned.X, copied.X), (owned.xbar, copied.xbar), (owned.a0, copied.a0)):
-            assert np.array_equal(a, b)
-        with pytest.raises(DimensionMismatchError):
-            SampleSet._owning(np.zeros((4, 1)))
+        ref = weakref.ref(X)
+        data = SampleSet(X)
+        del X
+        assert ref() is None
+        assert data.n == 7 and data.p == 3
+
+    def test_later_writes_to_the_input_change_no_statistic(self, rng):
+        X = rng.standard_normal((5, 3))
+        data = SampleSet(X)
+        xbar, a0 = data.xbar.copy(), data.a0.copy()
+        X[...] = 99.0
+        assert np.array_equal(data.xbar, xbar) and np.array_equal(data.a0, a0)
+        assert not (data.xbar.flags.writeable or data.a0.flags.writeable)
+
+    @pytest.mark.parametrize("layout", ["C", "fortran", "strided", "integer"])
+    def test_statistics_are_those_of_a_c_ordered_float_copy(self, rng, layout):
+        base = rng.standard_normal((40, 12)) * 10.0 ** rng.integers(-3, 4, 12)
+        X = {
+            "C": base[:, :6].copy(),
+            "fortran": np.asfortranarray(base[:, :6]),
+            "strided": base[::2, ::2],
+            "integer": rng.integers(-1000, 1000, (40, 6)),
+        }[layout]
+        C = np.array(X, dtype=float, order="C")
+        data = SampleSet(X)
+        assert data.n == C.shape[0] and data.p == C.shape[1]
+        assert np.array_equal(data.xbar, C.mean(axis=0))
+        assert np.array_equal(data.a0, C.T @ C)
 
 
 class TestScatterMatrix:
@@ -480,9 +495,10 @@ class TestScatterMatrix:
         assert np.allclose(data.scatter(x[0]), np.zeros((3, 3)), atol=1e-14)
 
     def test_rank_one_update_matches_direct_sum(self, rng):
-        data = SampleSet(rng.standard_normal((8, 4)))
+        X = rng.standard_normal((8, 4))
+        data = SampleSet(X)
         mu = rng.standard_normal(4)
-        direct = sum(np.outer(x - mu, x - mu) for x in data.X)
+        direct = sum(np.outer(x - mu, x - mu) for x in X)
         assert np.linalg.norm(data.scatter(mu) - direct) < 1e-10
 
     def test_dimension_check(self, rng):

@@ -287,6 +287,22 @@ class TestFitMapNewton:
         assert np.all(np.diff(trace) >= 0.0)
         assert not np.array_equal(fit.u, far)
 
+    def test_zero_length_trial_is_skipped(self, monkeypatch):
+        # A Newton step equal to u makes the full-length trial u - v the zero
+        # vector: it is skipped, not normalised, and the shorter trials run.
+        data = simulated_data(50, 3, seed=48)
+        gradient, norm = newton_map.h_gradient, newton_map._norm
+        at, norms = [], []  # the directions h_gradient is taken at; every norm taken
+        monkeypatch.setattr(newton_map, "h_gradient",
+                            lambda d, u, *args: at.append(u) or gradient(d, u, *args))
+        monkeypatch.setattr(newton_map.np.linalg, "solve", lambda a, b: at[-1].copy())
+        monkeypatch.setattr(newton_map, "_norm", lambda v: norms.append(norm(v)) or norms[-1])
+        fit = fit_map_newton(data, PriorConfig.default(data))
+        assert 0.0 in norms
+        assert np.all(np.isfinite(fit.u)) and np.isfinite(fit.c0)
+        assert np.all(np.isfinite(fit.spectrum))
+        assert np.all(np.diff(fit.diagnostics["h_trace"]) >= 0.0)
+
     def test_basis_completions_bounded_by_outer_iterations(self, monkeypatch):
         # Warm-started at the sample mean, which is off the flat-prior
         # optimum, the iteration has to move u.

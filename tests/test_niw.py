@@ -6,11 +6,12 @@ from scipy.stats import multivariate_normal
 
 from meancov import (
     DimensionMismatchError,
+    SampleSet,
     niw_map,
     niw_posterior,
     siw_log_density,
 )
-from conftest import niw_joint_log_density, simulated_data
+from conftest import niw_joint_log_density, simulated_data, simulated_rows
 
 
 def _random_pd(p, rng, spread=1.0):
@@ -143,14 +144,15 @@ class TestSiwDensity:
         # proportional to the normal-SIW density with the conjugate updated
         # parameters; proportionality constants cancel in ratios across
         # random (mu, Sigma) probes.
-        data = simulated_data(10, 3, seed=59)
+        X = simulated_rows(10, 3, seed=59)
+        data = SampleSet(X)
         mu0 = rng.standard_normal(3)
         kappa0, nu0 = 2.0, 5.0
         Lambda0 = _random_pd(3, rng)
         params = niw_posterior(data, mu0=mu0, kappa0=kappa0, nu0=nu0, Lambda0=Lambda0)
 
         def joint_unposterior(mu, sigma):
-            ll = multivariate_normal.logpdf(data.X, mean=mu, cov=sigma).sum()
+            ll = multivariate_normal.logpdf(X, mean=mu, cov=sigma).sum()
             prior_mu = multivariate_normal.logpdf(mu, mean=mu0, cov=sigma / kappa0)
             return float(ll + prior_mu + siw_log_density(sigma, nu0, 1.0, Lambda0))
 

@@ -5,8 +5,10 @@
 one of them breaks the benchmark, and this test fails with it.
 """
 
+import importlib.util
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,36 @@ def test_bench_selftest_passes():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _load_bench_module(name: str):
+    """``perfbench/<name>.py`` as a module, under a name no other import uses."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # registered first: its dataclasses look it up
+    return module
+
+
+def test_bench_sample_set_span_fires_once_per_fit(tmp_path):
+    # The benchmark times SampleSet construction by wrapping
+    # SampleSet.__post_init__; every risk replication and every fit-*
+    # command forms the statistics once, and transform-sphere never does.
+    tracing, workloads = _load_bench_module("tracing"), _load_bench_module("workloads")
+    risk = workloads.RiskWorkload(60, 3, ("niw", "mle"))
+    risk.setup(11, str(tmp_path))
+    cli = workloads.CliWorkload(rows=200, cols=4)
+    cli.setup(7, str(tmp_path))
+    ops = [("risk", lambda: risk.run_op(0))]
+    ops += [(cmd, lambda i=i: cli.run_op(i)) for i, cmd in enumerate(cli.commands)]
+    with tracing.Tracer().installed() as tracer:
+        for op, (_, run_op) in enumerate(ops):
+            tracer.op = op
+            run_op()
+    per_op = Counter(op for name, _, _, _, op in tracer.spans if name == "model.SampleSet")
+    assert {label: per_op[op] for op, (label, _) in enumerate(ops)} == {
+        "risk": 1, "fit-mle": 1, "fit-niw": 1, "fit-map-newton": 1, "transform-sphere": 0,
+    }
 
 
 def test_bench_counters_are_python_scalars():

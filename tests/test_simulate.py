@@ -91,7 +91,7 @@ class TestSampleData:
     def test_clt_mean(self):
         rng = np.random.default_rng(63)
         truth = generate_truth(3, rng)
-        data = sample_data(truth, 100_000, rng)
+        data = SampleSet(sample_data(truth, 100_000, rng))
         lam_max = np.linalg.eigvalsh(truth.sigma_true)[-1]
         bound = 4.0 * np.sqrt(lam_max / data.n)
         assert np.all(np.abs(data.xbar - truth.mu_true) < bound)
@@ -99,7 +99,7 @@ class TestSampleData:
     def test_lln_scatter(self):
         rng = np.random.default_rng(64)
         truth = generate_truth(3, rng)
-        data = sample_data(truth, 100_000, rng)
+        data = SampleSet(sample_data(truth, 100_000, rng))
         S_hat = data.scatter_about_mean() / data.n
         err = np.sum((S_hat - truth.sigma_true) ** 2) / 3.0
         assert err < 0.1
@@ -108,7 +108,7 @@ class TestSampleData:
         truth = generate_truth(3, np.random.default_rng(65))
         d1 = sample_data(truth, 10, np.random.default_rng(66))
         d2 = sample_data(truth, 10, np.random.default_rng(66))
-        assert np.array_equal(d1.X, d2.X)
+        assert np.array_equal(d1, d2)
 
     def test_rejects_n1(self):
         truth = generate_truth(3, np.random.default_rng(67))
@@ -265,12 +265,19 @@ class TestRunExperiment:
         run_experiment([(60, 5)], estimators=ests, reps=3, seed=4)
         assert len(calls) == 3
 
-    def test_shared_mle_leaves_risks_unchanged(self):
-        # Each estimator on its own copy of the data fits its own MLE.
+    def test_shared_mle_leaves_risks_unchanged(self, monkeypatch):
+        # Each estimator on its own statistics of the data fits its own MLE.
         ests = {k: v for k, v in default_estimators(5).items() if k in ("mle", "map-newton")}
-        fresh = {name: (lambda data, rng, fn=fn: fn(SampleSet(data.X), rng))
-                 for name, fn in ests.items()}
         shared = run_experiment([(60, 5)], estimators=ests, reps=3, seed=4)
+        drawn = []
+
+        def recorded(*args):
+            drawn.append(sample_data(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(simulate, "sample_data", recorded)
+        fresh = {name: (lambda data, rng, fn=fn: fn(SampleSet(drawn[-1]), rng))
+                 for name, fn in ests.items()}
         apart = run_experiment([(60, 5)], estimators=fresh, reps=3, seed=4)
         for a, b in zip(shared, apart):
             assert (a.estimator, a.mean_risk, a.sigma_risk) == (
