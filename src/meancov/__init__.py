@@ -43,6 +43,7 @@ from .model import (
     SampleSet,
     build_orthobasis,
     structured_covariance,
+    transport_frame,
 )
 from .newton_map import (
     NewtonConfig,

@@ -7,23 +7,28 @@ an inverse-gamma full conditional, while the mean is updated by a
 Metropolis-Hastings step whose Gaussian proposal covariance
 ``P(mu) diag(1/n, s_1, ..., s_{p-1}) P(mu)^T`` holds, along each column of
 the basis, the inverse Fisher information of the likelihood at the current
-point (see :func:`_variances`).
+point (see :func:`_variances`).  The completion ``P(mu)`` is the data's
+frame, ``SampleSet.frame = P(u_hat)`` at the MLE direction ``u_hat``,
+carried to ``mu / ||mu||`` by :func:`meancov.model.transport_frame`: it is
+continuous but at ``-u_hat``, and the posterior depends on the data through
+``u_hat``, as the default prior's ``mu0 = xbar`` does.  The Newton MAP uses
+the same completion.
 
-Cost model of the sampler: one basis completion per MH proposal and no
-scatter rebuild.  The basis ``P(mu*)`` of a proposed state is built once and
-serves its log posterior, the reverse proposal density and, if the proposal
-is accepted, the next forward step and the next eigenvalue draw.  A state
-carries its proposal variances, their log sum, the diagonal of ``H_N`` and
-its log posterior, so each is computed once per proposed state; a sweep
-computes the eigenvalue terms its steps share (``sum log lambda`` and
-``(lambda - 1)^2``) once.  The diagonal of ``H_N`` is read from the cached
-``A(0)``, because the tail columns of ``P(mu)`` are orthogonal to ``mu``.
-At p = 3 one proposal takes about 45 us at best (x86-64 2-vCPU VM, NumPy
-2.4, OpenBLAS on one thread), nearly all of it the fixed cost of a few
-dozen calls on 3-vectors; the basis completion is about 13 us of it.  Seeded
-chains are reproducible bit for bit, so a step takes a cheaper call
-(``.dot`` for ``@``, ``.sum()`` for ``np.sum``) only where it rounds
-identically, and no sum is reordered.
+Cost model of the sampler: no basis completion and no p x p product per MH
+proposal.  The updates run in the frame's coordinates (:class:`_FrameKernel`),
+where the basis of a state is a rank-one update of the identity, so the
+forward step, the reverse proposal density and the tail quadratic forms take
+O(p) work past one matrix-vector product, and the ambient mean the prior
+terms read takes one more.  A state carries its point (coordinates,
+geometry, ``H_N`` diagonal), its proposal variances, their log sum and its
+log posterior, so each is computed once per proposed state; a sweep computes
+the eigenvalue terms its steps share once.  One proposal takes 24-30 us at
+best at p = 3 to 50 (x86-64 2-vCPU VM, NumPy 2.4, OpenBLAS on one thread),
+nearly all of it the fixed cost of about fifty NumPy calls on short vectors;
+a modified Gram-Schmidt completion per proposal took about 45 us at p = 3
+and grew as p^3.  Seeded chains are reproducible bit for bit, and they make
+every accept decision of the same sampler taken in ambient coordinates with
+explicit bases, with states equal to rounding.
 
 A run, :class:`GibbsRun`, keeps its chain as read-only arrays with one row
 per sweep (means, eigenvalue draws, log posteriors and running accepted
@@ -32,12 +37,21 @@ counts), and :func:`map_from_chain` reads the MAP off them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, EmptyChainError
-from .model import Fit, SampleSet, _as_vector, _polar, build_orthobasis, tail_quadratic_forms
+from .exceptions import DimensionMismatchError, EmptyChainError, ZeroMeanError
+from .model import (
+    UNIT_TOL,
+    Fit,
+    SampleSet,
+    _as_vector,
+    _polar,
+    tail_quadratic_forms,
+    transport_frame,
+)
 
 
 @dataclass(frozen=True)
@@ -81,10 +95,10 @@ class PriorConfig:
         return cls(mu0=data.xbar, kappa0=1.5, a=data.p + 1, h0_diag=np.ones(data.p))
 
 
-def _basis(mu: np.ndarray) -> np.ndarray:
-    """The matrix ``P(mu / ||mu||)`` of the basis anchored at a nonzero mean
-    (``ZeroMeanError`` for a zero one)."""
-    return build_orthobasis(_polar(mu)[0])
+def _basis(data: SampleSet, mu: np.ndarray) -> np.ndarray:
+    """The completion ``P(mu / ||mu||)`` of the MAP posterior: the data's frame
+    carried to the direction of a nonzero mean (``ZeroMeanError`` for a zero one)."""
+    return transport_frame(data.frame, _polar(mu)[0])
 
 
 def _hn_diagonal(data: SampleSet, mu: np.ndarray, P: np.ndarray, prior: PriorConfig) -> np.ndarray:
@@ -119,9 +133,14 @@ def _log_density(hn: np.ndarray, lam: np.ndarray, lam_term: float) -> float:
     return float(lam_term - 0.5 * (hn[0] + (hn[1:] / lam).sum()))
 
 
+def _lambda_shape(data: SampleSet, prior: PriorConfig) -> float:
+    """Shape ``(n + 2a - 1)/2`` of each eigenvalue's full conditional."""
+    return 0.5 * (data.n + 2.0 * prior.a - 1.0)
+
+
 def _lambda_conditional(data: SampleSet, hn: np.ndarray, prior: PriorConfig):
     """Shape and scales of the eigenvalue full conditional from ``hn``."""
-    return 0.5 * (data.n + 2.0 * prior.a - 1.0), 0.5 * hn[1:]
+    return _lambda_shape(data, prior), 0.5 * hn[1:]
 
 
 def _lambda_mode(data: SampleSet, hn: np.ndarray, prior: PriorConfig) -> np.ndarray:
@@ -144,7 +163,7 @@ def hn_diagonal(data: SampleSet, mu, prior: PriorConfig) -> np.ndarray:
     mu = _as_vector(mu, "mu")
     if mu.size != data.p:
         raise DimensionMismatchError(f"mu has length {mu.size}, expected {data.p}")
-    return _hn_diagonal(data, mu, _basis(mu), prior)
+    return _hn_diagonal(data, mu, _basis(data, mu), prior)
 
 
 def log_posterior(data: SampleSet, mu, lam, prior: PriorConfig) -> float:
@@ -183,10 +202,11 @@ def draw_lambda_conditional(
     return _draw_lambda(*lambda_conditional_params(data, mu, prior), rng)
 
 
-def _variances(data: SampleSet, mu: np.ndarray, eig: np.ndarray, gap2: np.ndarray) -> np.ndarray:
+def _variances(n: int, c2: float, eig: np.ndarray, gap2: np.ndarray) -> np.ndarray:
     """Proposal variances along the columns of ``P(mu)``: ``(1/n, s_1, ...)``.
 
-    ``eig = (1, lambda)`` and ``gap2 = (eig - 1)^2`` are fixed for a sweep.
+    ``c2 = ||mu||^2``; ``eig = (1, lambda)`` and ``gap2 = (eig - 1)^2`` are
+    fixed for a sweep.
     Each variance is the inverse Fisher information of the likelihood for a
     move of ``mu`` along that column at fixed ``lambda``.  One observation
     has information ``m^T S^{-1} m + tr(S^{-1} S' S^{-1} S')/2`` about a
@@ -207,59 +227,125 @@ def _variances(data: SampleSet, mu: np.ndarray, eig: np.ndarray, gap2: np.ndarra
     moves; the information that adds depends on the completion, not on the
     model, and is left out.
     """
-    c2 = float(mu.dot(mu))
-    return c2 * eig / (data.n * (gap2 + c2))
+    return eig / ((gap2 + c2) * (n / c2))
 
 
-def _sweep(data: SampleSet, mu: np.ndarray, P: np.ndarray, hn: np.ndarray, lam: np.ndarray,
-           prior: PriorConfig) -> tuple[tuple, tuple]:
-    """The terms of a sweep with eigenvalues ``lam`` and the MH state it starts from.
-
-    The terms ``(lam, eig, gap2, lam_term)`` serve every MH step of the
-    sweep: ``eig = (1, lam)`` and ``gap2 = (eig - 1)^2`` for
-    :func:`_variances`, and the :func:`_log_lam_term` of ``lam``.  The state
-    of ``mu``, given its basis ``P`` and the diagonal ``hn`` of ``H_N`` at
-    it, is ``(mu, P, d, log_det, hn, log_posterior)`` with the proposal
-    variances ``d`` and ``log_det = sum log d``, so that a step reads them
-    instead of computing them again.
-    """
+def _sweep(data: SampleSet, lam: np.ndarray, prior: PriorConfig) -> tuple:
+    """The terms ``(lam, eig, gap2, lam_term, 1 / lam)`` every MH step of a
+    sweep with eigenvalues ``lam`` shares: ``eig = (1, lam)`` and
+    ``gap2 = (eig - 1)^2`` for :func:`_variances`, and the
+    :func:`_log_lam_term` of ``lam``."""
     eig = np.empty(lam.size + 1)
     eig[0] = 1.0
     eig[1:] = lam
     gap = eig - 1.0
-    gap2 = gap * gap
-    lam_term = _log_lam_term(data, lam, prior)
-    d = _variances(data, mu, eig, gap2)
-    state = (mu, P, d, np.log(d).sum(), hn, _log_density(hn, lam, lam_term))
-    return (lam, eig, gap2, lam_term), state
+    return lam, eig, gap * gap, _log_lam_term(data, lam, prior), 1.0 / lam
 
 
-def _mh_once(data: SampleSet, state: tuple, sweep: tuple, prior: PriorConfig, rng):
-    """One MH update of the mean from a state with the terms of its sweep (see :func:`_sweep`).
+class _FrameKernel:
+    """The MH update of the mean, in the coordinates of the data's frame ``F``.
 
-    Returns the next state and whether the proposal was accepted.  The
-    forward density ``q(mu* | mu)`` is read off the standard normal draw
-    ``z``; the reverse density ``q(mu | mu*)`` uses the basis and the
-    variances of ``mu*``.  An accepted proposal hands its basis, variances,
-    ``log_det``, ``H_N`` diagonal and log posterior on to the next step and
-    to the next sweep's eigenvalue draw.
+    A mean ``mu`` is carried as ``m = F^T mu``, split into its leading
+    coordinate ``m0`` (a float) and its tail ``mt``.  In these coordinates
+    the completion of ``u = m / ||m||`` is the frame carried to ``u``
+    (:func:`meancov.model.transport_frame`)::
+
+        F^T P(u) = [u | E + a b^T],   u = (c, s b),   a = (-s, (c - 1) b)
+
+    with ``E`` the last ``p - 1`` columns of the identity, ``b`` the unit
+    tail of ``u`` and ``s`` its norm, so ``u`` and ``a`` lie in the plane of
+    ``e_0`` and ``w = (0, b)``.  Every product with the basis is then a
+    rank-one update: the forward step ``P z``, the reverse ``P^T (mu - mu*)``
+    and the tail quadratic forms of ``A~ = F^T A(0) F``,
+    ``diag(A~)_i + 2 b_i (A~ a)_i + b_i^2 a^T A~ a``, which read ``A~`` only
+    through its leading column and ``A~ w``.  No p x p matrix is formed per
+    proposal; ``A~``, ``F^T xbar`` and the columns of ``F`` are formed once
+    per run.  The ambient mean ``F m`` is formed per state, for the prior
+    terms of ``H_N`` and for the chain.
+
+    A point is ``(m0, mt, c, s, b, c2, mu, hn0, hnt)``: its coordinates, its
+    geometry, ``c2 = ||m||^2``, the ambient mean and the diagonal of ``H_N``
+    split as leading entry and tail.  An MH state is ``(point, d, log_det,
+    lp)`` with the proposal variances ``d`` of the sweep's eigenvalues,
+    ``log_det = sum log d`` and the log posterior.
     """
-    mu, P, d, log_det, hn, lp = state
-    lam, eig, gap2, lam_term = sweep
-    z = rng.standard_normal(mu.size)
-    mu_star = mu + P.dot(np.sqrt(d) * z)
-    P_star = _basis(mu_star)
-    d_star = _variances(data, mu_star, eig, gap2)
-    log_det_star = np.log(d_star).sum()
-    hn_star = _hn_diagonal(data, mu_star, P_star, prior)
-    lp_star = _log_density(hn_star, lam, lam_term)
-    z_rev = P_star.T.dot(mu - mu_star)
-    log_q_rev = float(-0.5 * (log_det_star + (z_rev * z_rev / d_star).sum()))
-    log_q_fwd = -0.5 * float(log_det + z.dot(z))
-    log_r = lp_star - lp + log_q_rev - log_q_fwd
-    if np.log(rng.uniform()) < log_r:
-        return (mu_star, P_star, d_star, log_det_star, hn_star, lp_star), True
-    return state, False
+
+    def __init__(self, data: SampleSet, prior: PriorConfig):
+        F = data.frame
+        At = F.T.dot(data.a0).dot(F)
+        xt = F.T.dot(data.xbar)
+        h0 = prior.h0_diag
+        self.n = data.n
+        self.a00 = float(At[0, 0])
+        self.a_col = At[1:, 0].copy()
+        # A~ w and b^T (F^T xbar)_tail from one product with b.
+        self.a_w = np.vstack([At[:, 1:], xt[1:]])
+        self.a_diag = At.diagonal()[1:] + h0[1:]  # H0 is added with the tail forms
+        self.h00 = float(h0[0])
+        self.x0, self.x_tail = float(xt[0]), xt[1:].copy()
+        self.f0, self.f_tail = F[:, 0].copy(), np.ascontiguousarray(F[:, 1:])
+        self.mu0, self.kappa0 = prior.mu0, prior.kappa0
+
+    def point(self, m0: float, mt: np.ndarray) -> tuple:
+        """The point at frame coordinates ``(m0, mt)`` (``ZeroMeanError`` at a zero mean)."""
+        nt2 = float(mt.dot(mt))
+        c2 = m0 * m0 + nt2
+        c0 = math.sqrt(c2)
+        if c0 < UNIT_TOL:
+            raise ZeroMeanError("cannot factor a zero mean vector into c0 * u")
+        nt = math.sqrt(nt2)
+        c, s = m0 / c0, nt / c0
+        b = mt / nt if nt else mt
+        g = self.a_w.dot(b)
+        g0, bx, gt = float(g[0]), float(g[-1]), g[1:-1]  # g[:-1] = A~ w
+        kap = float(b.dot(gt))  # w^T A~ w
+        c1 = c - 1.0
+        q0 = c * c * self.a00 + 2.0 * c * s * g0 + s * s * kap  # u^T A~ u
+        a_a = s * s * self.a00 - 2.0 * s * c1 * g0 + c1 * c1 * kap  # a^T A~ a
+        # (A~ a)_tail = (c - 1) (A~ w)_tail - s A~_tail,0
+        tail = self.a_diag + b * ((2.0 * c1) * gt - (2.0 * s) * self.a_col + a_a * b)
+        mu = self.f_tail.dot(mt) + m0 * self.f0
+        dm = mu - self.mu0
+        kd = self.kappa0 * (dm * dm)
+        ux = c * self.x0 + s * bx
+        hn0 = q0 + self.n * c0 * (c0 - 2.0 * ux) + float(kd[0]) + self.h00
+        return m0, mt, c, s, b, c2, mu, hn0, tail + kd[1:]
+
+    def state(self, pt: tuple, sweep: tuple) -> tuple:
+        """The MH state of the point ``pt`` under the sweep terms ``sweep`` (see :func:`_sweep`)."""
+        lam, eig, gap2, lam_term, inv_lam = sweep
+        d = _variances(self.n, pt[5], eig, gap2)
+        lp = lam_term - 0.5 * (pt[7] + float(pt[8].dot(inv_lam)))
+        return pt, d, math.fsum(np.log(d).tolist()), lp
+
+    def step(self, state: tuple, sweep: tuple, rng) -> tuple[tuple, bool]:
+        """One MH update from ``state``; returns the next state and whether the proposal
+        was accepted.
+
+        The forward density ``q(mu* | mu)`` is read off the standard normal
+        draw ``z``; the reverse density ``q(mu | mu*)`` uses the basis and
+        the variances of ``mu*``.  An accepted proposal hands its point,
+        variances and log posterior on to the next step and to the next
+        sweep's eigenvalue draw.
+        """
+        (m0, mt, c, s, b, *_), d, log_det, lp = state
+        z = rng.standard_normal(mt.size + 1)
+        y = np.sqrt(d) * z
+        y0, yt = float(y[0]), y[1:]
+        k = float(b.dot(yt))  # the step P y is y0 u + (0, yt) + (b^T yt) a
+        new = self.state(self.point(m0 + y0 * c - s * k, mt + yt + (y0 * s + (c - 1.0) * k) * b),
+                         sweep)
+        (m0s, mts, cs, ss, bs, *_), ds, log_det_s, lp_s = new
+        d0, dt = m0 - m0s, mt - mts  # z_rev = P*^T (m - m*), by the same structure
+        k = float(bs.dot(dt))
+        z0 = cs * d0 + ss * k
+        zt = dt + ((cs - 1.0) * k - ss * d0) * bs
+        log_q_rev = -0.5 * (log_det_s + z0 * z0 / float(ds[0]) + float(zt.dot(zt / ds[1:])))
+        log_q_fwd = -0.5 * (log_det + float(z.dot(z)))
+        v = rng.random()
+        if v == 0.0 or math.log(v) < lp_s - lp + log_q_rev - log_q_fwd:
+            return new, True
+        return state, False
 
 
 @dataclass(frozen=True)
@@ -301,29 +387,31 @@ def run_gibbs(
     Starts at ``mu = xbar``; each of the ``s`` sweeps draws the eigenvalues
     from their full conditional and then applies ``l`` MH updates to the
     mean.  No starting eigenvalues are taken: the first sweep draws them
-    before they are used.
+    before they are used.  The updates run in the coordinates of the data's
+    frame (see :class:`_FrameKernel`); the chain holds the ambient means.
     """
     if s < 1:
         raise ValueError("need at least one posterior sample (s >= 1)")
     if l < 1:
         raise ValueError("need at least one inner MH step (l >= 1)")
 
-    mu = data.xbar.copy()
-    P = _basis(mu)
-    hn = _hn_diagonal(data, mu, P, prior)
+    kern = _FrameKernel(data, prior)
+    pt = kern.point(kern.x0, kern.x_tail)
+    shape = _lambda_shape(data, prior)
     mus = np.empty((s, data.p))
     lams = np.empty((s, data.p - 1))
     lps = np.empty(s)
     counts = np.empty(s, dtype=np.int64)
     accepted = 0
     for j in range(s):
-        lam = _draw_lambda(*_lambda_conditional(data, hn, prior), rng)
-        sweep, state = _sweep(data, mu, P, hn, lam, prior)
+        lam = _draw_lambda(shape, 0.5 * pt[8], rng)
+        sweep = _sweep(data, lam, prior)
+        state = kern.state(pt, sweep)
         for _ in range(l):
-            state, acc = _mh_once(data, state, sweep, prior, rng)
-            accepted += int(acc)
-        mu, P, _, _, hn, lp = state
-        mus[j], lams[j], lps[j], counts[j] = mu, lam, lp, accepted
+            state, acc = kern.step(state, sweep, rng)
+            accepted += acc
+        pt, lp = state[0], state[3]
+        mus[j], lams[j], lps[j], counts[j] = pt[6], lam, lp, accepted
     for a in (mus, lams, lps, counts):
         a.setflags(write=False)
     return GibbsRun(mus, lams, lps, counts, accepted=accepted, proposals=s * l)
@@ -335,13 +423,13 @@ def map_from_chain(run: GibbsRun, data: SampleSet, prior: PriorConfig) -> Fit:
     Keeps the mean of the first highest-posterior state, discards its
     eigenvalue draw, and replaces it with the mode of the eigenvalue full
     conditional at that mean, ``c*_i / (n + 1 + 2a)``.  The mean is
-    normalised once into ``u``, and one basis ``P(u)`` serves both the
-    diagonal of ``H_N`` and the covariance.
+    normalised once into ``u``, and one basis ``P(u)``, the data's frame
+    carried to ``u``, serves both the diagonal of ``H_N`` and the covariance.
     """
     if not len(run.log_posterior):
         raise EmptyChainError("cannot extract a MAP estimate from an empty chain")
     mu = run.mu[int(np.argmax(run.log_posterior))]
     u, c0 = _polar(mu)
-    basis = build_orthobasis(u)
+    basis = transport_frame(data.frame, u)
     lam_hat = _lambda_mode(data, _hn_diagonal(data, mu, basis, prior), prior)
     return Fit(u=u, c0=c0, spectrum=lam_hat, basis=basis)

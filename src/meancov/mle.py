@@ -16,7 +16,6 @@ from .model import (
     Fit,
     SampleSet,
     _as_vector,
-    _norm,
     build_orthobasis,
     tail_quadratic_forms,
 )
@@ -100,11 +99,11 @@ def fit_mle(data: SampleSet) -> Fit:
     The direction estimate is the eigenvector of the smallest eigenvalue of
     ``A(xbar)``, signed so that ``u^T xbar >= 0``; the radius and eigenvalues
     follow from their closed forms at that direction.  The basis ``P(u)`` is
-    completed once and serves the eigenvalues, the profile log-likelihood and
-    the covariance.  The eigenvector is normalised once, before the radius is
-    taken and the sign fixed, so the fit's ``c0`` is ``estimate_c0(data, u)``
-    bit for bit; the fit's ``u`` is that unit vector, the first column of its
-    basis, and every diagnostic is taken at it.
+    the data's :attr:`~meancov.model.SampleSet.frame`, completed once with
+    the one ``eigh`` of ``A(xbar)``; it serves the eigenvalues, the profile
+    log-likelihood and the covariance.  The fit's ``u`` is the first column
+    of that basis, its ``c0`` is ``estimate_c0(data, u)`` bit for bit, and
+    every diagnostic is taken at it.
 
     The diagnostics are ``profile_loglik`` and ``lower_bound`` at the fit,
     ``smallest_eig_of_A_xbar``, ``degenerate_direction`` (a numerically
@@ -119,17 +118,13 @@ def _fit_mle(data: SampleSet) -> Fit:
     """The fit :func:`fit_mle` keeps on ``data``, computed afresh."""
     if data.n < 2:
         raise DegenerateDataError("need at least two observations")
-    A = data.scatter_about_mean()
-    evals, evecs = np.linalg.eigh(A)
-    tr = float(np.trace(A))
+    evals, basis = data._anchor
+    tr = float(np.trace(data.scatter_about_mean()))
     if evals[0] <= _RANK_RTOL * tr:
         raise DegenerateDataError("A(xbar) is rank deficient")
     degenerate = bool(evals[1] - evals[0] <= 1e-9 * tr)
-    u = evecs[:, 0] / _norm(evecs[:, 0])
+    u = basis[:, 0].copy()  # contiguous: a strided dot sums in another order
     c0 = estimate_c0(data, u)
-    if c0 < 0.0:
-        u, c0 = -u, -c0
-    basis = build_orthobasis(u)
     q = _tail_forms(data, basis)
     return Fit(
         u=u,

@@ -7,8 +7,9 @@ By construction ``Sigma u = u``, i.e. the mean vector ``c0 * u`` is an
 eigenvector of the covariance with eigenvalue one, for every radius ``c0``.
 
 The basis ``P(u) = [u | V]``, the free eigenvalues and the covariance are
-plain read-only ``ndarray``s: :func:`build_orthobasis` completes the basis and
-:func:`structured_covariance` assembles ``Sigma`` from it.  A fit,
+plain read-only ``ndarray``s: :func:`build_orthobasis` completes the basis,
+:func:`transport_frame` carries a completed basis (a frame) to another
+direction, and :func:`structured_covariance` assembles ``Sigma`` from it.  A fit,
 :class:`Fit`, holds the direction ``u`` and the radius ``c0`` of the mean
 ``mu = c0 u`` next to them, as arrays and scalars.  ``Fit`` and
 ``SampleSet`` are frozen; the functions are pure and safe to call
@@ -137,6 +138,44 @@ def build_orthobasis(u) -> np.ndarray:
     return P
 
 
+def transport_frame(frame: np.ndarray, u) -> np.ndarray:
+    """Carry the basis ``frame = P(r)`` to the unit ``u`` by the rotation in ``span{r, u}``.
+
+    The rotation that takes ``r`` to ``u`` and fixes the complement of the
+    plane turns the tail ``V_r`` of the frame into
+    ``V(u) = V_r + ((c - 1) w - s r)(w^T V_r)``, with ``c = r^T u``,
+    ``s = ||u - c r||`` and ``w = (u - c r) / s``: a rank-one update, O(p^2).
+    It is taken in the frame's coordinates ``frame^T u = (c, s b)``, so that
+    ``w = V_r b`` is orthogonal to ``r`` to rounding however close ``u`` is to
+    ``-r``, and ``w^T V_r = b^T``.  ``V(u)`` is continuous in ``u`` everywhere
+    but at ``u = -r``, the one seam of the completion.  Where ``s`` is zero
+    it is ``V_r``, and ``frame`` itself is returned for ``u`` equal to ``r``.
+
+    Returns the read-only ``P = [u | V(u)]``; column 0 is ``u`` bit for bit.
+    ``u`` must have the frame's length and be unit within ``UNIT_TOL``.
+    """
+    u = _as_vector(u, "u")
+    p = frame.shape[0]
+    if u.size != p:
+        raise DimensionMismatchError(f"direction length {u.size} != p = {p}")
+    _check_unit(u)
+    r, v_r = frame[:, 0], frame[:, 1:]
+    if np.array_equal(u, r):
+        return frame
+    ut = frame.T.dot(u)
+    t = ut[1:]
+    s = math.sqrt(t.dot(t))
+    P = np.empty((p, p))
+    P[:, 0] = u
+    if s == 0.0:
+        P[:, 1:] = v_r
+    else:
+        b = t / s
+        P[:, 1:] = v_r + np.outer((ut[0] - 1.0) * v_r.dot(b) - s * r, b)
+    P.setflags(write=False)
+    return P
+
+
 def tail_quadratic_forms(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The quadratic forms ``V_i^T A V_i`` for every column ``V_i`` of ``V``."""
     return (V * A.dot(V)).sum(axis=0)
@@ -173,8 +212,10 @@ class Fit:
     Every constrained estimator returns this shape, and construction checks
     it.  ``u`` is a read-only copy of the direction as the estimator
     completed it, unit within ``UNIT_TOL``; ``c0 >= 0`` is the radius.
-    ``basis`` is the read-only matrix ``P = build_orthobasis(u)`` that
-    :meth:`covariance` reads, and ``spectrum`` a read-only copy of the
+    ``basis`` is the read-only completion ``P(u)`` that :meth:`covariance`
+    reads (a writable one is copied): the data's frame for the MLE and the
+    frame carried to ``u`` by :func:`transport_frame` for the two MAPs.
+    ``spectrum`` is a read-only copy of the
     ``p - 1`` free eigenvalues, each > 0 (the leading one is fixed at one).
     ``converged`` and ``outer_iterations`` describe an iterative fit (a
     closed-form fit keeps the defaults); ``diagnostics`` is a read-only
@@ -206,6 +247,10 @@ class Fit:
         u, lam = u.copy(), lam.copy()
         u.setflags(write=False)
         lam.setflags(write=False)
+        if self.basis.flags.writeable:  # an unpickled basis, or a caller's array
+            basis = self.basis.copy()
+            basis.setflags(write=False)
+            object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "spectrum", lam)
@@ -226,17 +271,20 @@ class Fit:
         return structured_covariance(self.basis, self.spectrum)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """The sufficient statistics of an n x p data matrix ``X``: ``n``, ``xbar`` and ``a0``.
 
     Every estimator reads the data only through the row count, the sample
     mean ``xbar`` and the scatter about the origin ``a0 = sum_j x_j x_j^T``,
-    both read-only; ``X`` is reduced to them and not kept.  ``X``, its mean
-    and its scatter must be finite (``DegenerateDataError`` otherwise); it is
-    read as a C-ordered float array, copied only when it is not one.  The
-    largest eigenvalue of ``a0``, the scatter about the mean and the MLE
+    both read-only; ``X`` is reduced to them and not kept.  ``X`` needs at
+    least one row, and it, its mean and its scatter must be finite
+    (``DegenerateDataError`` otherwise); it is read as a C-ordered float
+    array, copied only when it is not one.  The largest eigenvalue of
+    ``a0``, the scatter about the mean, the :attr:`frame` and the MLE
     (:func:`meancov.mle.fit_mle`) are computed on first use and then kept.
+    Instances compare and hash by identity, as the kept MLE treats them, and
+    an unpickled one is read-only like the original.
     """
 
     X: InitVar[np.ndarray]
@@ -251,6 +299,8 @@ class SampleSet:
         X = np.ascontiguousarray(X, dtype=float)
         if X.shape[1] < 2:
             raise DimensionMismatchError("need dimension p >= 2")
+        if X.shape[0] < 1:
+            raise DegenerateDataError(f"data has {X.shape[0]} rows; need at least one")
         if not np.isfinite(X).all():
             raise DegenerateDataError("data must be finite, got a NaN or an infinity")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -263,6 +313,15 @@ class SampleSet:
         object.__setattr__(self, "n", X.shape[0])
         object.__setattr__(self, "xbar", xbar)
         object.__setattr__(self, "a0", a0)
+
+    def __setstate__(self, state):
+        # Pickle restores arrays writable: freeze the statistics and every
+        # kept array (the frame, the scatter about the mean) again.
+        for value in state.values():
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+        self.__dict__.update(state)
 
     @property
     def p(self) -> int:
@@ -295,6 +354,28 @@ class SampleSet:
         a = self.scatter(self.xbar)
         a.setflags(write=False)
         return a
+
+    @property
+    def frame(self) -> np.ndarray:
+        """The anchor basis ``P(u_hat) = build_orthobasis(u_hat)`` (read-only).
+
+        ``u_hat`` is the eigenvector of the smallest eigenvalue of ``A(xbar)``,
+        signed so that ``u_hat^T xbar >= 0``: the MLE's direction, taken here
+        without the MLE's rank test.  The MLE's basis is this frame, and the
+        two MAPs carry it to their directions with :func:`transport_frame`,
+        so their completion depends on the data through ``u_hat``.
+        """
+        return self._anchor[1]
+
+    @cached_property
+    def _anchor(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues of ``A(xbar)`` and the :attr:`frame`, from one ``eigh``."""
+        evals, evecs = np.linalg.eigh(self.scatter_about_mean())
+        u = evecs[:, 0] / _norm(evecs[:, 0])
+        if u @ self.xbar < 0.0:
+            u = -u
+        evals.setflags(write=False)
+        return evals, build_orthobasis(u)
 
     @cached_property
     def _mle(self) -> Fit:

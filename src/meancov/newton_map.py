@@ -17,7 +17,7 @@ import numpy as np
 
 from .gibbs import PriorConfig, _hn_diagonal, _lambda_mode
 from .mle import fit_mle
-from .model import Fit, SampleSet, _as_vector, _norm, _polar, build_orthobasis
+from .model import Fit, SampleSet, _as_vector, _norm, _polar, transport_frame
 
 MAX_INNER = 50
 MAX_BACKTRACKS = 30
@@ -58,10 +58,11 @@ def map_lambda_update(data: SampleSet, u, c0: float, prior: PriorConfig) -> np.n
     """Closed-form eigenvalue update: trailing diagonal of H_N over ``n+1+2a``.
 
     This is the mode of the inverse-gamma full conditional of each
-    eigenvalue at the mean ``c0 * u``, the formula the Gibbs MAP uses too.
+    eigenvalue at the mean ``c0 * u``, the formula the Gibbs MAP uses too,
+    in the same completion: the data's frame carried to ``u``.
     """
     u = _as_vector(u, "u")
-    hn = _hn_diagonal(data, c0 * u, build_orthobasis(u), prior)
+    hn = _hn_diagonal(data, c0 * u, transport_frame(data.frame, u), prior)
     return _lambda_mode(data, hn, prior)
 
 
@@ -154,12 +155,14 @@ def fit_map_newton(
     ``c0 u = (-c0)(-u)`` with the sign moved onto the direction, so that
     ``c0 >= 0``.
 
-    The basis is completed once per distinct direction: it is taken from the
-    MLE (or completed for the start vector), reused by every eigenvalue
-    refresh, and completed again only after an outer iteration that moved
-    the direction, or for ``-u`` after a sign flip.  The fit's ``u`` is the
-    last direction completed, bit for bit, and its ``basis`` and
-    ``spectrum`` are those of ``u``.
+    The basis is the data's frame carried to the direction
+    (:func:`meancov.model.transport_frame`), the completion the Gibbs MAP
+    uses, so both MAPs target one posterior.  It is carried once per distinct
+    direction: taken from the MLE, whose basis is the frame (or carried to
+    the start vector), reused by every eigenvalue refresh, and carried again
+    only after an outer iteration that moved the direction, or to ``-u``
+    after a sign flip.  The fit's ``u`` is the last direction carried, bit
+    for bit, and its ``basis`` and ``spectrum`` are those of ``u``.
 
     The diagnostic ``h_trace`` holds the surrogate value after the initial
     point and every accepted update; the acceptance rule makes it
@@ -172,7 +175,7 @@ def fit_map_newton(
         u, c0, basis = mle.u, mle.c0, mle.basis
     else:
         u, c0 = _polar(init_mu)
-        basis = build_orthobasis(u)
+        basis = transport_frame(data.frame, u)
     lam = _lambda_mode(data, _hn_diagonal(data, c0 * u, basis, prior), prior)
     h_cur = h_value(data, u, c0, prior)
     h_trace = [h_cur]
@@ -223,14 +226,14 @@ def fit_map_newton(
             if delta < cfg.epsilon:
                 break
         if u is not u_outer:
-            basis = build_orthobasis(u)
+            basis = transport_frame(data.frame, u)
         if _norm(u - u_outer) < cfg.epsilon:
             converged = True
             break
 
     if c0 < 0.0:
         u, c0 = -u, -c0
-        basis = build_orthobasis(u)
+        basis = transport_frame(data.frame, u)
     lam = _lambda_mode(data, _hn_diagonal(data, c0 * u, basis, prior), prior)
     return Fit(
         u=u,

@@ -139,10 +139,13 @@ ESTIMATORS: Mapping[str, EstimatorFn] = MappingProxyType({
 
 
 def default_estimators(p: int) -> dict[str, EstimatorFn]:
-    """:data:`ESTIMATORS`, without ``gibbs`` when ``p > GIBBS_MAX_P``: one Gibbs replication
-    (s=100, l=5, one BLAS thread, 2-vCPU x86-64 VM) takes 38 ms at (n, p) = (50, 3), 82 ms
-    at (100, 10) and 1.1 s at (500, 50), 19-230 times the other three columns together,
-    and at (200, 10) 8 of 12 chains stay trapped far below the MLE."""
+    """:data:`ESTIMATORS`, without ``gibbs`` when ``p > GIBBS_MAX_P``.
+
+    One Gibbs replication (s=100, l=5, one BLAS thread, 2-vCPU x86-64 VM)
+    takes 12-15 ms at (n, p) = (50, 3) and (50, 5), 13-16 ms at (100, 10)
+    and (200, 20) and 15-24 ms at (500, 50): 2-17 times the other three
+    columns together.  At (200, 10) no chain of 12 is trapped (s=2000).
+    Whether Gibbs can join every cell is open, so the gate stays."""
     return {name: fn for name, fn in ESTIMATORS.items() if name != "gibbs" or p <= GIBBS_MAX_P}
 
 

@@ -534,6 +534,20 @@ class TestDispatch:
         assert status == EXIT_NUMERIC
         assert doc["error"]["category"] == "numeric"
 
+    def test_gibbs_fits_rank_deficient_data(self, tmp_path):
+        # The sampler's frame needs no rank: data in a plane, which the MLE
+        # rejects, still give a Gibbs MAP.
+        X = simulated_rows(30, 3, seed=82)
+        X[:, 2] = X[:, 0] + X[:, 1]
+        path = tmp_path / "plane.csv"
+        write_csv(path, X)
+        status, doc = run(RunConfig(command="fit-mle", input_path=str(path)))
+        assert status == EXIT_NUMERIC
+        cfg = RunConfig(command="fit-map-gibbs", input_path=str(path), gibbs_s=10, gibbs_l=2)
+        status, doc = run(cfg)
+        assert status == EXIT_OK
+        assert np.all(np.isfinite(doc["results"]["sigma"]))
+
     def test_non_convergence_exit_code(self, data_csv):
         cfg = RunConfig(command="fit-map-newton", input_path=data_csv,
                         newton_eps=1e-300, newton_max_iter=1)

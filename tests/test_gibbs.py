@@ -21,10 +21,16 @@ from meancov import (
     map_from_chain,
     run_gibbs,
     structured_covariance,
+    transport_frame,
 )
+from meancov import model as model_module
 from meancov.gibbs import (
+    _FrameKernel,
     _basis,
-    _mh_once,
+    _hn_diagonal,
+    _lambda_mode,
+    _log_density,
+    _log_lam_term,
     _sweep,
     lambda_conditional_params,
 )
@@ -49,18 +55,35 @@ def _log_q(P, d, y, x):
 
 
 def _step_state(data, mu, lam, prior):
-    """The sampler's sweep terms and MH state at ``mu`` for the eigenvalues ``lam``."""
-    return _sweep(data, mu, _basis(mu), hn_diagonal(data, mu, prior), lam, prior)
+    """The sampler's kernel, sweep terms and MH state at ``mu`` for the eigenvalues ``lam``.
+
+    The state's point is at the frame coordinates ``F^T mu``; its ambient
+    mean ``F F^T mu`` is ``mu`` to rounding.
+    """
+    kern = _FrameKernel(data, prior)
+    sweep = _sweep(data, lam, prior)
+    m = data.frame.T.dot(mu)
+    return kern, sweep, kern.state(kern.point(float(m[0]), m[1:].copy()), sweep)
+
+
+def _explicit_basis(data, pt):
+    """The ambient basis ``F [u | E + a b^T]`` of a kernel point: the oracle of its geometry."""
+    _, _, c, s, b, *_ = pt
+    p = b.size + 1
+    u = np.concatenate(([c], s * b))
+    a = np.concatenate(([-s], (c - 1.0) * b))
+    tail = np.eye(p)[:, 1:] + np.outer(a, b)
+    return data.frame @ np.column_stack([u, tail])
 
 
 def hn_matrix(data, mu, prior):
     """Reference ``H_N = P^T A(mu) P + kappa0 (mu - mu0)(mu - mu0)^T + H0``.
 
-    Forms the scatter ``A(mu)`` and the full matrix; ``P`` is the basis
-    anchored at ``mu / ||mu||``, and the prior quadratic and ``H0`` are added
-    in ambient components.
+    Forms the scatter ``A(mu)`` and the full matrix; ``P`` is the data's
+    frame carried to ``mu / ||mu||``, and the prior quadratic and ``H0`` are
+    added in ambient components.
     """
-    P = build_orthobasis(mu / np.linalg.norm(mu))
+    P = transport_frame(data.frame, mu / np.linalg.norm(mu))
     d = mu - prior.mu0
     return P.T @ data.scatter(mu) @ P + prior.kappa0 * np.outer(d, d) + np.diag(prior.h0_diag)
 
@@ -69,24 +92,28 @@ def reference_gibbs(data, prior, s, l, rng):
     """MH-within-Gibbs composed from ``log_posterior``, ``_basis``,
     ``_proposal_diag`` and ``_log_q``: the oracle of ``run_gibbs``.
 
-    Evaluates the basis, the variances and the log posterior of every
-    proposed state, and of the current state at the start of each sweep,
-    from scratch, and draws from ``rng`` in the sampler's order.  It takes
-    the forward density from ``_log_q``, where the sampler reads it off the
-    normal draw; the two differ by rounding, which could move an accept
-    decision only if the uniform fell within rounding of the ratio.
-    Returns one ``(mu, lam, log_posterior, accepted)`` per sweep.
+    Works in ambient coordinates with the explicit basis ``P(mu)``, the
+    data's frame carried to ``mu / ||mu||``.  Evaluates the basis, the
+    variances and the log posterior of every proposed state, and of the
+    current state at the start of each sweep, from scratch, and draws from
+    ``rng`` in the sampler's order.  It takes the forward density from
+    ``_log_q``, where the sampler reads it off the normal draw, and every
+    product with the basis as a matrix product, where the sampler takes it
+    as a rank-one update in the frame's coordinates; the two differ by
+    rounding, which could move an accept decision only if the uniform fell
+    within rounding of the ratio.  Returns one ``(mu, lam, log_posterior,
+    accepted)`` per sweep.
     """
     mu = data.xbar.copy()
     states = []
     accepted = 0
     for _ in range(s):
         lam = draw_lambda_conditional(data, mu, prior, rng)
-        P, d = _basis(mu), _proposal_diag(data, mu, lam)
+        P, d = _basis(data, mu), _proposal_diag(data, mu, lam)
         lp = log_posterior(data, mu, lam, prior)
         for _ in range(l):
             mu_star = mu + P @ (np.sqrt(d) * rng.standard_normal(mu.size))
-            P_star, d_star = _basis(mu_star), _proposal_diag(data, mu_star, lam)
+            P_star, d_star = _basis(data, mu_star), _proposal_diag(data, mu_star, lam)
             lp_star = log_posterior(data, mu_star, lam, prior)
             log_r = lp_star - lp + _log_q(P_star, d_star, mu, mu_star) - _log_q(P, d, mu_star, mu)
             if np.log(rng.uniform()) < log_r:
@@ -94,6 +121,30 @@ def reference_gibbs(data, prior, s, l, rng):
                 accepted += 1
         states.append((mu.copy(), lam, lp, accepted))
     return states
+
+
+def effective_sample_size(x) -> float:
+    """Effective sample size of a scalar chain by Geyer's initial monotone sequence.
+
+    Sums the autocorrelations in adjacent pairs, stops before the first pair
+    sum that is not positive and makes the pair sums non-increasing
+    (Geyer 1992, Statistical Science 7:473).
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    x = x - x.mean()
+    f = np.fft.rfft(x, 2 * n)
+    rho = np.fft.irfft(f * np.conj(f))[:n]
+    rho /= rho[0]
+    pairs = rho[: n - n % 2].reshape(-1, 2).sum(axis=1)
+    stop = np.flatnonzero(pairs <= 0.0)
+    gamma = np.minimum.accumulate(pairs[: stop[0] if stop.size else pairs.size])
+    return n / (2.0 * gamma.sum() - 1.0)
+
+
+def profiled_log_posterior(data, mu, prior) -> float:
+    """The log posterior at ``mu`` with each eigenvalue at its conditional mode."""
+    return log_posterior(data, mu, _lambda_mode(data, hn_diagonal(data, mu, prior), prior), prior)
 
 
 def _small_rows():
@@ -140,7 +191,7 @@ class TestHnMatrix:
         mu = data.xbar * 1.1
         H = hn_matrix(data, mu, prior)
         u = mu / np.linalg.norm(mu)
-        P = build_orthobasis(u)
+        P = transport_frame(data.frame, u)
         d = mu - prior.mu0
         expected = P.T @ data.scatter(mu) @ P + prior.kappa0 * np.outer(d, d) + np.eye(3)
         assert np.allclose(H, expected, atol=1e-12)
@@ -181,12 +232,12 @@ class TestHnMatrix:
 
     def test_length_checked_before_the_basis(self, small_case, monkeypatch):
         # A wrong-length mean is a dimension error, zero or not, and costs no
-        # basis completion.
+        # basis.
         data, prior = small_case
         with pytest.raises(DimensionMismatchError):
             hn_diagonal(data, np.zeros(4), prior)
         calls = []
-        monkeypatch.setattr(gibbs, "build_orthobasis", calls.append)
+        monkeypatch.setattr(gibbs, "transport_frame", lambda f, u: calls.append(u))
         with pytest.raises(DimensionMismatchError):
             hn_diagonal(data, np.ones(4), prior)
         assert calls == []
@@ -203,7 +254,7 @@ class TestLogPosterior:
         mu = np.array([0.6, 0.3])
         lam = np.array([1.4])
         u = mu / np.linalg.norm(mu)
-        P = build_orthobasis(u)
+        P = transport_frame(data.frame, u)
         A = sum(np.outer(x - mu, x - mu) for x in X)
         d = mu - prior.mu0
         H = P.T @ A @ P + prior.kappa0 * np.outer(d, d) + np.diag(prior.h0_diag)
@@ -219,7 +270,7 @@ class TestLogPosterior:
 
         def direct(mu, lam):
             u = mu / np.linalg.norm(mu)
-            sigma = structured_covariance(build_orthobasis(u), lam)
+            sigma = structured_covariance(transport_frame(data.frame, u), lam)
             ll = multivariate_normal.logpdf(X, mean=mu, cov=sigma).sum()
             D = np.concatenate(([1.0], lam))
             lp_mu = -0.5 * np.sum(np.log(D)) - 0.5 * prior.kappa0 * np.sum(
@@ -310,7 +361,7 @@ class TestMhStep:
         mu = data.xbar
         lam = np.array([10.0, 8.0])
         lp = log_posterior(data, mu, lam, prior)
-        P, d = _basis(mu), _proposal_diag(data, mu, lam)
+        P, d = _basis(data, mu), _proposal_diag(data, mu, lam)
         log_r = (lp - lp) + _log_q(P, d, mu, mu) - _log_q(P, d, mu, mu)
         assert log_r == 0.0
 
@@ -321,10 +372,10 @@ class TestMhStep:
         rng = np.random.default_rng(5)
         mu = data.xbar
         lam = np.ones(2)
-        P, d = _basis(mu), _proposal_diag(data, mu, lam)
+        P, d = _basis(data, mu), _proposal_diag(data, mu, lam)
         for _ in range(20):
             mu_star = mu + rng.standard_normal(3) * 0.1
-            P_star, d_star = _basis(mu_star), _proposal_diag(data, mu_star, lam)
+            P_star, d_star = _basis(data, mu_star), _proposal_diag(data, mu_star, lam)
             q_diff = _log_q(P_star, d_star, mu, mu_star) - _log_q(P, d, mu_star, mu)
             assert abs(q_diff) < 1e-12
 
@@ -338,7 +389,7 @@ class TestMhStep:
         mu = fit_mle(data).mu
         shape, scales = lambda_conditional_params(data, mu, prior)
         lam = scales / (shape + 1.0)
-        P, d = _basis(mu), _proposal_diag(data, mu, lam)
+        P, d = _basis(data, mu), _proposal_diag(data, mu, lam)
         for i in range(1, p):
             h = 1e-2 * np.sqrt(d[i])
             f = [log_posterior(data, mu + t * P[:, i], lam, prior) for t in (-h, 0.0, h)]
@@ -356,17 +407,17 @@ class TestMhStep:
             assert np.all(d[1:][lam == 1.0] == pytest.approx(1.0 / data.n, rel=1e-12))
 
     def test_hastings_ratio_uses_reverse_variances(self, small_case):
-        # Drive _mh_once with a fixed proposal step and a uniform just below
+        # Drive the kernel's step with a fixed proposal step and a uniform just below
         # or just above the hand-computed ratio, whose reverse density uses
         # the variances at mu*.
         data, prior = small_case
         mu = data.xbar
         lam = np.array([10.0, 8.0])
         lp = log_posterior(data, mu, lam, prior)
-        P, d = _basis(mu), _proposal_diag(data, mu, lam)
+        P, d = _basis(data, mu), _proposal_diag(data, mu, lam)
         z = np.array([3.0, -2.0, 2.0])
         mu_star = mu + P @ (np.sqrt(d) * z)
-        P_star, d_star = _basis(mu_star), _proposal_diag(data, mu_star, lam)
+        P_star, d_star = _basis(data, mu_star), _proposal_diag(data, mu_star, lam)
         assert abs(np.linalg.norm(mu_star) - np.linalg.norm(mu)) > 1e-3
         q_term = _log_q(P_star, d_star, mu, mu_star) - _log_q(P, d, mu_star, mu)
         q_term_forward_only = _log_q(P_star, d, mu, mu_star) - _log_q(P, d, mu_star, mu)
@@ -381,46 +432,65 @@ class TestMhStep:
             def standard_normal(self, size):
                 return z.copy()
 
-            def uniform(self):
+            def random(self):
                 return self.u
 
-        sweep, state = _step_state(data, mu, lam, prior)
-        assert state[5] == lp and np.array_equal(state[2], d)
+        kern, sweep, state = _step_state(data, mu, lam, prior)
+        assert state[3] == pytest.approx(lp, rel=1e-14)
+        np.testing.assert_allclose(state[1], d, rtol=1e-14)
         for shift, accepted in ((-1e-9, True), (1e-9, False)):
-            out, acc = _mh_once(data, state, sweep, prior, FixedDraws(np.exp(log_r + shift)))
+            out, acc = kern.step(state, sweep, FixedDraws(np.exp(log_r + shift)))
             assert acc is accepted
-            assert np.allclose(out[0], mu_star if accepted else mu)
-            assert np.array_equal(out[2], d_star if accepted else d)
+            assert np.allclose(out[0][6], mu_star if accepted else mu)
+            np.testing.assert_allclose(out[1], d_star if accepted else d, rtol=1e-14)
 
     def test_step_interface(self, small_case):
         data, prior = small_case
         mu, lam = data.xbar, np.array([12.0, 9.0])
         lp = log_posterior(data, mu, lam, prior)
         rng = np.random.default_rng(2)
-        sweep, state = _step_state(data, mu, lam, prior)
-        assert state[5] == lp
-        (mu_new, *_), accepted = _mh_once(data, state, sweep, prior, rng)
-        assert mu_new.shape == (3,)
-        assert isinstance(accepted, (bool, np.bool_))
+        kern, sweep, state = _step_state(data, mu, lam, prior)
+        assert state[3] == pytest.approx(lp, rel=1e-14)
+        (pt, *_), accepted = kern.step(state, sweep, rng)
+        assert pt[6].shape == (3,)
+        assert isinstance(accepted, bool)
 
     def test_carried_values_match_the_state(self, small_case):
         # A state hands on its basis, variances, their log sum, H_N diagonal
-        # and log posterior; each equals its value computed afresh.
+        # and log posterior; each equals its value computed afresh in
+        # ambient coordinates, to rounding.
         data, prior = small_case
         lam = np.array([12.0, 9.0])
-        sweep, state = _step_state(data, data.xbar, lam, prior)
+        kern, sweep, state = _step_state(data, data.xbar, lam, prior)
         rng = np.random.default_rng(4)
         accepted = 0
         for _ in range(30):
-            state, acc = _mh_once(data, state, sweep, prior, rng)
+            state, acc = kern.step(state, sweep, rng)
             accepted += acc
-            mu, P, d, log_det, hn, lp = state
-            assert np.array_equal(P, _basis(mu))
-            assert np.array_equal(d, _proposal_diag(data, mu, lam))
-            assert log_det == np.log(d).sum()
-            assert np.array_equal(hn, hn_diagonal(data, mu, prior))
-            assert lp == log_posterior(data, mu, lam, prior)
+            pt, d, log_det, lp = state
+            mu, hn = pt[6], np.concatenate(([pt[7]], pt[8]))
+            np.testing.assert_allclose(_explicit_basis(data, pt), _basis(data, mu), atol=1e-14)
+            np.testing.assert_allclose(d, _proposal_diag(data, mu, lam), rtol=1e-14)
+            assert log_det == pytest.approx(np.log(d).sum(), rel=1e-14)
+            np.testing.assert_allclose(hn, hn_diagonal(data, mu, prior), rtol=1e-12)
+            assert lp == pytest.approx(log_posterior(data, mu, lam, prior), rel=1e-12)
         assert accepted > 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 10, 50])
+    def test_kernel_matches_explicit_basis_at_random_states(self, p):
+        # The rank-one forms in frame coordinates against the explicit
+        # P^T A(mu) P, at means near xbar, far from it and of large norm.
+        data = simulated_data(4 * p, p, seed=60 + p)
+        prior = PriorConfig.default(data)
+        rng = np.random.default_rng(61)
+        lam = rng.uniform(0.5, 3.0, p - 1)
+        for scale in (0.1, 1.0, 3.0, 3.0, 3.0):
+            mu = data.xbar + scale * rng.standard_normal(p)
+            kern, sweep, state = _step_state(data, mu, lam, prior)
+            pt, _, _, lp = state
+            hn = np.concatenate(([pt[7]], pt[8]))
+            np.testing.assert_allclose(hn, np.diag(hn_matrix(data, pt[6], prior)), rtol=1e-12)
+            assert lp == pytest.approx(log_posterior(data, pt[6], lam, prior), rel=1e-12)
 
     def test_discretized_detailed_balance(self):
         # Project a long p=2 chain onto coarse bins of the mean's first
@@ -431,13 +501,13 @@ class TestMhStep:
         rng = np.random.default_rng(3)
         mu = data.xbar.copy()
         lam = np.array([float(np.linalg.eigvalsh(data.scatter_about_mean() / data.n)[-1])])
-        sweep, state = _step_state(data, mu, lam, prior)
+        kern, sweep, state = _step_state(data, mu, lam, prior)
         for _ in range(2000):  # burn-in at fixed lambda
-            state, _ = _mh_once(data, state, sweep, prior, rng)
+            state, _ = kern.step(state, sweep, rng)
         traj = np.empty(100_000)
         for i in range(traj.size):
-            state, _ = _mh_once(data, state, sweep, prior, rng)
-            traj[i] = state[0][0]
+            state, _ = kern.step(state, sweep, rng)
+            traj[i] = state[0][6][0]
         edges = np.quantile(traj, [0.25, 0.5, 0.75])
         bins = np.digitize(traj, edges)
         counts = np.zeros((4, 4))
@@ -451,32 +521,36 @@ class TestMhStep:
 
 
 class TestRunGibbs:
-    def test_one_basis_completion_per_proposal(self, small_case, monkeypatch):
+    def test_no_basis_completion_in_the_run(self, small_case, monkeypatch):
+        # The frame is completed once per data set; the run carries it in
+        # its own coordinates and completes no basis.
         data, prior = small_case
         calls = []
-        build = gibbs.build_orthobasis
+        build = model_module.build_orthobasis
 
         def counted(u):
             calls.append(1)
             return build(u)
 
-        monkeypatch.setattr(gibbs, "build_orthobasis", counted)
-        s, l = 20, 3
-        run_gibbs(data, prior, s=s, l=l, rng=np.random.default_rng(11))
-        assert len(calls) == 1 + s * l  # the start, then one per proposed state
+        monkeypatch.setattr(model_module, "build_orthobasis", counted)
+        run_gibbs(data, prior, s=20, l=3, rng=np.random.default_rng(11))
+        assert len(calls) == 1  # the data's frame
+        run_gibbs(data, prior, s=20, l=3, rng=np.random.default_rng(12))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("n, p, seed", [(50, 3, 500), (50, 3, 501), (50, 5, 502), (200, 10, 503)])
-    def test_matches_reference_sampler_bit_for_bit(self, n, p, seed):
+    def test_matches_reference_sampler(self, n, p, seed):
+        # Every accept decision is the reference's; states agree to rounding.
         data = simulated_data(n, p, seed=seed)
         prior = PriorConfig.default(data)
         run = run_gibbs(data, prior, s=200, l=5, rng=np.random.default_rng(seed))
         expected = reference_gibbs(data, prior, s=200, l=5, rng=np.random.default_rng(seed))
         assert len(run.mu) == len(expected)
         for j, (mu, lam, lp, accepted) in enumerate(expected):
-            assert np.array_equal(run.mu[j], mu)
-            assert np.array_equal(run.lam[j], lam)
-            assert run.log_posterior[j] == lp
             assert run.accepted_count[j] == accepted
+            assert np.linalg.norm(run.mu[j] - mu) <= 1e-12 * np.linalg.norm(mu)
+            np.testing.assert_allclose(run.lam[j], lam, rtol=1e-12)
+            assert run.log_posterior[j] == pytest.approx(lp, rel=1e-12)
         assert run.accepted == expected[-1][3]
 
     def test_rejects_degenerate_requests(self, small_case):
@@ -525,6 +599,82 @@ class TestRunGibbs:
         assert len(text.splitlines()) == 3
 
 
+class TestFrameCompletion:
+    # The MAP posterior completes every direction from one frame per data
+    # set, so it has no seam where the canonical completion re-pivots.
+
+    @pytest.mark.parametrize("n, p, seed", [(50, 3, 1), (100, 5, 4), (200, 10, 3)])
+    def test_log_posterior_continuous_across_a_canonical_seam(self, n, p, seed):
+        # Move the MLE's two largest entries to a tie, where
+        # build_orthobasis switches its pivot, and step 1e-9 to either
+        # side at fixed eigenvalues.
+        data = simulated_data(n, p, seed=seed)
+        prior = PriorConfig.default(data)
+        mu = fit_mle(data).mu.copy()
+        i, j = np.argsort(np.abs(mu))[-2:]
+        tie = 0.5 * (abs(mu[i]) + abs(mu[j]))
+        mu[i], mu[j] = np.sign(mu[i]) * tie, np.sign(mu[j]) * tie
+        step = np.zeros(p)
+        step[i], step[j] = 1e-9 * np.sign(mu[i]), -1e-9 * np.sign(mu[j])
+        above, below = mu + step, mu - step
+        assert np.argmax(np.abs(above)) == i and np.argmax(np.abs(below)) == j
+        lam = _lambda_mode(data, hn_diagonal(data, mu, prior), prior)
+        jump = log_posterior(data, above, lam, prior) - log_posterior(data, below, lam, prior)
+        assert abs(jump) < 1e-5  # measured 1.2e-7 to 7.5e-7
+
+        # The same posterior in the canonical completion jumps by 4.8 to 55.
+        lam_term = _log_lam_term(data, lam, prior)
+
+        def canonical(x):
+            P = build_orthobasis(x / np.linalg.norm(x))
+            return _log_density(_hn_diagonal(data, x, P, prior), lam, lam_term)
+
+        assert abs(canonical(above) - canonical(below)) > 1.0
+
+    def test_map_bases_are_the_frame_at_the_mle(self):
+        # At the MLE's direction the carried frame is the frame, bit for bit,
+        # so both MAPs and the MLE complete it alike.
+        data = simulated_data(50, 3, seed=19)
+        mle = fit_mle(data)
+        assert transport_frame(data.frame, mle.u) is data.frame
+        assert np.array_equal(data.frame, build_orthobasis(mle.u))
+
+
+class TestMixing:
+    # The probe streams default_rng(10_000 + k), k = 0..11, at the probe
+    # designs simulated_data(n, p, seed) under PriorConfig.default, l = 5.
+
+    @pytest.mark.parametrize("n, p, seed", [(50, 3, 501), (200, 10, 503)])
+    def test_no_chain_is_trapped(self, n, p, seed):
+        # A chain is trapped when its best state lies 10 or more units of
+        # profiled log posterior below the MLE's value.  With the canonical
+        # completion 8 of 12 chains at each design never left xbar's chart
+        # and were trapped 20-31 units below, at s = 200 as at s = 2000.  In
+        # the frame the worst best state lies 0.08 (s501) and 3.7 (s503)
+        # units below at s = 200, which costs about 0.6 s per design.
+        data = simulated_data(n, p, seed=seed)
+        prior = PriorConfig.default(data)
+        ref = profiled_log_posterior(data, fit_mle(data).mu, prior)
+        for k in range(12):
+            run = run_gibbs(data, prior, s=200, l=5, rng=np.random.default_rng(10_000 + k))
+            best = run.mu[np.argmax(run.log_posterior)]
+            assert profiled_log_posterior(data, best, prior) > ref - 10.0, f"stream {k}"
+
+    @pytest.mark.parametrize(
+        "n, p, seed, pinned",
+        [(50, 3, 500, 392), (50, 3, 501, 217), (50, 5, 502, 272), (200, 10, 503, 96)],
+    )
+    def test_seeded_ess_per_thousand_sweeps(self, n, p, seed, pinned):
+        # ESS of the mean's first coordinate over 1,000 sweeps after 200
+        # burn-in sweeps, stream 10_000.  A seeded chain is reproducible, so
+        # the value is pinned to 1 %; a change to the sampler that moves it
+        # must re-pin it.  The canonical completion gave 430/84/258/38.
+        data = simulated_data(n, p, seed=seed)
+        run = run_gibbs(data, PriorConfig.default(data), s=1200, l=5,
+                        rng=np.random.default_rng(10_000))
+        assert effective_sample_size(run.mu[200:, 0]) == pytest.approx(pinned, rel=0.01)
+
+
 def _chain(mus, lams, lps) -> GibbsRun:
     """A hand-built run whose states were all rejected proposals."""
     count = np.zeros(len(lps), dtype=int)
@@ -571,8 +721,8 @@ class TestMapFromChain:
         run = run_gibbs(data, prior, s=20, l=3, rng=np.random.default_rng(seed))
         fit = map_from_chain(run, data, prior)
         assert np.array_equal(fit.basis[:, 0], fit.u)
-        assert np.array_equal(fit.basis, build_orthobasis(fit.u))
-        sigma = structured_covariance(build_orthobasis(fit.u), fit.spectrum)
+        assert np.array_equal(fit.basis, transport_frame(data.frame, fit.u))
+        sigma = structured_covariance(transport_frame(data.frame, fit.u), fit.spectrum)
         assert np.array_equal(fit.covariance(), sigma)
         mu = fit.mu
         assert np.linalg.norm(fit.covariance() @ mu - mu) < 1e-10 * np.linalg.norm(mu)

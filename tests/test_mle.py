@@ -16,6 +16,7 @@ from meancov import (
     structured_covariance,
 )
 from meancov import mle as mle_module
+from meancov import model as model_module
 from conftest import estimate_c0_general, random_unit, simulated_data, simulated_rows
 
 
@@ -212,20 +213,18 @@ class TestFitMle:
             fit_mle(SampleSet(X * scale))
 
     def test_degenerate_fit_raises_again(self, monkeypatch):
-        # A fit that raises is not kept: the second call fits again.
+        # A fit that raises is not kept: the second call fits again.  The
+        # frame it read is kept on the data, so the eigh runs once.
         data = SampleSet(np.outer(np.array([1.0, 2.0, -1.0, 0.5]), np.array([1.0, 1.0])))
-        calls = []
-        eigh = mle_module.np.linalg.eigh
-
-        def counted(a):
-            calls.append(1)
-            return eigh(a)
-
-        monkeypatch.setattr(mle_module.np.linalg, "eigh", counted)
+        fits, eighs = [], []
+        fit, eigh = mle_module._fit_mle, mle_module.np.linalg.eigh
+        monkeypatch.setattr(mle_module, "_fit_mle", lambda d: fits.append(1) or fit(d))
+        monkeypatch.setattr(mle_module.np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
         for attempt in (1, 2):
             with pytest.raises(DegenerateDataError):
                 fit_mle(data)
-            assert len(calls) == attempt
+            assert len(fits) == attempt
+            assert len(eighs) == 1
 
     def test_fit_kept_on_the_data(self):
         data = simulated_data(50, 5, seed=18)
@@ -256,16 +255,20 @@ class TestFitMle:
         assert fit.diagnostics["smallest_eig_of_A_xbar"] == pytest.approx(evals[0])
 
     def test_one_basis_completion_per_fit(self, monkeypatch):
+        # The fit's basis is the data's frame, completed once.
         calls = []
-        build = mle_module.build_orthobasis
+        build = model_module.build_orthobasis
 
         def counted(u):
             calls.append(1)
             return build(u)
 
-        monkeypatch.setattr(mle_module, "build_orthobasis", counted)
-        fit_mle(simulated_data(50, 5, seed=18)).covariance()
+        monkeypatch.setattr(model_module, "build_orthobasis", counted)
+        data = simulated_data(50, 5, seed=18)
+        fit = fit_mle(data)
+        fit.covariance()
         assert len(calls) == 1
+        assert fit.basis is data.frame
 
     @pytest.mark.parametrize(
         "n, p, seed", [(50, 3, 19), (60, 5, 20), (500, 50, 21), (60, 5, 34), (100, 10, 26)]

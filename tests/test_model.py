@@ -3,6 +3,7 @@ scatter algebra, and the value types they rest on."""
 
 import copy
 import pickle
+import warnings
 import weakref
 
 import numpy as np
@@ -18,7 +19,9 @@ from meancov import (
     SampleSet,
     ZeroVectorError,
     build_orthobasis,
+    fit_mle,
     structured_covariance,
+    transport_frame,
 )
 from conftest import build_orthobasis_reference, random_unit, simulated_data
 
@@ -210,6 +213,21 @@ class TestFitDiagnostics:
         with pytest.raises(TypeError):
             _fit(np.array([0.0, 1.0]), np.ones(1)).diagnostics["x"] = 1.0
 
+    def test_basis_read_only_after_pickling(self):
+        # Pickle restores arrays writable; the fit freezes its basis again.
+        fit = fit_mle(simulated_data(30, 4, seed=3))
+        other = pickle.loads(pickle.dumps(fit))
+        assert np.array_equal(other.basis, fit.basis)
+        for a in (other.u, other.spectrum, other.basis):
+            assert not a.flags.writeable
+
+    def test_writable_basis_is_copied(self):
+        basis = np.eye(2)
+        fit = Fit(u=np.array([1.0, 0.0]), c0=1.0, spectrum=np.ones(1), basis=basis)
+        assert not fit.basis.flags.writeable and basis.flags.writeable
+        basis[0, 0] = 5.0
+        assert fit.basis[0, 0] == 1.0
+
 
 class TestBuildOrthobasis:
     def test_equal_means_closed_form(self):
@@ -374,6 +392,102 @@ class TestBuildOrthobasis:
             repeated_tail_eigenvectors(np.array([1.0, 2.0, 3.0, 4.0]))
 
 
+class TestTransportFrame:
+    """``transport_frame(F, u)``: the frame ``F = P(r)`` carried to ``u`` by the
+    rotation in ``span{r, u}``."""
+
+    @staticmethod
+    def rotation_oracle(frame, u):
+        """The ambient rotation ``I + (c-1)(r r^T + w w^T) + s (w r^T - r w^T)`` applied
+        to the frame's tail, with ``w`` orthonormalised against ``r`` twice."""
+        r = frame[:, 0]
+        c = float(r @ u)
+        w = u - c * r
+        w -= (r @ w) * r
+        s = np.linalg.norm(w)
+        w /= s
+        R = (np.eye(r.size) + (c - 1.0) * (np.outer(r, r) + np.outer(w, w))
+             + s * (np.outer(w, r) - np.outer(r, w)))
+        return R @ frame[:, 1:]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 10, 50])
+    def test_is_the_rotation_of_the_frame(self, p, rng):
+        for _ in range(10):
+            frame = build_orthobasis(random_unit(p, rng))
+            u = random_unit(p, rng)
+            P = transport_frame(frame, u)
+            assert np.array_equal(P[:, 0], u)
+            np.testing.assert_allclose(P[:, 1:], self.rotation_oracle(frame, u), atol=64 * EPS)
+            assert not P.flags.writeable
+
+    def test_at_the_anchor_is_the_frame_itself(self, rng):
+        for p in (2, 3, 10):
+            r = random_unit(p, rng)
+            frame = build_orthobasis(r)
+            assert transport_frame(frame, r.copy()) is frame
+
+    def test_data_frame_is_the_completion_of_the_mle_direction(self):
+        # The frame is build_orthobasis at the smallest eigenvector of
+        # A(xbar) signed toward xbar, bit for bit, and it is the MLE's basis.
+        data = simulated_data(60, 5, seed=20)
+        evals, evecs = np.linalg.eigh(data.scatter_about_mean())
+        u = evecs[:, 0] / np.linalg.norm(evecs[:, 0])
+        u = u if u @ data.xbar >= 0.0 else -u
+        assert np.array_equal(data.frame, build_orthobasis(u))
+        assert not data.frame.flags.writeable
+        assert fit_mle(data).basis is data.frame
+
+    def test_frame_needs_no_rank(self):
+        # Rank-deficient data have a frame, though the MLE raises.
+        data = SampleSet(np.outer(np.arange(1.0, 6.0), [1.0, 2.0, 2.0]))
+        assert np.abs(data.frame.T @ data.frame - np.eye(3)).max() <= 8 * 3 * EPS
+        with pytest.raises(DegenerateDataError):
+            fit_mle(data)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 10, 50, 200])
+    def test_orthonormal_everywhere(self, p, rng):
+        # |P^T P - I| <= 8 p eps at random directions, near the anchor, at its
+        # antipode -r (the seam) and within 1e-6 of it: measured at most
+        # 3.0 p eps (p = 3) and 0.05 p eps at p = 200.
+        for _ in range(5):
+            r = random_unit(p, rng)
+            frame = build_orthobasis(r)
+            d = rng.standard_normal(p)
+            d -= (d @ r) * r
+            d /= np.linalg.norm(d)
+            directions = [random_unit(p, rng), -r]
+            for h in (1e-6, 1e-9, 1e-12):
+                directions += [r + h * d, -r + h * d]
+            for u in directions:
+                u = u / np.linalg.norm(u)
+                P = transport_frame(frame, u)
+                assert np.array_equal(P[:, 0], u)
+                assert np.abs(P.T @ P - np.eye(p)).max() <= 8 * p * EPS
+
+    def test_continuous_but_at_the_antipode(self, rng):
+        # A step of 1e-9 moves the carried basis by about as much; at the
+        # antipode -r the tail depends on the side it is approached from.
+        p = 5
+        r = random_unit(p, rng)
+        frame = build_orthobasis(r)
+        d, e = frame[:, 1], frame[:, 2]
+        for u in (random_unit(p, rng), r):
+            v = u + 1e-9 * d
+            step = np.abs(transport_frame(frame, v / np.linalg.norm(v)) - transport_frame(frame, u))
+            assert step.max() < 1e-8
+        P, Q = (transport_frame(frame, x / np.linalg.norm(x)) for x in (-r + 1e-9 * d, -r + 1e-9 * e))
+        assert np.abs(P[:, 1:] - Q[:, 1:]).max() > 0.5
+
+    def test_rejects_bad_directions(self):
+        frame = build_orthobasis(np.array([0.6, 0.8, 0.0]))
+        with pytest.raises(DimensionMismatchError):
+            transport_frame(frame, np.array([1.0, 0.0]))
+        with pytest.raises(NonUnitVectorError):
+            transport_frame(frame, np.array([1.0, 1.0, 0.0]))
+        with pytest.raises(ZeroVectorError):
+            transport_frame(frame, np.zeros(3))
+
+
 class TestAssembleSigma:
     def test_unit_spectrum_gives_identity(self, rng):
         u = random_unit(4, rng)
@@ -451,6 +565,39 @@ class TestSampleSet:
         # Finite data whose mean or scatter is not: raised with no RuntimeWarning.
         with pytest.raises(DegenerateDataError, match="overflow"):
             SampleSet(X)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rejects_empty_data(self, p):
+        # A row-count error, with no empty-mean RuntimeWarning before it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDataError, match="has 0 rows; need at least one"):
+                SampleSet(np.empty((0, p)))
+
+    def test_read_only_after_pickling(self):
+        # Pickle restores arrays writable; the statistics and every kept
+        # array (the frame, the scatter about the mean, the MLE) are frozen
+        # again, with their values.
+        data = simulated_data(40, 4, seed=8)
+        fit = fit_mle(data)
+        for other in (pickle.loads(pickle.dumps(data)), copy.deepcopy(data)):
+            assert other.n == data.n
+            for a, b in ((other.xbar, data.xbar), (other.a0, data.a0),
+                         (other.frame, data.frame),
+                         (other.scatter_about_mean(), data.scatter_about_mean()),
+                         (fit_mle(other).basis, fit.basis)):
+                assert np.array_equal(a, b)
+                assert not a.flags.writeable
+        fresh = pickle.loads(pickle.dumps(SampleSet(np.eye(3))))
+        assert not (fresh.xbar.flags.writeable or fresh.a0.flags.writeable)
+        assert not fresh.frame.flags.writeable
+
+    def test_hash_and_equality_are_identity(self, rng):
+        X = rng.standard_normal((6, 3))
+        a, b = SampleSet(X), SampleSet(X)
+        assert a == a and a != b
+        assert len({a: 1, b: 2}) == 2
+        assert hash(a) == hash(a)
 
     def test_keeps_no_reference_to_the_input(self, rng):
         X = rng.standard_normal((7, 3))

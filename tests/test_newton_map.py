@@ -8,7 +8,6 @@ from meancov import (
     NewtonConfig,
     PriorConfig,
     ZeroVectorError,
-    build_orthobasis,
     estimate_c0,
     estimate_lambdas,
     fit_map_newton,
@@ -21,10 +20,12 @@ from meancov import (
     map_c0_update,
     map_lambda_update,
     structured_covariance,
+    transport_frame,
 )
-from meancov import mle as mle_module
+from meancov import model as model_module
 from meancov import newton_map
-from meancov.gibbs import lambda_conditional_params
+from meancov.gibbs import _hn_diagonal, _log_density, _log_lam_term, lambda_conditional_params
+from meancov.model import tail_quadratic_forms
 from conftest import random_unit, simulated_data
 
 
@@ -68,11 +69,17 @@ class TestC0Update:
             u = random_unit(3, rng)
             lam = rng.uniform(1.0, 20.0, 2)
             c0 = map_c0_update(data, u, lam, prior)
-            # The conditional log posterior is exactly quadratic in the
-            # radius, so the vertex of a three-point parabola through any
-            # symmetric stencil recovers its maximizer.
+            # In the completion of u, the conditional log posterior is
+            # exactly quadratic in the radius, so the vertex of a three-point
+            # parabola through any symmetric stencil recovers its maximizer.
+            # For c > 0 it is log_posterior at c u; a mean c u with c < 0 has
+            # the direction -u, whose carried frame is not [-u | V(u)].
             h = 0.25
-            f = lambda c: log_posterior(data, c * u, lam, prior)
+            P = transport_frame(data.frame, u)
+            lam_term = _log_lam_term(data, lam, prior)
+            f = lambda c: _log_density(_hn_diagonal(data, c * u, P, prior), lam, lam_term)
+            c_pos = abs(c0) + 2.0 * h
+            assert f(c_pos) == pytest.approx(log_posterior(data, c_pos * u, lam, prior), rel=1e-12)
             lo, mid, hi = f(c0 - h), f(c0), f(c0 + h)
             vertex = c0 - 0.5 * h * (hi - lo) / (hi - 2.0 * mid + lo)
             assert c0 == pytest.approx(vertex, abs=1e-6)
@@ -80,10 +87,16 @@ class TestC0Update:
 
 class TestLambdaUpdate:
     def test_prior_free_limit_is_mle_spectrum(self, case, rng):
+        # The MLE's closed-form eigenvalues in the update's completion: the
+        # data's frame carried to u, which is the MLE's own basis at its u.
         data, _ = case
         u = random_unit(3, rng)
         lam = map_lambda_update(data, u, float(u @ data.xbar), prior_free(3))
-        assert np.allclose(lam, estimate_lambdas(data, u), atol=1e-12)
+        V = transport_frame(data.frame, u)[:, 1:]
+        assert np.allclose(lam, tail_quadratic_forms(data.a0, V) / data.n, atol=1e-12)
+        mle = fit_mle(data)
+        lam = map_lambda_update(data, mle.u, mle.c0, prior_free(3))
+        assert np.allclose(lam, estimate_lambdas(data, mle.u), atol=1e-12)
 
     def test_equals_conditional_mode(self, case, rng):
         data, prior = case
@@ -103,7 +116,7 @@ class TestLambdaUpdate:
         mu = np.array([0.6, 0.3])
         u = mu / np.linalg.norm(mu)
         lam = map_lambda_update(data, u, np.linalg.norm(mu), prior)
-        V = build_orthobasis(u)[:, 1:]
+        V = transport_frame(data.frame, u)[:, 1:]
         d = mu - prior.mu0
         hn_tail = float(V[:, 0] @ data.a0 @ V[:, 0]) + prior.kappa0 * d[1] ** 2 + 0.7
         t = 0.5 * (3.0 + 1.0 + 2.0 * 3.0)
@@ -305,25 +318,24 @@ class TestFitMapNewton:
 
     def test_basis_completions_bounded_by_outer_iterations(self, monkeypatch):
         # Warm-started at the sample mean, which is off the flat-prior
-        # optimum, the iteration has to move u.
+        # optimum, the iteration has to move u.  The frame is completed once
+        # per data set and carried at most once per outer iteration.
         data = simulated_data(50, 3, seed=6)
-        calls = []
-        build = newton_map.build_orthobasis
-
-        def counted(u):
-            calls.append(1)
-            return build(u)
-
-        monkeypatch.setattr(mle_module, "build_orthobasis", counted)
-        monkeypatch.setattr(newton_map, "build_orthobasis", counted)
+        built, carried = [], []
+        build, carry = model_module.build_orthobasis, newton_map.transport_frame
+        monkeypatch.setattr(model_module, "build_orthobasis", lambda u: built.append(1) or build(u))
+        monkeypatch.setattr(newton_map, "transport_frame",
+                            lambda f, u: carried.append(1) or carry(f, u))
         fit = fit_map_newton(data, prior_free(3), init_mu=data.xbar)
         fit.covariance()
         assert not np.array_equal(fit.u, data.xbar / np.linalg.norm(data.xbar))
-        assert len(calls) <= 2 + fit.outer_iterations
+        assert len(built) == 1
+        assert len(carried) <= 2 + fit.outer_iterations
 
-    # The fit's u is the last direction the iteration completed and the first
-    # column of its basis: no second normalisation moves its bits, so the
-    # basis, the covariance and the eigenvalue refresh are those of fit.u.
+    # The fit's u is the last direction the iteration carried the frame to and
+    # the first column of its basis: no second normalisation moves its bits,
+    # so the basis, the covariance and the eigenvalue refresh are those of
+    # fit.u.
     @pytest.mark.parametrize(
         "n, p, seed",
         [(50, 3, 6), (60, 5, 20), (60, 5, 37), (50, 3, 82), (200, 10, 0), (60, 5, 23)],
@@ -335,14 +347,15 @@ class TestFitMapNewton:
         prior = prior_free(data.p) if flat else PriorConfig.default(data)
         fit = fit_map_newton(data, prior, init_mu=data.xbar if warm else None)
         assert np.array_equal(fit.basis[:, 0], fit.u)
-        assert np.array_equal(fit.basis, build_orthobasis(fit.u))
-        sigma = structured_covariance(build_orthobasis(fit.u), fit.spectrum)
+        assert np.array_equal(fit.basis, transport_frame(data.frame, fit.u))
+        sigma = structured_covariance(transport_frame(data.frame, fit.u), fit.spectrum)
         assert np.array_equal(fit.covariance(), sigma)
         assert np.array_equal(fit.spectrum, map_lambda_update(data, fit.u, fit.c0, prior))
 
     # On these data sets normalising the final iterate again changes its
-    # bits; the fit must not complete a basis for such a rounding copy of a
-    # direction it has already completed.
+    # bits; the fit must not carry the frame to such a rounding copy of a
+    # direction it has already carried it to.  A cold start takes the frame
+    # itself, the completion of the MLE's direction.
     @pytest.mark.parametrize("n, p, seed", [(60, 5, 20), (60, 5, 37), (50, 3, 82), (200, 10, 0)])
     @pytest.mark.parametrize("flat", [False, True])
     @pytest.mark.parametrize("warm", [False, True])
@@ -350,14 +363,11 @@ class TestFitMapNewton:
         data = simulated_data(n, p, seed=seed)
         prior = prior_free(data.p) if flat else PriorConfig.default(data)
         inputs = []
-        build = newton_map.build_orthobasis
-
-        def recorded(u):
-            inputs.append(np.array(u))
-            return build(u)
-
-        monkeypatch.setattr(mle_module, "build_orthobasis", recorded)
-        monkeypatch.setattr(newton_map, "build_orthobasis", recorded)
+        build, carry = model_module.build_orthobasis, newton_map.transport_frame
+        monkeypatch.setattr(model_module, "build_orthobasis",
+                            lambda u: inputs.append(np.array(u)) or build(u))
+        monkeypatch.setattr(newton_map, "transport_frame",
+                            lambda f, u: inputs.append(np.array(u)) or carry(f, u))
         fit = fit_map_newton(data, prior, init_mu=data.xbar if warm else None)
         assert np.array_equal(inputs[-1], fit.u)
         for i, a in enumerate(inputs):
@@ -369,8 +379,9 @@ class TestFitMapNewton:
         prior = PriorConfig.default(data)
         v = random_unit(4, rng)
         inputs = []
-        build = newton_map.build_orthobasis
-        monkeypatch.setattr(newton_map, "build_orthobasis", lambda u: inputs.append(u) or build(u))
+        carry = newton_map.transport_frame
+        monkeypatch.setattr(newton_map, "transport_frame",
+                            lambda f, u: inputs.append(u) or carry(f, u))
         fit = fit_map_newton(data, prior, NewtonConfig(max_outer=1), init_mu=2.5 * v)
         assert np.allclose(inputs[0], v, atol=1e-15)
         assert fit.diagnostics["h_trace"][0] == pytest.approx(h_value(data, v, 2.5, prior))
@@ -389,7 +400,7 @@ class TestFitMapNewton:
         fit = fit_map_newton(data, prior_free(3), init_mu=-mle.u)
         assert fit.c0 > 0.0
         assert fit.u @ mle.u > 0.99
-        assert np.array_equal(fit.basis, build_orthobasis(fit.u))
+        assert np.array_equal(fit.basis, transport_frame(data.frame, fit.u))
         assert np.allclose(fit.mu, mle.mu, atol=1e-6)
         assert np.array_equal(fit.spectrum, map_lambda_update(data, fit.u, fit.c0, prior_free(3)))
 

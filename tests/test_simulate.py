@@ -17,7 +17,7 @@ from meancov import (
     run_experiment,
     sample_data,
 )
-from meancov import mle as mle_module
+from meancov import model as model_module
 from meancov import simulate
 from meancov.simulate import ESTIMATORS, GIBBS_MAX_P, reports_to_records
 
@@ -253,14 +253,15 @@ class TestRunExperiment:
         assert abs(newton.sigma_risk - mle.sigma_risk) / mle.sigma_risk < 0.05
 
     def test_mle_fitted_once_per_replication(self, monkeypatch):
+        # One frame, the MLE's basis, per replication.
         calls = []
-        build = mle_module.build_orthobasis
+        build = model_module.build_orthobasis
 
         def counted(u):
             calls.append(1)
             return build(u)
 
-        monkeypatch.setattr(mle_module, "build_orthobasis", counted)
+        monkeypatch.setattr(model_module, "build_orthobasis", counted)
         ests = {k: v for k, v in default_estimators(5).items() if k in ("mle", "map-newton")}
         run_experiment([(60, 5)], estimators=ests, reps=3, seed=4)
         assert len(calls) == 3
