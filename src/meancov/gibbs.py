@@ -9,7 +9,7 @@ Metropolis-Hastings step whose Gaussian proposal covariance
 the basis, the inverse Fisher information of the likelihood at the current
 point (see :func:`_variances`).  The completion ``P(mu)`` is the data's
 frame, ``SampleSet.frame = P(u_hat)`` at the MLE direction ``u_hat``,
-carried to ``mu / ||mu||`` by :func:`meancov.model.transport_frame`: it is
+carried to ``mu / ||mu||`` (:meth:`meancov.model.SampleSet.completion`): it is
 continuous but at ``-u_hat``, and the posterior depends on the data through
 ``u_hat``, as the default prior's ``mu0 = xbar`` does.  The Newton MAP uses
 the same completion.
@@ -22,7 +22,7 @@ O(p) work past one matrix-vector product, and the ambient mean the prior
 terms read takes one more.  A state carries its point (coordinates,
 geometry, ``H_N`` diagonal), its proposal variances, their log sum and its
 log posterior, so each is computed once per proposed state; a sweep computes
-the eigenvalue terms its steps share once.  One proposal takes 24-30 us at
+the eigenvalue terms its steps share once.  One proposal takes 25-30 us at
 best at p = 3 to 50 (x86-64 2-vCPU VM, NumPy 2.4, OpenBLAS on one thread),
 nearly all of it the fixed cost of about fifty NumPy calls on short vectors;
 a modified Gram-Schmidt completion per proposal took about 45 us at p = 3
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .model import (
     _as_vector,
     _polar,
     tail_quadratic_forms,
-    transport_frame,
 )
 
 
@@ -93,12 +93,6 @@ class PriorConfig:
     def default(cls, data: SampleSet) -> "PriorConfig":
         """Reference hyperparameters: mu0 = xbar, H0 = I, kappa0 = 1.5, a = p + 1."""
         return cls(mu0=data.xbar, kappa0=1.5, a=data.p + 1, h0_diag=np.ones(data.p))
-
-
-def _basis(data: SampleSet, mu: np.ndarray) -> np.ndarray:
-    """The completion ``P(mu / ||mu||)`` of the MAP posterior: the data's frame
-    carried to the direction of a nonzero mean (``ZeroMeanError`` for a zero one)."""
-    return transport_frame(data.frame, _polar(mu)[0])
 
 
 def _hn_diagonal(data: SampleSet, mu: np.ndarray, P: np.ndarray, prior: PriorConfig) -> np.ndarray:
@@ -159,11 +153,12 @@ def _draw_lambda(shape: float, scales: np.ndarray, rng: np.random.Generator) -> 
 
 
 def hn_diagonal(data: SampleSet, mu, prior: PriorConfig) -> np.ndarray:
-    """Diagonal of ``H_N`` at ``mu`` (see :func:`_hn_diagonal`)."""
+    """Diagonal of ``H_N`` at a nonzero ``mu`` in the data's completion of its
+    direction (see :func:`_hn_diagonal`; ``ZeroMeanError`` at a zero mean)."""
     mu = _as_vector(mu, "mu")
     if mu.size != data.p:
         raise DimensionMismatchError(f"mu has length {mu.size}, expected {data.p}")
-    return _hn_diagonal(data, mu, _basis(data, mu), prior)
+    return _hn_diagonal(data, mu, data.completion(_polar(mu)[0]), prior)
 
 
 def log_posterior(data: SampleSet, mu, lam, prior: PriorConfig) -> float:
@@ -242,6 +237,33 @@ def _sweep(data: SampleSet, lam: np.ndarray, prior: PriorConfig) -> tuple:
     return lam, eig, gap * gap, _log_lam_term(data, lam, prior), 1.0 / lam
 
 
+class _Point(NamedTuple):
+    """A point of :class:`_FrameKernel`: its frame coordinates ``(m0, mt)``,
+    its geometry ``(c, s, b)``, ``c2 = ||m||^2``, the ambient mean ``mu`` and
+    the diagonal of ``H_N`` split as leading entry ``hn0`` and tail ``hnt``."""
+
+    m0: float
+    mt: np.ndarray
+    c: float
+    s: float
+    b: np.ndarray
+    c2: float
+    mu: np.ndarray
+    hn0: float
+    hnt: np.ndarray
+
+
+class _State(NamedTuple):
+    """An MH state of :class:`_FrameKernel`: its point, the proposal variances
+    ``d`` of the sweep's eigenvalues, ``log_det = sum log d`` and the log
+    posterior ``lp``."""
+
+    point: _Point
+    d: np.ndarray
+    log_det: float
+    lp: float
+
+
 class _FrameKernel:
     """The MH update of the mean, in the coordinates of the data's frame ``F``.
 
@@ -261,13 +283,8 @@ class _FrameKernel:
     through its leading column and ``A~ w``.  No p x p matrix is formed per
     proposal; ``A~``, ``F^T xbar`` and the columns of ``F`` are formed once
     per run.  The ambient mean ``F m`` is formed per state, for the prior
-    terms of ``H_N`` and for the chain.
-
-    A point is ``(m0, mt, c, s, b, c2, mu, hn0, hnt)``: its coordinates, its
-    geometry, ``c2 = ||m||^2``, the ambient mean and the diagonal of ``H_N``
-    split as leading entry and tail.  An MH state is ``(point, d, log_det,
-    lp)`` with the proposal variances ``d`` of the sweep's eigenvalues,
-    ``log_det = sum log d`` and the log posterior.
+    terms of ``H_N`` and for the chain.  Points are :class:`_Point` and MH
+    states :class:`_State`.
     """
 
     def __init__(self, data: SampleSet, prior: PriorConfig):
@@ -286,7 +303,7 @@ class _FrameKernel:
         self.f0, self.f_tail = F[:, 0].copy(), np.ascontiguousarray(F[:, 1:])
         self.mu0, self.kappa0 = prior.mu0, prior.kappa0
 
-    def point(self, m0: float, mt: np.ndarray) -> tuple:
+    def point(self, m0: float, mt: np.ndarray) -> _Point:
         """The point at frame coordinates ``(m0, mt)`` (``ZeroMeanError`` at a zero mean)."""
         nt2 = float(mt.dot(mt))
         c2 = m0 * m0 + nt2
@@ -309,16 +326,16 @@ class _FrameKernel:
         kd = self.kappa0 * (dm * dm)
         ux = c * self.x0 + s * bx
         hn0 = q0 + self.n * c0 * (c0 - 2.0 * ux) + float(kd[0]) + self.h00
-        return m0, mt, c, s, b, c2, mu, hn0, tail + kd[1:]
+        return _Point(m0, mt, c, s, b, c2, mu, hn0, tail + kd[1:])
 
-    def state(self, pt: tuple, sweep: tuple) -> tuple:
+    def state(self, pt: _Point, sweep: tuple) -> _State:
         """The MH state of the point ``pt`` under the sweep terms ``sweep`` (see :func:`_sweep`)."""
         lam, eig, gap2, lam_term, inv_lam = sweep
-        d = _variances(self.n, pt[5], eig, gap2)
-        lp = lam_term - 0.5 * (pt[7] + float(pt[8].dot(inv_lam)))
-        return pt, d, math.fsum(np.log(d).tolist()), lp
+        d = _variances(self.n, pt.c2, eig, gap2)
+        lp = lam_term - 0.5 * (pt.hn0 + float(pt.hnt.dot(inv_lam)))
+        return _State(pt, d, math.fsum(np.log(d).tolist()), lp)
 
-    def step(self, state: tuple, sweep: tuple, rng) -> tuple[tuple, bool]:
+    def step(self, state: _State, sweep: tuple, rng) -> tuple[_State, bool]:
         """One MH update from ``state``; returns the next state and whether the proposal
         was accepted.
 
@@ -328,22 +345,23 @@ class _FrameKernel:
         variances and log posterior on to the next step and to the next
         sweep's eigenvalue draw.
         """
-        (m0, mt, c, s, b, *_), d, log_det, lp = state
+        pt = state.point
+        m0, mt, c, s, b = pt.m0, pt.mt, pt.c, pt.s, pt.b
         z = rng.standard_normal(mt.size + 1)
-        y = np.sqrt(d) * z
+        y = np.sqrt(state.d) * z
         y0, yt = float(y[0]), y[1:]
         k = float(b.dot(yt))  # the step P y is y0 u + (0, yt) + (b^T yt) a
         new = self.state(self.point(m0 + y0 * c - s * k, mt + yt + (y0 * s + (c - 1.0) * k) * b),
                          sweep)
-        (m0s, mts, cs, ss, bs, *_), ds, log_det_s, lp_s = new
-        d0, dt = m0 - m0s, mt - mts  # z_rev = P*^T (m - m*), by the same structure
-        k = float(bs.dot(dt))
-        z0 = cs * d0 + ss * k
-        zt = dt + ((cs - 1.0) * k - ss * d0) * bs
-        log_q_rev = -0.5 * (log_det_s + z0 * z0 / float(ds[0]) + float(zt.dot(zt / ds[1:])))
-        log_q_fwd = -0.5 * (log_det + float(z.dot(z)))
+        ps, ds = new.point, new.d
+        d0, dt = m0 - ps.m0, mt - ps.mt  # z_rev = P*^T (m - m*), by the same structure
+        k = float(ps.b.dot(dt))
+        z0 = ps.c * d0 + ps.s * k
+        zt = dt + ((ps.c - 1.0) * k - ps.s * d0) * ps.b
+        log_q_rev = -0.5 * (new.log_det + z0 * z0 / float(ds[0]) + float(zt.dot(zt / ds[1:])))
+        log_q_fwd = -0.5 * (state.log_det + float(z.dot(z)))
         v = rng.random()
-        if v == 0.0 or math.log(v) < lp_s - lp + log_q_rev - log_q_fwd:
+        if v == 0.0 or math.log(v) < new.lp - state.lp + log_q_rev - log_q_fwd:
             return new, True
         return state, False
 
@@ -404,14 +422,14 @@ def run_gibbs(
     counts = np.empty(s, dtype=np.int64)
     accepted = 0
     for j in range(s):
-        lam = _draw_lambda(shape, 0.5 * pt[8], rng)
+        lam = _draw_lambda(shape, 0.5 * pt.hnt, rng)
         sweep = _sweep(data, lam, prior)
         state = kern.state(pt, sweep)
         for _ in range(l):
             state, acc = kern.step(state, sweep, rng)
             accepted += acc
-        pt, lp = state[0], state[3]
-        mus[j], lams[j], lps[j], counts[j] = pt[6], lam, lp, accepted
+        pt = state.point
+        mus[j], lams[j], lps[j], counts[j] = pt.mu, lam, state.lp, accepted
     for a in (mus, lams, lps, counts):
         a.setflags(write=False)
     return GibbsRun(mus, lams, lps, counts, accepted=accepted, proposals=s * l)
@@ -430,6 +448,6 @@ def map_from_chain(run: GibbsRun, data: SampleSet, prior: PriorConfig) -> Fit:
         raise EmptyChainError("cannot extract a MAP estimate from an empty chain")
     mu = run.mu[int(np.argmax(run.log_posterior))]
     u, c0 = _polar(mu)
-    basis = transport_frame(data.frame, u)
+    basis = data.completion(u)
     lam_hat = _lambda_mode(data, _hn_diagonal(data, mu, basis, prior), prior)
     return Fit(u=u, c0=c0, spectrum=lam_hat, basis=basis)

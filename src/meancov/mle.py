@@ -16,7 +16,6 @@ from .model import (
     Fit,
     SampleSet,
     _as_vector,
-    build_orthobasis,
     tail_quadratic_forms,
 )
 
@@ -56,22 +55,29 @@ def _profile_loglik(data: SampleSet, u: np.ndarray, q: np.ndarray) -> float:
 def estimate_lambdas(data: SampleSet, u) -> np.ndarray:
     """Closed-form eigenvalue estimates ``V_i^T A(0) V_i / n`` at the unit direction ``u``.
 
+    ``V`` is the tail of the data's completion of ``u``
+    (:meth:`~meancov.model.SampleSet.completion`), the one both MAPs use;
+    at the fit's direction it is the MLE's basis.
+
     Raises
     ------
     DegenerateDataError
         If any quadratic form is numerically zero (data in a subspace).
     """
-    return _tail_forms(data, build_orthobasis(u)) / data.n
+    return _tail_forms(data, data.completion(u)) / data.n
 
 
 def profile_loglik(data: SampleSet, u) -> float:
     """Profile log-likelihood of the mean direction.
 
-    The radius and eigenvalues are replaced by their closed-form maximizers;
-    the proportionality constant is fixed at zero.
+    The radius and eigenvalues are replaced by their closed-form maximizers
+    (:func:`estimate_c0`, :func:`estimate_lambdas`), in the data's completion
+    of ``u``; the proportionality constant is fixed at zero.  For p > 2 the
+    completions of ``u`` and ``-u`` have different tails, so the value is
+    not even in ``u``.
     """
     u = _as_vector(u, "u")
-    return _profile_loglik(data, u, _tail_forms(data, build_orthobasis(u)))
+    return _profile_loglik(data, u, _tail_forms(data, data.completion(u)))
 
 
 def lower_bound_h(data: SampleSet, u) -> float:

@@ -9,7 +9,9 @@ eigenvector of the covariance with eigenvalue one, for every radius ``c0``.
 The basis ``P(u) = [u | V]``, the free eigenvalues and the covariance are
 plain read-only ``ndarray``s: :func:`build_orthobasis` completes the basis,
 :func:`transport_frame` carries a completed basis (a frame) to another
-direction, and :func:`structured_covariance` assembles ``Sigma`` from it.  A fit,
+direction, :meth:`SampleSet.completion` carries the data's frame and is the
+one completion every estimator takes, and :func:`structured_covariance`
+assembles ``Sigma`` from a basis.  A fit,
 :class:`Fit`, holds the direction ``u`` and the radius ``c0`` of the mean
 ``mu = c0 u`` next to them, as arrays and scalars.  ``Fit`` and
 ``SampleSet`` are frozen; the functions are pure and safe to call
@@ -145,7 +147,10 @@ def transport_frame(frame: np.ndarray, u) -> np.ndarray:
     plane turns the tail ``V_r`` of the frame into
     ``V(u) = V_r + ((c - 1) w - s r)(w^T V_r)``, with ``c = r^T u``,
     ``s = ||u - c r||`` and ``w = (u - c r) / s``: a rank-one update, O(p^2).
-    It is taken in the frame's coordinates ``frame^T u = (c, s b)``, so that
+    ``c`` and ``s`` are taken for ``u / ||u||``, so that ``V(u)`` is
+    orthonormal to rounding also for a ``u`` that is unit only within
+    ``UNIT_TOL``.  The update is taken in the frame's coordinates
+    ``frame^T u = ||u|| (c, s b)``, so that
     ``w = V_r b`` is orthogonal to ``r`` to rounding however close ``u`` is to
     ``-r``, and ``w^T V_r = b^T``.  ``V(u)`` is continuous in ``u`` everywhere
     but at ``u = -r``, the one seam of the completion.  Where ``s`` is zero
@@ -164,14 +169,17 @@ def transport_frame(frame: np.ndarray, u) -> np.ndarray:
         return frame
     ut = frame.T.dot(u)
     t = ut[1:]
-    s = math.sqrt(t.dot(t))
+    nt = math.sqrt(t.dot(t))
     P = np.empty((p, p))
     P[:, 0] = u
-    if s == 0.0:
+    if nt == 0.0:
         P[:, 1:] = v_r
     else:
-        b = t / s
-        P[:, 1:] = v_r + np.outer((ut[0] - 1.0) * v_r.dot(b) - s * r, b)
+        # c and s of the unit u / ||u||: V^T V = I + (c^2 + s^2 - 1) b b^T.
+        nu = math.sqrt(ut.dot(ut))
+        c, s = ut[0] / nu, nt / nu
+        b = t / nt
+        P[:, 1:] = v_r + np.outer((c - 1.0) * v_r.dot(b) - s * r, b)
     P.setflags(write=False)
     return P
 
@@ -213,8 +221,8 @@ class Fit:
     it.  ``u`` is a read-only copy of the direction as the estimator
     completed it, unit within ``UNIT_TOL``; ``c0 >= 0`` is the radius.
     ``basis`` is the read-only completion ``P(u)`` that :meth:`covariance`
-    reads (a writable one is copied): the data's frame for the MLE and the
-    frame carried to ``u`` by :func:`transport_frame` for the two MAPs.
+    reads (a writable one is copied): the data's completion of ``u``
+    (:meth:`SampleSet.completion`), which is the frame itself for the MLE.
     ``spectrum`` is a read-only copy of the
     ``p - 1`` free eigenvalues, each > 0 (the leading one is fixed at one).
     ``converged`` and ``outer_iterations`` describe an iterative fit (a
@@ -361,11 +369,21 @@ class SampleSet:
 
         ``u_hat`` is the eigenvector of the smallest eigenvalue of ``A(xbar)``,
         signed so that ``u_hat^T xbar >= 0``: the MLE's direction, taken here
-        without the MLE's rank test.  The MLE's basis is this frame, and the
-        two MAPs carry it to their directions with :func:`transport_frame`,
-        so their completion depends on the data through ``u_hat``.
+        without the MLE's rank test.  The MLE's basis is this frame, and
+        :meth:`completion` carries it to any other direction, so the
+        completion of a direction depends on the data through ``u_hat``.
         """
         return self._anchor[1]
+
+    def completion(self, u) -> np.ndarray:
+        """The basis ``P(u)`` of a unit direction for these data: the :attr:`frame`
+        carried to ``u`` by :func:`transport_frame` (read-only).
+
+        The one completion of the model on a data set: the MLE's closed-form
+        eigenvalues and profile log-likelihood and both MAPs' posteriors take
+        their tail columns here, and at ``u_hat`` it is the frame itself.
+        """
+        return transport_frame(self.frame, u)
 
     @cached_property
     def _anchor(self) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gibbs import PriorConfig, _hn_diagonal, _lambda_mode
 from .mle import fit_mle
-from .model import Fit, SampleSet, _as_vector, _norm, _polar, transport_frame
+from .model import Fit, SampleSet, _as_vector, _norm, _polar
 
 MAX_INNER = 50
 MAX_BACKTRACKS = 30
@@ -59,10 +59,12 @@ def map_lambda_update(data: SampleSet, u, c0: float, prior: PriorConfig) -> np.n
 
     This is the mode of the inverse-gamma full conditional of each
     eigenvalue at the mean ``c0 * u``, the formula the Gibbs MAP uses too,
-    in the same completion: the data's frame carried to ``u``.
+    in the same completion: the data's completion of the mean's direction,
+    ``u``, or ``-u`` where ``c0 < 0``
+    (:meth:`~meancov.model.SampleSet.completion`).
     """
     u = _as_vector(u, "u")
-    hn = _hn_diagonal(data, c0 * u, transport_frame(data.frame, u), prior)
+    hn = _hn_diagonal(data, c0 * u, data.completion(u if c0 >= 0.0 else -u), prior)
     return _lambda_mode(data, hn, prior)
 
 
@@ -155,14 +157,16 @@ def fit_map_newton(
     ``c0 u = (-c0)(-u)`` with the sign moved onto the direction, so that
     ``c0 >= 0``.
 
-    The basis is the data's frame carried to the direction
-    (:func:`meancov.model.transport_frame`), the completion the Gibbs MAP
+    The basis is the data's completion of the mean's direction
+    (:meth:`meancov.model.SampleSet.completion`), the one the Gibbs MAP
     uses, so both MAPs target one posterior.  It is carried once per distinct
     direction: taken from the MLE, whose basis is the frame (or carried to
     the start vector), reused by every eigenvalue refresh, and carried again
-    only after an outer iteration that moved the direction, or to ``-u``
-    after a sign flip.  The fit's ``u`` is the last direction carried, bit
-    for bit, and its ``basis`` and ``spectrum`` are those of ``u``.
+    only after an outer iteration that moved the direction.  A refresh at a
+    negative radius, whose mean points along ``-u``, takes the completion of
+    ``-u``, carried once per direction too, and the sign flip at the end
+    reuses it.  The fit's ``u`` is the last direction carried, bit for bit,
+    and its ``basis`` and ``spectrum`` are those of ``u``.
 
     The diagnostic ``h_trace`` holds the surrogate value after the initial
     point and every accepted update; the acceptance rule makes it
@@ -175,7 +179,8 @@ def fit_map_newton(
         u, c0, basis = mle.u, mle.c0, mle.basis
     else:
         u, c0 = _polar(init_mu)
-        basis = transport_frame(data.frame, u)
+        basis = data.completion(u)
+    flipped = None  # the completion of -u, once a refresh needs it
     lam = _lambda_mode(data, _hn_diagonal(data, c0 * u, basis, prior), prior)
     h_cur = h_value(data, u, c0, prior)
     h_trace = [h_cur]
@@ -185,7 +190,10 @@ def fit_map_newton(
     for _ in range(cfg.max_outer):
         outer_used += 1
         c0_new = map_c0_update(data, u, lam, prior)
-        lam_new = _lambda_mode(data, _hn_diagonal(data, c0_new * u, basis, prior), prior)
+        if c0_new < 0.0 and flipped is None:
+            flipped = data.completion(-u)
+        mean_basis = basis if c0_new >= 0.0 else flipped
+        lam_new = _lambda_mode(data, _hn_diagonal(data, c0_new * u, mean_basis, prior), prior)
         h_new = h_value(data, u, c0_new, prior)
         if h_new < h_cur:
             # The refresh maximizes the exact conditional posterior, not h;
@@ -226,14 +234,14 @@ def fit_map_newton(
             if delta < cfg.epsilon:
                 break
         if u is not u_outer:
-            basis = transport_frame(data.frame, u)
+            basis, flipped = data.completion(u), None
         if _norm(u - u_outer) < cfg.epsilon:
             converged = True
             break
 
     if c0 < 0.0:
         u, c0 = -u, -c0
-        basis = transport_frame(data.frame, u)
+        basis = flipped if flipped is not None else data.completion(u)
     lam = _lambda_mode(data, _hn_diagonal(data, c0 * u, basis, prior), prior)
     return Fit(
         u=u,

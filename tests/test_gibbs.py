@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.stats import invgamma, kstest, multivariate_normal
 
-from meancov import gibbs
 from meancov import (
     DimensionMismatchError,
     EmptyChainError,
@@ -26,7 +25,6 @@ from meancov import (
 from meancov import model as model_module
 from meancov.gibbs import (
     _FrameKernel,
-    _basis,
     _hn_diagonal,
     _lambda_mode,
     _log_density,
@@ -35,6 +33,11 @@ from meancov.gibbs import (
     lambda_conditional_params,
 )
 from conftest import simulated_data, simulated_rows
+
+
+def _basis(data, mu):
+    """The explicit basis ``P(mu / ||mu||)``: the data's completion of the mean's direction."""
+    return data.completion(mu / np.linalg.norm(mu))
 
 
 def _proposal_diag(data, mu, lam):
@@ -68,7 +71,7 @@ def _step_state(data, mu, lam, prior):
 
 def _explicit_basis(data, pt):
     """The ambient basis ``F [u | E + a b^T]`` of a kernel point: the oracle of its geometry."""
-    _, _, c, s, b, *_ = pt
+    c, s, b = pt.c, pt.s, pt.b
     p = b.size + 1
     u = np.concatenate(([c], s * b))
     a = np.concatenate(([-s], (c - 1.0) * b))
@@ -237,7 +240,7 @@ class TestHnMatrix:
         with pytest.raises(DimensionMismatchError):
             hn_diagonal(data, np.zeros(4), prior)
         calls = []
-        monkeypatch.setattr(gibbs, "transport_frame", lambda f, u: calls.append(u))
+        monkeypatch.setattr(model_module, "transport_frame", lambda f, u: calls.append(u))
         with pytest.raises(DimensionMismatchError):
             hn_diagonal(data, np.ones(4), prior)
         assert calls == []
@@ -436,13 +439,13 @@ class TestMhStep:
                 return self.u
 
         kern, sweep, state = _step_state(data, mu, lam, prior)
-        assert state[3] == pytest.approx(lp, rel=1e-14)
-        np.testing.assert_allclose(state[1], d, rtol=1e-14)
+        assert state.lp == pytest.approx(lp, rel=1e-14)
+        np.testing.assert_allclose(state.d, d, rtol=1e-14)
         for shift, accepted in ((-1e-9, True), (1e-9, False)):
             out, acc = kern.step(state, sweep, FixedDraws(np.exp(log_r + shift)))
             assert acc is accepted
-            assert np.allclose(out[0][6], mu_star if accepted else mu)
-            np.testing.assert_allclose(out[1], d_star if accepted else d, rtol=1e-14)
+            assert np.allclose(out.point.mu, mu_star if accepted else mu)
+            np.testing.assert_allclose(out.d, d_star if accepted else d, rtol=1e-14)
 
     def test_step_interface(self, small_case):
         data, prior = small_case
@@ -450,9 +453,9 @@ class TestMhStep:
         lp = log_posterior(data, mu, lam, prior)
         rng = np.random.default_rng(2)
         kern, sweep, state = _step_state(data, mu, lam, prior)
-        assert state[3] == pytest.approx(lp, rel=1e-14)
-        (pt, *_), accepted = kern.step(state, sweep, rng)
-        assert pt[6].shape == (3,)
+        assert state.lp == pytest.approx(lp, rel=1e-14)
+        out, accepted = kern.step(state, sweep, rng)
+        assert out.point.mu.shape == (3,)
         assert isinstance(accepted, bool)
 
     def test_carried_values_match_the_state(self, small_case):
@@ -468,7 +471,7 @@ class TestMhStep:
             state, acc = kern.step(state, sweep, rng)
             accepted += acc
             pt, d, log_det, lp = state
-            mu, hn = pt[6], np.concatenate(([pt[7]], pt[8]))
+            mu, hn = pt.mu, np.concatenate(([pt.hn0], pt.hnt))
             np.testing.assert_allclose(_explicit_basis(data, pt), _basis(data, mu), atol=1e-14)
             np.testing.assert_allclose(d, _proposal_diag(data, mu, lam), rtol=1e-14)
             assert log_det == pytest.approx(np.log(d).sum(), rel=1e-14)
@@ -487,10 +490,10 @@ class TestMhStep:
         for scale in (0.1, 1.0, 3.0, 3.0, 3.0):
             mu = data.xbar + scale * rng.standard_normal(p)
             kern, sweep, state = _step_state(data, mu, lam, prior)
-            pt, _, _, lp = state
-            hn = np.concatenate(([pt[7]], pt[8]))
-            np.testing.assert_allclose(hn, np.diag(hn_matrix(data, pt[6], prior)), rtol=1e-12)
-            assert lp == pytest.approx(log_posterior(data, pt[6], lam, prior), rel=1e-12)
+            pt = state.point
+            hn = np.concatenate(([pt.hn0], pt.hnt))
+            np.testing.assert_allclose(hn, np.diag(hn_matrix(data, pt.mu, prior)), rtol=1e-12)
+            assert state.lp == pytest.approx(log_posterior(data, pt.mu, lam, prior), rel=1e-12)
 
     def test_discretized_detailed_balance(self):
         # Project a long p=2 chain onto coarse bins of the mean's first
@@ -507,7 +510,7 @@ class TestMhStep:
         traj = np.empty(100_000)
         for i in range(traj.size):
             state, _ = kern.step(state, sweep, rng)
-            traj[i] = state[0][6][0]
+            traj[i] = state.point.mu[0]
         edges = np.quantile(traj, [0.25, 0.5, 0.75])
         bins = np.digitize(traj, edges)
         counts = np.zeros((4, 4))

@@ -14,16 +14,18 @@ from meancov import (
     lower_bound_h,
     profile_loglik,
     structured_covariance,
+    transport_frame,
 )
 from meancov import mle as mle_module
 from meancov import model as model_module
 from conftest import estimate_c0_general, random_unit, simulated_data, simulated_rows
 
 
-def _full_loglik(X, u, c0, lam):
-    """Independent oracle: exact Gaussian log likelihood of the rows ``X`` at the pair."""
-    sigma = structured_covariance(build_orthobasis(u), lam)
-    return float(multivariate_normal.logpdf(X, mean=c0 * u, cov=sigma).sum())
+def _full_loglik(X, P, c0, lam):
+    """Independent oracle: exact Gaussian log likelihood of the rows ``X`` at the
+    mean ``c0 P[:, 0]`` and the covariance ``P diag(1, lam) P^T``."""
+    sigma = structured_covariance(P, lam)
+    return float(multivariate_normal.logpdf(X, mean=c0 * P[:, 0], cov=sigma).sum())
 
 
 class TestEstimateC0:
@@ -75,7 +77,7 @@ class TestEstimateLambdas:
         data = simulated_data(20, 5, seed=4)
         u = random_unit(5, rng)
         lam = estimate_lambdas(data, u)
-        P = build_orthobasis(u)
+        P = transport_frame(data.frame, u)
         expected = np.diag(P.T @ data.a0 @ P)[1:] / data.n
         assert np.allclose(lam, expected, atol=1e-10)
 
@@ -95,10 +97,19 @@ class TestProfileLoglik:
             u = random_unit(4, rng)
             assert profile_loglik(data, u) >= lower_bound_h(data, u) - 1e-10
 
-    def test_even_in_direction(self, rng):
+    def test_even_in_direction_but_for_the_completion(self, rng):
+        # The radius and the quadratic term are even in u; only the tail of
+        # the completion tells u from -u.  At p = 2 the tails of u and -u
+        # agree up to sign, so the profile is even.  At p > 2 the carried
+        # frame gives -u another tail, and the two profiles differ by the
+        # eigenvalue terms alone.
+        data = simulated_data(15, 2, seed=6)
+        u = random_unit(2, rng)
+        assert profile_loglik(data, u) == pytest.approx(profile_loglik(data, -u), abs=1e-10)
         data = simulated_data(15, 3, seed=6)
         u = random_unit(3, rng)
-        assert profile_loglik(data, u) == pytest.approx(profile_loglik(data, -u), abs=1e-10)
+        gap = -0.5 * data.n * np.log(estimate_lambdas(data, -u) / estimate_lambdas(data, u)).sum()
+        assert profile_loglik(data, -u) - profile_loglik(data, u) == pytest.approx(gap, abs=1e-10)
 
     def test_matches_full_likelihood_at_plugin(self, rng):
         # Profiling only substitutes the closed-form maximizers, so the value
@@ -112,7 +123,7 @@ class TestProfileLoglik:
             c0 = estimate_c0(data, u)
             lam = estimate_lambdas(data, u)
             assert profile_loglik(data, u) + const == pytest.approx(
-                _full_loglik(X, u, c0, lam), abs=1e-8
+                _full_loglik(X, transport_frame(data.frame, u), c0, lam), abs=1e-8
             )
 
     def test_p2_grid_maximizer_matches_full_likelihood_grid(self):
@@ -129,7 +140,7 @@ class TestProfileLoglik:
             prof[i] = profile_loglik(data, u)
             c0 = estimate_c0(data, u)
             lam = estimate_lambdas(data, u)
-            full[i] = _full_loglik(X, u, c0, lam)
+            full[i] = _full_loglik(X, transport_frame(data.frame, u), c0, lam)
         gap = abs(thetas[np.argmax(prof)] - thetas[np.argmax(full)])
         assert min(gap, np.pi - gap) < 2.0 * np.pi * 1e-4
 

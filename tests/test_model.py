@@ -464,6 +464,22 @@ class TestTransportFrame:
                 assert np.array_equal(P[:, 0], u)
                 assert np.abs(P.T @ P - np.eye(p)).max() <= 8 * p * EPS
 
+    @pytest.mark.parametrize("p", [2, 3, 10, 50])
+    def test_orthonormal_for_a_direction_unit_within_tolerance(self, p, rng):
+        # A u of norm 1 -+ 1e-9 passes the unit check.  The rotation is taken
+        # for u / ||u||, so the tail is orthonormal and orthogonal to u to
+        # rounding; with c^2 + s^2 = ||u||^2 instead, V^T V - I would be
+        # (||u||^2 - 1) b b^T, about 2e-9.
+        for _ in range(5):
+            frame = build_orthobasis(random_unit(p, rng))
+            for scale in (1.0 - 1e-9, 1.0 + 1e-9):
+                u = scale * random_unit(p, rng)
+                P = transport_frame(frame, u)
+                V = P[:, 1:]
+                assert np.array_equal(P[:, 0], u)
+                assert np.abs(V.T @ V - np.eye(p - 1)).max() <= 8 * p * EPS
+                assert np.abs(u @ V).max() <= 8 * p * EPS
+
     def test_continuous_but_at_the_antipode(self, rng):
         # A step of 1e-9 moves the carried basis by about as much; at the
         # antipode -r the tail depends on the side it is approached from.

@@ -24,8 +24,13 @@ from meancov import (
 )
 from meancov import model as model_module
 from meancov import newton_map
-from meancov.gibbs import _hn_diagonal, _log_density, _log_lam_term, lambda_conditional_params
-from meancov.model import tail_quadratic_forms
+from meancov.gibbs import (
+    _hn_diagonal,
+    _lambda_mode,
+    _log_density,
+    _log_lam_term,
+    lambda_conditional_params,
+)
 from conftest import random_unit, simulated_data
 
 
@@ -87,16 +92,20 @@ class TestC0Update:
 
 class TestLambdaUpdate:
     def test_prior_free_limit_is_mle_spectrum(self, case, rng):
-        # The MLE's closed-form eigenvalues in the update's completion: the
-        # data's frame carried to u, which is the MLE's own basis at its u.
         data, _ = case
         u = random_unit(3, rng)
         lam = map_lambda_update(data, u, float(u @ data.xbar), prior_free(3))
-        V = transport_frame(data.frame, u)[:, 1:]
-        assert np.allclose(lam, tail_quadratic_forms(data.a0, V) / data.n, atol=1e-12)
-        mle = fit_mle(data)
-        lam = map_lambda_update(data, mle.u, mle.c0, prior_free(3))
-        assert np.allclose(lam, estimate_lambdas(data, mle.u), atol=1e-12)
+        assert np.allclose(lam, estimate_lambdas(data, u), atol=1e-12)
+
+    def test_negative_radius_takes_the_completion_of_the_mean(self, case, rng):
+        # c0 u with c0 < 0 is the mean |c0| (-u): the eigenvalues are taken
+        # in the completion of -u, so (u, c0) and (-u, -c0) give one answer.
+        data, prior = case
+        for _ in range(20):
+            u = random_unit(3, rng)
+            c0 = rng.uniform(0.1, 3.0)
+            assert np.array_equal(map_lambda_update(data, u, -c0, prior),
+                                  map_lambda_update(data, -u, c0, prior))
 
     def test_equals_conditional_mode(self, case, rng):
         data, prior = case
@@ -322,9 +331,9 @@ class TestFitMapNewton:
         # per data set and carried at most once per outer iteration.
         data = simulated_data(50, 3, seed=6)
         built, carried = [], []
-        build, carry = model_module.build_orthobasis, newton_map.transport_frame
+        build, carry = model_module.build_orthobasis, model_module.transport_frame
         monkeypatch.setattr(model_module, "build_orthobasis", lambda u: built.append(1) or build(u))
-        monkeypatch.setattr(newton_map, "transport_frame",
+        monkeypatch.setattr(model_module, "transport_frame",
                             lambda f, u: carried.append(1) or carry(f, u))
         fit = fit_map_newton(data, prior_free(3), init_mu=data.xbar)
         fit.covariance()
@@ -363,10 +372,10 @@ class TestFitMapNewton:
         data = simulated_data(n, p, seed=seed)
         prior = prior_free(data.p) if flat else PriorConfig.default(data)
         inputs = []
-        build, carry = model_module.build_orthobasis, newton_map.transport_frame
+        build, carry = model_module.build_orthobasis, model_module.transport_frame
         monkeypatch.setattr(model_module, "build_orthobasis",
                             lambda u: inputs.append(np.array(u)) or build(u))
-        monkeypatch.setattr(newton_map, "transport_frame",
+        monkeypatch.setattr(model_module, "transport_frame",
                             lambda f, u: inputs.append(np.array(u)) or carry(f, u))
         fit = fit_map_newton(data, prior, init_mu=data.xbar if warm else None)
         assert np.array_equal(inputs[-1], fit.u)
@@ -379,8 +388,8 @@ class TestFitMapNewton:
         prior = PriorConfig.default(data)
         v = random_unit(4, rng)
         inputs = []
-        carry = newton_map.transport_frame
-        monkeypatch.setattr(newton_map, "transport_frame",
+        carry = model_module.transport_frame
+        monkeypatch.setattr(model_module, "transport_frame",
                             lambda f, u: inputs.append(u) or carry(f, u))
         fit = fit_map_newton(data, prior, NewtonConfig(max_outer=1), init_mu=2.5 * v)
         assert np.allclose(inputs[0], v, atol=1e-15)
@@ -403,6 +412,30 @@ class TestFitMapNewton:
         assert np.array_equal(fit.basis, transport_frame(data.frame, fit.u))
         assert np.allclose(fit.mu, mle.mu, atol=1e-6)
         assert np.array_equal(fit.spectrum, map_lambda_update(data, fit.u, fit.c0, prior_free(3)))
+
+    def test_refreshes_at_a_negative_radius_use_the_completion_of_the_mean(self, monkeypatch):
+        # Started at -u_hat under the flat prior, every radius refresh is
+        # negative, so the mean c0 u points along -u.  Each eigenvalue
+        # refresh must be taken in the completion of the mean's direction,
+        # where it equals map_lambda_update(data, sign(c0) u, |c0|).
+        data = simulated_data(50, 3, seed=6)
+        prior = prior_free(3)
+        radii, refreshes = [], []
+        c0_update, hn_diag = newton_map.map_c0_update, newton_map._hn_diagonal
+        monkeypatch.setattr(newton_map, "map_c0_update",
+                            lambda *a: radii.append(c0_update(*a)) or radii[-1])
+        monkeypatch.setattr(newton_map, "_hn_diagonal",
+                            lambda d, mu, P, pr: refreshes.append((mu, P)) or hn_diag(d, mu, P, pr))
+        fit = fit_map_newton(data, prior, init_mu=-fit_mle(data).u)
+        monkeypatch.undo()
+        assert min(radii) < 0.0
+        for mu, P in refreshes:
+            v, c0 = P[:, 0], float(mu @ P[:, 0])
+            assert c0 > 0.0
+            assert np.array_equal(P, data.completion(v))
+            lam = _lambda_mode(data, hn_diag(data, mu, P, prior), prior)
+            np.testing.assert_allclose(lam, map_lambda_update(data, v, c0, prior), rtol=1e-12)
+        assert np.array_equal(refreshes[-1][1], fit.basis)
 
 
 class TestNewtonConfig:
