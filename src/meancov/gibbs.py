@@ -8,31 +8,20 @@ Metropolis-Hastings step whose Gaussian proposal covariance
 ``P(mu) diag(1/n, s_1, ..., s_{p-1}) P(mu)^T`` holds, along each column of
 the basis, the inverse Fisher information of the likelihood at the current
 point (see :func:`_variances`).  The completion ``P(mu)`` is the data's
-frame, ``SampleSet.frame = P(u_hat)`` at the MLE direction ``u_hat``,
-carried to ``mu / ||mu||`` (:meth:`meancov.model.SampleSet.completion`): it is
-continuous but at ``-u_hat``, and the posterior depends on the data through
-``u_hat``, as the default prior's ``mu0 = xbar`` does.  The Newton MAP uses
-the same completion.
+frame ``P(u_hat)`` carried to ``mu / ||mu||``
+(:meth:`meancov.model.SampleSet.completion`), as in the Newton MAP.
 
-Cost model of the sampler: no basis completion and no p x p product per MH
-proposal.  The updates run in the frame's coordinates (:class:`_FrameKernel`),
-where the basis of a state is a rank-one update of the identity, so the
-forward step, the reverse proposal density and the tail quadratic forms take
-O(p) work past one matrix-vector product, and the ambient mean the prior
-terms read takes one more.  A state carries its point (coordinates,
-geometry, ``H_N`` diagonal), its proposal variances, their log sum and its
-log posterior, so each is computed once per proposed state; a sweep computes
-the eigenvalue terms its steps share once.  One proposal takes 25-30 us at
-best at p = 3 to 50 (x86-64 2-vCPU VM, NumPy 2.4, OpenBLAS on one thread),
-nearly all of it the fixed cost of about fifty NumPy calls on short vectors;
-a modified Gram-Schmidt completion per proposal took about 45 us at p = 3
-and grew as p^3.  Seeded chains are reproducible bit for bit, and they make
-every accept decision of the same sampler taken in ambient coordinates with
-explicit bases, with states equal to rounding.
-
-A run, :class:`GibbsRun`, keeps its chain as read-only arrays with one row
-per sweep (means, eigenvalue draws, log posteriors and running accepted
-counts), and :func:`map_from_chain` reads the MAP off them.
+Cost model: every ``H_N`` diagonal, in the sampler as in :func:`hn_diagonal`,
+:func:`map_from_chain` and the Newton refreshes, is one rank-one formula on
+the frame's statistics (``SampleSet._forms``), O(p^2) with no basis formed.
+The MH updates run in the frame's coordinates (:class:`_FrameKernel`), so a
+proposal takes two matrix-vector products and O(p) work; the eigenvalue
+terms are computed once per sweep.  One proposal takes 25-30 us at best at
+p = 3 to 50 (x86-64 2-vCPU VM, NumPy 2.4, OpenBLAS on one thread), nearly
+all of it the fixed cost of about fifty NumPy calls on short vectors.
+Seeded chains are reproducible bit for bit.  A run, :class:`GibbsRun`,
+keeps its chain as read-only arrays, and :func:`map_from_chain` reads the
+MAP off them.
 """
 
 from __future__ import annotations
@@ -43,15 +32,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, EmptyChainError, ZeroMeanError
-from .model import (
-    UNIT_TOL,
-    Fit,
-    SampleSet,
-    _as_vector,
-    _polar,
-    tail_quadratic_forms,
-)
+from .exceptions import DimensionMismatchError, EmptyChainError
+from .model import Fit, SampleSet, _as_vector, _frame_geometry, _polar
+
+# The sampler's proposal variances square (lambda_i - 1) and Newton's Hessian
+# its bound constants, so the entries of H_N's diagonal and of each eigenvalue
+# draw, all >= 0, must sum to less than the square root of the largest float.
+_SCALE_MAX = math.sqrt(float(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -95,24 +82,28 @@ class PriorConfig:
         return cls(mu0=data.xbar, kappa0=1.5, a=data.p + 1, h0_diag=np.ones(data.p))
 
 
-def _hn_diagonal(data: SampleSet, mu: np.ndarray, P: np.ndarray, prior: PriorConfig) -> np.ndarray:
-    """Diagonal of ``H_N`` at ``mu`` given its basis ``P``, read from ``A(0)``.
+def _check_scale(x: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless the entries of ``x`` sum to below ``_SCALE_MAX`` (NaN fails)."""
+    total = sum(x.tolist())
+    if not total < _SCALE_MAX:
+        raise ValueError(f"the posterior overflows: {what} sums to {total:.3g}, not below "
+                         f"{_SCALE_MAX:.3g}; kappa0 or H0 is too large for these data")
 
-    ``H_N = P^T A(mu) P + kappa0 (mu - mu0)(mu - mu0)^T + H0``, with the
-    prior quadratic and ``H0`` added in ambient components, which is the
-    convention that makes the trace against ``D^{-1}`` reproduce the
-    componentwise normal prior on the mean.
 
-    ``A(mu) = A(0) - n (xbar mu^T + mu xbar^T) + n mu mu^T``, so each entry
-    is ``v^T A(0) v + n (v^T mu)(v^T mu - 2 v^T xbar)`` for a column ``v`` of
-    ``P``.  The correction vanishes on the tail columns, which are orthogonal
-    to ``mu``, and is ``n ||mu|| (||mu|| - 2 u^T xbar)`` on the leading one.
+def _hn(data: SampleSet, u: np.ndarray, c0: float, prior: PriorConfig) -> np.ndarray:
+    """Diagonal of ``H_N`` at the mean ``c0 u``, in the data's completion of its direction.
+
+    ``H_N = P^T A(mu) P + kappa0 (mu - mu0)(mu - mu0)^T + H0``, the prior
+    terms added in ambient components (so the trace against ``D^{-1}`` is the
+    componentwise normal prior on the mean), the data's part from
+    :meth:`~meancov.model.SampleSet.scatter_diagonal` (``-u`` where
+    ``c0 < 0``).  An overflowing prior raises ``ValueError``, with no warning.
     """
-    PT = P.T
-    c = PT.dot(mu)
-    b = tail_quadratic_forms(data.a0, P) + data.n * c * (c - 2.0 * PT.dot(data.xbar))
-    d = mu - prior.mu0
-    return b + prior.kappa0 * (d * d) + prior.h0_diag
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        d = c0 * u - prior.mu0
+        hn = data.scatter_diagonal(u, c0) + prior.kappa0 * (d * d) + prior.h0_diag
+    _check_scale(hn, "H_N's diagonal")
+    return hn
 
 
 def _log_lam_term(data: SampleSet, lam: np.ndarray, prior: PriorConfig) -> float:
@@ -132,11 +123,6 @@ def _lambda_shape(data: SampleSet, prior: PriorConfig) -> float:
     return 0.5 * (data.n + 2.0 * prior.a - 1.0)
 
 
-def _lambda_conditional(data: SampleSet, hn: np.ndarray, prior: PriorConfig):
-    """Shape and scales of the eigenvalue full conditional from ``hn``."""
-    return _lambda_shape(data, prior), 0.5 * hn[1:]
-
-
 def _lambda_mode(data: SampleSet, hn: np.ndarray, prior: PriorConfig) -> np.ndarray:
     """Mode ``c*_i / (n + 1 + 2a)`` of each eigenvalue's full conditional (``n + 1 + 2a > 0``)."""
     t = data.n + 1.0 + 2.0 * prior.a
@@ -154,11 +140,11 @@ def _draw_lambda(shape: float, scales: np.ndarray, rng: np.random.Generator) -> 
 
 def hn_diagonal(data: SampleSet, mu, prior: PriorConfig) -> np.ndarray:
     """Diagonal of ``H_N`` at a nonzero ``mu`` in the data's completion of its
-    direction (see :func:`_hn_diagonal`; ``ZeroMeanError`` at a zero mean)."""
+    direction (see :func:`_hn`; ``ZeroMeanError`` at a zero mean)."""
     mu = _as_vector(mu, "mu")
     if mu.size != data.p:
         raise DimensionMismatchError(f"mu has length {mu.size}, expected {data.p}")
-    return _hn_diagonal(data, mu, data.completion(_polar(mu)[0]), prior)
+    return _hn(data, *_polar(mu), prior)
 
 
 def log_posterior(data: SampleSet, mu, lam, prior: PriorConfig) -> float:
@@ -182,7 +168,7 @@ def lambda_conditional_params(
     ``(n + 2a - 1)/2`` and scale ``c*_i / 2`` where ``c*_i`` is the
     corresponding trailing diagonal entry of ``H_N``.
     """
-    return _lambda_conditional(data, hn_diagonal(data, mu, prior), prior)
+    return _lambda_shape(data, prior), 0.5 * hn_diagonal(data, mu, prior)[1:]
 
 
 def draw_lambda_conditional(
@@ -268,65 +254,34 @@ class _FrameKernel:
     """The MH update of the mean, in the coordinates of the data's frame ``F``.
 
     A mean ``mu`` is carried as ``m = F^T mu``, split into its leading
-    coordinate ``m0`` (a float) and its tail ``mt``.  In these coordinates
-    the completion of ``u = m / ||m||`` is the frame carried to ``u``
-    (:func:`meancov.model.transport_frame`)::
-
-        F^T P(u) = [u | E + a b^T],   u = (c, s b),   a = (-s, (c - 1) b)
-
-    with ``E`` the last ``p - 1`` columns of the identity, ``b`` the unit
-    tail of ``u`` and ``s`` its norm, so ``u`` and ``a`` lie in the plane of
-    ``e_0`` and ``w = (0, b)``.  Every product with the basis is then a
-    rank-one update: the forward step ``P z``, the reverse ``P^T (mu - mu*)``
-    and the tail quadratic forms of ``A~ = F^T A(0) F``,
-    ``diag(A~)_i + 2 b_i (A~ a)_i + b_i^2 a^T A~ a``, which read ``A~`` only
-    through its leading column and ``A~ w``.  No p x p matrix is formed per
-    proposal; ``A~``, ``F^T xbar`` and the columns of ``F`` are formed once
-    per run.  The ambient mean ``F m`` is formed per state, for the prior
-    terms of ``H_N`` and for the chain.  Points are :class:`_Point` and MH
-    states :class:`_State`.
+    coordinate ``m0`` (a float) and its tail ``mt``.  The completion of
+    ``u = m / ||m||`` is then ``F^T P(u) = [u | E + a b^T]`` with
+    ``u = (c, s b)`` and ``a = (-s, (c - 1) b)`` (``model._FrameForms``), so
+    the forward step ``P z``, the reverse ``P^T (mu - mu*)`` and the
+    diagonal of ``P^T A(mu) P`` are rank-one updates; ``H0``'s tail is added
+    to the frame's tail forms once per run.  The ambient mean ``F m`` is
+    formed per state, for the prior terms and the chain.  Points are
+    :class:`_Point` and MH states :class:`_State`.
     """
 
     def __init__(self, data: SampleSet, prior: PriorConfig):
         F = data.frame
-        At = F.T.dot(data.a0).dot(F)
-        xt = F.T.dot(data.xbar)
+        forms = data._forms
         h0 = prior.h0_diag
         self.n = data.n
-        self.a00 = float(At[0, 0])
-        self.a_col = At[1:, 0].copy()
-        # A~ w and b^T (F^T xbar)_tail from one product with b.
-        self.a_w = np.vstack([At[:, 1:], xt[1:]])
-        self.a_diag = At.diagonal()[1:] + h0[1:]  # H0 is added with the tail forms
+        self.forms = forms._replace(a_diag=forms.a_diag + h0[1:])
         self.h00 = float(h0[0])
-        self.x0, self.x_tail = float(xt[0]), xt[1:].copy()
         self.f0, self.f_tail = F[:, 0].copy(), np.ascontiguousarray(F[:, 1:])
         self.mu0, self.kappa0 = prior.mu0, prior.kappa0
 
     def point(self, m0: float, mt: np.ndarray) -> _Point:
         """The point at frame coordinates ``(m0, mt)`` (``ZeroMeanError`` at a zero mean)."""
-        nt2 = float(mt.dot(mt))
-        c2 = m0 * m0 + nt2
-        c0 = math.sqrt(c2)
-        if c0 < UNIT_TOL:
-            raise ZeroMeanError("cannot factor a zero mean vector into c0 * u")
-        nt = math.sqrt(nt2)
-        c, s = m0 / c0, nt / c0
-        b = mt / nt if nt else mt
-        g = self.a_w.dot(b)
-        g0, bx, gt = float(g[0]), float(g[-1]), g[1:-1]  # g[:-1] = A~ w
-        kap = float(b.dot(gt))  # w^T A~ w
-        c1 = c - 1.0
-        q0 = c * c * self.a00 + 2.0 * c * s * g0 + s * s * kap  # u^T A~ u
-        a_a = s * s * self.a00 - 2.0 * s * c1 * g0 + c1 * c1 * kap  # a^T A~ a
-        # (A~ a)_tail = (c - 1) (A~ w)_tail - s A~_tail,0
-        tail = self.a_diag + b * ((2.0 * c1) * gt - (2.0 * s) * self.a_col + a_a * b)
+        c0, c, s, b = _frame_geometry(m0, mt)
+        hn0, tail = self.forms.diagonal(c, s, b, c0)
         mu = self.f_tail.dot(mt) + m0 * self.f0
         dm = mu - self.mu0
         kd = self.kappa0 * (dm * dm)
-        ux = c * self.x0 + s * bx
-        hn0 = q0 + self.n * c0 * (c0 - 2.0 * ux) + float(kd[0]) + self.h00
-        return _Point(m0, mt, c, s, b, c2, mu, hn0, tail + kd[1:])
+        return _Point(m0, mt, c, s, b, c0 * c0, mu, hn0 + float(kd[0]) + self.h00, tail + kd[1:])
 
     def state(self, pt: _Point, sweep: tuple) -> _State:
         """The MH state of the point ``pt`` under the sweep terms ``sweep`` (see :func:`_sweep`)."""
@@ -414,22 +369,27 @@ def run_gibbs(
         raise ValueError("need at least one inner MH step (l >= 1)")
 
     kern = _FrameKernel(data, prior)
-    pt = kern.point(kern.x0, kern.x_tail)
     shape = _lambda_shape(data, prior)
     mus = np.empty((s, data.p))
     lams = np.empty((s, data.p - 1))
     lps = np.empty(s)
     counts = np.empty(s, dtype=np.int64)
     accepted = 0
-    for j in range(s):
-        lam = _draw_lambda(shape, 0.5 * pt.hnt, rng)
-        sweep = _sweep(data, lam, prior)
-        state = kern.state(pt, sweep)
-        for _ in range(l):
-            state, acc = kern.step(state, sweep, rng)
-            accepted += acc
-        pt = state.point
-        mus[j], lams[j], lps[j], counts[j] = pt.mu, lam, state.lp, accepted
+    # A proposal that overflows has no finite log posterior and is rejected;
+    # the eigenvalue draw, which every state of a sweep squares, is checked
+    # once per sweep.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pt = kern.point(kern.forms.x0, kern.forms.x_tail)
+        for j in range(s):
+            lam = _draw_lambda(shape, 0.5 * pt.hnt, rng)
+            _check_scale(lam, "an eigenvalue draw")
+            sweep = _sweep(data, lam, prior)
+            state = kern.state(pt, sweep)
+            for _ in range(l):
+                state, acc = kern.step(state, sweep, rng)
+                accepted += acc
+            pt = state.point
+            mus[j], lams[j], lps[j], counts[j] = pt.mu, lam, state.lp, accepted
     for a in (mus, lams, lps, counts):
         a.setflags(write=False)
     return GibbsRun(mus, lams, lps, counts, accepted=accepted, proposals=s * l)
@@ -441,13 +401,12 @@ def map_from_chain(run: GibbsRun, data: SampleSet, prior: PriorConfig) -> Fit:
     Keeps the mean of the first highest-posterior state, discards its
     eigenvalue draw, and replaces it with the mode of the eigenvalue full
     conditional at that mean, ``c*_i / (n + 1 + 2a)``.  The mean is
-    normalised once into ``u``, and one basis ``P(u)``, the data's frame
-    carried to ``u``, serves both the diagonal of ``H_N`` and the covariance.
+    normalised once into ``u``; the diagonal of ``H_N`` is read in the data's
+    completion of ``u`` (:func:`_hn`), and the fit's basis is that
+    completion, the data's frame carried to ``u``.
     """
     if not len(run.log_posterior):
         raise EmptyChainError("cannot extract a MAP estimate from an empty chain")
-    mu = run.mu[int(np.argmax(run.log_posterior))]
-    u, c0 = _polar(mu)
-    basis = data.completion(u)
-    lam_hat = _lambda_mode(data, _hn_diagonal(data, mu, basis, prior), prior)
-    return Fit(u=u, c0=c0, spectrum=lam_hat, basis=basis)
+    u, c0 = _polar(run.mu[int(np.argmax(run.log_posterior))])
+    lam_hat = _lambda_mode(data, _hn(data, u, c0, prior), prior)
+    return Fit(u=u, c0=c0, spectrum=lam_hat, basis=data.completion(u))

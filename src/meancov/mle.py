@@ -12,12 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DegenerateDataError
-from .model import (
-    Fit,
-    SampleSet,
-    _as_vector,
-    tail_quadratic_forms,
-)
+from .model import Fit, SampleSet, _as_vector
 
 # A smallest eigenvalue of A(xbar), or a tail form of A(0), at most this
 # times trace(A(xbar)) is zero: the test scales with the data.
@@ -30,17 +25,15 @@ def estimate_c0(data: SampleSet, u) -> float:
     return float(u @ data.xbar)
 
 
-def _tail_forms(data: SampleSet, basis: np.ndarray) -> np.ndarray:
-    """``V_i^T A(0) V_i`` for the tail of ``basis``.
+def _tail_forms(data: SampleSet, u) -> np.ndarray:
+    """``V_i^T A(0) V_i`` for the tail ``V`` of the data's completion of the unit ``u``
+    (:meth:`~meancov.model.SampleSet.scatter_diagonal`, without forming ``V``).
 
-    Raises
-    ------
-    DegenerateDataError
-        If any quadratic form is numerically zero relative to
-        ``trace(A(xbar))`` (data in a proper affine subspace: each form is at
-        least the smallest eigenvalue of ``A(xbar)``).
+    ``DegenerateDataError`` if any form is numerically zero relative to
+    ``trace(A(xbar))``: data in a proper affine subspace, since each form is
+    at least the smallest eigenvalue of ``A(xbar)``.
     """
-    q = tail_quadratic_forms(data.a0, basis[:, 1:])
+    q = data.scatter_diagonal(u, 0.0)[1:]
     if np.any(q <= _RANK_RTOL * np.trace(data.scatter_about_mean())):
         raise DegenerateDataError("data lie in a proper subspace; eigenvalue estimate is zero")
     return q
@@ -57,14 +50,10 @@ def estimate_lambdas(data: SampleSet, u) -> np.ndarray:
 
     ``V`` is the tail of the data's completion of ``u``
     (:meth:`~meancov.model.SampleSet.completion`), the one both MAPs use;
-    at the fit's direction it is the MLE's basis.
-
-    Raises
-    ------
-    DegenerateDataError
-        If any quadratic form is numerically zero (data in a subspace).
+    at the fit's direction it is the MLE's basis.  ``DegenerateDataError``
+    if any form is numerically zero (data in a subspace).
     """
-    return _tail_forms(data, data.completion(u)) / data.n
+    return _tail_forms(data, u) / data.n
 
 
 def profile_loglik(data: SampleSet, u) -> float:
@@ -77,7 +66,7 @@ def profile_loglik(data: SampleSet, u) -> float:
     not even in ``u``.
     """
     u = _as_vector(u, "u")
-    return _profile_loglik(data, u, _tail_forms(data, data.completion(u)))
+    return _profile_loglik(data, u, _tail_forms(data, u))
 
 
 def lower_bound_h(data: SampleSet, u) -> float:
@@ -104,18 +93,15 @@ def fit_mle(data: SampleSet) -> Fit:
 
     The direction estimate is the eigenvector of the smallest eigenvalue of
     ``A(xbar)``, signed so that ``u^T xbar >= 0``; the radius and eigenvalues
-    follow from their closed forms at that direction.  The basis ``P(u)`` is
-    the data's :attr:`~meancov.model.SampleSet.frame`, completed once with
-    the one ``eigh`` of ``A(xbar)``; it serves the eigenvalues, the profile
-    log-likelihood and the covariance.  The fit's ``u`` is the first column
-    of that basis, its ``c0`` is ``estimate_c0(data, u)`` bit for bit, and
-    every diagnostic is taken at it.
-
-    The diagnostics are ``profile_loglik`` and ``lower_bound`` at the fit,
-    ``smallest_eig_of_A_xbar``, ``degenerate_direction`` (a numerically
-    repeated smallest eigenvalue of ``A(xbar)``) and ``zero_radius`` (a fit
-    with ``c0 = 0``, where the mean vector no longer identifies the
-    direction).
+    follow from their closed forms at that direction.  The basis is the
+    data's :attr:`~meancov.model.SampleSet.frame`, from the one ``eigh`` of
+    ``A(xbar)``, and the eigenvalues are its own tail forms over ``n``.  The
+    fit's ``u`` is the frame's first column, its ``c0`` is
+    ``estimate_c0(data, u)`` bit for bit, and every diagnostic is taken at it:
+    ``profile_loglik``, ``lower_bound``, ``smallest_eig_of_A_xbar``,
+    ``degenerate_direction`` (a numerically repeated smallest eigenvalue of
+    ``A(xbar)``) and ``zero_radius`` (``c0 = 0``, where the mean no longer
+    identifies the direction).
     """
     return data._mle
 
@@ -131,7 +117,7 @@ def _fit_mle(data: SampleSet) -> Fit:
     degenerate = bool(evals[1] - evals[0] <= 1e-9 * tr)
     u = basis[:, 0].copy()  # contiguous: a strided dot sums in another order
     c0 = estimate_c0(data, u)
-    q = _tail_forms(data, basis)
+    q = _tail_forms(data, u)
     return Fit(
         u=u,
         c0=c0,

@@ -9,13 +9,12 @@ eigenvector of the covariance with eigenvalue one, for every radius ``c0``.
 The basis ``P(u) = [u | V]``, the free eigenvalues and the covariance are
 plain read-only ``ndarray``s: :func:`build_orthobasis` completes the basis,
 :func:`transport_frame` carries a completed basis (a frame) to another
-direction, :meth:`SampleSet.completion` carries the data's frame and is the
-one completion every estimator takes, and :func:`structured_covariance`
-assembles ``Sigma`` from a basis.  A fit,
-:class:`Fit`, holds the direction ``u`` and the radius ``c0`` of the mean
-``mu = c0 u`` next to them, as arrays and scalars.  ``Fit`` and
-``SampleSet`` are frozen; the functions are pure and safe to call
-concurrently on shared instances.
+direction, :meth:`SampleSet.completion` carries the data's frame, the one
+completion every estimator takes, and :func:`structured_covariance`
+assembles ``Sigma``.  The estimators read the data in that completion
+through :meth:`SampleSet.scatter_diagonal`, without forming the basis.
+:class:`Fit` holds the direction ``u`` and the radius ``c0`` of the mean
+next to them.  ``Fit`` and ``SampleSet`` are frozen; the functions are pure.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +39,10 @@ from .exceptions import (
 )
 
 UNIT_TOL = 1e-8
+
+# A tail of frame coordinates of norm at most this times p ||x|| is rounding
+# noise: at most 0.4 p eps at the axis of frames by build_orthobasis, p = 2-200.
+_AXIS_TOL = 4.0 * float(np.finfo(float).eps)
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -140,6 +144,25 @@ def build_orthobasis(u) -> np.ndarray:
     return P
 
 
+def _frame_geometry(x0: float, xt: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+    """``(||x||, c, s, b)`` of frame coordinates ``x = (x0, xt)``: ``x / ||x|| = (c, s b)``.
+
+    The one convention on the frame's axis, where rounding would set the unit
+    ``b``, for :func:`transport_frame` and :meth:`SampleSet.scatter_diagonal`:
+    a tail of norm at most ``_AXIS_TOL p ||x||`` (``4 p eps ||x||``) counts as zero, so
+    ``s = 0``, ``b = 0`` and the completion keeps the frame's tail ``V_r``
+    at ``-r`` as at ``r``.
+    """
+    nt2 = float(xt.dot(xt))
+    nx = math.sqrt(x0 * x0 + nt2)
+    if nx < UNIT_TOL:
+        raise ZeroMeanError("cannot factor a zero mean vector into c0 * u")
+    nt = math.sqrt(nt2)
+    if nt <= _AXIS_TOL * (xt.size + 1) * nx:
+        return nx, x0 / nx, 0.0, np.zeros(xt.size)
+    return nx, x0 / nx, nt / nx, xt / nt
+
+
 def transport_frame(frame: np.ndarray, u) -> np.ndarray:
     """Carry the basis ``frame = P(r)`` to the unit ``u`` by the rotation in ``span{r, u}``.
 
@@ -147,14 +170,13 @@ def transport_frame(frame: np.ndarray, u) -> np.ndarray:
     plane turns the tail ``V_r`` of the frame into
     ``V(u) = V_r + ((c - 1) w - s r)(w^T V_r)``, with ``c = r^T u``,
     ``s = ||u - c r||`` and ``w = (u - c r) / s``: a rank-one update, O(p^2).
-    ``c`` and ``s`` are taken for ``u / ||u||``, so that ``V(u)`` is
-    orthonormal to rounding also for a ``u`` that is unit only within
-    ``UNIT_TOL``.  The update is taken in the frame's coordinates
-    ``frame^T u = ||u|| (c, s b)``, so that
-    ``w = V_r b`` is orthogonal to ``r`` to rounding however close ``u`` is to
-    ``-r``, and ``w^T V_r = b^T``.  ``V(u)`` is continuous in ``u`` everywhere
-    but at ``u = -r``, the one seam of the completion.  Where ``s`` is zero
-    it is ``V_r``, and ``frame`` itself is returned for ``u`` equal to ``r``.
+    It is taken in the frame's coordinates ``frame^T u = ||u|| (c, s b)``
+    (:func:`_frame_geometry`), so ``w = V_r b`` is orthogonal to ``r`` to
+    rounding however close ``u`` is to ``-r``, and for ``u / ||u||``, so
+    ``V(u)`` is orthonormal also for a ``u`` unit only within ``UNIT_TOL``.
+    ``V(u)`` is continuous but at ``u = -r``, the one seam of the completion;
+    on the frame's axis (``-r`` included) it is ``V_r``, and ``frame``
+    itself is returned for ``u`` equal to ``r``.
 
     Returns the read-only ``P = [u | V(u)]``; column 0 is ``u`` bit for bit.
     ``u`` must have the frame's length and be unit within ``UNIT_TOL``.
@@ -168,18 +190,10 @@ def transport_frame(frame: np.ndarray, u) -> np.ndarray:
     if np.array_equal(u, r):
         return frame
     ut = frame.T.dot(u)
-    t = ut[1:]
-    nt = math.sqrt(t.dot(t))
+    _, c, s, b = _frame_geometry(float(ut[0]), ut[1:])
     P = np.empty((p, p))
     P[:, 0] = u
-    if nt == 0.0:
-        P[:, 1:] = v_r
-    else:
-        # c and s of the unit u / ||u||: V^T V = I + (c^2 + s^2 - 1) b b^T.
-        nu = math.sqrt(ut.dot(ut))
-        c, s = ut[0] / nu, nt / nu
-        b = t / nt
-        P[:, 1:] = v_r + np.outer((c - 1.0) * v_r.dot(b) - s * r, b)
+    P[:, 1:] = v_r + np.outer((c - 1.0) * v_r.dot(b) - s * r, b)  # V_r where b = 0
     P.setflags(write=False)
     return P
 
@@ -187,6 +201,38 @@ def transport_frame(frame: np.ndarray, u) -> np.ndarray:
 def tail_quadratic_forms(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The quadratic forms ``V_i^T A V_i`` for every column ``V_i`` of ``V``."""
     return (V * A.dot(V)).sum(axis=0)
+
+
+class _FrameForms(NamedTuple):
+    """The data's statistics in their frame ``F``, ``A~ = F^T A(0) F`` and ``x~ = F^T xbar``:
+    ``n``, ``A~_00``, ``A~_tail,0``, ``A~_:,tail`` stacked over ``x~_tail^T``,
+    the tail of ``diag(A~)`` (the frame's own tail forms) and ``x~``."""
+
+    n: int
+    a00: float
+    a_col: np.ndarray
+    a_w: np.ndarray
+    a_diag: np.ndarray
+    x0: float
+    x_tail: np.ndarray
+
+    def diagonal(self, c: float, s: float, b: np.ndarray, c0: float) -> tuple[float, np.ndarray]:
+        """The leading entry and the tail of ``diag(P^T A(c0 u) P)``, ``c0 >= 0``, at
+        ``F^T u = (c, s b)`` (:func:`_frame_geometry`), in O(p^2): with
+        ``F^T P = [u | E + a b^T]``, ``a = (-s, (c - 1) b)`` and ``w = (0, b)``,
+        the tail forms are ``diag(A~)_i + 2 b_i (A~ a)_i + b_i^2 a^T A~ a`` and
+        the leading entry is ``u^T A~ u + n c0 (c0 - 2 u^T x~)``.
+        """
+        g = self.a_w.dot(b)
+        g0, bx, gt = float(g[0]), float(g[-1]), g[1:-1]  # g[:-1] = A~ w
+        kap = float(b.dot(gt))  # w^T A~ w
+        c1 = c - 1.0
+        q0 = c * c * self.a00 + 2.0 * c * s * g0 + s * s * kap  # u^T A~ u
+        a_a = s * s * self.a00 - 2.0 * s * c1 * g0 + c1 * c1 * kap  # a^T A~ a
+        # (A~ a)_tail = (c - 1) (A~ w)_tail - s A~_tail,0
+        tail = self.a_diag + b * ((2.0 * c1) * gt - (2.0 * s) * self.a_col + a_a * b)
+        ux = c * self.x0 + s * bx
+        return q0 + self.n * c0 * (c0 - 2.0 * ux), tail
 
 
 def _spectrum(lam, p: int) -> np.ndarray:
@@ -221,10 +267,9 @@ class Fit:
     it.  ``u`` is a read-only copy of the direction as the estimator
     completed it, unit within ``UNIT_TOL``; ``c0 >= 0`` is the radius.
     ``basis`` is the read-only completion ``P(u)`` that :meth:`covariance`
-    reads (a writable one is copied): the data's completion of ``u``
-    (:meth:`SampleSet.completion`), which is the frame itself for the MLE.
-    ``spectrum`` is a read-only copy of the
-    ``p - 1`` free eigenvalues, each > 0 (the leading one is fixed at one).
+    reads (a writable one is copied), :meth:`SampleSet.completion` of ``u``.
+    ``spectrum`` is a read-only copy of the ``p - 1`` free eigenvalues,
+    each > 0 (the leading one is fixed at one).
     ``converged`` and ``outer_iterations`` describe an iterative fit (a
     closed-form fit keeps the defaults); ``diagnostics`` is a read-only
     mapping, over a copy of the one given, of the values particular to one
@@ -289,8 +334,8 @@ class SampleSet:
     least one row, and it, its mean and its scatter must be finite
     (``DegenerateDataError`` otherwise); it is read as a C-ordered float
     array, copied only when it is not one.  The largest eigenvalue of
-    ``a0``, the scatter about the mean, the :attr:`frame` and the MLE
-    (:func:`meancov.mle.fit_mle`) are computed on first use and then kept.
+    ``a0``, the scatter about the mean, the :attr:`frame`, its statistics and
+    the MLE (:func:`meancov.mle.fit_mle`) are computed on first use and kept.
     Instances compare and hash by identity, as the kept MLE treats them, and
     an unpickled one is read-only like the original.
     """
@@ -379,11 +424,42 @@ class SampleSet:
         """The basis ``P(u)`` of a unit direction for these data: the :attr:`frame`
         carried to ``u`` by :func:`transport_frame` (read-only).
 
-        The one completion of the model on a data set: the MLE's closed-form
-        eigenvalues and profile log-likelihood and both MAPs' posteriors take
-        their tail columns here, and at ``u_hat`` it is the frame itself.
+        The one completion of the model on a data set, at ``u_hat`` the
+        frame itself.  The estimators read the data in it through
+        :meth:`scatter_diagonal` and form it only for the basis of a fit.
         """
         return transport_frame(self.frame, u)
+
+    def scatter_diagonal(self, u, c0: float) -> np.ndarray:
+        """``diag(P^T A(c0 u) P)``, ``H_N``'s diagonal under a flat prior, in the
+        completion ``P`` of the mean's direction: ``u`` where ``c0 >= 0`` (``0``
+        included), ``-u`` where ``c0 < 0``.  Its tail is the tail forms of
+        ``A(0)``, read off the frame's statistics with one product ``F^T u``,
+        in O(p^2); at the frame's own direction, the frame's tail forms.
+        """
+        u = _as_vector(u, "u")
+        if u.size != self.p:
+            raise DimensionMismatchError(f"direction length {u.size} != p = {self.p}")
+        _check_unit(u)
+        if c0 < 0.0:
+            u, c0 = -u, -c0
+        F = self.frame
+        ut = np.eye(self.p)[0] if np.array_equal(u, F[:, 0]) else F.T.dot(u)
+        _, c, s, b = _frame_geometry(float(ut[0]), ut[1:])
+        hn0, tail = self._forms.diagonal(c, s, b, c0)
+        return np.concatenate(([hn0], tail))
+
+    @cached_property
+    def _forms(self) -> _FrameForms:
+        """The :attr:`frame`'s statistics that :meth:`scatter_diagonal` reads, read-only."""
+        F = self.frame
+        At, xt = F.T.dot(self.a0).dot(F), F.T.dot(self.xbar)
+        forms = _FrameForms(self.n, float(At[0, 0]), At[1:, 0].copy(),
+                            np.vstack([At[:, 1:], xt[1:]]),
+                            tail_quadratic_forms(self.a0, F[:, 1:]), float(xt[0]), xt[1:].copy())
+        for a in (forms.a_col, forms.a_w, forms.a_diag, forms.x_tail):
+            a.setflags(write=False)
+        return forms
 
     @cached_property
     def _anchor(self) -> tuple[np.ndarray, np.ndarray]:

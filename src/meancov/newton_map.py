@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import PriorConfig, _hn_diagonal, _lambda_mode
+from .gibbs import PriorConfig, _hn, _lambda_mode
 from .mle import fit_mle
 from .model import Fit, SampleSet, _as_vector, _norm, _polar
 
@@ -61,11 +61,10 @@ def map_lambda_update(data: SampleSet, u, c0: float, prior: PriorConfig) -> np.n
     eigenvalue at the mean ``c0 * u``, the formula the Gibbs MAP uses too,
     in the same completion: the data's completion of the mean's direction,
     ``u``, or ``-u`` where ``c0 < 0``
-    (:meth:`~meancov.model.SampleSet.completion`).
+    (:meth:`~meancov.model.SampleSet.scatter_diagonal`).  An overflowing
+    prior raises ``ValueError``.
     """
-    u = _as_vector(u, "u")
-    hn = _hn_diagonal(data, c0 * u, data.completion(u if c0 >= 0.0 else -u), prior)
-    return _lambda_mode(data, hn, prior)
+    return _lambda_mode(data, _hn(data, _as_vector(u, "u"), c0, prior), prior)
 
 
 def _surrogate_terms(data: SampleSet, u, c0: float, prior: PriorConfig):
@@ -146,27 +145,17 @@ def fit_map_newton(
     is supplied, which is taken as the direction ``init_mu / ||init_mu||``
     at the radius ``||init_mu||`` (``ZeroMeanError``, a ``ZeroVectorError``,
     for a zero vector).  An outer iteration takes up to ``MAX_INNER`` Newton
-    steps.  Each Newton direction is backtracked (halving by ``alpha``, up to
-    ``MAX_BACKTRACKS`` times) until the surrogate increases, and the direction
-    iterate is renormalized to unit length after every accepted step; a
-    singular Hessian falls back to a backtracked gradient-ascent step.  The
-    outer loop stops when the direction stops moving or when a radius refresh
-    would decrease the surrogate.
+    steps, each backtracked (by ``alpha``, up to ``MAX_BACKTRACKS`` times)
+    until the surrogate increases and renormalized; a singular Hessian falls
+    back to a gradient step.  The outer loop stops when the direction stops
+    moving or when a radius refresh would decrease the surrogate.  A
+    negative radius is reported as the same mean ``(-c0)(-u)``.
 
-    A radius refresh may turn ``c0`` negative; the fit reports the same mean
-    ``c0 u = (-c0)(-u)`` with the sign moved onto the direction, so that
-    ``c0 >= 0``.
-
-    The basis is the data's completion of the mean's direction
-    (:meth:`meancov.model.SampleSet.completion`), the one the Gibbs MAP
-    uses, so both MAPs target one posterior.  It is carried once per distinct
-    direction: taken from the MLE, whose basis is the frame (or carried to
-    the start vector), reused by every eigenvalue refresh, and carried again
-    only after an outer iteration that moved the direction.  A refresh at a
-    negative radius, whose mean points along ``-u``, takes the completion of
-    ``-u``, carried once per direction too, and the sign flip at the end
-    reuses it.  The fit's ``u`` is the last direction carried, bit for bit,
-    and its ``basis`` and ``spectrum`` are those of ``u``.
+    Every eigenvalue refresh is :func:`map_lambda_update`, in the data's
+    completion of the mean's direction (``-u`` at a negative radius), as in
+    the Gibbs MAP, read in O(p^2) with no basis formed; the one basis
+    completed, ``data.completion(u)``, is the fit's.  An overflowing prior
+    raises ``ValueError`` at the first refresh.
 
     The diagnostic ``h_trace`` holds the surrogate value after the initial
     point and every accepted update; the acceptance rule makes it
@@ -176,24 +165,17 @@ def fit_map_newton(
         cfg = NewtonConfig()
     if init_mu is None:
         mle = fit_mle(data)
-        u, c0, basis = mle.u, mle.c0, mle.basis
+        u, c0 = mle.u, mle.c0
     else:
         u, c0 = _polar(init_mu)
-        basis = data.completion(u)
-    flipped = None  # the completion of -u, once a refresh needs it
-    lam = _lambda_mode(data, _hn_diagonal(data, c0 * u, basis, prior), prior)
+    lam = map_lambda_update(data, u, c0, prior)
     h_cur = h_value(data, u, c0, prior)
     h_trace = [h_cur]
     converged = False
-    outer_used = 0
 
-    for _ in range(cfg.max_outer):
-        outer_used += 1
+    for outer_used in range(1, cfg.max_outer + 1):
         c0_new = map_c0_update(data, u, lam, prior)
-        if c0_new < 0.0 and flipped is None:
-            flipped = data.completion(-u)
-        mean_basis = basis if c0_new >= 0.0 else flipped
-        lam_new = _lambda_mode(data, _hn_diagonal(data, c0_new * u, mean_basis, prior), prior)
+        lam_new = map_lambda_update(data, u, c0_new, prior)
         h_new = h_value(data, u, c0_new, prior)
         if h_new < h_cur:
             # The refresh maximizes the exact conditional posterior, not h;
@@ -233,21 +215,17 @@ def fit_map_newton(
             h_trace.append(h_cur)
             if delta < cfg.epsilon:
                 break
-        if u is not u_outer:
-            basis, flipped = data.completion(u), None
         if _norm(u - u_outer) < cfg.epsilon:
             converged = True
             break
 
     if c0 < 0.0:
         u, c0 = -u, -c0
-        basis = flipped if flipped is not None else data.completion(u)
-    lam = _lambda_mode(data, _hn_diagonal(data, c0 * u, basis, prior), prior)
     return Fit(
         u=u,
         c0=c0,
-        spectrum=lam,
-        basis=basis,
+        spectrum=map_lambda_update(data, u, c0, prior),
+        basis=data.completion(u),
         converged=converged,
         outer_iterations=outer_used,
         diagnostics={"h_trace": h_trace},

@@ -40,6 +40,14 @@ def estimate_c0_general(data: SampleSet, u, lam) -> float:
     return float((u @ M @ data.xbar) / (u @ M @ u))
 
 
+def hn_diagonal_reference(data: SampleSet, mu, P, prior) -> np.ndarray:
+    """Diagonal of ``H_N = P^T A(mu) P + kappa0 (mu - mu0)(mu - mu0)^T + H0`` in the
+    explicit basis ``P``, with the scatter ``A(mu)`` formed: the oracle of the
+    library's frame-coordinate formula (``SampleSet.scatter_diagonal``)."""
+    d = mu - prior.mu0
+    return np.diag(P.T @ data.scatter(mu) @ P) + prior.kappa0 * (d * d) + prior.h0_diag
+
+
 def build_orthobasis_reference(u) -> np.ndarray:
     """Modified Gram-Schmidt completion, one projection at a time: the oracle
     of ``build_orthobasis``.

@@ -480,6 +480,23 @@ class TestDispatch:
         assert doc["error"]["category"] == "config-or-parse"
         assert message in doc["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["fit-map-newton", "fit-map-gibbs"])
+    @pytest.mark.parametrize("option", ["--prior-kappa0", "--prior-h0"])
+    def test_overflowing_prior_is_config_error(self, tmp_path, capsys, command, option):
+        # Finite hyperparameters whose H_N entries or eigenvalue draws cannot
+        # be squared: a ValueError before the fit reports, with no warning.
+        path = tmp_path / "five.csv"
+        write_csv(path, [[1, 2, 3], [2, 3, 4], [3, 1, 2], [4, 2, 3], [2, 4, 3]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = main([command, str(path), option, "1e308"])
+        doc = json.loads(capsys.readouterr().out)
+        assert caught == []
+        assert status == EXIT_CONFIG
+        assert doc["error"]["category"] == "config-or-parse"
+        assert "the posterior overflows" in doc["error"]["message"]
+        assert "results" not in doc
+
     @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "simulate"])
     def test_one_column_csv_is_config_error(self, tmp_path, capsys, command):
         path = tmp_path / "one.csv"

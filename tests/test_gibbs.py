@@ -14,10 +14,14 @@ from meancov import (
     ZeroMeanError,
     build_orthobasis,
     draw_lambda_conditional,
+    estimate_lambdas,
+    fit_map_newton,
     fit_mle,
     hn_diagonal,
     log_posterior,
     map_from_chain,
+    map_lambda_update,
+    profile_loglik,
     run_gibbs,
     structured_covariance,
     transport_frame,
@@ -25,14 +29,13 @@ from meancov import (
 from meancov import model as model_module
 from meancov.gibbs import (
     _FrameKernel,
-    _hn_diagonal,
     _lambda_mode,
     _log_density,
     _log_lam_term,
     _sweep,
     lambda_conditional_params,
 )
-from conftest import simulated_data, simulated_rows
+from conftest import hn_diagonal_reference, simulated_data, simulated_rows
 
 
 def _basis(data, mu):
@@ -234,13 +237,14 @@ class TestHnMatrix:
             map_from_chain(_chain([mu], [np.ones(2)], [0.0]), data, prior)
 
     def test_length_checked_before_the_basis(self, small_case, monkeypatch):
-        # A wrong-length mean is a dimension error, zero or not, and costs no
-        # basis.
+        # A wrong-length mean is a dimension error, zero or not, and reads
+        # nothing in the completion.
         data, prior = small_case
         with pytest.raises(DimensionMismatchError):
             hn_diagonal(data, np.zeros(4), prior)
         calls = []
-        monkeypatch.setattr(model_module, "transport_frame", lambda f, u: calls.append(u))
+        monkeypatch.setattr(model_module.SampleSet, "scatter_diagonal",
+                            lambda self, u, c0: calls.append(u))
         with pytest.raises(DimensionMismatchError):
             hn_diagonal(data, np.ones(4), prior)
         assert calls == []
@@ -479,6 +483,19 @@ class TestMhStep:
             assert lp == pytest.approx(log_posterior(data, mu, lam, prior), rel=1e-12)
         assert accepted > 0
 
+    def test_kernel_keeps_the_frames_tail_at_the_antipode(self):
+        # The frame coordinates of a mean along -u_hat have a tail of
+        # rounding noise; the kernel takes it as zero, as transport_frame and
+        # every other reader of the completion do.
+        data = simulated_data(50, 5, seed=1)
+        prior = PriorConfig.default(data)
+        mu = -2.0 * fit_mle(data).u
+        m = data.frame.T.dot(mu)
+        pt = _FrameKernel(data, prior).point(float(m[0]), m[1:].copy())
+        assert pt.s == 0.0 and not pt.b.any()
+        np.testing.assert_allclose(np.concatenate(([pt.hn0], pt.hnt)),
+                                   hn_diagonal(data, mu, prior), rtol=1e-12)
+
     @pytest.mark.parametrize("p", [2, 3, 5, 10, 50])
     def test_kernel_matches_explicit_basis_at_random_states(self, p):
         # The rank-one forms in frame coordinates against the explicit
@@ -630,7 +647,7 @@ class TestFrameCompletion:
 
         def canonical(x):
             P = build_orthobasis(x / np.linalg.norm(x))
-            return _log_density(_hn_diagonal(data, x, P, prior), lam, lam_term)
+            return _log_density(hn_diagonal_reference(data, x, P, prior), lam, lam_term)
 
         assert abs(canonical(above) - canonical(below)) > 1.0
 
@@ -676,6 +693,60 @@ class TestMixing:
         run = run_gibbs(data, PriorConfig.default(data), s=1200, l=5,
                         rng=np.random.default_rng(10_000))
         assert effective_sample_size(run.mu[200:, 0]) == pytest.approx(pinned, rel=0.01)
+
+
+class TestEntryPoints:
+    # Every function that reads the data in the completion of a mean takes
+    # the frame-coordinate formula; the oracle forms the explicit basis
+    # P = transport_frame(F, +-u) and the scatter A(mu).
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 10, 50])
+    def test_every_entry_point_matches_the_explicit_basis(self, p):
+        data = simulated_data(2 * p + 10, p, seed=70 + p)
+        prior = PriorConfig(mu0=data.xbar, kappa0=1.5, a=p + 1.0,
+                            h0_diag=np.linspace(1.0, 2.0, p))
+        rng = np.random.default_rng(71)
+        t = data.n + 1.0 + 2.0 * prior.a
+        for scale in (0.1, 1.0, 3.0):
+            mu = data.xbar + scale * rng.standard_normal(p)
+            c0 = np.linalg.norm(mu)
+            u = mu / c0
+            P, P_neg = transport_frame(data.frame, u), transport_frame(data.frame, -u)
+            hn = hn_diagonal_reference(data, mu, P, prior)
+            lam = rng.uniform(0.5, 3.0, p - 1)
+            np.testing.assert_allclose(hn_diagonal(data, mu, prior), hn, rtol=1e-12)
+            assert log_posterior(data, mu, lam, prior) == pytest.approx(
+                _log_density(hn, lam, _log_lam_term(data, lam, prior)), rel=1e-12)
+            shape, scales = lambda_conditional_params(data, mu, prior)
+            assert shape == 0.5 * (data.n + 2.0 * prior.a - 1.0)
+            np.testing.assert_allclose(scales, 0.5 * hn[1:], rtol=1e-12)
+            np.testing.assert_allclose(map_lambda_update(data, u, c0, prior), hn[1:] / t,
+                                       rtol=1e-12)
+            # c0 u with c0 < 0 is the mean c0 (-u), taken in the completion of -u.
+            hn_neg = hn_diagonal_reference(data, -mu, P_neg, prior)
+            np.testing.assert_allclose(map_lambda_update(data, u, -c0, prior), hn_neg[1:] / t,
+                                       rtol=1e-12)
+            q = np.diag(P.T @ data.a0 @ P)[1:]
+            np.testing.assert_allclose(estimate_lambdas(data, u), q / data.n, rtol=1e-12)
+            quad = u @ data.scatter_about_mean() @ u
+            expected = -0.5 * data.n * np.log(q / data.n).sum() - 0.5 * (quad + data.n * (p - 1))
+            assert profile_loglik(data, u) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_newton_fits_data_with_zero_radius(self, p):
+        # The sample mean is exactly zero, so the MLE's radius is zero: the
+        # eigenvalue refresh at c0 = 0 is defined (the completion of u).
+        half = np.random.default_rng(p).integers(-9, 10, size=(20, p)).astype(float)
+        data = SampleSet(np.vstack([half, -half]))
+        assert fit_mle(data).c0 == 0.0
+        flat = PriorConfig(mu0=np.zeros(p), kappa0=0.0, a=-0.5, h0_diag=np.zeros(p))
+        for prior in (PriorConfig.default(data), flat):
+            fit = fit_map_newton(data, prior)
+            assert fit.converged
+            assert fit.c0 >= 0.0
+            assert np.all(np.isfinite(fit.spectrum)) and np.all(fit.spectrum > 0.0)
+            np.testing.assert_allclose(
+                fit.spectrum, map_lambda_update(data, fit.u, fit.c0, prior), rtol=1e-12)
 
 
 def _chain(mus, lams, lps) -> GibbsRun:

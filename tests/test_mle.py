@@ -81,6 +81,18 @@ class TestEstimateLambdas:
         expected = np.diag(P.T @ data.a0 @ P)[1:] / data.n
         assert np.allclose(lam, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("p", [3, 5, 10])
+    def test_antipode_of_the_fit_reads_the_frames_forms(self, p):
+        # The completion of -u_hat keeps the frame's tail, so the closed-form
+        # eigenvalues at -u_hat are those at u_hat (at p = 5 they read
+        # (29.05, 22.33, 27.13, 30.02) against (28.47, 27.27, 22.02, 30.77)
+        # with a tail reflected along rounding noise).
+        for seed in (1, 2, 3):
+            data = simulated_data(50, p, seed=seed)
+            u = fit_mle(data).u
+            np.testing.assert_allclose(estimate_lambdas(data, -u), estimate_lambdas(data, u),
+                                       rtol=1e-12)
+
     def test_degenerate_subspace_data(self):
         v = np.array([1.0, 2.0, 0.5])
         X = np.outer(np.array([1.0, -2.0, 3.0, 0.5]), v)

@@ -494,6 +494,17 @@ class TestTransportFrame:
         P, Q = (transport_frame(frame, x / np.linalg.norm(x)) for x in (-r + 1e-9 * d, -r + 1e-9 * e))
         assert np.abs(P[:, 1:] - Q[:, 1:]).max() > 0.5
 
+    @pytest.mark.parametrize("p", [3, 5, 10])
+    def test_antipode_keeps_the_frames_tail(self, p):
+        # At u = -r the tail of F^T u is rounding noise, which counts as
+        # zero: the tail is V_r, not V_r reflected along a direction the
+        # noise sets (|P[:, 1:] - V_r| was 1.2-1.6 at p = 5).
+        for seed in (1, 2, 3):
+            frame = simulated_data(50, p, seed=seed).frame
+            P = transport_frame(frame, -frame[:, 0])
+            assert np.array_equal(P[:, 0], -frame[:, 0])
+            assert np.array_equal(P[:, 1:], frame[:, 1:])
+
     def test_rejects_bad_directions(self):
         frame = build_orthobasis(np.array([0.6, 0.8, 0.0]))
         with pytest.raises(DimensionMismatchError):

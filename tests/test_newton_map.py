@@ -25,13 +25,11 @@ from meancov import (
 from meancov import model as model_module
 from meancov import newton_map
 from meancov.gibbs import (
-    _hn_diagonal,
-    _lambda_mode,
     _log_density,
     _log_lam_term,
     lambda_conditional_params,
 )
-from conftest import random_unit, simulated_data
+from conftest import hn_diagonal_reference, random_unit, simulated_data
 
 
 def prior_free(p: int) -> PriorConfig:
@@ -82,7 +80,7 @@ class TestC0Update:
             h = 0.25
             P = transport_frame(data.frame, u)
             lam_term = _log_lam_term(data, lam, prior)
-            f = lambda c: _log_density(_hn_diagonal(data, c * u, P, prior), lam, lam_term)
+            f = lambda c: _log_density(hn_diagonal_reference(data, c * u, P, prior), lam, lam_term)
             c_pos = abs(c0) + 2.0 * h
             assert f(c_pos) == pytest.approx(log_posterior(data, c_pos * u, lam, prior), rel=1e-12)
             lo, mid, hi = f(c0 - h), f(c0), f(c0 + h)
@@ -325,26 +323,9 @@ class TestFitMapNewton:
         assert np.all(np.isfinite(fit.spectrum))
         assert np.all(np.diff(fit.diagnostics["h_trace"]) >= 0.0)
 
-    def test_basis_completions_bounded_by_outer_iterations(self, monkeypatch):
-        # Warm-started at the sample mean, which is off the flat-prior
-        # optimum, the iteration has to move u.  The frame is completed once
-        # per data set and carried at most once per outer iteration.
-        data = simulated_data(50, 3, seed=6)
-        built, carried = [], []
-        build, carry = model_module.build_orthobasis, model_module.transport_frame
-        monkeypatch.setattr(model_module, "build_orthobasis", lambda u: built.append(1) or build(u))
-        monkeypatch.setattr(model_module, "transport_frame",
-                            lambda f, u: carried.append(1) or carry(f, u))
-        fit = fit_map_newton(data, prior_free(3), init_mu=data.xbar)
-        fit.covariance()
-        assert not np.array_equal(fit.u, data.xbar / np.linalg.norm(data.xbar))
-        assert len(built) == 1
-        assert len(carried) <= 2 + fit.outer_iterations
-
-    # The fit's u is the last direction the iteration carried the frame to and
-    # the first column of its basis: no second normalisation moves its bits,
-    # so the basis, the covariance and the eigenvalue refresh are those of
-    # fit.u.
+    # The fit's u is the first column of its basis: no second normalisation
+    # moves its bits, so the basis, the covariance and the eigenvalue refresh
+    # are those of fit.u.
     @pytest.mark.parametrize(
         "n, p, seed",
         [(50, 3, 6), (60, 5, 20), (60, 5, 37), (50, 3, 82), (200, 10, 0), (60, 5, 23)],
@@ -361,38 +342,38 @@ class TestFitMapNewton:
         assert np.array_equal(fit.covariance(), sigma)
         assert np.array_equal(fit.spectrum, map_lambda_update(data, fit.u, fit.c0, prior))
 
-    # On these data sets normalising the final iterate again changes its
-    # bits; the fit must not carry the frame to such a rounding copy of a
-    # direction it has already carried it to.  A cold start takes the frame
-    # itself, the completion of the MLE's direction.
-    @pytest.mark.parametrize("n, p, seed", [(60, 5, 20), (60, 5, 37), (50, 3, 82), (200, 10, 0)])
+    # The iteration reads the data through the frame's statistics: the frame
+    # is completed once per data set, and the one basis carried is the fit's.
+    @pytest.mark.parametrize(
+        "n, p, seed", [(50, 3, 6), (60, 5, 20), (60, 5, 37), (50, 3, 82), (200, 10, 0)]
+    )
     @pytest.mark.parametrize("flat", [False, True])
     @pytest.mark.parametrize("warm", [False, True])
-    def test_one_completion_per_distinct_direction(self, monkeypatch, n, p, seed, flat, warm):
+    def test_completes_one_explicit_basis_the_fits_own(self, monkeypatch, n, p, seed, flat, warm):
         data = simulated_data(n, p, seed=seed)
         prior = prior_free(data.p) if flat else PriorConfig.default(data)
-        inputs = []
+        built, carried = [], []
         build, carry = model_module.build_orthobasis, model_module.transport_frame
         monkeypatch.setattr(model_module, "build_orthobasis",
-                            lambda u: inputs.append(np.array(u)) or build(u))
+                            lambda u: built.append(np.array(u)) or build(u))
         monkeypatch.setattr(model_module, "transport_frame",
-                            lambda f, u: inputs.append(np.array(u)) or carry(f, u))
+                            lambda f, u: carried.append(np.array(u)) or carry(f, u))
         fit = fit_map_newton(data, prior, init_mu=data.xbar if warm else None)
-        assert np.array_equal(inputs[-1], fit.u)
-        for i, a in enumerate(inputs):
-            for b in inputs[i + 1 :]:
-                assert np.linalg.norm(a - b) > 1e-12
+        fit.covariance()
+        assert len(built) == 1  # the data's frame
+        assert len(carried) == 1 and np.array_equal(carried[0], fit.u)
 
     def test_start_vector_is_factored_into_direction_and_radius(self, monkeypatch, rng):
         data = simulated_data(40, 4, seed=49)
         prior = PriorConfig.default(data)
         v = random_unit(4, rng)
         inputs = []
-        carry = model_module.transport_frame
-        monkeypatch.setattr(model_module, "transport_frame",
-                            lambda f, u: inputs.append(u) or carry(f, u))
+        update = newton_map.map_lambda_update
+        monkeypatch.setattr(newton_map, "map_lambda_update",
+                            lambda d, u, c0, pr: inputs.append((u, c0)) or update(d, u, c0, pr))
         fit = fit_map_newton(data, prior, NewtonConfig(max_outer=1), init_mu=2.5 * v)
-        assert np.allclose(inputs[0], v, atol=1e-15)
+        assert np.allclose(inputs[0][0], v, atol=1e-15)
+        assert inputs[0][1] == pytest.approx(2.5, rel=1e-15)
         assert fit.diagnostics["h_trace"][0] == pytest.approx(h_value(data, v, 2.5, prior))
 
     def test_zero_start_vector_rejected(self):
@@ -416,26 +397,28 @@ class TestFitMapNewton:
     def test_refreshes_at_a_negative_radius_use_the_completion_of_the_mean(self, monkeypatch):
         # Started at -u_hat under the flat prior, every radius refresh is
         # negative, so the mean c0 u points along -u.  Each eigenvalue
-        # refresh must be taken in the completion of the mean's direction,
-        # where it equals map_lambda_update(data, sign(c0) u, |c0|).
+        # refresh equals map_lambda_update(data, sign(c0) u, |c0|), and the
+        # explicit oracle in the completion of sign(c0) u.
         data = simulated_data(50, 3, seed=6)
         prior = prior_free(3)
-        radii, refreshes = [], []
-        c0_update, hn_diag = newton_map.map_c0_update, newton_map._hn_diagonal
-        monkeypatch.setattr(newton_map, "map_c0_update",
-                            lambda *a: radii.append(c0_update(*a)) or radii[-1])
-        monkeypatch.setattr(newton_map, "_hn_diagonal",
-                            lambda d, mu, P, pr: refreshes.append((mu, P)) or hn_diag(d, mu, P, pr))
+        refreshes = []
+        update = newton_map.map_lambda_update
+
+        def recorded(d, u, c0, pr):
+            refreshes.append((u, c0, update(d, u, c0, pr)))
+            return refreshes[-1][2]
+
+        monkeypatch.setattr(newton_map, "map_lambda_update", recorded)
         fit = fit_map_newton(data, prior, init_mu=-fit_mle(data).u)
         monkeypatch.undo()
-        assert min(radii) < 0.0
-        for mu, P in refreshes:
-            v, c0 = P[:, 0], float(mu @ P[:, 0])
-            assert c0 > 0.0
-            assert np.array_equal(P, data.completion(v))
-            lam = _lambda_mode(data, hn_diag(data, mu, P, prior), prior)
-            np.testing.assert_allclose(lam, map_lambda_update(data, v, c0, prior), rtol=1e-12)
-        assert np.array_equal(refreshes[-1][1], fit.basis)
+        assert min(c0 for _, c0, _ in refreshes) < 0.0
+        t = data.n + 1.0 + 2.0 * prior.a
+        for u, c0, lam in refreshes:
+            v = u if c0 >= 0.0 else -u
+            assert np.array_equal(lam, map_lambda_update(data, v, abs(c0), prior))
+            hn = hn_diagonal_reference(data, c0 * u, data.completion(v), prior)
+            np.testing.assert_allclose(lam, hn[1:] / t, rtol=1e-12)
+        assert np.array_equal(refreshes[-1][2], fit.spectrum)
 
 
 class TestNewtonConfig:
