@@ -54,7 +54,7 @@ from .newton_map import (
     map_c0_update,
     map_lambda_update,
 )
-from .niw import NiwParams, niw_map, niw_posterior, siw_log_density
+from .niw import NiwParams, niw_map, niw_posterior
 from .simulate import (
     RiskReport,
     TruthSpec,

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, EmptyChainError
+from .exceptions import EmptyChainError
 from .model import Fit, SampleSet, _as_vector, _frame_geometry, _polar
 
 # The sampler's proposal variances square (lambda_i - 1) and Newton's Hessian
@@ -58,9 +58,7 @@ class PriorConfig:
 
     def __post_init__(self):
         mu0 = _as_vector(self.mu0, "mu0")
-        h0 = _as_vector(self.h0_diag, "h0_diag")
-        if mu0.size != h0.size:
-            raise DimensionMismatchError("mu0 and h0_diag must have the same length")
+        h0 = _as_vector(self.h0_diag, "h0_diag", mu0.size)
         if not all(np.isfinite(v).all() for v in (mu0, self.kappa0, self.a, h0)):
             raise ValueError("prior values mu0, kappa0, a and h0_diag must be finite")
         if self.kappa0 < 0.0:
@@ -82,6 +80,11 @@ class PriorConfig:
         return cls(mu0=data.xbar, kappa0=1.5, a=data.p + 1, h0_diag=np.ones(data.p))
 
 
+def _check_prior(data: SampleSet, prior: PriorConfig) -> None:
+    """``DimensionMismatchError`` unless the prior's ``mu0`` and ``h0_diag`` have length p."""
+    _as_vector(prior.mu0, "the prior's mu0", data.p)
+
+
 def _check_scale(x: np.ndarray, what: str) -> None:
     """Raise ``ValueError`` unless the entries of ``x`` sum to below ``_SCALE_MAX`` (NaN fails)."""
     total = sum(x.tolist())
@@ -97,8 +100,10 @@ def _hn(data: SampleSet, u: np.ndarray, c0: float, prior: PriorConfig) -> np.nda
     terms added in ambient components (so the trace against ``D^{-1}`` is the
     componentwise normal prior on the mean), the data's part from
     :meth:`~meancov.model.SampleSet.scatter_diagonal` (``-u`` where
-    ``c0 < 0``).  An overflowing prior raises ``ValueError``, with no warning.
+    ``c0 < 0``).  An overflowing prior raises ``ValueError``, with no warning,
+    and one of another dimension ``DimensionMismatchError``.
     """
+    _check_prior(data, prior)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         d = c0 * u - prior.mu0
         hn = data.scatter_diagonal(u, c0) + prior.kappa0 * (d * d) + prior.h0_diag
@@ -141,10 +146,7 @@ def _draw_lambda(shape: float, scales: np.ndarray, rng: np.random.Generator) -> 
 def hn_diagonal(data: SampleSet, mu, prior: PriorConfig) -> np.ndarray:
     """Diagonal of ``H_N`` at a nonzero ``mu`` in the data's completion of its
     direction (see :func:`_hn`; ``ZeroMeanError`` at a zero mean)."""
-    mu = _as_vector(mu, "mu")
-    if mu.size != data.p:
-        raise DimensionMismatchError(f"mu has length {mu.size}, expected {data.p}")
-    return _hn(data, *_polar(mu), prior)
+    return _hn(data, *_polar(_as_vector(mu, "mu", data.p)), prior)
 
 
 def log_posterior(data: SampleSet, mu, lam, prior: PriorConfig) -> float:
@@ -153,9 +155,7 @@ def log_posterior(data: SampleSet, mu, lam, prior: PriorConfig) -> float:
     Equals ``-((n + 1 + 2a)/2) sum_i log lambda_i - Tr(D^{-1} H_N) / 2`` with
     ``D = diag(1, lambda)``; the additive constant is fixed at zero.
     """
-    lam = _as_vector(lam, "lam")
-    if lam.size != data.p - 1:
-        raise DimensionMismatchError(f"lambda has length {lam.size}, expected {data.p - 1}")
+    lam = _as_vector(lam, "lam", data.p - 1)
     return _log_density(hn_diagonal(data, mu, prior), lam, _log_lam_term(data, lam, prior))
 
 
@@ -265,6 +265,7 @@ class _FrameKernel:
     """
 
     def __init__(self, data: SampleSet, prior: PriorConfig):
+        _check_prior(data, prior)
         F = data.frame
         forms = data._forms
         h0 = prior.h0_diag
@@ -407,6 +408,6 @@ def map_from_chain(run: GibbsRun, data: SampleSet, prior: PriorConfig) -> Fit:
     """
     if not len(run.log_posterior):
         raise EmptyChainError("cannot extract a MAP estimate from an empty chain")
-    u, c0 = _polar(run.mu[int(np.argmax(run.log_posterior))])
+    u, c0 = _polar(_as_vector(run.mu[int(np.argmax(run.log_posterior))], "the chain's mu", data.p))
     lam_hat = _lambda_mode(data, _hn(data, u, c0, prior), prior)
     return Fit(u=u, c0=c0, spectrum=lam_hat, basis=data.completion(u))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DegenerateDataError
-from .model import Fit, SampleSet, _as_vector
+from .model import Fit, SampleSet, _direction
 
 # A smallest eigenvalue of A(xbar), or a tail form of A(0), at most this
 # times trace(A(xbar)) is zero: the test scales with the data.
@@ -20,8 +20,10 @@ _RANK_RTOL = 1e-12
 
 
 def estimate_c0(data: SampleSet, u) -> float:
-    """Closed-form radius estimate ``u^T xbar`` for a given unit direction."""
-    u = _as_vector(u, "u")
+    """Closed-form radius estimate ``u^T xbar`` for a unit direction ``u`` of length p,
+    which every closed form here requires (``DimensionMismatchError``,
+    ``NonUnitVectorError`` or ``ZeroVectorError`` otherwise)."""
+    u = _direction(u, data.p)
     return float(u @ data.xbar)
 
 
@@ -65,7 +67,7 @@ def profile_loglik(data: SampleSet, u) -> float:
     completions of ``u`` and ``-u`` have different tails, so the value is
     not even in ``u``.
     """
-    u = _as_vector(u, "u")
+    u = _direction(u, data.p)
     return _profile_loglik(data, u, _tail_forms(data, u))
 
 
@@ -74,9 +76,10 @@ def lower_bound_h(data: SampleSet, u) -> float:
 
     The eigenvalue log terms are bounded using the largest eigenvalue of
     ``A(0)``, leaving a term constant in ``u`` plus the quadratic form
-    ``-u^T A(xbar) u / 2``.
+    ``-u^T A(xbar) u / 2``.  Like :func:`estimate_c0`, it takes a unit ``u``
+    of length p only.
     """
-    u = _as_vector(u, "u")
+    u = _direction(u, data.p)
     n, p = data.n, data.p
     lam_max = data.a0_lambda_max
     quad = float(u @ data.scatter_about_mean() @ u)

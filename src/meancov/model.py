@@ -45,10 +45,14 @@ UNIT_TOL = 1e-8
 _AXIS_TOL = 4.0 * float(np.finfo(float).eps)
 
 
-def _as_vector(x, name: str) -> np.ndarray:
+def _as_vector(x, name: str, size: int | None = None) -> np.ndarray:
+    """``x`` as a 1-d float array, of length ``size`` unless that is ``None``;
+    ``DimensionMismatchError`` otherwise.  The one length check of the package."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatchError(f"{name} must be a 1-d vector, got shape {v.shape}")
+    if size is not None and v.size != size:
+        raise DimensionMismatchError(f"{name} has length {v.size}, expected {size}")
     return v
 
 
@@ -63,13 +67,16 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _check_unit(u: np.ndarray) -> None:
-    """Raise unless the 1-d ``u`` has norm one within ``UNIT_TOL`` (NaN fails)."""
+def _direction(u, p: int | None = None) -> np.ndarray:
+    """``u`` as a 1-d float array of length ``p`` (if given) and norm one within ``UNIT_TOL``;
+    ``DimensionMismatchError``, ``ZeroVectorError`` or ``NonUnitVectorError`` otherwise."""
+    u = _as_vector(u, "u", p)
     nrm = _norm(u)
     if nrm < UNIT_TOL:
         raise ZeroVectorError("direction has (near) zero norm")
     if not abs(nrm - 1.0) <= UNIT_TOL:
         raise NonUnitVectorError(f"direction norm {nrm} is not 1 within {UNIT_TOL}")
+    return u
 
 
 def _polar(mu) -> tuple[np.ndarray, float]:
@@ -119,7 +126,7 @@ def build_orthobasis(u) -> np.ndarray:
     p = u.size
     if p < 2:
         raise DimensionMismatchError("need dimension p >= 2")
-    _check_unit(u)
+    _direction(u)
 
     # Drop the canonical vector along the dominant entry of u (last index on
     # ties, so the canonical-axis and equal-entries cases keep e_1..e_{p-1}).
@@ -175,20 +182,14 @@ def transport_frame(frame: np.ndarray, u) -> np.ndarray:
     rounding however close ``u`` is to ``-r``, and for ``u / ||u||``, so
     ``V(u)`` is orthonormal also for a ``u`` unit only within ``UNIT_TOL``.
     ``V(u)`` is continuous but at ``u = -r``, the one seam of the completion;
-    on the frame's axis (``-r`` included) it is ``V_r``, and ``frame``
-    itself is returned for ``u`` equal to ``r``.
+    on the frame's axis (``-r`` included) it is ``V_r``.
 
     Returns the read-only ``P = [u | V(u)]``; column 0 is ``u`` bit for bit.
     ``u`` must have the frame's length and be unit within ``UNIT_TOL``.
     """
-    u = _as_vector(u, "u")
     p = frame.shape[0]
-    if u.size != p:
-        raise DimensionMismatchError(f"direction length {u.size} != p = {p}")
-    _check_unit(u)
+    u = _direction(u, p)
     r, v_r = frame[:, 0], frame[:, 1:]
-    if np.array_equal(u, r):
-        return frame
     ut = frame.T.dot(u)
     _, c, s, b = _frame_geometry(float(ut[0]), ut[1:])
     P = np.empty((p, p))
@@ -235,15 +236,6 @@ class _FrameForms(NamedTuple):
         return q0 + self.n * c0 * (c0 - 2.0 * ux), tail
 
 
-def _spectrum(lam, p: int) -> np.ndarray:
-    """``lam`` as a vector of ``p - 1`` free eigenvalues; the length check
-    also keeps a length-1 ``lam`` from broadcasting over the tail columns."""
-    lam = _as_vector(lam, "spectrum")
-    if lam.size != p - 1:
-        raise DimensionMismatchError(f"spectrum length {lam.size} != p - 1 = {p - 1}")
-    return lam
-
-
 def structured_covariance(basis: np.ndarray, lam) -> np.ndarray:
     """``Sigma = P diag(1, lam) P^T`` for the basis ``P = [u | V]`` and ``p - 1`` eigenvalues.
 
@@ -251,7 +243,7 @@ def structured_covariance(basis: np.ndarray, lam) -> np.ndarray:
     symmetric, and returned read-only; a ``lam`` of another length raises
     ``DimensionMismatchError``.
     """
-    lam = _spectrum(lam, basis.shape[0])
+    lam = _as_vector(lam, "spectrum", basis.shape[0] - 1)  # a length-1 lam would broadcast
     u = basis[:, 0]
     V = basis[:, 1:]
     sigma = np.outer(u, u) + (V * lam) @ V.T
@@ -287,14 +279,11 @@ class Fit:
 
     def __post_init__(self):
         p = self.basis.shape[0]
-        u = _as_vector(self.u, "u")
-        if u.size != p:
-            raise DimensionMismatchError(f"direction length {u.size} != p = {p}")
-        _check_unit(u)
+        u = _direction(self.u, p)
         c0 = float(self.c0)
         if not c0 >= 0.0:
             raise NegativeRadiusError(f"radius c0 must be >= 0, got {c0}")
-        lam = _spectrum(self.spectrum, p)
+        lam = _as_vector(self.spectrum, "spectrum", p - 1)
         if not np.all(lam > 0.0):
             raise NonPositiveEigenvalueError(f"eigenvalues must be > 0, got {lam}")
         u, lam = u.copy(), lam.copy()
@@ -391,9 +380,7 @@ class SampleSet:
         Evaluated through the rank-one update
         ``A(0) - n xbar mu^T - n mu xbar^T + n mu mu^T``.
         """
-        mu = _as_vector(mu, "mu")
-        if mu.size != self.p:
-            raise DimensionMismatchError(f"mu has length {mu.size}, expected {self.p}")
+        mu = _as_vector(mu, "mu", self.p)
         n = self.n
         cross = n * np.outer(self.xbar, mu)
         return self.a0 - cross - cross.T + n * np.outer(mu, mu)
@@ -437,14 +424,10 @@ class SampleSet:
         ``A(0)``, read off the frame's statistics with one product ``F^T u``,
         in O(p^2); at the frame's own direction, the frame's tail forms.
         """
-        u = _as_vector(u, "u")
-        if u.size != self.p:
-            raise DimensionMismatchError(f"direction length {u.size} != p = {self.p}")
-        _check_unit(u)
+        u = _direction(u, self.p)
         if c0 < 0.0:
             u, c0 = -u, -c0
-        F = self.frame
-        ut = np.eye(self.p)[0] if np.array_equal(u, F[:, 0]) else F.T.dot(u)
+        ut = self.frame.T.dot(u)
         _, c, s, b = _frame_geometry(float(ut[0]), ut[1:])
         hn0, tail = self._forms.diagonal(c, s, b, c0)
         return np.concatenate(([hn0], tail))

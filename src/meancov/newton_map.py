@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import PriorConfig, _hn, _lambda_mode
+from .gibbs import PriorConfig, _check_prior, _hn, _lambda_mode
 from .mle import fit_mle
 from .model import Fit, SampleSet, _as_vector, _norm, _polar
 
@@ -47,8 +47,9 @@ def map_c0_update(data: SampleSet, u, lam, prior: PriorConfig) -> float:
     with ``D = diag(1, lambda)`` acting componentwise in ambient coordinates.
     In the ``kappa0 -> 0`` limit this is the MLE radius ``u^T xbar``.
     """
-    u = _as_vector(u, "u")
-    dinv = 1.0 / np.concatenate(([1.0], np.asarray(lam, dtype=float)))
+    u = _as_vector(u, "u", data.p)
+    _check_prior(data, prior)
+    dinv = 1.0 / np.concatenate(([1.0], _as_vector(lam, "lam", data.p - 1)))
     num = data.n * float(u @ data.xbar) + prior.kappa0 * float(u @ (dinv * prior.mu0))
     den = data.n + prior.kappa0 * float(u @ (dinv * u))
     return num / den
@@ -64,7 +65,7 @@ def map_lambda_update(data: SampleSet, u, c0: float, prior: PriorConfig) -> np.n
     (:meth:`~meancov.model.SampleSet.scatter_diagonal`).  An overflowing
     prior raises ``ValueError``.
     """
-    return _lambda_mode(data, _hn(data, _as_vector(u, "u"), c0, prior), prior)
+    return _lambda_mode(data, _hn(data, _as_vector(u, "u", data.p), c0, prior), prior)
 
 
 def _surrogate_terms(data: SampleSet, u, c0: float, prior: PriorConfig):
@@ -75,7 +76,8 @@ def _surrogate_terms(data: SampleSet, u, c0: float, prior: PriorConfig):
     ``t = (n + 1 + 2a) / 2``, the prior residual ``d = c0 u - mu0``,
     ``g = kappa0 ||d||^2``, ``u^T u`` and ``u^T xbar``.
     """
-    u = _as_vector(u, "u")
+    u = _as_vector(u, "u", data.p)
+    _check_prior(data, prior)
     m = data.a0_lambda_max + prior.h0_diag[1:]
     t = 0.5 * (data.n + 1.0 + 2.0 * prior.a)
     d = c0 * u - prior.mu0
@@ -167,7 +169,7 @@ def fit_map_newton(
         mle = fit_mle(data)
         u, c0 = mle.u, mle.c0
     else:
-        u, c0 = _polar(init_mu)
+        u, c0 = _polar(_as_vector(init_mu, "init_mu", data.p))
     lam = map_lambda_update(data, u, c0, prior)
     h_cur = h_value(data, u, c0, prior)
     h_trace = [h_cur]

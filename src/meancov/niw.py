@@ -1,11 +1,7 @@
-"""Normal-inverse-Wishart baseline and the shrinkage-variant density.
+"""Normal-inverse-Wishart baseline.
 
 The conjugate NIW posterior supplies the benchmark MAP estimator for the
-simulation study.  The shrinkage inverse Wishart density (inverse Wishart
-divided by the product of eigenvalue gaps raised to ``b``) is provided at
-density level only, to verify that with ``b = 1`` the normal likelihood and
-normal-shrinkage-inverse-Wishart prior stay conjugate with the usual
-posterior parameters.
+simulation study.
 """
 
 from __future__ import annotations
@@ -16,8 +12,6 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError
 from .model import SampleSet, _as_vector
-
-_GAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,11 +34,11 @@ def niw_posterior(
     deviation of the sample mean from the prior mean.  Every hyperparameter
     must be finite, and ``kappa0 > 0``; so must ``mu_n`` and ``Lambda_n`` be.
     """
-    mu0 = _as_vector(mu0, "mu0")
-    Lambda0 = np.asarray(Lambda0, dtype=float)
     p = data.p
-    if mu0.size != p or Lambda0.shape != (p, p):
-        raise DimensionMismatchError("prior hyperparameters do not match the data dimension")
+    mu0 = _as_vector(mu0, "mu0", p)
+    Lambda0 = np.asarray(Lambda0, dtype=float)
+    if Lambda0.shape != (p, p):
+        raise DimensionMismatchError(f"Lambda0 has shape {Lambda0.shape}, expected {(p, p)}")
     if not all(np.isfinite(v).all() for v in (mu0, kappa0, nu0, Lambda0)):
         raise ValueError("prior values mu0, kappa0, nu0 and Lambda0 must be finite")
     if kappa0 <= 0.0:
@@ -69,29 +63,3 @@ def niw_map(params: NiwParams) -> tuple[np.ndarray, np.ndarray]:
     """
     p = params.Lambda_n.shape[0]
     return params.mu_n.copy(), params.Lambda_n / (params.nu_n + p + 2.0)
-
-
-def siw_log_density(Sigma, nu0: float, b: float, Lambda0) -> float:
-    """Unnormalized log density of the shrinkage inverse Wishart.
-
-    Equals the inverse-Wishart log kernel minus ``b`` times the sum of log
-    eigenvalue gaps.  When ``b > 0`` and two eigenvalues coincide (gap below
-    1e-12) the density is zero, returned as ``-inf``.
-    """
-    Sigma = np.asarray(Sigma, dtype=float)
-    p = Sigma.shape[0]
-    if not 0.0 <= b <= 1.0:
-        raise ValueError("b must lie in [0, 1]")
-    sign, logdet = np.linalg.slogdet(Sigma)
-    if sign <= 0:
-        raise ValueError("Sigma must be positive definite")
-    kernel = -0.5 * (nu0 + p + 1.0) * logdet - 0.5 * float(
-        np.trace(np.asarray(Lambda0, dtype=float) @ np.linalg.inv(Sigma))
-    )
-    if b == 0.0:
-        return float(kernel)
-    lam = np.linalg.eigvalsh(Sigma)[::-1]  # descending
-    gaps = (lam[:, None] - lam[None, :])[np.triu_indices(p, k=1)]
-    if np.any(gaps < _GAP_TOL):
-        return -np.inf
-    return float(kernel - b * np.sum(np.log(gaps)))

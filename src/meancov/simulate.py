@@ -144,8 +144,12 @@ def default_estimators(p: int) -> dict[str, EstimatorFn]:
     One Gibbs replication (s=100, l=5, one BLAS thread, 2-vCPU x86-64 VM)
     takes 12-15 ms at (n, p) = (50, 3) and (50, 5), 13-16 ms at (100, 10)
     and (200, 20) and 15-24 ms at (500, 50): 2-17 times the other three
-    columns together.  At (200, 10) no chain of 12 is trapped (s=2000).
-    Whether Gibbs can join every cell is open, so the gate stays."""
+    columns together.  Gibbs cannot join every cell because it does not mix
+    at p = 50: under the default prior (s=2000, 12 seeded streams) no chain
+    is trapped (best state 10 or more units of profiled log posterior below
+    the MLE's) at (100, 10) and (200, 20), accepting 0.115-0.134 and
+    0.024-0.036 of its proposals, but all 12 are at (500, 50), 25.8-39.4
+    units below, accepting 0.011-0.016.  So the gate stays."""
     return {name: fn for name, fn in ESTIMATORS.items() if name != "gibbs" or p <= GIBBS_MAX_P}
 
 

@@ -104,6 +104,38 @@ def niw_joint_log_density(mu, Sigma, params) -> float:
     )
 
 
+_GAP_TOL = 1e-12
+
+
+def siw_log_density(Sigma, nu0: float, b: float, Lambda0) -> float:
+    """Unnormalized log density of the shrinkage inverse Wishart: the oracle of
+    criterion 7, that with ``b = 1`` the normal likelihood and the
+    normal-shrinkage-inverse-Wishart prior stay conjugate with the NIW
+    posterior parameters of ``niw_posterior``.
+
+    Equals the inverse-Wishart log kernel minus ``b`` times the sum of log
+    eigenvalue gaps.  When ``b > 0`` and two eigenvalues coincide (gap below
+    1e-12) the density is zero, returned as ``-inf``.
+    """
+    Sigma = np.asarray(Sigma, dtype=float)
+    p = Sigma.shape[0]
+    if not 0.0 <= b <= 1.0:
+        raise ValueError("b must lie in [0, 1]")
+    sign, logdet = np.linalg.slogdet(Sigma)
+    if sign <= 0:
+        raise ValueError("Sigma must be positive definite")
+    kernel = -0.5 * (nu0 + p + 1.0) * logdet - 0.5 * float(
+        np.trace(np.asarray(Lambda0, dtype=float) @ np.linalg.inv(Sigma))
+    )
+    if b == 0.0:
+        return float(kernel)
+    lam = np.linalg.eigvalsh(Sigma)[::-1]  # descending
+    gaps = (lam[:, None] - lam[None, :])[np.triu_indices(p, k=1)]
+    if np.any(gaps < _GAP_TOL):
+        return -np.inf
+    return float(kernel - b * np.sum(np.log(gaps)))
+
+
 def ingest_csv_reference(path: str) -> np.ndarray:
     """Row-by-row CSV reader: the oracle of ``cli.ingest_csv``.
 

@@ -2,32 +2,43 @@
 
 Prints one line ``<output> <n>x<p> <sha256>`` per output and cell: the truth,
 the data, the MLE, the NIW MAP, the Newton MAP under the default and the flat
-prior, a Gibbs chain (s = 100, l = 5) and its MAP, each over seeds 0-19 at
-(12, 3), (50, 3), (100, 10) and (500, 50).  A fit that raises is hashed by
-its exception type.  Run it on two trees and compare the outputs with
-``diff``::
+prior, a Gibbs chain (s = 100, l = 5) and its MAP (each fit with its
+diagnostics), each over seeds 0-19 at (12, 3), (50, 3), (100, 10) and
+(500, 50).  At each of the four fits' means
+it also hashes the public helpers, one line ``<fit>:<helper>`` each:
+``hn_diagonal``, ``log_posterior`` (at the fit's spectrum), ``estimate_lambdas``,
+``profile_loglik``, ``lower_bound_h`` and ``h_value``, under the fit's prior.
+An output that raises is hashed by its exception type.  Run it on two trees
+and compare the outputs with ``diff``::
 
     PYTHONPATH=src python tests/fingerprint.py > after.txt
 
 The file name does not match pytest's ``test_*.py``, so the suite does not
-collect it.  It takes about six seconds (2-vCPU x86-64 VM).
+collect it.  It takes about four seconds (2-vCPU x86-64 VM).
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import cache
 
 import numpy as np
 
 from meancov import (
     PriorConfig,
     SampleSet,
+    estimate_lambdas,
     fit_map_newton,
     fit_mle,
     generate_truth,
+    h_value,
+    hn_diagonal,
+    log_posterior,
+    lower_bound_h,
     map_from_chain,
     niw_map,
     niw_posterior,
+    profile_loglik,
     run_gibbs,
     sample_data,
 )
@@ -35,9 +46,20 @@ from meancov import (
 CELLS = ((12, 3), (50, 3), (100, 10), (500, 50))
 SEEDS = range(20)
 
+# The public helpers at a fit's mean, as (name, function of data, prior, fit).
+HELPERS = (
+    ("hn_diagonal", lambda data, prior, fit: hn_diagonal(data, fit.mu, prior)),
+    ("log_posterior", lambda data, prior, fit: log_posterior(data, fit.mu, fit.spectrum, prior)),
+    ("estimate_lambdas", lambda data, prior, fit: estimate_lambdas(data, fit.u)),
+    ("profile_loglik", lambda data, prior, fit: profile_loglik(data, fit.u)),
+    ("lower_bound_h", lambda data, prior, fit: lower_bound_h(data, fit.u)),
+    ("h_value", lambda data, prior, fit: h_value(data, fit.u, fit.c0, prior)),
+)
+
 
 def _fit_arrays(fit) -> tuple:
-    return fit.u, fit.c0, fit.spectrum, fit.basis, fit.converged, fit.outer_iterations
+    diagnostics = tuple(fit.diagnostics[k] for k in sorted(fit.diagnostics))
+    return (fit.u, fit.c0, fit.spectrum, fit.basis, fit.converged, fit.outer_iterations) + diagnostics
 
 
 def _outputs(n: int, p: int, seed: int):
@@ -53,6 +75,7 @@ def _outputs(n: int, p: int, seed: int):
         params = niw_posterior(data, mu0=data.xbar, kappa0=1.5, nu0=p + 1, Lambda0=np.eye(p))
         return niw_map(params)
 
+    @cache
     def chain():
         return run_gibbs(data, prior, s=100, l=5, rng=np.random.default_rng(seed))
 
@@ -60,15 +83,32 @@ def _outputs(n: int, p: int, seed: int):
         run = chain()
         return (run.mu, run.lam, run.log_posterior, run.accepted_count, run.accepted)
 
+    fits = {  # name -> (prior, fit); a fit that raises is run again, and raises again
+        "mle": (prior, cache(lambda: fit_mle(data))),
+        "map-newton": (prior, cache(lambda: fit_map_newton(data, prior))),
+        "map-newton-flat": (flat, cache(lambda: fit_map_newton(data, flat))),
+        "gibbs-map": (prior, cache(lambda: map_from_chain(chain(), data, prior))),
+    }
+
+    def fit_output(name):
+        return lambda: _fit_arrays(fits[name][1]())
+
+    def helper_output(name, helper):
+        fit_prior, fit = fits[name]
+        return lambda: (helper(data, fit_prior, fit()),)
+
     return (
         ("truth", lambda: (truth.mu_true, truth.sigma_true)),
         ("data", lambda: (X,)),
-        ("mle", lambda: _fit_arrays(fit_mle(data))),
+        ("mle", fit_output("mle")),
         ("niw", niw),
-        ("map-newton", lambda: _fit_arrays(fit_map_newton(data, prior))),
-        ("map-newton-flat", lambda: _fit_arrays(fit_map_newton(data, flat))),
+        ("map-newton", fit_output("map-newton")),
+        ("map-newton-flat", fit_output("map-newton-flat")),
         ("gibbs-chain", gibbs),
-        ("gibbs-map", lambda: _fit_arrays(map_from_chain(chain(), data, prior))),
+        ("gibbs-map", fit_output("gibbs-map")),
+    ) + tuple(
+        (f"{name}:{h_name}", helper_output(name, helper))
+        for name in fits for h_name, helper in HELPERS
     )
 
 

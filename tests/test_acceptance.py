@@ -27,7 +27,6 @@ from meancov import (
     niw_map,
     niw_posterior,
     run_gibbs,
-    siw_log_density,
 )
 from meancov.cli import EXIT_OK, main
 from meancov.exceptions import RangeError
@@ -39,6 +38,7 @@ from scipy.stats import multivariate_normal
 
 from conftest import (
     estimate_c0_general, niw_joint_log_density, random_unit, simulated_data, simulated_rows,
+    siw_log_density,
 )
 
 

@@ -1,7 +1,9 @@
 """Tests for the structured-covariance core: basis construction, assembly,
-scatter algebra, and the value types they rest on."""
+scatter algebra, the value types they rest on, and the input checks every
+entry point shares."""
 
 import copy
+import dataclasses
 import pickle
 import warnings
 import weakref
@@ -13,16 +15,35 @@ from meancov import (
     DegenerateDataError,
     DimensionMismatchError,
     Fit,
+    GibbsRun,
     NegativeRadiusError,
     NonPositiveEigenvalueError,
     NonUnitVectorError,
+    PriorConfig,
     SampleSet,
     ZeroVectorError,
     build_orthobasis,
+    draw_lambda_conditional,
+    estimate_c0,
+    estimate_lambdas,
+    fit_map_newton,
     fit_mle,
+    h_gradient,
+    h_hessian,
+    h_value,
+    hn_diagonal,
+    log_posterior,
+    lower_bound_h,
+    map_c0_update,
+    map_from_chain,
+    map_lambda_update,
+    niw_posterior,
+    profile_loglik,
+    run_gibbs,
     structured_covariance,
     transport_frame,
 )
+from meancov.gibbs import lambda_conditional_params
 from conftest import build_orthobasis_reference, random_unit, simulated_data
 
 EPS = np.finfo(float).eps
@@ -424,7 +445,7 @@ class TestTransportFrame:
         for p in (2, 3, 10):
             r = random_unit(p, rng)
             frame = build_orthobasis(r)
-            assert transport_frame(frame, r.copy()) is frame
+            assert np.array_equal(transport_frame(frame, r.copy()), frame)
 
     def test_data_frame_is_the_completion_of_the_mle_direction(self):
         # The frame is build_orthobasis at the smallest eigenvector of
@@ -728,3 +749,80 @@ class TestBMatrix:
         B1 = b_matrix(data, u, 0.3)
         B2 = b_matrix(data, u, 4.0)
         assert np.allclose(np.diag(B1)[1:], np.diag(B2)[1:], atol=1e-9)
+
+
+# Every public entry point that takes a vector, a prior or a chain: (the
+# arguments of it that a data set of dimension p fixes, the call on a dict of
+# arguments).
+ENTRY_POINTS = {
+    "transport_frame": ("u", lambda a: transport_frame(a["data"].frame, a["u"])),
+    "Fit": ("u lam", lambda a: Fit(u=a["u"], c0=1.0, spectrum=a["lam"], basis=a["data"].frame)),
+    "structured_covariance": ("lam", lambda a: structured_covariance(a["data"].frame, a["lam"])),
+    "SampleSet.scatter": ("mu", lambda a: a["data"].scatter(a["mu"])),
+    "SampleSet.completion": ("u", lambda a: a["data"].completion(a["u"])),
+    "SampleSet.scatter_diagonal": ("u", lambda a: a["data"].scatter_diagonal(a["u"], 1.0)),
+    "estimate_c0": ("u", lambda a: estimate_c0(a["data"], a["u"])),
+    "estimate_lambdas": ("u", lambda a: estimate_lambdas(a["data"], a["u"])),
+    "profile_loglik": ("u", lambda a: profile_loglik(a["data"], a["u"])),
+    "lower_bound_h": ("u", lambda a: lower_bound_h(a["data"], a["u"])),
+    "hn_diagonal": ("mu prior", lambda a: hn_diagonal(a["data"], a["mu"], a["prior"])),
+    "log_posterior": ("mu lam prior",
+                      lambda a: log_posterior(a["data"], a["mu"], a["lam"], a["prior"])),
+    "lambda_conditional_params": ("mu prior", lambda a: lambda_conditional_params(
+        a["data"], a["mu"], a["prior"])),
+    "draw_lambda_conditional": ("mu prior", lambda a: draw_lambda_conditional(
+        a["data"], a["mu"], a["prior"], np.random.default_rng(0))),
+    "run_gibbs": ("prior", lambda a: run_gibbs(a["data"], a["prior"], s=2, l=1,
+                                               rng=np.random.default_rng(0))),
+    "map_from_chain": ("run prior", lambda a: map_from_chain(a["run"], a["data"], a["prior"])),
+    "map_c0_update": ("u lam prior",
+                      lambda a: map_c0_update(a["data"], a["u"], a["lam"], a["prior"])),
+    "map_lambda_update": ("u prior",
+                          lambda a: map_lambda_update(a["data"], a["u"], 1.0, a["prior"])),
+    "h_value": ("u prior", lambda a: h_value(a["data"], a["u"], 1.0, a["prior"])),
+    "h_gradient": ("u prior", lambda a: h_gradient(a["data"], a["u"], 1.0, a["prior"])),
+    "h_hessian": ("u prior", lambda a: h_hessian(a["data"], a["u"], 1.0, a["prior"])),
+    "fit_map_newton": ("init_mu prior",
+                       lambda a: fit_map_newton(a["data"], a["prior"], init_mu=a["init_mu"])),
+    "niw_posterior": ("mu", lambda a: niw_posterior(a["data"], a["mu"], 1.5, 4.0, np.eye(3))),
+}
+
+
+def _resized(x, delta: int):
+    """``x`` one entry longer (a zero appended, so a unit ``u`` stays unit) or
+    shorter; a prior with both its vectors, and a chain with its means, so resized."""
+    if isinstance(x, GibbsRun):
+        return dataclasses.replace(x, mu=np.array([_resized(mu, delta) for mu in x.mu]))
+    if isinstance(x, PriorConfig):
+        return PriorConfig(mu0=_resized(x.mu0, delta), kappa0=x.kappa0, a=x.a,
+                           h0_diag=_resized(x.h0_diag, delta))
+    return np.append(x, 0.0) if delta > 0 else x[:-1]
+
+
+class TestInputChecks:
+    @pytest.fixture(scope="class")
+    def args(self):
+        data = simulated_data(30, 3, seed=40)
+        prior = PriorConfig.default(data)
+        fit = fit_mle(data)
+        run = run_gibbs(data, prior, s=3, l=1, rng=np.random.default_rng(0))
+        return {"data": data, "prior": prior, "u": fit.u, "mu": fit.mu, "init_mu": fit.mu,
+                "lam": fit.spectrum, "run": run}
+
+    @pytest.mark.parametrize("name, arg, delta", [
+        (name, arg, delta)
+        for name, (takes, _) in ENTRY_POINTS.items() for arg in takes.split() for delta in (1, -1)
+    ])
+    def test_a_length_that_misfits_the_data_is_a_dimension_mismatch(self, args, name, arg, delta):
+        # A vector of length p + 1 or p - 1, or a prior or a chain of that
+        # dimension, at an entry point that accepts the data's shapes.
+        call = ENTRY_POINTS[name][1]
+        call(args)
+        with pytest.raises(DimensionMismatchError):
+            call(dict(args, **{arg: _resized(args[arg], delta)}))
+
+    @pytest.mark.parametrize("closed_form", [estimate_c0, estimate_lambdas, profile_loglik,
+                                             lower_bound_h])
+    def test_the_mles_closed_forms_take_a_unit_direction(self, args, closed_form):
+        with pytest.raises(NonUnitVectorError):
+            closed_form(args["data"], np.ones(3))

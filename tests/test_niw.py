@@ -9,9 +9,8 @@ from meancov import (
     SampleSet,
     niw_map,
     niw_posterior,
-    siw_log_density,
 )
-from conftest import niw_joint_log_density, simulated_data, simulated_rows
+from conftest import niw_joint_log_density, simulated_data, simulated_rows, siw_log_density
 
 
 def _random_pd(p, rng, spread=1.0):
