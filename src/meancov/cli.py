@@ -25,7 +25,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .exceptions import MeanCovError, ParseError, RangeError, TooFewRowsError
+from .exceptions import (
+    DimensionMismatchError,
+    MeanCovError,
+    ParseError,
+    RangeError,
+    TooFewRowsError,
+)
 from .gibbs import PriorConfig, map_from_chain, run_gibbs
 from .mle import fit_mle
 from .model import Fit, SampleSet
@@ -158,8 +164,11 @@ def latlong_to_sphere(latlong) -> np.ndarray:
     such as a list of pairs.  Convention: ``x = cos(lat) cos(lon),
     y = cos(lat) sin(lon), z = sin(lat)``.  Latitude must lie in [-90, 90]
     and longitude in [-180, 360); the error names the first row out of
-    range, and its latitude when both are.
+    range, and its latitude when both are.  Any other shape, a single pair
+    included, raises ``DimensionMismatchError`` naming it.
     """
+    if np.shape(latlong)[1:] != (2,):
+        raise DimensionMismatchError(f"latlong must be (m, 2), got shape {np.shape(latlong)}")
     lat, lon = np.asarray(latlong).T
     bad_lat = ~((-90.0 <= lat) & (lat <= 90.0))
     bad_lon = ~((-180.0 <= lon) & (lon < 360.0))

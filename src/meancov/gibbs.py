@@ -399,12 +399,12 @@ def run_gibbs(
 def map_from_chain(run: GibbsRun, data: SampleSet, prior: PriorConfig) -> Fit:
     """Extract the MAP estimate from posterior draws.
 
-    Keeps the mean of the first highest-posterior state, discards its
-    eigenvalue draw, and replaces it with the mode of the eigenvalue full
-    conditional at that mean, ``c*_i / (n + 1 + 2a)``.  The mean is
-    normalised once into ``u``; the diagonal of ``H_N`` is read in the data's
-    completion of ``u`` (:func:`_hn`), and the fit's basis is that
-    completion, the data's frame carried to ``u``.
+    Keeps the mean of the first state with the highest *joint* log posterior
+    of ``(mu, lambda)``, the chain's own values (no state is evaluated
+    again), and replaces its eigenvalue draw with the mode of the eigenvalue
+    full conditional at that mean, ``c*_i / (n + 1 + 2a)``.  The mean is
+    normalised once into ``u``; ``H_N``'s diagonal is read in the data's
+    completion of ``u`` (:func:`_hn`), the fit's basis.
     """
     if not len(run.log_posterior):
         raise EmptyChainError("cannot extract a MAP estimate from an empty chain")

@@ -87,30 +87,22 @@ def lower_bound_h(data: SampleSet, u) -> float:
 
 
 def fit_mle(data: SampleSet) -> Fit:
-    """Three-step non-iterative fit, computed once per data set.
-
-    The first call on a ``SampleSet`` fits it and keeps the fit on it; every
-    later call on the same instance, such as the cold start of the Newton
-    MAP, returns that same read-only :class:`Fit`.  A call that raises keeps
-    nothing, so the next call raises again.
+    """Three-step non-iterative fit.
 
     The direction estimate is the eigenvector of the smallest eigenvalue of
     ``A(xbar)``, signed so that ``u^T xbar >= 0``; the radius and eigenvalues
     follow from their closed forms at that direction.  The basis is the
     data's :attr:`~meancov.model.SampleSet.frame`, from the one ``eigh`` of
-    ``A(xbar)``, and the eigenvalues are its own tail forms over ``n``.  The
-    fit's ``u`` is the frame's first column, its ``c0`` is
-    ``estimate_c0(data, u)`` bit for bit, and every diagnostic is taken at it:
-    ``profile_loglik``, ``lower_bound``, ``smallest_eig_of_A_xbar``,
-    ``degenerate_direction`` (a numerically repeated smallest eigenvalue of
-    ``A(xbar)``) and ``zero_radius`` (``c0 = 0``, where the mean no longer
-    identifies the direction).
+    ``A(xbar)``, kept on the ``SampleSet``: a later call on it runs only the
+    O(p^2) closed forms and returns a new, bit-equal :class:`Fit`.  The
+    eigenvalues are the frame's tail forms over ``n``.  The fit's ``u`` is
+    the frame's first column, its ``c0`` is ``estimate_c0(data, u)`` bit for
+    bit, and every diagnostic is taken at it: ``profile_loglik``,
+    ``lower_bound``, ``smallest_eig_of_A_xbar``, ``degenerate_direction`` (a
+    numerically repeated smallest eigenvalue of ``A(xbar)``) and
+    ``zero_radius`` (``c0 = 0``, where the mean no longer identifies the
+    direction).
     """
-    return data._mle
-
-
-def _fit_mle(data: SampleSet) -> Fit:
-    """The fit :func:`fit_mle` keeps on ``data``, computed afresh."""
     if data.n < 2:
         raise DegenerateDataError("need at least two observations")
     evals, basis = data._anchor

@@ -265,8 +265,8 @@ class Fit:
     ``converged`` and ``outer_iterations`` describe an iterative fit (a
     closed-form fit keeps the defaults); ``diagnostics`` is a read-only
     mapping, over a copy of the one given, of the values particular to one
-    estimator.  A fit may be shared (one MLE serves every caller on the
-    same data), so none of it can be written.
+    estimator.  A fit may share its basis with the data (the MLE's basis is
+    the data's kept :attr:`SampleSet.frame`), so none of it can be written.
     """
 
     u: np.ndarray
@@ -323,10 +323,10 @@ class SampleSet:
     least one row, and it, its mean and its scatter must be finite
     (``DegenerateDataError`` otherwise); it is read as a C-ordered float
     array, copied only when it is not one.  The largest eigenvalue of
-    ``a0``, the scatter about the mean, the :attr:`frame`, its statistics and
-    the MLE (:func:`meancov.mle.fit_mle`) are computed on first use and kept.
-    Instances compare and hash by identity, as the kept MLE treats them, and
-    an unpickled one is read-only like the original.
+    ``a0``, the scatter about the mean, the :attr:`frame` and its statistics
+    are computed on first use and kept; no fit is.  Instances compare and hash
+    by identity, since their fields are arrays, and an unpickled one is
+    read-only like the original.
     """
 
     X: InitVar[np.ndarray]
@@ -453,10 +453,3 @@ class SampleSet:
             u = -u
         evals.setflags(write=False)
         return evals, build_orthobasis(u)
-
-    @cached_property
-    def _mle(self) -> Fit:
-        """The fit :func:`meancov.mle.fit_mle` returns; one that raises is not kept."""
-        from .mle import _fit_mle  # imported on use: mle imports this module
-
-        return _fit_mle(self)

@@ -146,12 +146,14 @@ def fit_map_newton(
     Starts from the approximate MLE unless a nonzero start vector ``init_mu``
     is supplied, which is taken as the direction ``init_mu / ||init_mu||``
     at the radius ``||init_mu||`` (``ZeroMeanError``, a ``ZeroVectorError``,
-    for a zero vector).  An outer iteration takes up to ``MAX_INNER`` Newton
-    steps, each backtracked (by ``alpha``, up to ``MAX_BACKTRACKS`` times)
-    until the surrogate increases and renormalized; a singular Hessian falls
-    back to a gradient step.  The outer loop stops when the direction stops
-    moving or when a radius refresh would decrease the surrogate.  A
-    negative radius is reported as the same mean ``(-c0)(-u)``.
+    for a zero vector); a cold start is :func:`~meancov.mle.fit_mle` on the
+    data's kept frame, and raises its ``DegenerateDataError``.  An outer
+    iteration takes up to ``MAX_INNER`` Newton steps, each backtracked (by
+    ``alpha``, up to ``MAX_BACKTRACKS`` times) until the surrogate increases
+    and renormalized; a singular Hessian falls back to a gradient step.  The
+    outer loop stops when the direction stops moving or when a radius refresh
+    would decrease the surrogate.  A negative radius is reported as the same
+    mean ``(-c0)(-u)``.
 
     Every eigenvalue refresh is :func:`map_lambda_update`, in the data's
     completion of the mean's direction (``-u`` at a negative radius), as in

@@ -59,7 +59,10 @@ def niw_map(params: NiwParams) -> tuple[np.ndarray, np.ndarray]:
     order of ``Lambda_n``.
 
     The mode's rank-one term ``kappa_n (mu - mu_n)(mu - mu_n)^T`` vanishes
-    at ``mu = mu_n``, so the covariance mode is the scaled scale matrix.
+    at ``mu = mu_n``, so the covariance mode is the scaled scale matrix
+    (``ValueError`` unless its divisor ``nu_n + p + 2 > 0``).
     """
-    p = params.Lambda_n.shape[0]
-    return params.mu_n.copy(), params.Lambda_n / (params.nu_n + p + 2.0)
+    t = params.nu_n + params.Lambda_n.shape[0] + 2.0
+    if not t > 0.0:
+        raise ValueError(f"nu_n + p + 2 must be > 0 for the NIW mode, got {t}")
+    return params.mu_n.copy(), params.Lambda_n / t

@@ -175,11 +175,11 @@ def run_experiment(
     counted by exception type and excluded from the averages.  Any other
     exception propagates.  Deterministic for a given seed.
 
-    The shared ``SampleSet`` keeps its MLE once fitted (see ``fit_mle``), so
-    the default battery fits it once per replication, in the ``mle`` column,
-    and the Newton MAP's cold start reuses it.  A column's
-    ``elapsed_seconds`` leaves out an MLE that an earlier column fitted on
-    the same data: timings depend on the order of the columns, risks do not.
+    The shared ``SampleSet`` keeps its frame (the ``eigh`` of ``A(xbar)`` and
+    its completion), so a later column, such as the Newton MAP's cold start
+    after the ``mle`` column, recomputes only the MLE's closed forms.  A
+    column's ``elapsed_seconds`` leaves out a frame an earlier column took:
+    timings depend on the order of the columns, risks do not.
     """
     if reps < 1:
         raise ValueError("need at least one replication")

@@ -24,7 +24,7 @@ from meancov.cli import (
     main,
     run,
 )
-from meancov.exceptions import ParseError, RangeError, TooFewRowsError
+from meancov.exceptions import DimensionMismatchError, ParseError, RangeError, TooFewRowsError
 from meancov.gibbs import run_gibbs
 from meancov.simulate import ESTIMATORS, GIBBS_MAX_P, RiskReport
 from conftest import ingest_csv_reference, simulated_rows
@@ -290,6 +290,16 @@ class TestLatLongTransform:
         latlong = np.vstack([latlong, [[90, 0], [-90, 359.999999], [0, -180], [45.0, 30.0]]])
         got = latlong_to_sphere(latlong)
         assert np.array_equal(got, latlong_to_sphere_reference(latlong.tolist()))
+
+    @pytest.mark.parametrize(
+        "latlong, shape",
+        [(np.zeros((4, 3)), r"\(4, 3\)"), ((10.0, 20.0), r"\(2,\)"),
+         (np.zeros((2, 2, 1)), r"\(2, 2, 1\)"), (45.0, r"\(\)")],
+    )
+    def test_non_pair_shape_is_dimension_mismatch(self, latlong, shape):
+        # Only an (m, 2) input is read: a single pair is not one row.
+        with pytest.raises(DimensionMismatchError, match=rf"got shape {shape}$"):
+            latlong_to_sphere(latlong)
 
     def test_accepts_array_and_list_of_pairs(self, rng):
         latlong = np.column_stack([rng.uniform(-90, 90, 20), rng.uniform(-180, 360, 20)])

@@ -16,7 +16,6 @@ from meancov import (
     structured_covariance,
     transport_frame,
 )
-from meancov import mle as mle_module
 from meancov import model as model_module
 from conftest import estimate_c0_general, random_unit, simulated_data, simulated_rows
 
@@ -236,22 +235,34 @@ class TestFitMle:
             fit_mle(SampleSet(X * scale))
 
     def test_degenerate_fit_raises_again(self, monkeypatch):
-        # A fit that raises is not kept: the second call fits again.  The
-        # frame it read is kept on the data, so the eigh runs once.
+        # The second call fits again and raises again; the frame it read is
+        # kept on the data, so the eigh runs once over both calls.
         data = SampleSet(np.outer(np.array([1.0, 2.0, -1.0, 0.5]), np.array([1.0, 1.0])))
-        fits, eighs = [], []
-        fit, eigh = mle_module._fit_mle, mle_module.np.linalg.eigh
-        monkeypatch.setattr(mle_module, "_fit_mle", lambda d: fits.append(1) or fit(d))
-        monkeypatch.setattr(mle_module.np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
-        for attempt in (1, 2):
+        eighs = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or eigh(a))
+        for _ in range(2):
             with pytest.raises(DegenerateDataError):
                 fit_mle(data)
-            assert len(fits) == attempt
-            assert len(eighs) == 1
+        assert len(eighs) == 1
 
-    def test_fit_kept_on_the_data(self):
+    def test_second_fit_reads_the_kept_frame(self, monkeypatch):
+        # No fit is kept: a second call on the same data returns a new Fit,
+        # bit-equal to the first, with no eigh and no basis completion.
         data = simulated_data(50, 5, seed=18)
-        assert fit_mle(data) is fit_mle(data)
+        fit = fit_mle(data)
+        calls = []
+        eigh, build = np.linalg.eigh, model_module.build_orthobasis
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+        monkeypatch.setattr(model_module, "build_orthobasis",
+                            lambda u: calls.append("build") or build(u))
+        again = fit_mle(data)
+        assert calls == []
+        assert again is not fit
+        for a, b in ((again.u, fit.u), (again.spectrum, fit.spectrum), (again.basis, fit.basis)):
+            assert np.array_equal(a, b)
+        assert again.c0 == fit.c0
+        assert dict(again.diagnostics) == dict(fit.diagnostics)
 
     def test_equal_data_get_their_own_equal_fit(self):
         X = simulated_rows(60, 5, seed=20)

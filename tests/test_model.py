@@ -2,11 +2,13 @@
 scatter algebra, the value types they rest on, and the input checks every
 entry point shares."""
 
+import ast
 import copy
 import dataclasses
 import pickle
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from meancov import (
     structured_covariance,
     transport_frame,
 )
+from meancov import model as model_module
 from meancov.gibbs import lambda_conditional_params
 from conftest import build_orthobasis_reference, random_unit, simulated_data
 
@@ -624,8 +627,8 @@ class TestSampleSet:
 
     def test_read_only_after_pickling(self):
         # Pickle restores arrays writable; the statistics and every kept
-        # array (the frame, the scatter about the mean, the MLE) are frozen
-        # again, with their values.
+        # array (the frame, the scatter about the mean) are frozen again,
+        # with their values, and so is the basis of a fit taken after.
         data = simulated_data(40, 4, seed=8)
         fit = fit_mle(data)
         for other in (pickle.loads(pickle.dumps(data)), copy.deepcopy(data)):
@@ -639,6 +642,17 @@ class TestSampleSet:
         fresh = pickle.loads(pickle.dumps(SampleSet(np.eye(3))))
         assert not (fresh.xbar.flags.writeable or fresh.a0.flags.writeable)
         assert not fresh.frame.flags.writeable
+
+    def test_model_imports_no_estimator_module(self):
+        # The data set keeps its frame, not a fit, so the model module
+        # imports nothing from the package but its exceptions.
+        tree = ast.parse(Path(model_module.__file__).read_text())
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+        names += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)]
+        local = [name for name in names if name.startswith((".", "meancov"))]
+        assert local == [".exceptions"]
 
     def test_hash_and_equality_are_identity(self, rng):
         X = rng.standard_normal((6, 3))

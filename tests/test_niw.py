@@ -90,6 +90,15 @@ class TestNiwMap:
         assert np.linalg.eigvalsh(sigma_hat)[0] > 0.0
         assert mu_hat.shape == (5,)
 
+    @pytest.mark.parametrize("nu0, divisor", [(-100.0, -65.0), (-35.0, 0.0)])
+    def test_non_positive_divisor_rejected(self, nu0, divisor):
+        # nu_n + p + 2 = nu0 + n + p + 2 at or below zero has no positive
+        # definite mode: raised, as the eigenvalue mode's n + 1 + 2a is.
+        data = simulated_data(30, 3, seed=59)
+        params = niw_posterior(data, mu0=data.xbar, kappa0=1.0, nu0=nu0, Lambda0=np.eye(3))
+        with pytest.raises(ValueError, match=rf"nu_n \+ p \+ 2 must be > 0 .*got {divisor}$"):
+            niw_map(params)
+
     def test_mode_dominates_grid_probe(self):
         # Coarse grid around the returned mode at p=2: no probe may exceed
         # the joint density at the mode.

@@ -252,8 +252,9 @@ class TestRunExperiment:
         assert abs(newton.mean_risk - mle.mean_risk) / mle.mean_risk < 0.05
         assert abs(newton.sigma_risk - mle.sigma_risk) / mle.sigma_risk < 0.05
 
-    def test_mle_fitted_once_per_replication(self, monkeypatch):
-        # One frame, the MLE's basis, per replication.
+    def test_frame_completed_once_per_replication(self, monkeypatch):
+        # One frame, the MLE's basis, per replication: the Newton cold start
+        # fits the MLE again from it, with no completion.
         calls = []
         build = model_module.build_orthobasis
 
