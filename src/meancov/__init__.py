@@ -58,7 +58,6 @@ from .niw import NiwParams, niw_map, niw_posterior
 from .simulate import (
     RiskReport,
     TruthSpec,
-    default_estimators,
     format_table,
     generate_truth,
     run_experiment,

@@ -37,7 +37,7 @@ from .mle import fit_mle
 from .model import Fit, SampleSet
 from .newton_map import NewtonConfig, fit_map_newton
 from .niw import niw_map, niw_posterior
-from .simulate import ESTIMATORS, format_table, reports_to_records, run_experiment
+from .simulate import format_table, reports_to_records, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,7 +71,6 @@ class RunConfig:
     newton_max_iter: int = NewtonConfig.max_outer
     grid: list[tuple[int, int]] = field(default_factory=lambda: [(50, 3)])
     reps: int = 100
-    include_gibbs: bool = False
     fix_truth: bool = False
 
 
@@ -226,8 +225,7 @@ def _error_doc(cfg: RunConfig, category: str, exc: Exception) -> dict:
 
 def _dispatch(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.command == "simulate":
-        reports = run_experiment(cfg.grid, ESTIMATORS if cfg.include_gibbs else None,
-                                 reps=cfg.reps, seed=cfg.seed, fix_truth=cfg.fix_truth)
+        reports = run_experiment(cfg.grid, reps=cfg.reps, seed=cfg.seed, fix_truth=cfg.fix_truth)
         doc = _document(cfg, results={"table": reports_to_records(reports)})
         doc["summary_text"] = format_table(reports)
         return EXIT_OK, doc
@@ -363,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="table prints the risk table, not JSON, on stdout")
     sp.add_argument("--grid", type=_parse_grid, help="cells like 50x3,100x5")
     sp.add_argument("--reps", type=int)
-    sp.add_argument("--include-gibbs", action="store_true",
-                    help="force the Gibbs estimator on every cell")
     sp.add_argument("--fix-truth", action="store_true")
 
     add_command("transform-sphere", "latitude/longitude to unit vectors")

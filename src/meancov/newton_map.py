@@ -232,5 +232,5 @@ def fit_map_newton(
         basis=data.completion(u),
         converged=converged,
         outer_iterations=outer_used,
-        diagnostics={"h_trace": h_trace},
+        diagnostics={"h_trace": tuple(h_trace)},
     )

@@ -11,6 +11,7 @@ the normal-inverse-Wishart baseline.
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
 from collections import Counter
@@ -26,8 +27,6 @@ from .mle import fit_mle
 from .model import SampleSet, _polar, build_orthobasis, structured_covariance, tail_quadratic_forms
 from .newton_map import fit_map_newton
 from .niw import niw_map, niw_posterior
-
-GIBBS_MAX_P = 5  # the largest p with a Gibbs column by default; see default_estimators
 
 # An estimator maps (data, rng) to (mean estimate, covariance estimate, extras).
 EstimatorFn = Callable[[SampleSet, np.random.Generator], tuple[np.ndarray, np.ndarray, dict]]
@@ -138,21 +137,6 @@ ESTIMATORS: Mapping[str, EstimatorFn] = MappingProxyType({
 })
 
 
-def default_estimators(p: int) -> dict[str, EstimatorFn]:
-    """:data:`ESTIMATORS`, without ``gibbs`` when ``p > GIBBS_MAX_P``.
-
-    One Gibbs replication (s=100, l=5, one BLAS thread, 2-vCPU x86-64 VM)
-    takes 12-15 ms at (n, p) = (50, 3) and (50, 5), 13-16 ms at (100, 10)
-    and (200, 20) and 15-24 ms at (500, 50): 2-17 times the other three
-    columns together.  Gibbs cannot join every cell because it does not mix
-    at p = 50: under the default prior (s=2000, 12 seeded streams) no chain
-    is trapped (best state 10 or more units of profiled log posterior below
-    the MLE's) at (100, 10) and (200, 20), accepting 0.115-0.134 and
-    0.024-0.036 of its proposals, but all 12 are at (500, 50), 25.8-39.4
-    units below, accepting 0.011-0.016.  So the gate stays."""
-    return {name: fn for name, fn in ESTIMATORS.items() if name != "gibbs" or p <= GIBBS_MAX_P}
-
-
 def _risks(losses: list[tuple]) -> tuple[float, float]:
     """Mean and covariance risk: the average losses, NaN when every replication failed."""
     if not losses:
@@ -162,18 +146,20 @@ def _risks(losses: list[tuple]) -> tuple[float, float]:
 
 def run_experiment(
     grid: list[tuple[int, int]],
-    estimators: Mapping[str, EstimatorFn] | None = None,
+    estimators: Mapping[str, EstimatorFn] = ESTIMATORS,
     reps: int = 100,
     seed: int = 0,
     fix_truth: bool = False,
 ) -> list[RiskReport]:
     """Run the risk study over a grid of (n, p) cells.
 
-    Each replication generates a fresh truth (unless ``fix_truth``) and a
-    fresh data set shared by all estimators.  An estimator that raises a
-    ``MeanCovError`` or ``LinAlgError`` fails that replication: the failure is
-    counted by exception type and excluded from the averages.  Any other
-    exception propagates.  Deterministic for a given seed.
+    Every cell runs every estimator of ``estimators``, in its order, at
+    every p.  Each replication generates a fresh truth (unless
+    ``fix_truth``) and a fresh data set shared by all estimators.  An
+    estimator that raises a ``MeanCovError`` or ``LinAlgError`` fails that
+    replication: the failure is counted by exception type and excluded from
+    the averages.  Any other exception propagates.  Deterministic for a
+    given seed.
 
     The shared ``SampleSet`` keeps its frame (the ``eigh`` of ``A(xbar)`` and
     its completion), so a later column, such as the Newton MAP's cold start
@@ -185,11 +171,10 @@ def run_experiment(
         raise ValueError("need at least one replication")
     reports: list[RiskReport] = []
     for ci, (n, p) in enumerate(grid):
-        ests = estimators if estimators is not None else default_estimators(p)
         # One outcome per replication: (mean loss, Sigma loss, acceptance
         # rate or None), or the type name of the error the estimator raised.
-        outcomes: dict[str, list[tuple | str]] = {name: [] for name in ests}
-        elapsed = dict.fromkeys(ests, 0.0)
+        outcomes: dict[str, list[tuple | str]] = {name: [] for name in estimators}
+        elapsed = dict.fromkeys(estimators, 0.0)
         if fix_truth:
             truth = generate_truth(p, np.random.default_rng(np.random.SeedSequence([seed, ci])))
         for r in range(reps):
@@ -197,7 +182,7 @@ def run_experiment(
             if not fix_truth:
                 truth = generate_truth(p, rng)
             data = SampleSet(sample_data(truth, n, rng))
-            for name, fn in ests.items():
+            for name, fn in estimators.items():
                 # Deterministic per (cell, rep, estimator name); independent
                 # of the order in which estimators run.
                 tag = zlib.crc32(name.encode("utf-8"))
@@ -244,8 +229,15 @@ def run_experiment(
 
 
 def reports_to_records(reports: list[RiskReport]) -> list[dict]:
-    """Machine-readable rows, one per cell and estimator, keyed by the ``RiskReport`` fields."""
-    return [asdict(r) for r in reports]
+    """Machine-readable rows, one per cell and estimator, keyed by the ``RiskReport`` fields.
+
+    A NaN risk or ratio (an estimator that failed every replication) becomes
+    ``None``, so the rows are valid JSON, where it is ``null``.
+    """
+    return [
+        {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in asdict(r).items()}
+        for r in reports
+    ]
 
 
 def format_table(reports: list[RiskReport]) -> str:

@@ -26,7 +26,7 @@ from meancov.cli import (
 )
 from meancov.exceptions import DimensionMismatchError, ParseError, RangeError, TooFewRowsError
 from meancov.gibbs import run_gibbs
-from meancov.simulate import ESTIMATORS, GIBBS_MAX_P, RiskReport
+from meancov.simulate import ESTIMATORS, RiskReport
 from conftest import ingest_csv_reference, simulated_rows
 
 
@@ -378,14 +378,12 @@ class TestDispatch:
         assert all(set(row) == report_fields for row in doc["results"]["table"])
         assert "summary_text" in doc
 
-    @pytest.mark.parametrize("include_gibbs", [False, True])
-    def test_include_gibbs_runs_gibbs_on_every_cell(self, include_gibbs):
-        grid = [(30, 3), (30, GIBBS_MAX_P + 1)]
-        cfg = RunConfig(command="simulate", grid=grid, reps=1, include_gibbs=include_gibbs)
+    def test_simulate_runs_gibbs_on_every_cell(self):
+        cfg = RunConfig(command="simulate", grid=[(30, 3), (30, 6)], reps=1)
         status, doc = run(cfg)
         assert status == EXIT_OK
         gibbs_cells = [row["p"] for row in doc["results"]["table"] if row["estimator"] == "gibbs"]
-        assert gibbs_cells == ([3, GIBBS_MAX_P + 1] if include_gibbs else [3])
+        assert gibbs_cells == [3, 6]
 
     def test_transform_sphere(self, tmp_path):
         path = tmp_path / "latlon.csv"
@@ -628,6 +626,36 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "estimator" in out
 
+    def test_include_gibbs_option_is_gone(self, capsys):
+        # Every cell runs the whole battery, so there is no option to force Gibbs.
+        status = main(["simulate", "--include-gibbs"])
+        capsys.readouterr()
+        assert status == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit-mle", "DATA"],
+            ["fit-niw", "DATA"],
+            ["fit-map-newton", "DATA"],
+            ["fit-map-gibbs", "DATA", "--gibbs-s", "10", "--gibbs-l", "2"],
+            ["transform-sphere", "LATLONG"],
+            ["simulate", "--grid", "30x3", "--reps", "1"],
+            # n = p = 2: the MLE and the Newton MAP fail every replication.
+            ["simulate", "--grid", "2x2", "--reps", "2"],
+            ["fit-mle", "MISSING"],  # config error document
+        ],
+    )
+    def test_documents_are_strict_json(self, data_csv, latlong_csv, tmp_path, capsys, argv):
+        paths = {"DATA": data_csv, "LATLONG": latlong_csv, "MISSING": str(tmp_path / "no.csv")}
+        argv = [paths.get(a, a) for a in argv]
+        main(argv)
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        json.loads(capsys.readouterr().out, parse_constant=reject)
+
     def test_bad_grid_is_config_error(self, capsys):
         status = main(["simulate", "--grid", "bogus"])
         capsys.readouterr()
@@ -673,7 +701,7 @@ class TestRender:
             ("fit-niw", {}),
             ("fit-map-newton", {}),
             ("fit-map-gibbs", {"gibbs_s": 10, "gibbs_l": 2}),
-            ("simulate", {"grid": [(30, 3)], "reps": 2, "include_gibbs": True}),
+            ("simulate", {"grid": [(30, 3)], "reps": 2}),
             ("transform-sphere", {}),
             ("fit-mle", {"input_path": None}),  # config error document
         ],

@@ -255,6 +255,15 @@ class TestFitMapNewton:
             assert fit.outer_iterations <= 5
             assert np.all(np.diff(fit.diagnostics["h_trace"]) >= 0.0)
 
+    def test_h_trace_cannot_be_written(self):
+        data = simulated_data(50, 3, seed=40)
+        fit = fit_map_newton(data, PriorConfig.default(data))
+        trace = fit.diagnostics["h_trace"]
+        before = list(trace)
+        with pytest.raises(AttributeError):
+            trace.append(99.0)
+        assert list(fit.diagnostics["h_trace"]) == before
+
     def test_prior_free_reduction_to_mle(self):
         data = simulated_data(50, 4, seed=45)
         mle = fit_mle(data)

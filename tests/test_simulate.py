@@ -11,7 +11,6 @@ from meancov import (
     RiskReport,
     SampleSet,
     build_orthobasis,
-    default_estimators,
     format_table,
     generate_truth,
     run_experiment,
@@ -19,7 +18,7 @@ from meancov import (
 )
 from meancov import model as model_module
 from meancov import simulate
-from meancov.simulate import ESTIMATORS, GIBBS_MAX_P, reports_to_records
+from meancov.simulate import ESTIMATORS, reports_to_records
 
 # The battery without the Gibbs MAP, for tests that need no sampler.
 NO_GIBBS = {name: fn for name, fn in ESTIMATORS.items() if name != "gibbs"}
@@ -163,18 +162,18 @@ class TestFrobeniusRisk:
         assert s == pytest.approx(s_naive, abs=1e-12)
 
 
-class TestDefaultEstimators:
-    def test_gibbs_inclusion_threshold(self):
-        assert list(default_estimators(GIBBS_MAX_P).items()) == list(ESTIMATORS.items())
-        assert list(default_estimators(GIBBS_MAX_P + 1).items()) == list(NO_GIBBS.items())
+class TestEstimatorBattery:
+    def test_every_cell_runs_the_whole_battery(self):
+        reports = run_experiment([(30, 6)], reps=1)
         assert list(ESTIMATORS) == ["niw", "mle", "map-newton", "gibbs"]
+        assert [r.estimator for r in reports] == list(ESTIMATORS)
+        rec = {r.estimator: r for r in reports}
+        assert rec["gibbs"].acceptance_rate is not None
+        assert 0.0 <= rec["gibbs"].acceptance_rate <= 1.0
 
     def test_estimator_table_is_read_only(self):
         with pytest.raises(TypeError):
             ESTIMATORS["other"] = ESTIMATORS["mle"]
-        ests = default_estimators(3)
-        ests["other"] = ESTIMATORS["mle"]  # a fresh dict on every call
-        assert "other" not in ESTIMATORS and "other" not in default_estimators(3)
 
 
 class TestRunExperiment:
@@ -216,6 +215,11 @@ class TestRunExperiment:
         assert rec.failures == 2
         assert rec.replications == 0
         assert np.isnan(rec.mean_risk)
+        # The records carry None, JSON's null, where the report has NaN.
+        row = reports_to_records(reports)[-1]
+        assert row["estimator"] == "broken"
+        assert [row[k] for k in ("mean_risk", "sigma_risk", "ratio_vs_niw_mean",
+                                 "ratio_vs_niw_sigma")] == [None] * 4
 
     def test_failures_counted_by_type(self):
         outcomes = iter([DegenerateDataError, None, np.linalg.LinAlgError, DegenerateDataError])
@@ -263,13 +267,13 @@ class TestRunExperiment:
             return build(u)
 
         monkeypatch.setattr(model_module, "build_orthobasis", counted)
-        ests = {k: v for k, v in default_estimators(5).items() if k in ("mle", "map-newton")}
+        ests = {k: v for k, v in ESTIMATORS.items() if k in ("mle", "map-newton")}
         run_experiment([(60, 5)], estimators=ests, reps=3, seed=4)
         assert len(calls) == 3
 
-    def test_shared_mle_leaves_risks_unchanged(self, monkeypatch):
-        # Each estimator on its own statistics of the data fits its own MLE.
-        ests = {k: v for k, v in default_estimators(5).items() if k in ("mle", "map-newton")}
+    def test_shared_frame_leaves_risks_unchanged(self, monkeypatch):
+        # Each estimator on its own statistics of the data completes its own frame.
+        ests = {k: v for k, v in ESTIMATORS.items() if k in ("mle", "map-newton")}
         shared = run_experiment([(60, 5)], estimators=ests, reps=3, seed=4)
         drawn = []
 
