@@ -46,7 +46,6 @@ from .model import (
     transport_frame,
 )
 from .newton_map import (
-    NewtonConfig,
     fit_map_newton,
     h_gradient,
     h_hessian,

@@ -35,7 +35,7 @@ from .exceptions import (
 from .gibbs import PriorConfig, map_from_chain, run_gibbs
 from .mle import fit_mle
 from .model import Fit, SampleSet
-from .newton_map import NewtonConfig, fit_map_newton
+from .newton_map import fit_map_newton
 from .niw import niw_map, niw_posterior
 from .simulate import format_table, reports_to_records, run_experiment
 
@@ -66,9 +66,6 @@ class RunConfig:
     gibbs_s: int = 100
     gibbs_l: int = 5
     chain_out: str | None = None
-    newton_alpha: float = NewtonConfig.alpha
-    newton_eps: float = NewtonConfig.epsilon
-    newton_max_iter: int = NewtonConfig.max_outer
     grid: list[tuple[int, int]] = field(default_factory=lambda: [(50, 3)])
     reps: int = 100
     fix_truth: bool = False
@@ -255,10 +252,7 @@ def _dispatch(cfg: RunConfig) -> tuple[int, dict]:
         return EXIT_OK, _document(cfg, results=results)
 
     if cfg.command == "fit-map-newton":
-        ncfg = NewtonConfig(
-            alpha=cfg.newton_alpha, epsilon=cfg.newton_eps, max_outer=cfg.newton_max_iter
-        )
-        return _fit_outcome(cfg, fit_map_newton(data, prior, ncfg))
+        return _fit_outcome(cfg, fit_map_newton(data, prior))
 
     if cfg.command == "fit-map-gibbs":
         rng = np.random.default_rng(cfg.seed)
@@ -344,9 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_command("fit-map-newton", "lower-bound Newton MAP approximation")
     add_prior(sp)
-    sp.add_argument("--newton-alpha", type=float)
-    sp.add_argument("--newton-eps", type=float)
-    sp.add_argument("--newton-max-iter", type=int)
 
     sp = add_command("fit-map-gibbs", "MAP from MH-within-Gibbs posterior draws")
     add_seed(sp)

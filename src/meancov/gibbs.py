@@ -41,7 +41,7 @@ from .model import Fit, SampleSet, _as_vector, _frame_geometry, _polar
 _SCALE_MAX = math.sqrt(float(np.finfo(float).max))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorConfig:
     """Hyperparameters of the mean-eigenvalue prior.
 
@@ -322,7 +322,7 @@ class _FrameKernel:
         return state, False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GibbsRun:
     """A collected chain as read-only arrays plus Metropolis-Hastings totals.
 

@@ -251,7 +251,17 @@ def structured_covariance(basis: np.ndarray, lam) -> np.ndarray:
     return sigma
 
 
-@dataclass(frozen=True)
+def _frozen(value):
+    """A list as a tuple and an array as a read-only copy; any other value as it is."""
+    if isinstance(value, list):
+        return tuple(value)
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.setflags(write=False)
+    return value
+
+
+@dataclass(frozen=True, eq=False)
 class Fit:
     """A constrained estimate ``mu = c0 u``, ``Sigma = P(u) diag(1, lambda) P(u)^T``.
 
@@ -265,7 +275,8 @@ class Fit:
     ``converged`` and ``outer_iterations`` describe an iterative fit (a
     closed-form fit keeps the defaults); ``diagnostics`` is a read-only
     mapping, over a copy of the one given, of the values particular to one
-    estimator.  A fit may share its basis with the data (the MLE's basis is
+    estimator, where a list is kept as a tuple and an array as a read-only
+    copy.  A fit may share its basis with the data (the MLE's basis is
     the data's kept :attr:`SampleSet.frame`), so none of it can be written.
     """
 
@@ -296,7 +307,8 @@ class Fit:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "spectrum", lam)
-        object.__setattr__(self, "diagnostics", MappingProxyType(dict(self.diagnostics)))
+        diagnostics = {k: _frozen(v) for k, v in self.diagnostics.items()}
+        object.__setattr__(self, "diagnostics", MappingProxyType(diagnostics))
 
     def __reduce__(self):
         # A mappingproxy cannot be pickled: rebuild the fit from a plain dict.

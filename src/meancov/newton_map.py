@@ -11,33 +11,17 @@ start vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gibbs import PriorConfig, _check_prior, _hn, _lambda_mode
 from .mle import fit_mle
 from .model import Fit, SampleSet, _as_vector, _norm, _polar
 
+ALPHA = 0.5
+EPSILON = 1e-8
+MAX_OUTER = 100
 MAX_INNER = 50
 MAX_BACKTRACKS = 30
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Step-size and termination controls for the modified Newton iteration."""
-
-    alpha: float = 0.5
-    epsilon: float = 1e-8
-    max_outer: int = 100
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("backtracking factor alpha must lie in (0, 1)")
-        if not 0.0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
 
 
 def map_c0_update(data: SampleSet, u, lam, prior: PriorConfig) -> float:
@@ -135,12 +119,7 @@ def h_hessian(data: SampleSet, u, c0: float, prior: PriorConfig) -> np.ndarray:
     return -hess_neg
 
 
-def fit_map_newton(
-    data: SampleSet,
-    prior: PriorConfig,
-    cfg: NewtonConfig | None = None,
-    init_mu=None,
-) -> Fit:
+def fit_map_newton(data: SampleSet, prior: PriorConfig, init_mu=None) -> Fit:
     """Alternate closed-form radius/eigenvalue updates with Newton steps on h.
 
     Starts from the approximate MLE unless a nonzero start vector ``init_mu``
@@ -149,11 +128,11 @@ def fit_map_newton(
     for a zero vector); a cold start is :func:`~meancov.mle.fit_mle` on the
     data's kept frame, and raises its ``DegenerateDataError``.  An outer
     iteration takes up to ``MAX_INNER`` Newton steps, each backtracked (by
-    ``alpha``, up to ``MAX_BACKTRACKS`` times) until the surrogate increases
+    ``ALPHA``, up to ``MAX_BACKTRACKS`` times) until the surrogate increases
     and renormalized; a singular Hessian falls back to a gradient step.  The
-    outer loop stops when the direction stops moving or when a radius refresh
-    would decrease the surrogate.  A negative radius is reported as the same
-    mean ``(-c0)(-u)``.
+    outer loop stops after ``MAX_OUTER`` iterations, when the direction moves
+    less than ``EPSILON`` or when a radius refresh would decrease the
+    surrogate.  A negative radius is reported as the same mean ``(-c0)(-u)``.
 
     Every eigenvalue refresh is :func:`map_lambda_update`, in the data's
     completion of the mean's direction (``-u`` at a negative radius), as in
@@ -165,8 +144,6 @@ def fit_map_newton(
     point and every accepted update; the acceptance rule makes it
     non-decreasing.
     """
-    if cfg is None:
-        cfg = NewtonConfig()
     if init_mu is None:
         mle = fit_mle(data)
         u, c0 = mle.u, mle.c0
@@ -177,7 +154,7 @@ def fit_map_newton(
     h_trace = [h_cur]
     converged = False
 
-    for outer_used in range(1, cfg.max_outer + 1):
+    for outer_used in range(1, MAX_OUTER + 1):
         c0_new = map_c0_update(data, u, lam, prior)
         lam_new = map_lambda_update(data, u, c0_new, prior)
         h_new = h_value(data, u, c0_new, prior)
@@ -203,7 +180,7 @@ def fit_map_newton(
             cand = u
             h_cand = h_cur
             for lbt in range(MAX_BACKTRACKS + 1):
-                trial = u - cfg.alpha**lbt * v
+                trial = u - ALPHA**lbt * v
                 nrm = _norm(trial)
                 if nrm < 1e-12:
                     continue
@@ -217,9 +194,9 @@ def fit_map_newton(
             delta = _norm(cand - u)
             u, h_cur = cand, h_cand
             h_trace.append(h_cur)
-            if delta < cfg.epsilon:
+            if delta < EPSILON:
                 break
-        if _norm(u - u_outer) < cfg.epsilon:
+        if _norm(u - u_outer) < EPSILON:
             converged = True
             break
 

@@ -14,7 +14,7 @@ from .exceptions import DimensionMismatchError
 from .model import SampleSet, _as_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NiwParams:
     """Updated hyperparameters of the normal-inverse-Wishart posterior."""
 

@@ -32,7 +32,7 @@ from .niw import niw_map, niw_posterior
 EstimatorFn = Callable[[SampleSet, np.random.Generator], tuple[np.ndarray, np.ndarray, dict]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthSpec:
     """A constrained truth pair for one replication; ``sigma_true`` is read-only."""
 

@@ -10,7 +10,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from meancov import SampleSet, cli, fit_mle
+from meancov import SampleSet, cli, fit_mle, newton_map
 from meancov.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -446,22 +446,12 @@ class TestDispatch:
         assert "no-such-dir" in doc["error"]["message"]
         assert "results" not in doc
 
-    @pytest.mark.parametrize("max_iter", ["0", "-2"])
-    def test_newton_max_iter_below_one_is_config_error(self, data_csv, capsys, max_iter):
-        status = main(["fit-map-newton", data_csv, "--newton-max-iter", max_iter])
-        doc = json.loads(capsys.readouterr().out)
-        assert status == EXIT_CONFIG
-        assert doc["error"]["category"] == "config-or-parse"
-        assert "max_outer" in doc["error"]["message"]
-
     @pytest.mark.parametrize("command, option, value", [
         ("fit-niw", "--prior-kappa0", "nan"),
         ("fit-niw", "--prior-kappa0", "inf"),
         ("fit-map-newton", "--prior-kappa0", "nan"),
         ("fit-map-newton", "--prior-a", "nan"),
         ("fit-map-newton", "--prior-h0", "nan"),
-        ("fit-map-newton", "--newton-eps", "nan"),
-        ("fit-map-newton", "--newton-eps", "inf"),
         ("fit-map-gibbs", "--prior-h0", "inf"),
     ])
     def test_non_finite_option_is_config_error(self, data_csv, capsys, command, option, value):
@@ -573,10 +563,10 @@ class TestDispatch:
         assert status == EXIT_OK
         assert np.all(np.isfinite(doc["results"]["sigma"]))
 
-    def test_non_convergence_exit_code(self, data_csv):
-        cfg = RunConfig(command="fit-map-newton", input_path=data_csv,
-                        newton_eps=1e-300, newton_max_iter=1)
-        status, doc = run(cfg)
+    def test_non_convergence_exit_code(self, data_csv, monkeypatch):
+        monkeypatch.setattr(newton_map, "EPSILON", 1e-300)
+        monkeypatch.setattr(newton_map, "MAX_OUTER", 1)
+        status, doc = run(RunConfig(command="fit-map-newton", input_path=data_csv))
         if not doc["results"]["converged"]:
             assert status == EXIT_NO_CONVERGENCE
         else:
@@ -587,13 +577,13 @@ class TestDispatch:
         # unattainable tolerance, Newton is still moving when it stops.
         fit_map_newton = cli.fit_map_newton
 
-        def far_start(data, prior, config):
-            return fit_map_newton(data, prior, config, init_mu=np.array([0.0, 0.0, 1.0]))
+        def far_start(data, prior):
+            return fit_map_newton(data, prior, init_mu=np.array([0.0, 0.0, 1.0]))
 
         monkeypatch.setattr(cli, "fit_map_newton", far_start)
-        cfg = RunConfig(command="fit-map-newton", input_path=data_csv,
-                        newton_eps=1e-300, newton_max_iter=1)
-        status, doc = run(cfg)
+        monkeypatch.setattr(newton_map, "EPSILON", 1e-300)
+        monkeypatch.setattr(newton_map, "MAX_OUTER", 1)
+        status, doc = run(RunConfig(command="fit-map-newton", input_path=data_csv))
         assert status == EXIT_NO_CONVERGENCE
         assert doc["results"]["converged"] is False
 
@@ -629,6 +619,14 @@ class TestMainEntry:
     def test_include_gibbs_option_is_gone(self, capsys):
         # Every cell runs the whole battery, so there is no option to force Gibbs.
         status = main(["simulate", "--include-gibbs"])
+        capsys.readouterr()
+        assert status == EXIT_CONFIG
+
+    @pytest.mark.parametrize("option", ["--newton-alpha=0.5", "--newton-eps=1e-8",
+                                        "--newton-max-iter=100"])
+    def test_newton_tuning_options_are_gone(self, data_csv, capsys, option):
+        # The Newton MAP's step factor, tolerance and iteration cap are constants.
+        status = main(["fit-map-newton", data_csv, option])
         capsys.readouterr()
         assert status == EXIT_CONFIG
 

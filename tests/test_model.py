@@ -30,6 +30,7 @@ from meancov import (
     estimate_lambdas,
     fit_map_newton,
     fit_mle,
+    generate_truth,
     h_gradient,
     h_hessian,
     h_value,
@@ -219,7 +220,20 @@ class TestFitDiagnostics:
         with pytest.raises(TypeError):
             fit.diagnostics["new"] = 1.0
         given["profile_loglik"] = 7.0
-        assert dict(fit.diagnostics) == {"profile_loglik": -3.5, "h_trace": [1.0, 2.0]}
+        assert dict(fit.diagnostics) == {"profile_loglik": -3.5, "h_trace": (1.0, 2.0)}
+
+    def test_list_and_array_values_are_frozen(self):
+        given = {"h": [1.0], "a": np.ones(2)}
+        u = np.array([0.0, 1.0])
+        fit = Fit(u=u, c0=1.0, spectrum=np.ones(1), basis=build_orthobasis(u), diagnostics=given)
+        given["h"].append(9.0)
+        given["a"][1] = 7.0
+        assert fit.diagnostics["h"] == (1.0,)
+        with pytest.raises(AttributeError):
+            fit.diagnostics["h"].append(9.0)
+        with pytest.raises(ValueError):
+            fit.diagnostics["a"][0] = 5.0
+        assert np.array_equal(fit.diagnostics["a"], np.ones(2))
 
     def test_pickles_and_deep_copies(self):
         u = np.array([0.6, 0.8])
@@ -229,7 +243,7 @@ class TestFitDiagnostics:
             for a, b in ((other.u, fit.u), (other.spectrum, fit.spectrum), (other.basis, fit.basis)):
                 assert np.array_equal(a, b)
             assert (other.c0, other.converged, other.outer_iterations) == (2.0, False, 4)
-            assert dict(other.diagnostics) == {"h_trace": [1.0, 2.0]}
+            assert dict(other.diagnostics) == {"h_trace": (1.0, 2.0)}
             with pytest.raises(TypeError):
                 other.diagnostics["h_trace"] = []
 
@@ -654,9 +668,18 @@ class TestSampleSet:
         local = [name for name in names if name.startswith((".", "meancov"))]
         assert local == [".exceptions"]
 
-    def test_hash_and_equality_are_identity(self, rng):
+    @pytest.mark.parametrize("build", [
+        SampleSet,
+        lambda X: fit_mle(SampleSet(X)),
+        lambda X: PriorConfig.default(SampleSet(X)),
+        lambda X: run_gibbs(SampleSet(X), PriorConfig.default(SampleSet(X)), s=2, l=1,
+                            rng=np.random.default_rng(0)),
+        lambda X: niw_posterior(SampleSet(X), np.zeros(3), 1.5, 4.0, np.eye(3)),
+        lambda X: generate_truth(3, np.random.default_rng(0)),
+    ], ids=["SampleSet", "Fit", "PriorConfig", "GibbsRun", "NiwParams", "TruthSpec"])
+    def test_hash_and_equality_are_identity(self, rng, build):
         X = rng.standard_normal((6, 3))
-        a, b = SampleSet(X), SampleSet(X)
+        a, b = build(X), build(X)
         assert a == a and a != b
         assert len({a: 1, b: 2}) == 2
         assert hash(a) == hash(a)

@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import minimize, minimize_scalar
 
 from meancov import (
-    NewtonConfig,
     PriorConfig,
     ZeroVectorError,
     estimate_c0,
@@ -291,14 +290,15 @@ class TestFitMapNewton:
         mu = fit.mu
         assert np.linalg.norm(S @ mu - mu) < 1e-8 * max(1.0, np.linalg.norm(mu))
 
-    def test_non_convergence_reported(self):
+    def test_non_convergence_reported(self, monkeypatch):
         # Start far from the optimum with an unattainable tolerance and a
         # single outer pass: the direction must still be moving when the
         # iteration budget runs out, so the fit reports non-convergence.
         data = simulated_data(50, 3, seed=48)
-        cfg = NewtonConfig(epsilon=1e-300, max_outer=1)
+        monkeypatch.setattr(newton_map, "EPSILON", 1e-300)
+        monkeypatch.setattr(newton_map, "MAX_OUTER", 1)
         far = np.array([0.0, 0.0, 1.0])
-        fit = fit_map_newton(data, PriorConfig.default(data), cfg, init_mu=far)
+        fit = fit_map_newton(data, PriorConfig.default(data), init_mu=far)
         assert fit.outer_iterations == 1
         assert not fit.converged
 
@@ -380,7 +380,8 @@ class TestFitMapNewton:
         update = newton_map.map_lambda_update
         monkeypatch.setattr(newton_map, "map_lambda_update",
                             lambda d, u, c0, pr: inputs.append((u, c0)) or update(d, u, c0, pr))
-        fit = fit_map_newton(data, prior, NewtonConfig(max_outer=1), init_mu=2.5 * v)
+        monkeypatch.setattr(newton_map, "MAX_OUTER", 1)
+        fit = fit_map_newton(data, prior, init_mu=2.5 * v)
         assert np.allclose(inputs[0][0], v, atol=1e-15)
         assert inputs[0][1] == pytest.approx(2.5, rel=1e-15)
         assert fit.diagnostics["h_trace"][0] == pytest.approx(h_value(data, v, 2.5, prior))
@@ -429,18 +430,3 @@ class TestFitMapNewton:
             np.testing.assert_allclose(lam, hn[1:] / t, rtol=1e-12)
         assert np.array_equal(refreshes[-1][2], fit.spectrum)
 
-
-class TestNewtonConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(alpha=1.5)
-        with pytest.raises(ValueError):
-            NewtonConfig(epsilon=0.0)
-        for epsilon in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="epsilon"):
-                NewtonConfig(epsilon=epsilon)
-
-    @pytest.mark.parametrize("max_outer", [0, -2])
-    def test_rejects_fewer_than_one_outer_iteration(self, max_outer):
-        with pytest.raises(ValueError, match="max_outer"):
-            NewtonConfig(max_outer=max_outer)
