@@ -68,7 +68,6 @@ class RunConfig:
     chain_out: str | None = None
     grid: list[tuple[int, int]] = field(default_factory=lambda: [(50, 3)])
     reps: int = 100
-    fix_truth: bool = False
 
 
 def ingest_csv(path: str) -> np.ndarray:
@@ -76,17 +75,18 @@ def ingest_csv(path: str) -> np.ndarray:
 
     A cell is whatever Python ``float()`` accepts once ``str.strip`` has
     removed the whitespace around it (so ``1_000`` too), and must be
-    finite; blank lines are skipped.  The first line is a header only when
-    none of its cells parses as a number; otherwise it is the first data
-    row.  The data lines are parsed by NumPy's C reader, which converts a
-    cell with ``float()``'s C routine but rejects ``1_000`` and non-ASCII
-    digits; a file it rejects, or one with a non-finite value, is read
-    again by :func:`_ingest_row_by_row`.  The error names the first fault
-    in reading order: a row whose width differs from the first data row's,
-    or a non-numeric or non-finite cell, by its row and column.  The matrix
-    is a C-ordered float array, which ``SampleSet`` reads without a copy.
+    finite; blank lines and a leading UTF-8 byte-order mark are skipped.
+    The first line is a header only when none of its cells parses as a
+    number; otherwise it is the first data row.  The data lines are parsed
+    by NumPy's C reader, which converts a cell with ``float()``'s C routine
+    but rejects ``1_000`` and non-ASCII digits; a file it rejects, or one
+    with a non-finite value, is read again by :func:`_ingest_row_by_row`.
+    The error names the first fault in reading order: a row whose width
+    differs from the first data row's, or a non-numeric or non-finite cell,
+    by its row and column.  The matrix is a C-ordered float array, which
+    ``SampleSet`` reads without a copy.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = filter(None, map(str.strip, fh))
         first = next(lines, None)
         if first is None:
@@ -123,7 +123,7 @@ def _ingest_row_by_row(path: str) -> np.ndarray:
     """
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]  # not empty: ingest_csv read a line
     start = 0 if any(_is_number(tok) for tok in lines[0].split(",")) else 1
     for i, line in enumerate(lines[start:], start=start + 1):
@@ -222,7 +222,7 @@ def _error_doc(cfg: RunConfig, category: str, exc: Exception) -> dict:
 
 def _dispatch(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.command == "simulate":
-        reports = run_experiment(cfg.grid, reps=cfg.reps, seed=cfg.seed, fix_truth=cfg.fix_truth)
+        reports = run_experiment(cfg.grid, reps=cfg.reps, seed=cfg.seed)
         doc = _document(cfg, results={"table": reports_to_records(reports)})
         doc["summary_text"] = format_table(reports)
         return EXIT_OK, doc
@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="table prints the risk table, not JSON, on stdout")
     sp.add_argument("--grid", type=_parse_grid, help="cells like 50x3,100x5")
     sp.add_argument("--reps", type=int)
-    sp.add_argument("--fix-truth", action="store_true")
 
     add_command("transform-sphere", "latitude/longitude to unit vectors")
     return parser

@@ -16,7 +16,7 @@ import time
 import zlib
 from collections import Counter
 from collections.abc import Callable, Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -44,9 +44,9 @@ class TruthSpec:
         return self.mu_true.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiskReport:
-    """Per-cell, per-estimator Monte-Carlo risk summary."""
+    """Per-cell, per-estimator Monte-Carlo risk summary; ``failure_types`` is read-only."""
 
     n: int
     p: int
@@ -55,7 +55,7 @@ class RiskReport:
     sigma_risk: float
     replications: int
     failures: int
-    failure_types: dict[str, int]  # exception type name -> count; sums to ``failures``
+    failure_types: Mapping[str, int]  # exception type name -> count; sums to ``failures``
     elapsed_seconds: float
     acceptance_rate: float | None = None
     ratio_vs_niw_mean: float | None = None
@@ -149,17 +149,16 @@ def run_experiment(
     estimators: Mapping[str, EstimatorFn] = ESTIMATORS,
     reps: int = 100,
     seed: int = 0,
-    fix_truth: bool = False,
 ) -> list[RiskReport]:
     """Run the risk study over a grid of (n, p) cells.
 
     Every cell runs every estimator of ``estimators``, in its order, at
-    every p.  Each replication generates a fresh truth (unless
-    ``fix_truth``) and a fresh data set shared by all estimators.  An
-    estimator that raises a ``MeanCovError`` or ``LinAlgError`` fails that
-    replication: the failure is counted by exception type and excluded from
-    the averages.  Any other exception propagates.  Deterministic for a
-    given seed.
+    every p.  Replication ``r`` of cell ``ci`` draws a fresh truth and a
+    fresh data set, shared by all estimators, from the stream
+    ``SeedSequence([seed, ci, r])``.  An estimator that raises a
+    ``MeanCovError`` or ``LinAlgError`` fails that replication: the failure
+    is counted by exception type and excluded from the averages.  Any other
+    exception propagates.  Deterministic for a given seed.
 
     The shared ``SampleSet`` keeps its frame (the ``eigh`` of ``A(xbar)`` and
     its completion), so a later column, such as the Newton MAP's cold start
@@ -171,16 +170,14 @@ def run_experiment(
         raise ValueError("need at least one replication")
     reports: list[RiskReport] = []
     for ci, (n, p) in enumerate(grid):
-        # One outcome per replication: (mean loss, Sigma loss, acceptance
-        # rate or None), or the type name of the error the estimator raised.
-        outcomes: dict[str, list[tuple | str]] = {name: [] for name in estimators}
+        # Per estimator: (mean loss, Sigma loss, acceptance rate or None) of
+        # each passed replication, and the type names of the errors raised.
+        losses: dict[str, list[tuple]] = {name: [] for name in estimators}
+        failed = {name: Counter() for name in estimators}
         elapsed = dict.fromkeys(estimators, 0.0)
-        if fix_truth:
-            truth = generate_truth(p, np.random.default_rng(np.random.SeedSequence([seed, ci])))
         for r in range(reps):
             rng = np.random.default_rng(np.random.SeedSequence([seed, ci, r]))
-            if not fix_truth:
-                truth = generate_truth(p, rng)
+            truth = generate_truth(p, rng)
             data = SampleSet(sample_data(truth, n, rng))
             for name, fn in estimators.items():
                 # Deterministic per (cell, rep, estimator name); independent
@@ -191,24 +188,23 @@ def run_experiment(
                 try:
                     mu_hat, sigma_hat, extras = fn(data, est_rng)
                 except (MeanCovError, np.linalg.LinAlgError) as exc:
-                    outcomes[name].append(type(exc).__name__)
+                    failed[name][type(exc).__name__] += 1
                     continue
                 finally:
                     elapsed[name] += time.perf_counter() - t0
-                outcomes[name].append((
+                losses[name].append((
                     float(np.sum((mu_hat - truth.mu_true) ** 2) / p),
                     float(np.sum((sigma_hat - truth.sigma_true) ** 2) / p),
                     extras.get("acceptance_rate"),
                 ))
 
-        niw_risk = _risks([o for o in outcomes.get("niw", []) if not isinstance(o, str)])
-        for name, outs in outcomes.items():
-            losses = [o for o in outs if not isinstance(o, str)]
-            m_risk, s_risk = _risks(losses)
+        niw_risk = _risks(losses.get("niw", []))
+        for name, passed in losses.items():
+            m_risk, s_risk = _risks(passed)
             ratio_m = ratio_s = None
             if np.isfinite(niw_risk[0]) and niw_risk[0] > 0:
                 ratio_m, ratio_s = m_risk / niw_risk[0], s_risk / niw_risk[1]
-            accs = [float(a) for _, _, a in losses if a is not None]
+            accs = [float(a) for _, _, a in passed if a is not None]
             reports.append(
                 RiskReport(
                     n=n,
@@ -216,9 +212,9 @@ def run_experiment(
                     estimator=name,
                     mean_risk=m_risk,
                     sigma_risk=s_risk,
-                    replications=len(losses),
-                    failures=reps - len(losses),
-                    failure_types=dict(Counter(o for o in outs if isinstance(o, str))),
+                    replications=len(passed),
+                    failures=reps - len(passed),
+                    failure_types=MappingProxyType(dict(failed[name])),
                     elapsed_seconds=elapsed[name],
                     acceptance_rate=float(np.mean(accs)) if accs else None,
                     ratio_vs_niw_mean=ratio_m,
@@ -232,10 +228,12 @@ def reports_to_records(reports: list[RiskReport]) -> list[dict]:
     """Machine-readable rows, one per cell and estimator, keyed by the ``RiskReport`` fields.
 
     A NaN risk or ratio (an estimator that failed every replication) becomes
-    ``None``, so the rows are valid JSON, where it is ``null``.
+    ``None``, so the rows are valid JSON, where it is ``null``;
+    ``failure_types`` becomes a plain ``dict``.
     """
     return [
-        {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in asdict(r).items()}
+        {k: None if isinstance(v, float) and math.isnan(v) else v
+         for k, v in {**vars(r), "failure_types": dict(r.failure_types)}.items()}
         for r in reports
     ]
 

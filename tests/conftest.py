@@ -139,15 +139,15 @@ def siw_log_density(Sigma, nu0: float, b: float, Lambda0) -> float:
 def ingest_csv_reference(path: str) -> np.ndarray:
     """Row-by-row CSV reader: the oracle of ``cli.ingest_csv``.
 
-    Reads every non-blank line, drops a first line none of whose cells is a
-    number, then parses cell by cell, so the first fault in reading order (a
-    ragged row, a cell ``float()`` rejects or a non-finite cell) is the one
-    reported.  ``ingest_csv`` must return the same array or raise the same
+    Reads every non-blank line after a leading UTF-8 byte-order mark, drops
+    a first line none of whose cells is a number, then parses cell by cell,
+    so the first fault in reading order (a ragged row, a cell ``float()``
+    rejects or a non-finite cell) is the one reported.  ``ingest_csv`` must return the same array or raise the same
     exception with the same message.
     """
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise TooFewRowsError(f"{path}: empty file")

@@ -8,8 +8,12 @@ diagnostics), each over seeds 0-19 at (12, 3), (50, 3), (100, 10) and
 it also hashes the public helpers, one line ``<fit>:<helper>`` each:
 ``hn_diagonal``, ``log_posterior`` (at the fit's spectrum), ``estimate_lambdas``,
 ``profile_loglik``, ``lower_bound_h`` and ``h_value``, under the fit's prior.
-An output that raises is hashed by its exception type.  Run it on two trees
-and compare the outputs with ``diff``::
+An output that raises is hashed by its exception type.  Last come the risk
+harness's lines, ``run_experiment <n>x<p> <sha256>``: the default battery
+over seeds 0-4 at (50, 3) and (30, 6), three replications each, hashing
+every ``RiskReport`` field but ``elapsed_seconds`` (``failure_types`` as
+its sorted items).  Run it on two trees and compare the outputs with
+``diff``::
 
     PYTHONPATH=src python tests/fingerprint.py > after.txt
 
@@ -20,6 +24,7 @@ collect it.  It takes about four seconds (2-vCPU x86-64 VM).
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields
 from functools import cache
 
 import numpy as np
@@ -39,12 +44,15 @@ from meancov import (
     niw_map,
     niw_posterior,
     profile_loglik,
+    run_experiment,
     run_gibbs,
     sample_data,
 )
 
 CELLS = ((12, 3), (50, 3), (100, 10), (500, 50))
 SEEDS = range(20)
+HARNESS_CELLS = ((50, 3), (30, 6))
+HARNESS_SEEDS = range(5)
 
 # The public helpers at a fit's mean, as (name, function of data, prior, fit).
 HELPERS = (
@@ -117,6 +125,15 @@ def _update(h, values) -> None:
         h.update(np.ascontiguousarray(v, dtype=float).tobytes())
 
 
+def _report_values(report) -> tuple:
+    """Every field of a ``RiskReport`` but its wall time, ``failure_types`` sorted."""
+    return tuple(
+        sorted(report.failure_types.items()) if f.name == "failure_types" else getattr(report, f.name)
+        for f in fields(report)
+        if f.name != "elapsed_seconds"
+    )
+
+
 def main() -> None:
     for n, p in CELLS:
         hashes = {}
@@ -129,6 +146,12 @@ def main() -> None:
                     h.update(type(exc).__name__.encode())
         for name, h in hashes.items():
             print(f"{name} {n}x{p} {h.hexdigest()}")
+    for n, p in HARNESS_CELLS:
+        h = hashlib.sha256()
+        for seed in HARNESS_SEEDS:
+            for report in run_experiment([(n, p)], reps=3, seed=seed):
+                h.update(repr(_report_values(report)).encode())
+        print(f"run_experiment {n}x{p} {h.hexdigest()}")
 
 
 if __name__ == "__main__":

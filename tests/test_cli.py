@@ -79,6 +79,16 @@ class TestIngestCsv:
         assert len(X) == 2
         assert np.allclose(X[0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("text", ["\ufeff1.0,2.0\n3.0,5.0\n4.0,7.5\n",
+                                      "\ufeffx,y\n1.0,2.0\n3.0,5.0\n4.0,7.5\n"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, capsys, text):
+        # Excel's "CSV UTF-8" files start with a UTF-8 byte-order mark.
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8")
+        assert np.array_equal(ingest_csv(str(path)), [[1.0, 2.0], [3.0, 5.0], [4.0, 7.5]])
+        assert main(["fit-mle", str(path)]) == EXIT_OK
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "text, match",
         [("1,inf\n2,3\n4,5\n", "row 1, column 2: non-finite"),
@@ -182,6 +192,9 @@ ORACLE_CASES = {
     "hash-inside-cell": b"1,2#3\n4,5\n",
     "quoted-first-line": b'"1","2"\n3,4\n',
     "quoted-cells": b'1,2\n"3","4"\n5,6\n',
+    "byte-order-mark": b"\xef\xbb\xbf1,2\n3,4\n",
+    "byte-order-mark-alone": b"\xef\xbb\xbf",
+    "byte-order-mark-mid-file": b"1,2\n\xef\xbb\xbf3,4\n",
 }
 
 
@@ -615,6 +628,12 @@ class TestMainEntry:
         assert status == EXIT_OK
         out = capsys.readouterr().out
         assert "estimator" in out
+
+    def test_fix_truth_option_is_gone(self, capsys):
+        # Every replication draws its own truth; there is no fixed-truth path.
+        status = main(["simulate", "--fix-truth"])
+        capsys.readouterr()
+        assert status == EXIT_CONFIG
 
     def test_include_gibbs_option_is_gone(self, capsys):
         # Every cell runs the whole battery, so there is no option to force Gibbs.

@@ -127,9 +127,7 @@ def harness_risks(monkeypatch, truth, estimates):
         mu_hat, sigma_hat = next(replies)
         return mu_hat, sigma_hat, {}
 
-    (report,) = run_experiment(
-        [(10, truth.p)], estimators={"stub": stub}, reps=len(estimates), fix_truth=True
-    )
+    (report,) = run_experiment([(10, truth.p)], estimators={"stub": stub}, reps=len(estimates))
     return report.mean_risk, report.sigma_risk
 
 
@@ -243,10 +241,6 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="not a numeric failure"):
             run_experiment([(20, 3)], estimators=ests, reps=2, seed=5)
 
-    def test_fixed_truth_flag(self):
-        reports = run_experiment([(20, 3)], NO_GIBBS, reps=2, seed=6, fix_truth=True)
-        assert all(np.isfinite(r.mean_risk) for r in reports)
-
     def test_newton_map_tracks_mle_risk(self):
         # The harness runs the fast MAP under the flat prior, where its
         # fixed point is the MLE, so the two risk columns nearly coincide.
@@ -303,6 +297,26 @@ class TestReporting:
         for rec in records:
             assert set(rec) >= {"n", "p", "estimator", "mean_risk", "sigma_risk",
                                 "ratio_vs_niw_mean", "ratio_vs_niw_sigma", "failures"}
+
+    def test_report_is_frozen_and_equal_only_to_itself(self):
+        # A report hashes and its failure counts are read-only; it compares by
+        # identity, since two runs of one cell differ in elapsed_seconds.
+        def broken(data, rng):
+            raise DegenerateDataError("boom")
+
+        kw = dict(grid=[(20, 3)], estimators={"mle": NO_GIBBS["mle"], "broken": broken},
+                  reps=2, seed=8)
+        first, second = run_experiment(**kw), run_experiment(**kw)
+        for report in first:
+            assert {report: None}
+            with pytest.raises(TypeError):
+                report.failure_types["X"] = 1
+        assert first[0] == first[0] and first[0] != second[0]
+        assert first[1].failure_types == {"DegenerateDataError": 2}
+        # The records hold a plain dict, which the CLI's JSON encoder writes.
+        rows = reports_to_records(first)
+        assert [type(row["failure_types"]) for row in rows] == [dict, dict]
+        assert rows[1]["failure_types"] == {"DegenerateDataError": 2}
 
     def test_record_keys_are_report_fields(self):
         reports = run_experiment([(20, 3)], NO_GIBBS, reps=1, seed=8)
