@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import EmptyChainError
-from .model import Fit, SampleSet, _as_vector, _frame_geometry, _polar
+from .model import Fit, SampleSet, _as_vector, _frame_geometry, _polar, _Record
 
 # The sampler's proposal variances square (lambda_i - 1) and Newton's Hessian
 # its bound constants, so the entries of H_N's diagonal and of each eigenvalue
@@ -42,13 +42,14 @@ _SCALE_MAX = math.sqrt(float(np.finfo(float).max))
 
 
 @dataclass(frozen=True, eq=False)
-class PriorConfig:
+class PriorConfig(_Record):
     """Hyperparameters of the mean-eigenvalue prior.
 
     ``h0_diag`` is the diagonal of the eigenvalue-scale matrix (leading entry
     conventionally one); ``a`` sets the inverse-gamma shape ``a - 1``.
-    Every value must be finite.  Degenerate values (``kappa0 = 0``,
-    ``h0_diag = 0``) are accepted so that prior-free limits can be exercised.
+    Every value must be finite, and the arrays are read-only.  Degenerate
+    values (``kappa0 = 0``, ``h0_diag = 0``) are accepted so that prior-free
+    limits can be exercised.
     """
 
     mu0: np.ndarray
@@ -65,14 +66,7 @@ class PriorConfig:
             raise ValueError("kappa0 must be >= 0")
         if np.any(h0 < 0.0):
             raise ValueError("h0_diag entries must be >= 0")
-        mu0 = mu0.copy()
-        h0 = h0.copy()
-        mu0.setflags(write=False)
-        h0.setflags(write=False)
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "kappa0", float(self.kappa0))
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "h0_diag", h0)
+        super().__post_init__(mu0=mu0, kappa0=float(self.kappa0), a=float(self.a), h0_diag=h0)
 
     @classmethod
     def default(cls, data: SampleSet) -> "PriorConfig":
@@ -323,7 +317,7 @@ class _FrameKernel:
 
 
 @dataclass(frozen=True, eq=False)
-class GibbsRun:
+class GibbsRun(_Record):
     """A collected chain as read-only arrays plus Metropolis-Hastings totals.
 
     Row ``j`` of each array is the state at the end of sweep ``j + 1``: the
@@ -391,8 +385,6 @@ def run_gibbs(
                 accepted += acc
             pt = state.point
             mus[j], lams[j], lps[j], counts[j] = pt.mu, lam, state.lp, accepted
-    for a in (mus, lams, lps, counts):
-        a.setflags(write=False)
     return GibbsRun(mus, lams, lps, counts, accepted=accepted, proposals=s * l)
 
 

@@ -14,7 +14,7 @@ completion every estimator takes, and :func:`structured_covariance`
 assembles ``Sigma``.  The estimators read the data in that completion
 through :meth:`SampleSet.scatter_diagonal`, without forming the basis.
 :class:`Fit` holds the direction ``u`` and the radius ``c0`` of the mean
-next to them.  ``Fit`` and ``SampleSet`` are frozen; the functions are pure.
+next to them.  ``Fit`` and ``SampleSet`` are read-only records; the functions are pure.
 """
 
 from __future__ import annotations
@@ -252,32 +252,57 @@ def structured_covariance(basis: np.ndarray, lam) -> np.ndarray:
 
 
 def _frozen(value):
-    """A list as a tuple and an array as a read-only copy; any other value as it is."""
-    if isinstance(value, list):
-        return tuple(value)
+    """``value`` made read-only: an array as a read-only copy (a read-only one that owns
+    its memory, which no other array can write, as it is), a list as a tuple, a mapping as
+    a read-only mapping over a copy with every value frozen, and a tuple with its arrays
+    made read-only in place; any other value as it is."""
     if isinstance(value, np.ndarray):
-        value = value.copy()
-        value.setflags(write=False)
+        if value.flags.writeable or not value.flags.owndata:
+            value = value.copy()
+            value.setflags(write=False)
+    elif isinstance(value, list):
+        value = tuple(value)
+    elif isinstance(value, Mapping):
+        value = MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    elif isinstance(value, tuple):
+        for a in value:
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
     return value
 
 
+class _Record:
+    """Base of the frozen result records: every field is stored through :func:`_frozen`, the
+    checked values a subclass passes to ``__post_init__`` in place of the given ones.  Pickle
+    and ``copy.deepcopy`` take a read-only mapping as a plain dict and freeze every value
+    again on load, so a copy is as read-only as the record."""
+
+    def __post_init__(self, **checked):
+        self.__setstate__({**vars(self), **checked})
+
+    def __getstate__(self):
+        return {k: dict(v) if isinstance(v, MappingProxyType) else v for k, v in vars(self).items()}
+
+    def __setstate__(self, state):
+        vars(self).update({k: _frozen(v) for k, v in state.items()})
+
+
 @dataclass(frozen=True, eq=False)
-class Fit:
+class Fit(_Record):
     """A constrained estimate ``mu = c0 u``, ``Sigma = P(u) diag(1, lambda) P(u)^T``.
 
     Every constrained estimator returns this shape, and construction checks
-    it.  ``u`` is a read-only copy of the direction as the estimator
-    completed it, unit within ``UNIT_TOL``; ``c0 >= 0`` is the radius.
-    ``basis`` is the read-only completion ``P(u)`` that :meth:`covariance`
-    reads (a writable one is copied), :meth:`SampleSet.completion` of ``u``.
-    ``spectrum`` is a read-only copy of the ``p - 1`` free eigenvalues,
-    each > 0 (the leading one is fixed at one).
+    it.  ``u`` is the direction as the estimator completed it, unit within
+    ``UNIT_TOL``; ``c0 >= 0`` is the radius.  ``basis`` is the ``p x p``
+    completion ``P(u)`` that :meth:`covariance` reads,
+    :meth:`SampleSet.completion` of ``u``.  ``spectrum`` holds the
+    ``p - 1`` free eigenvalues, each > 0 (the leading one is fixed at one).
     ``converged`` and ``outer_iterations`` describe an iterative fit (a
-    closed-form fit keeps the defaults); ``diagnostics`` is a read-only
-    mapping, over a copy of the one given, of the values particular to one
-    estimator, where a list is kept as a tuple and an array as a read-only
-    copy.  A fit may share its basis with the data (the MLE's basis is
-    the data's kept :attr:`SampleSet.frame`), so none of it can be written.
+    closed-form fit keeps the defaults); ``diagnostics`` is a mapping of the
+    values particular to one estimator.  Every value is stored read-only
+    (:class:`_Record`): a fit may share its basis with the data (the MLE's
+    basis is the data's kept :attr:`SampleSet.frame`), so none of it can be
+    written.
     """
 
     u: np.ndarray
@@ -290,6 +315,8 @@ class Fit:
 
     def __post_init__(self):
         p = self.basis.shape[0]
+        if self.basis.shape != (p, p):
+            raise DimensionMismatchError(f"basis has shape {self.basis.shape}, expected {(p, p)}")
         u = _direction(self.u, p)
         c0 = float(self.c0)
         if not c0 >= 0.0:
@@ -297,23 +324,7 @@ class Fit:
         lam = _as_vector(self.spectrum, "spectrum", p - 1)
         if not np.all(lam > 0.0):
             raise NonPositiveEigenvalueError(f"eigenvalues must be > 0, got {lam}")
-        u, lam = u.copy(), lam.copy()
-        u.setflags(write=False)
-        lam.setflags(write=False)
-        if self.basis.flags.writeable:  # an unpickled basis, or a caller's array
-            basis = self.basis.copy()
-            basis.setflags(write=False)
-            object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "spectrum", lam)
-        diagnostics = {k: _frozen(v) for k, v in self.diagnostics.items()}
-        object.__setattr__(self, "diagnostics", MappingProxyType(diagnostics))
-
-    def __reduce__(self):
-        # A mappingproxy cannot be pickled: rebuild the fit from a plain dict.
-        return (type(self), (self.u, self.c0, self.spectrum, self.basis, self.converged,
-                             self.outer_iterations, dict(self.diagnostics)))
+        super().__post_init__(u=u, c0=c0, spectrum=lam)
 
     @property
     def mu(self) -> np.ndarray:
@@ -326,7 +337,7 @@ class Fit:
 
 
 @dataclass(frozen=True, eq=False)
-class SampleSet:
+class SampleSet(_Record):
     """The sufficient statistics of an n x p data matrix ``X``: ``n``, ``xbar`` and ``a0``.
 
     Every estimator reads the data only through the row count, the sample
@@ -337,8 +348,8 @@ class SampleSet:
     array, copied only when it is not one.  The largest eigenvalue of
     ``a0``, the scatter about the mean, the :attr:`frame` and its statistics
     are computed on first use and kept; no fit is.  Instances compare and hash
-    by identity, since their fields are arrays, and an unpickled one is
-    read-only like the original.
+    by identity, since their fields are arrays, and an unpickled one, with
+    every kept value, is read-only like the original.
     """
 
     X: InitVar[np.ndarray]
@@ -364,18 +375,7 @@ class SampleSet:
             raise DegenerateDataError("data overflow: the mean or the scatter is not finite")
         xbar.setflags(write=False)
         a0.setflags(write=False)
-        object.__setattr__(self, "n", X.shape[0])
-        object.__setattr__(self, "xbar", xbar)
-        object.__setattr__(self, "a0", a0)
-
-    def __setstate__(self, state):
-        # Pickle restores arrays writable: freeze the statistics and every
-        # kept array (the frame, the scatter about the mean) again.
-        for value in state.values():
-            for a in value if isinstance(value, tuple) else (value,):
-                if isinstance(a, np.ndarray):
-                    a.setflags(write=False)
-        self.__dict__.update(state)
+        super().__post_init__(n=X.shape[0], xbar=xbar, a0=a0)
 
     @property
     def p(self) -> int:
@@ -449,12 +449,9 @@ class SampleSet:
         """The :attr:`frame`'s statistics that :meth:`scatter_diagonal` reads, read-only."""
         F = self.frame
         At, xt = F.T.dot(self.a0).dot(F), F.T.dot(self.xbar)
-        forms = _FrameForms(self.n, float(At[0, 0]), At[1:, 0].copy(),
-                            np.vstack([At[:, 1:], xt[1:]]),
-                            tail_quadratic_forms(self.a0, F[:, 1:]), float(xt[0]), xt[1:].copy())
-        for a in (forms.a_col, forms.a_w, forms.a_diag, forms.x_tail):
-            a.setflags(write=False)
-        return forms
+        return _frozen(_FrameForms(
+            self.n, float(At[0, 0]), At[1:, 0].copy(), np.vstack([At[:, 1:], xt[1:]]),
+            tail_quadratic_forms(self.a0, F[:, 1:]), float(xt[0]), xt[1:].copy()))
 
     @cached_property
     def _anchor(self) -> tuple[np.ndarray, np.ndarray]:
@@ -463,5 +460,4 @@ class SampleSet:
         u = evecs[:, 0] / _norm(evecs[:, 0])
         if u @ self.xbar < 0.0:
             u = -u
-        evals.setflags(write=False)
-        return evals, build_orthobasis(u)
+        return _frozen((evals, build_orthobasis(u)))

@@ -11,12 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatchError
-from .model import SampleSet, _as_vector
+from .model import SampleSet, _as_vector, _Record
 
 
 @dataclass(frozen=True, eq=False)
-class NiwParams:
-    """Updated hyperparameters of the normal-inverse-Wishart posterior."""
+class NiwParams(_Record):
+    """Updated hyperparameters of the normal-inverse-Wishart posterior; the arrays are read-only."""
 
     mu_n: np.ndarray
     kappa_n: float

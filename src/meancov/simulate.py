@@ -24,7 +24,14 @@ import numpy as np
 from .exceptions import MeanCovError, NonPositiveEigenvalueError
 from .gibbs import PriorConfig, map_from_chain, run_gibbs
 from .mle import fit_mle
-from .model import SampleSet, _polar, build_orthobasis, structured_covariance, tail_quadratic_forms
+from .model import (
+    SampleSet,
+    _polar,
+    _Record,
+    build_orthobasis,
+    structured_covariance,
+    tail_quadratic_forms,
+)
 from .newton_map import fit_map_newton
 from .niw import niw_map, niw_posterior
 
@@ -33,8 +40,8 @@ EstimatorFn = Callable[[SampleSet, np.random.Generator], tuple[np.ndarray, np.nd
 
 
 @dataclass(frozen=True, eq=False)
-class TruthSpec:
-    """A constrained truth pair for one replication; ``sigma_true`` is read-only."""
+class TruthSpec(_Record):
+    """A constrained truth pair for one replication; both arrays are read-only."""
 
     mu_true: np.ndarray
     sigma_true: np.ndarray
@@ -45,7 +52,7 @@ class TruthSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class RiskReport:
+class RiskReport(_Record):
     """Per-cell, per-estimator Monte-Carlo risk summary; ``failure_types`` is read-only."""
 
     n: int
@@ -214,7 +221,7 @@ def run_experiment(
                     sigma_risk=s_risk,
                     replications=len(passed),
                     failures=reps - len(passed),
-                    failure_types=MappingProxyType(dict(failed[name])),
+                    failure_types=failed[name],
                     elapsed_seconds=elapsed[name],
                     acceptance_rate=float(np.mean(accs)) if accs else None,
                     ratio_vs_niw_mean=ratio_m,

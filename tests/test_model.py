@@ -5,9 +5,11 @@ entry point shares."""
 import ast
 import copy
 import dataclasses
+import math
 import pickle
 import warnings
 import weakref
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,7 @@ from meancov import (
     map_lambda_update,
     niw_posterior,
     profile_loglik,
+    run_experiment,
     run_gibbs,
     structured_covariance,
     transport_frame,
@@ -265,6 +268,52 @@ class TestFitDiagnostics:
         assert not fit.basis.flags.writeable and basis.flags.writeable
         basis[0, 0] = 5.0
         assert fit.basis[0, 0] == 1.0
+
+
+def _broken_estimator(data, rng):
+    raise DegenerateDataError("always fails")
+
+
+# A record of each read-only type but Fit and SampleSet, which their own
+# tests cover, from the function that returns it, given a data set.
+RECORDS = {
+    "PriorConfig": PriorConfig.default,
+    "GibbsRun": lambda data: run_gibbs(data, PriorConfig.default(data), s=3, l=2,
+                                       rng=np.random.default_rng(0)),
+    "NiwParams": lambda data: niw_posterior(data, np.zeros(3), 1.5, 4.0, np.eye(3)),
+    "TruthSpec": lambda data: generate_truth(3, np.random.default_rng(0)),
+    "RiskReport": lambda data: run_experiment([(20, 3)], {"broken": _broken_estimator}, reps=2)[0],
+}
+
+
+def _same(a, b) -> bool:
+    """``a == b`` for a record's field: arrays entrywise, NaN equal to NaN."""
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_read_only_when_built_pickled_and_deep_copied(self, name):
+        record = RECORDS[name](simulated_data(20, 3, seed=50))
+        names = [f.name for f in dataclasses.fields(record)]
+        copies = (pickle.loads(pickle.dumps(record)), copy.deepcopy(record))
+        for other in copies:
+            assert type(other) is type(record)
+            assert all(_same(getattr(other, k), getattr(record, k)) for k in names)
+        frozen = [v for v in (getattr(record, k) for k in names)
+                  if isinstance(v, (np.ndarray, Mapping))]
+        assert frozen  # each record has an array or a mapping to check
+        for rec in (record, *copies):
+            for value in (getattr(rec, k) for k in names):
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable
+                    with pytest.raises(ValueError):
+                        value.flat[0] = 0.0
+                elif isinstance(value, Mapping):
+                    with pytest.raises(TypeError):
+                        value["x"] = 1
 
 
 class TestBuildOrthobasis:
@@ -857,6 +906,11 @@ class TestInputChecks:
         call(args)
         with pytest.raises(DimensionMismatchError):
             call(dict(args, **{arg: _resized(args[arg], delta)}))
+
+    def test_a_basis_that_is_not_p_by_p_is_a_dimension_mismatch(self):
+        # A p x (p - 1) basis would fail only in covariance(), on NumPy's matmul.
+        with pytest.raises(DimensionMismatchError, match="basis has shape"):
+            Fit(u=np.array([1.0, 0.0, 0.0]), c0=1.0, spectrum=np.ones(2), basis=np.eye(3)[:, :2])
 
     @pytest.mark.parametrize("closed_form", [estimate_c0, estimate_lambdas, profile_loglik,
                                              lower_bound_h])
