@@ -11,12 +11,13 @@ point (see :func:`_variances`).  The completion ``P(mu)`` is the data's
 frame ``P(u_hat)`` carried to ``mu / ||mu||``
 (:meth:`meancov.model.SampleSet.completion`), as in the Newton MAP.
 
-Cost model: every ``H_N`` diagonal, in the sampler as in :func:`hn_diagonal`,
-:func:`map_from_chain` and the Newton refreshes, is one rank-one formula on
-the frame's statistics (``SampleSet._forms``), O(p^2) with no basis formed.
-The MH updates run in the frame's coordinates (:class:`_FrameKernel`), so a
-proposal takes two matrix-vector products and O(p) work; the eigenvalue
-terms are computed once per sweep.  One proposal takes 25-30 us at best at
+One private object, :class:`_Posterior`, assembles ``H_N``'s diagonal with
+its prior terms and the log density, for the sampler as for the public
+helpers, :func:`map_from_chain` and the Newton refreshes: one rank-one
+formula on the frame's statistics (``SampleSet._forms``), O(p^2) with no
+basis formed.  The MH updates run in the frame's coordinates, so a proposal
+takes two matrix-vector products and O(p) work; the eigenvalue terms are
+computed once per sweep.  One proposal takes 25-30 us at best at
 p = 3 to 50 (x86-64 2-vCPU VM, NumPy 2.4, OpenBLAS on one thread), nearly
 all of it the fixed cost of about fifty NumPy calls on short vectors.
 Seeded chains are reproducible bit for bit.  A run, :class:`GibbsRun`,
@@ -87,49 +88,6 @@ def _check_scale(x: np.ndarray, what: str) -> None:
                          f"{_SCALE_MAX:.3g}; kappa0 or H0 is too large for these data")
 
 
-def _hn(data: SampleSet, u: np.ndarray, c0: float, prior: PriorConfig) -> np.ndarray:
-    """Diagonal of ``H_N`` at the mean ``c0 u``, in the data's completion of its direction.
-
-    ``H_N = P^T A(mu) P + kappa0 (mu - mu0)(mu - mu0)^T + H0``, the prior
-    terms added in ambient components (so the trace against ``D^{-1}`` is the
-    componentwise normal prior on the mean), the data's part from
-    :meth:`~meancov.model.SampleSet.scatter_diagonal` (``-u`` where
-    ``c0 < 0``).  An overflowing prior raises ``ValueError``, with no warning,
-    and one of another dimension ``DimensionMismatchError``.
-    """
-    _check_prior(data, prior)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        d = c0 * u - prior.mu0
-        hn = data.scatter_diagonal(u, c0) + prior.kappa0 * (d * d) + prior.h0_diag
-    _check_scale(hn, "H_N's diagonal")
-    return hn
-
-
-def _log_lam_term(data: SampleSet, lam: np.ndarray, prior: PriorConfig) -> float:
-    """``-((n + 1 + 2a)/2) sum_i log lambda_i``, the part of the log posterior
-    that depends on ``lambda`` alone."""
-    return -0.5 * (data.n + 1.0 + 2.0 * prior.a) * np.log(lam).sum()
-
-
-def _log_density(hn: np.ndarray, lam: np.ndarray, lam_term: float) -> float:
-    """:func:`log_posterior` from the diagonal ``hn`` of ``H_N`` and the
-    :func:`_log_lam_term` of ``lam``."""
-    return float(lam_term - 0.5 * (hn[0] + (hn[1:] / lam).sum()))
-
-
-def _lambda_shape(data: SampleSet, prior: PriorConfig) -> float:
-    """Shape ``(n + 2a - 1)/2`` of each eigenvalue's full conditional."""
-    return 0.5 * (data.n + 2.0 * prior.a - 1.0)
-
-
-def _lambda_mode(data: SampleSet, hn: np.ndarray, prior: PriorConfig) -> np.ndarray:
-    """Mode ``c*_i / (n + 1 + 2a)`` of each eigenvalue's full conditional (``n + 1 + 2a > 0``)."""
-    t = data.n + 1.0 + 2.0 * prior.a
-    if not t > 0.0:
-        raise ValueError(f"n + 1 + 2a must be > 0 for an eigenvalue mode, got {t}")
-    return hn[1:] / t
-
-
 def _draw_lambda(shape: float, scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Inverse-gamma draws with a common shape and per-coordinate scales."""
     if shape <= 0.0:
@@ -139,8 +97,8 @@ def _draw_lambda(shape: float, scales: np.ndarray, rng: np.random.Generator) -> 
 
 def hn_diagonal(data: SampleSet, mu, prior: PriorConfig) -> np.ndarray:
     """Diagonal of ``H_N`` at a nonzero ``mu`` in the data's completion of its
-    direction (see :func:`_hn`; ``ZeroMeanError`` at a zero mean)."""
-    return _hn(data, *_polar(_as_vector(mu, "mu", data.p)), prior)
+    direction (see :meth:`_Posterior.hn`; ``ZeroMeanError`` at a zero mean)."""
+    return _Posterior(data, prior).hn(*_polar(_as_vector(mu, "mu", data.p)))
 
 
 def log_posterior(data: SampleSet, mu, lam, prior: PriorConfig) -> float:
@@ -150,7 +108,9 @@ def log_posterior(data: SampleSet, mu, lam, prior: PriorConfig) -> float:
     ``D = diag(1, lambda)``; the additive constant is fixed at zero.
     """
     lam = _as_vector(lam, "lam", data.p - 1)
-    return _log_density(hn_diagonal(data, mu, prior), lam, _log_lam_term(data, lam, prior))
+    post = _Posterior(data, prior)
+    hn = post.hn(*_polar(_as_vector(mu, "mu", data.p)))
+    return post.log_density(hn[0], hn[1:], post.sweep(lam))
 
 
 def lambda_conditional_params(
@@ -162,7 +122,8 @@ def lambda_conditional_params(
     ``(n + 2a - 1)/2`` and scale ``c*_i / 2`` where ``c*_i`` is the
     corresponding trailing diagonal entry of ``H_N``.
     """
-    return _lambda_shape(data, prior), 0.5 * hn_diagonal(data, mu, prior)[1:]
+    post = _Posterior(data, prior)
+    return post.shape, 0.5 * post.hn(*_polar(_as_vector(mu, "mu", data.p)))[1:]
 
 
 def draw_lambda_conditional(
@@ -205,20 +166,8 @@ def _variances(n: int, c2: float, eig: np.ndarray, gap2: np.ndarray) -> np.ndarr
     return eig / ((gap2 + c2) * (n / c2))
 
 
-def _sweep(data: SampleSet, lam: np.ndarray, prior: PriorConfig) -> tuple:
-    """The terms ``(lam, eig, gap2, lam_term, 1 / lam)`` every MH step of a
-    sweep with eigenvalues ``lam`` shares: ``eig = (1, lam)`` and
-    ``gap2 = (eig - 1)^2`` for :func:`_variances`, and the
-    :func:`_log_lam_term` of ``lam``."""
-    eig = np.empty(lam.size + 1)
-    eig[0] = 1.0
-    eig[1:] = lam
-    gap = eig - 1.0
-    return lam, eig, gap * gap, _log_lam_term(data, lam, prior), 1.0 / lam
-
-
 class _Point(NamedTuple):
-    """A point of :class:`_FrameKernel`: its frame coordinates ``(m0, mt)``,
+    """A point of :class:`_Posterior`: its frame coordinates ``(m0, mt)``,
     its geometry ``(c, s, b)``, ``c2 = ||m||^2``, the ambient mean ``mu`` and
     the diagonal of ``H_N`` split as leading entry ``hn0`` and tail ``hnt``."""
 
@@ -234,7 +183,7 @@ class _Point(NamedTuple):
 
 
 class _State(NamedTuple):
-    """An MH state of :class:`_FrameKernel`: its point, the proposal variances
+    """An MH state of :class:`_Posterior`: its point, the proposal variances
     ``d`` of the sweep's eigenvalues, ``log_det = sum log d`` and the log
     posterior ``lp``."""
 
@@ -244,46 +193,85 @@ class _State(NamedTuple):
     lp: float
 
 
-class _FrameKernel:
-    """The MH update of the mean, in the coordinates of the data's frame ``F``.
+class _Posterior:
+    """The posterior of ``(mu, lambda)`` given the data under the prior: the one
+    assembly of ``H_N``'s diagonal, its prior terms and the log density.
 
-    A mean ``mu`` is carried as ``m = F^T mu``, split into its leading
-    coordinate ``m0`` (a float) and its tail ``mt``.  The completion of
-    ``u = m / ||m||`` is then ``F^T P(u) = [u | E + a b^T]`` with
-    ``u = (c, s b)`` and ``a = (-s, (c - 1) b)`` (``model._FrameForms``), so
-    the forward step ``P z``, the reverse ``P^T (mu - mu*)`` and the
-    diagonal of ``P^T A(mu) P`` are rank-one updates; ``H0``'s tail is added
-    to the frame's tail forms once per run.  The ambient mean ``F m`` is
-    formed per state, for the prior terms and the chain.  Points are
-    :class:`_Point` and MH states :class:`_State`.
+    ``H_N = P^T A(mu) P + kappa0 (mu - mu0)(mu - mu0)^T + H0`` in the data's
+    completion ``P`` of the mean's direction.  The data's part is read off
+    the frame's statistics (``model._FrameForms``), into whose tail forms
+    ``H0``'s tail is folded once; :meth:`_diagonal`, which :meth:`hn` and
+    :meth:`point` call, adds the other prior terms in ambient components
+    (the componentwise normal prior on the mean).
+
+    The MH update of the mean runs in the frame's coordinates: a mean is
+    carried as ``m = F^T mu = (m0, mt)``, and the completion of
+    ``u = m / ||m||`` is ``F^T P(u) = [u | E + a b^T]`` with ``u = (c, s b)``
+    and ``a = (-s, (c - 1) b)``, so the forward step ``P z``, the reverse
+    ``P^T (mu - mu*)`` and the diagonal of ``P^T A(mu) P`` are rank-one
+    updates.  Points are :class:`_Point` and MH states :class:`_State`.
     """
 
     def __init__(self, data: SampleSet, prior: PriorConfig):
         _check_prior(data, prior)
-        F = data.frame
-        forms = data._forms
-        h0 = prior.h0_diag
-        self.n = data.n
+        F, forms, h0 = data.frame, data._forms, prior.h0_diag
+        self.data = data
         self.forms = forms._replace(a_diag=forms.a_diag + h0[1:])
         self.h00 = float(h0[0])
         self.f0, self.f_tail = F[:, 0].copy(), np.ascontiguousarray(F[:, 1:])
         self.mu0, self.kappa0 = prior.mu0, prior.kappa0
+        self.t = data.n + 1.0 + 2.0 * prior.a
+        self.shape = 0.5 * (data.n + 2.0 * prior.a - 1.0)  # of each eigenvalue's conditional
+
+    def _diagonal(self, c, s, b, c0, mu) -> tuple[float, np.ndarray]:
+        """The leading entry and the tail of ``H_N``'s diagonal at the mean ``mu`` of
+        radius ``c0 >= 0``, whose direction has frame coordinates ``(c, s b)``."""
+        hn0, tail = self.forms.diagonal(c, s, b, c0)
+        dm = mu - self.mu0
+        kd = self.kappa0 * (dm * dm)
+        return hn0 + float(kd[0]) + self.h00, tail + kd[1:]
+
+    def hn(self, u: np.ndarray, c0: float) -> np.ndarray:
+        """Diagonal of ``H_N`` at the mean ``c0 u`` in the data's completion of its
+        direction, ``-u`` where ``c0 < 0`` (:meth:`SampleSet._geometry`); an
+        overflow raises ``ValueError``, with no warning."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            hn0, tail = self._diagonal(*self.data._geometry(u, c0), c0 * u)
+        hn = np.concatenate(([hn0], tail))
+        _check_scale(hn, "H_N's diagonal")
+        return hn
+
+    def mode(self, hn: np.ndarray) -> np.ndarray:
+        """Mode ``c*_i / (n + 1 + 2a)`` of each eigenvalue's full conditional at the
+        diagonal ``hn`` of ``H_N`` (``n + 1 + 2a > 0``)."""
+        if not self.t > 0.0:
+            raise ValueError(f"n + 1 + 2a must be > 0 for an eigenvalue mode, got {self.t}")
+        return hn[1:] / self.t
+
+    def sweep(self, lam: np.ndarray) -> tuple:
+        """The terms ``(eig, gap2, lam_term, 1 / lam)`` every state of a sweep with
+        eigenvalues ``lam`` shares: ``eig = (1, lam)`` and ``gap2 = (eig - 1)^2`` for
+        :func:`_variances`, and ``lam_term = -((n + 1 + 2a)/2) sum_i log lambda_i``."""
+        eig = np.concatenate(([1.0], lam))
+        gap = eig - 1.0
+        return eig, gap * gap, -0.5 * self.t * np.log(lam).sum(), 1.0 / lam
+
+    def log_density(self, hn0: float, hnt: np.ndarray, sweep: tuple) -> float:
+        """:func:`log_posterior` from the leading entry ``hn0`` and the tail ``hnt`` of
+        ``H_N``'s diagonal and the :meth:`sweep` terms of ``lambda``."""
+        _, _, lam_term, inv_lam = sweep
+        return float(lam_term - 0.5 * (hn0 + float(hnt.dot(inv_lam))))
 
     def point(self, m0: float, mt: np.ndarray) -> _Point:
         """The point at frame coordinates ``(m0, mt)`` (``ZeroMeanError`` at a zero mean)."""
         c0, c, s, b = _frame_geometry(m0, mt)
-        hn0, tail = self.forms.diagonal(c, s, b, c0)
         mu = self.f_tail.dot(mt) + m0 * self.f0
-        dm = mu - self.mu0
-        kd = self.kappa0 * (dm * dm)
-        return _Point(m0, mt, c, s, b, c0 * c0, mu, hn0 + float(kd[0]) + self.h00, tail + kd[1:])
+        return _Point(m0, mt, c, s, b, c0 * c0, mu, *self._diagonal(c, s, b, c0, mu))
 
     def state(self, pt: _Point, sweep: tuple) -> _State:
-        """The MH state of the point ``pt`` under the sweep terms ``sweep`` (see :func:`_sweep`)."""
-        lam, eig, gap2, lam_term, inv_lam = sweep
-        d = _variances(self.n, pt.c2, eig, gap2)
-        lp = lam_term - 0.5 * (pt.hn0 + float(pt.hnt.dot(inv_lam)))
-        return _State(pt, d, math.fsum(np.log(d).tolist()), lp)
+        """The MH state of the point ``pt`` under the :meth:`sweep` terms ``sweep``."""
+        d = _variances(self.data.n, pt.c2, *sweep[:2])
+        return _State(pt, d, math.fsum(np.log(d).tolist()), self.log_density(pt.hn0, pt.hnt, sweep))
 
     def step(self, state: _State, sweep: tuple, rng) -> tuple[_State, bool]:
         """One MH update from ``state``; returns the next state and whether the proposal
@@ -356,15 +344,16 @@ def run_gibbs(
     from their full conditional and then applies ``l`` MH updates to the
     mean.  No starting eigenvalues are taken: the first sweep draws them
     before they are used.  The updates run in the coordinates of the data's
-    frame (see :class:`_FrameKernel`); the chain holds the ambient means.
+    frame (see :class:`_Posterior`); the chain holds the ambient means.  Data
+    whose sample mean is zero (norm below ``UNIT_TOL``) have no start point
+    and raise ``ZeroMeanError``.
     """
     if s < 1:
         raise ValueError("need at least one posterior sample (s >= 1)")
     if l < 1:
         raise ValueError("need at least one inner MH step (l >= 1)")
 
-    kern = _FrameKernel(data, prior)
-    shape = _lambda_shape(data, prior)
+    post = _Posterior(data, prior)
     mus = np.empty((s, data.p))
     lams = np.empty((s, data.p - 1))
     lps = np.empty(s)
@@ -374,14 +363,14 @@ def run_gibbs(
     # the eigenvalue draw, which every state of a sweep squares, is checked
     # once per sweep.
     with np.errstate(over="ignore", invalid="ignore"):
-        pt = kern.point(kern.forms.x0, kern.forms.x_tail)
+        pt = post.point(post.forms.x0, post.forms.x_tail)
         for j in range(s):
-            lam = _draw_lambda(shape, 0.5 * pt.hnt, rng)
+            lam = _draw_lambda(post.shape, 0.5 * pt.hnt, rng)
             _check_scale(lam, "an eigenvalue draw")
-            sweep = _sweep(data, lam, prior)
-            state = kern.state(pt, sweep)
+            sweep = post.sweep(lam)
+            state = post.state(pt, sweep)
             for _ in range(l):
-                state, acc = kern.step(state, sweep, rng)
+                state, acc = post.step(state, sweep, rng)
                 accepted += acc
             pt = state.point
             mus[j], lams[j], lps[j], counts[j] = pt.mu, lam, state.lp, accepted
@@ -396,10 +385,11 @@ def map_from_chain(run: GibbsRun, data: SampleSet, prior: PriorConfig) -> Fit:
     again), and replaces its eigenvalue draw with the mode of the eigenvalue
     full conditional at that mean, ``c*_i / (n + 1 + 2a)``.  The mean is
     normalised once into ``u``; ``H_N``'s diagonal is read in the data's
-    completion of ``u`` (:func:`_hn`), the fit's basis.
+    completion of ``u`` (:meth:`_Posterior.hn`), the fit's basis.
     """
     if not len(run.log_posterior):
         raise EmptyChainError("cannot extract a MAP estimate from an empty chain")
     u, c0 = _polar(_as_vector(run.mu[int(np.argmax(run.log_posterior))], "the chain's mu", data.p))
-    lam_hat = _lambda_mode(data, _hn(data, u, c0, prior), prior)
+    post = _Posterior(data, prior)
+    lam_hat = post.mode(post.hn(u, c0))
     return Fit(u=u, c0=c0, spectrum=lam_hat, basis=data.completion(u))

@@ -294,8 +294,8 @@ class Fit(_Record):
     Every constrained estimator returns this shape, and construction checks
     it.  ``u`` is the direction as the estimator completed it, unit within
     ``UNIT_TOL``; ``c0 >= 0`` is the radius.  ``basis`` is the ``p x p``
-    completion ``P(u)`` that :meth:`covariance` reads,
-    :meth:`SampleSet.completion` of ``u``.  ``spectrum`` holds the
+    completion ``P(u)`` that :meth:`covariance` reads, whose column 0 is ``u``
+    bit for bit: :meth:`SampleSet.completion` of ``u``.  ``spectrum`` holds the
     ``p - 1`` free eigenvalues, each > 0 (the leading one is fixed at one).
     ``converged`` and ``outer_iterations`` describe an iterative fit (a
     closed-form fit keeps the defaults); ``diagnostics`` is a mapping of the
@@ -318,6 +318,8 @@ class Fit(_Record):
         if self.basis.shape != (p, p):
             raise DimensionMismatchError(f"basis has shape {self.basis.shape}, expected {(p, p)}")
         u = _direction(self.u, p)
+        if not np.array_equal(self.basis[:, 0], u):
+            raise DimensionMismatchError("the basis's first column is not u")
         c0 = float(self.c0)
         if not c0 >= 0.0:
             raise NegativeRadiusError(f"radius c0 must be >= 0, got {c0}")
@@ -436,13 +438,19 @@ class SampleSet(_Record):
         ``A(0)``, read off the frame's statistics with one product ``F^T u``,
         in O(p^2); at the frame's own direction, the frame's tail forms.
         """
+        hn0, tail = self._forms.diagonal(*self._geometry(u, c0))
+        return np.concatenate(([hn0], tail))
+
+    def _geometry(self, u, c0: float) -> tuple[float, float, np.ndarray, float]:
+        """``(c, s, b, |c0|)`` of the mean ``c0 u`` for :meth:`_FrameForms.diagonal`:
+        ``F^T u' = (c, s b)`` (:func:`_frame_geometry`) for its direction ``u'``,
+        ``u`` where ``c0 >= 0``, ``-u`` where ``c0 < 0``; ``u`` is checked unit."""
         u = _direction(u, self.p)
         if c0 < 0.0:
             u, c0 = -u, -c0
         ut = self.frame.T.dot(u)
         _, c, s, b = _frame_geometry(float(ut[0]), ut[1:])
-        hn0, tail = self._forms.diagonal(c, s, b, c0)
-        return np.concatenate(([hn0], tail))
+        return c, s, b, c0
 
     @cached_property
     def _forms(self) -> _FrameForms:

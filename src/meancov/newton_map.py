@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gibbs import PriorConfig, _check_prior, _hn, _lambda_mode
+from .gibbs import PriorConfig, _check_prior, _Posterior
 from .mle import fit_mle
 from .model import Fit, SampleSet, _as_vector, _norm, _polar
 
@@ -49,7 +49,8 @@ def map_lambda_update(data: SampleSet, u, c0: float, prior: PriorConfig) -> np.n
     (:meth:`~meancov.model.SampleSet.scatter_diagonal`).  An overflowing
     prior raises ``ValueError``.
     """
-    return _lambda_mode(data, _hn(data, _as_vector(u, "u", data.p), c0, prior), prior)
+    post = _Posterior(data, prior)
+    return post.mode(post.hn(_as_vector(u, "u", data.p), c0))
 
 
 def _surrogate_terms(data: SampleSet, u, c0: float, prior: PriorConfig):

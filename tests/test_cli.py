@@ -562,6 +562,20 @@ class TestDispatch:
         assert status == EXIT_NUMERIC
         assert doc["error"]["category"] == "numeric"
 
+    def test_gibbs_on_data_with_zero_mean_is_numeric(self, tmp_path):
+        # The chain starts at xbar, which has no direction when it is zero;
+        # the Newton MAP fits the same data.
+        half = np.random.default_rng(3).integers(-9, 10, size=(20, 3)).astype(float)
+        path = tmp_path / "zero_mean.csv"
+        write_csv(path, np.vstack([half, -half]))
+        cfg = RunConfig(command="fit-map-gibbs", input_path=str(path), gibbs_s=10, gibbs_l=2)
+        status, doc = run(cfg)
+        assert status == EXIT_NUMERIC
+        assert doc["error"] == {"category": "numeric",
+                                "message": "cannot factor a zero mean vector into c0 * u"}
+        status, doc = run(RunConfig(command="fit-map-newton", input_path=str(path)))
+        assert status == EXIT_OK
+
     def test_gibbs_fits_rank_deficient_data(self, tmp_path):
         # The sampler's frame needs no rank: data in a plane, which the MLE
         # rejects, still give a Gibbs MAP.

@@ -27,14 +27,7 @@ from meancov import (
     transport_frame,
 )
 from meancov import model as model_module
-from meancov.gibbs import (
-    _FrameKernel,
-    _lambda_mode,
-    _log_density,
-    _log_lam_term,
-    _sweep,
-    lambda_conditional_params,
-)
+from meancov.gibbs import _Posterior, lambda_conditional_params
 from conftest import hn_diagonal_reference, simulated_data, simulated_rows
 
 
@@ -66,8 +59,8 @@ def _step_state(data, mu, lam, prior):
     The state's point is at the frame coordinates ``F^T mu``; its ambient
     mean ``F F^T mu`` is ``mu`` to rounding.
     """
-    kern = _FrameKernel(data, prior)
-    sweep = _sweep(data, lam, prior)
+    kern = _Posterior(data, prior)
+    sweep = kern.sweep(lam)
     m = data.frame.T.dot(mu)
     return kern, sweep, kern.state(kern.point(float(m[0]), m[1:].copy()), sweep)
 
@@ -150,7 +143,8 @@ def effective_sample_size(x) -> float:
 
 def profiled_log_posterior(data, mu, prior) -> float:
     """The log posterior at ``mu`` with each eigenvalue at its conditional mode."""
-    return log_posterior(data, mu, _lambda_mode(data, hn_diagonal(data, mu, prior), prior), prior)
+    lam = _Posterior(data, prior).mode(hn_diagonal(data, mu, prior))
+    return log_posterior(data, mu, lam, prior)
 
 
 def _small_rows():
@@ -243,7 +237,7 @@ class TestHnMatrix:
         with pytest.raises(DimensionMismatchError):
             hn_diagonal(data, np.zeros(4), prior)
         calls = []
-        monkeypatch.setattr(model_module.SampleSet, "scatter_diagonal",
+        monkeypatch.setattr(model_module.SampleSet, "_geometry",
                             lambda self, u, c0: calls.append(u))
         with pytest.raises(DimensionMismatchError):
             hn_diagonal(data, np.ones(4), prior)
@@ -491,7 +485,7 @@ class TestMhStep:
         prior = PriorConfig.default(data)
         mu = -2.0 * fit_mle(data).u
         m = data.frame.T.dot(mu)
-        pt = _FrameKernel(data, prior).point(float(m[0]), m[1:].copy())
+        pt = _Posterior(data, prior).point(float(m[0]), m[1:].copy())
         assert pt.s == 0.0 and not pt.b.any()
         np.testing.assert_allclose(np.concatenate(([pt.hn0], pt.hnt)),
                                    hn_diagonal(data, mu, prior), rtol=1e-12)
@@ -638,16 +632,18 @@ class TestFrameCompletion:
         step[i], step[j] = 1e-9 * np.sign(mu[i]), -1e-9 * np.sign(mu[j])
         above, below = mu + step, mu - step
         assert np.argmax(np.abs(above)) == i and np.argmax(np.abs(below)) == j
-        lam = _lambda_mode(data, hn_diagonal(data, mu, prior), prior)
+        post = _Posterior(data, prior)
+        lam = post.mode(hn_diagonal(data, mu, prior))
         jump = log_posterior(data, above, lam, prior) - log_posterior(data, below, lam, prior)
         assert abs(jump) < 1e-5  # measured 1.2e-7 to 7.5e-7
 
         # The same posterior in the canonical completion jumps by 4.8 to 55.
-        lam_term = _log_lam_term(data, lam, prior)
+        sweep = post.sweep(lam)
 
         def canonical(x):
             P = build_orthobasis(x / np.linalg.norm(x))
-            return _log_density(hn_diagonal_reference(data, x, P, prior), lam, lam_term)
+            hn = hn_diagonal_reference(data, x, P, prior)
+            return post.log_density(hn[0], hn[1:], sweep)
 
         assert abs(canonical(above) - canonical(below)) > 1.0
 
@@ -707,6 +703,7 @@ class TestEntryPoints:
                             h0_diag=np.linspace(1.0, 2.0, p))
         rng = np.random.default_rng(71)
         t = data.n + 1.0 + 2.0 * prior.a
+        post = _Posterior(data, prior)
         for scale in (0.1, 1.0, 3.0):
             mu = data.xbar + scale * rng.standard_normal(p)
             c0 = np.linalg.norm(mu)
@@ -716,7 +713,7 @@ class TestEntryPoints:
             lam = rng.uniform(0.5, 3.0, p - 1)
             np.testing.assert_allclose(hn_diagonal(data, mu, prior), hn, rtol=1e-12)
             assert log_posterior(data, mu, lam, prior) == pytest.approx(
-                _log_density(hn, lam, _log_lam_term(data, lam, prior)), rel=1e-12)
+                post.log_density(hn[0], hn[1:], post.sweep(lam)), rel=1e-12)
             shape, scales = lambda_conditional_params(data, mu, prior)
             assert shape == 0.5 * (data.n + 2.0 * prior.a - 1.0)
             np.testing.assert_allclose(scales, 0.5 * hn[1:], rtol=1e-12)
@@ -731,6 +728,36 @@ class TestEntryPoints:
             quad = u @ data.scatter_about_mean() @ u
             expected = -0.5 * data.n * np.log(q / data.n).sum() - 0.5 * (quad + data.n * (p - 1))
             assert profile_loglik(data, u) == pytest.approx(expected, rel=1e-12)
+
+    def test_every_reader_of_hn_goes_through_the_one_assembly(self, small_case, monkeypatch):
+        # H_N's diagonal and its prior terms are assembled in one place,
+        # _Posterior._diagonal; a second assembly would leave a reader that
+        # never reaches it.
+        data, prior = small_case
+        mu, lam = data.xbar, np.array([12.0, 9.0])
+        run = run_gibbs(data, prior, s=3, l=2, rng=np.random.default_rng(0))
+        diagonal, calls = _Posterior._diagonal, []
+
+        def counted(self, *args):
+            calls.append(1)
+            return diagonal(self, *args)
+
+        monkeypatch.setattr(_Posterior, "_diagonal", counted)
+        readers = {
+            "hn_diagonal": lambda: hn_diagonal(data, mu, prior),
+            "log_posterior": lambda: log_posterior(data, mu, lam, prior),
+            "lambda_conditional_params": lambda: lambda_conditional_params(data, mu, prior),
+            "draw_lambda_conditional": lambda: draw_lambda_conditional(
+                data, mu, prior, np.random.default_rng(0)),
+            "map_from_chain": lambda: map_from_chain(run, data, prior),
+            "map_lambda_update": lambda: map_lambda_update(
+                data, mu / np.linalg.norm(mu), 1.0, prior),
+            "run_gibbs": lambda: run_gibbs(data, prior, s=3, l=2, rng=np.random.default_rng(0)),
+        }
+        for name, read in readers.items():
+            calls.clear()
+            read()
+            assert calls, f"{name} assembles H_N elsewhere"
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_newton_fits_data_with_zero_radius(self, p):
@@ -747,6 +774,9 @@ class TestEntryPoints:
             assert np.all(np.isfinite(fit.spectrum)) and np.all(fit.spectrum > 0.0)
             np.testing.assert_allclose(
                 fit.spectrum, map_lambda_update(data, fit.u, fit.c0, prior), rtol=1e-12)
+            # The sampler starts at xbar, which has no direction here.
+            with pytest.raises(ZeroMeanError):
+                run_gibbs(data, prior, s=5, l=2, rng=np.random.default_rng(0))
 
 
 def _chain(mus, lams, lps) -> GibbsRun:

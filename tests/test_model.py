@@ -912,6 +912,12 @@ class TestInputChecks:
         with pytest.raises(DimensionMismatchError, match="basis has shape"):
             Fit(u=np.array([1.0, 0.0, 0.0]), c0=1.0, spectrum=np.ones(2), basis=np.eye(3)[:, :2])
 
+    def test_a_basis_that_does_not_complete_u_is_a_dimension_mismatch(self):
+        # Sigma u = u holds only if the basis's first column is u: here
+        # covariance() @ u would be (0, 4).
+        with pytest.raises(DimensionMismatchError, match="first column is not u"):
+            Fit(u=np.array([0.0, 1.0]), c0=1.0, spectrum=np.array([4.0]), basis=np.eye(2))
+
     @pytest.mark.parametrize("closed_form", [estimate_c0, estimate_lambdas, profile_loglik,
                                              lower_bound_h])
     def test_the_mles_closed_forms_take_a_unit_direction(self, args, closed_form):

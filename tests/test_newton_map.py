@@ -23,11 +23,7 @@ from meancov import (
 )
 from meancov import model as model_module
 from meancov import newton_map
-from meancov.gibbs import (
-    _log_density,
-    _log_lam_term,
-    lambda_conditional_params,
-)
+from meancov.gibbs import _Posterior, lambda_conditional_params
 from conftest import hn_diagonal_reference, random_unit, simulated_data
 
 
@@ -78,8 +74,13 @@ class TestC0Update:
             # the direction -u, whose carried frame is not [-u | V(u)].
             h = 0.25
             P = transport_frame(data.frame, u)
-            lam_term = _log_lam_term(data, lam, prior)
-            f = lambda c: _log_density(hn_diagonal_reference(data, c * u, P, prior), lam, lam_term)
+            post = _Posterior(data, prior)
+            sweep = post.sweep(lam)
+
+            def f(c):
+                hn = hn_diagonal_reference(data, c * u, P, prior)
+                return post.log_density(hn[0], hn[1:], sweep)
+
             c_pos = abs(c0) + 2.0 * h
             assert f(c_pos) == pytest.approx(log_posterior(data, c_pos * u, lam, prior), rel=1e-12)
             lo, mid, hi = f(c0 - h), f(c0), f(c0 + h)

@@ -58,6 +58,8 @@ class TestNiwPosterior:
         data = simulated_data(6, 3, seed=55)
         with pytest.raises(DimensionMismatchError):
             niw_posterior(data, mu0=np.zeros(2), kappa0=1.0, nu0=4.0, Lambda0=np.eye(3))
+        with pytest.raises(DimensionMismatchError, match="Lambda0 has shape"):
+            niw_posterior(data, mu0=np.zeros(3), kappa0=1.0, nu0=4.0, Lambda0=np.eye(2))
         with pytest.raises(ValueError):
             niw_posterior(data, mu0=np.zeros(3), kappa0=0.0, nu0=4.0, Lambda0=np.eye(3))
         good = dict(mu0=np.zeros(3), kappa0=1.0, nu0=4.0, Lambda0=np.eye(3))
