@@ -14,7 +14,7 @@ frame ``P(u_hat)`` carried to ``mu / ||mu||``
 One private object, :class:`_Posterior`, assembles ``H_N``'s diagonal with
 its prior terms and the log density, for the sampler as for the public
 helpers, :func:`map_from_chain` and the Newton refreshes: one rank-one
-formula on the frame's statistics (``SampleSet._forms``), O(p^2) with no
+formula on the frame's statistics (``SampleSet._frame``), O(p^2) with no
 basis formed.  The MH updates run in the frame's coordinates, so a proposal
 takes two matrix-vector products and O(p) work; the eigenvalue terms are
 computed once per sweep.  One proposal takes 25-30 us at best at
@@ -199,10 +199,11 @@ class _Posterior:
 
     ``H_N = P^T A(mu) P + kappa0 (mu - mu0)(mu - mu0)^T + H0`` in the data's
     completion ``P`` of the mean's direction.  The data's part is read off
-    the frame's statistics (``model._FrameForms``), into whose tail forms
-    ``H0``'s tail is folded once; :meth:`_diagonal`, which :meth:`hn` and
-    :meth:`point` call, adds the other prior terms in ambient components
-    (the componentwise normal prior on the mean).
+    the data's frame record (``model._Frame``), with ``H0``'s tail folded
+    into its tail forms once; every other array is the record's own, not a
+    copy, so a posterior is built in O(p).  :meth:`_diagonal`, which
+    :meth:`hn` and :meth:`point` call, adds the other prior terms in ambient
+    components (the componentwise normal prior on the mean).
 
     The MH update of the mean runs in the frame's coordinates: a mean is
     carried as ``m = F^T mu = (m0, mt)``, and the completion of
@@ -214,29 +215,27 @@ class _Posterior:
 
     def __init__(self, data: SampleSet, prior: PriorConfig):
         _check_prior(data, prior)
-        F, forms, h0 = data.frame, data._forms, prior.h0_diag
-        self.data = data
-        self.forms = forms._replace(a_diag=forms.a_diag + h0[1:])
-        self.h00 = float(h0[0])
-        self.f0, self.f_tail = F[:, 0].copy(), np.ascontiguousarray(F[:, 1:])
-        self.mu0, self.kappa0 = prior.mu0, prior.kappa0
+        frame, h0 = data._frame, prior.h0_diag
+        self.frame = frame._replace(a_diag=frame.a_diag + h0[1:])
+        self.f0, self.f_tail, self.n = frame.f0, frame.f_tail, frame.n
+        self.h00, self.mu0, self.kappa0 = float(h0[0]), prior.mu0, prior.kappa0
         self.t = data.n + 1.0 + 2.0 * prior.a
         self.shape = 0.5 * (data.n + 2.0 * prior.a - 1.0)  # of each eigenvalue's conditional
 
     def _diagonal(self, c, s, b, c0, mu) -> tuple[float, np.ndarray]:
         """The leading entry and the tail of ``H_N``'s diagonal at the mean ``mu`` of
         radius ``c0 >= 0``, whose direction has frame coordinates ``(c, s b)``."""
-        hn0, tail = self.forms.diagonal(c, s, b, c0)
+        hn0, tail = self.frame.diagonal(c, s, b, c0)
         dm = mu - self.mu0
         kd = self.kappa0 * (dm * dm)
         return hn0 + float(kd[0]) + self.h00, tail + kd[1:]
 
     def hn(self, u: np.ndarray, c0: float) -> np.ndarray:
         """Diagonal of ``H_N`` at the mean ``c0 u`` in the data's completion of its
-        direction, ``-u`` where ``c0 < 0`` (:meth:`SampleSet._geometry`); an
+        direction, ``-u`` where ``c0 < 0`` (:meth:`model._Frame.geometry`); an
         overflow raises ``ValueError``, with no warning."""
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-            hn0, tail = self._diagonal(*self.data._geometry(u, c0), c0 * u)
+            hn0, tail = self._diagonal(*self.frame.geometry(u, c0), c0 * u)
         hn = np.concatenate(([hn0], tail))
         _check_scale(hn, "H_N's diagonal")
         return hn
@@ -270,7 +269,7 @@ class _Posterior:
 
     def state(self, pt: _Point, sweep: tuple) -> _State:
         """The MH state of the point ``pt`` under the :meth:`sweep` terms ``sweep``."""
-        d = _variances(self.data.n, pt.c2, *sweep[:2])
+        d = _variances(self.n, pt.c2, *sweep[:2])
         return _State(pt, d, math.fsum(np.log(d).tolist()), self.log_density(pt.hn0, pt.hnt, sweep))
 
     def step(self, state: _State, sweep: tuple, rng) -> tuple[_State, bool]:
@@ -363,7 +362,7 @@ def run_gibbs(
     # the eigenvalue draw, which every state of a sweep squares, is checked
     # once per sweep.
     with np.errstate(over="ignore", invalid="ignore"):
-        pt = post.point(post.forms.x0, post.forms.x_tail)
+        pt = post.point(post.frame.x0, post.frame.x_tail)
         for j in range(s):
             lam = _draw_lambda(post.shape, 0.5 * pt.hnt, rng)
             _check_scale(lam, "an eigenvalue draw")

@@ -105,19 +105,18 @@ def fit_mle(data: SampleSet) -> Fit:
     """
     if data.n < 2:
         raise DegenerateDataError("need at least two observations")
-    evals, basis = data._anchor
+    frame = data._frame
+    evals, u, q = frame.evals, frame.f0, frame.a_diag
     tr = float(np.trace(data.scatter_about_mean()))
     if evals[0] <= _RANK_RTOL * tr:
-        raise DegenerateDataError("A(xbar) is rank deficient")
+        raise DegenerateDataError("A(xbar) is rank deficient")  # q needs no test: q_i >= evals[0]
     degenerate = bool(evals[1] - evals[0] <= 1e-9 * tr)
-    u = basis[:, 0].copy()  # contiguous: a strided dot sums in another order
     c0 = estimate_c0(data, u)
-    q = _tail_forms(data, u)
     return Fit(
         u=u,
         c0=c0,
         spectrum=q / data.n,
-        basis=basis,
+        basis=frame.basis,
         diagnostics={
             "profile_loglik": _profile_loglik(data, u, q),
             "lower_bound": lower_bound_h(data, u),

@@ -204,11 +204,16 @@ def tail_quadratic_forms(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (V * A.dot(V)).sum(axis=0)
 
 
-class _FrameForms(NamedTuple):
-    """The data's statistics in their frame ``F``, ``A~ = F^T A(0) F`` and ``x~ = F^T xbar``:
-    ``n``, ``A~_00``, ``A~_tail,0``, ``A~_:,tail`` stacked over ``x~_tail^T``,
-    the tail of ``diag(A~)`` (the frame's own tail forms) and ``x~``."""
+class _Frame(NamedTuple):
+    """The data's frame ``F = P(u_hat)`` and its statistics ``A~ = F^T A(0) F`` and
+    ``x~ = F^T xbar``: the eigenvalues of ``A(xbar)``, ``F``, contiguous copies of ``u_hat``
+    and of ``F``'s tail, ``n``, ``A~_00``, ``A~_tail,0``, ``A~_:,tail`` stacked over
+    ``x~_tail^T``, the tail of ``diag(A~)`` (the frame's own tail forms) and ``x~``."""
 
+    evals: np.ndarray
+    basis: np.ndarray
+    f0: np.ndarray
+    f_tail: np.ndarray
     n: int
     a00: float
     a_col: np.ndarray
@@ -216,6 +221,17 @@ class _FrameForms(NamedTuple):
     a_diag: np.ndarray
     x0: float
     x_tail: np.ndarray
+
+    def geometry(self, u, c0: float) -> tuple[float, float, np.ndarray, float]:
+        """``(c, s, b, |c0|)`` of the mean ``c0 u`` for :meth:`diagonal`: ``F^T u' = (c, s b)``
+        (:func:`_frame_geometry`) for its direction ``u'``, ``u`` where ``c0 >= 0``, ``-u``
+        where ``c0 < 0``; ``u`` is checked unit."""
+        u = _direction(u, self.f0.size)
+        if c0 < 0.0:
+            u, c0 = -u, -c0
+        ut = self.basis.T.dot(u)
+        _, c, s, b = _frame_geometry(float(ut[0]), ut[1:])
+        return c, s, b, c0
 
     def diagonal(self, c: float, s: float, b: np.ndarray, c0: float) -> tuple[float, np.ndarray]:
         """The leading entry and the tail of ``diag(P^T A(c0 u) P)``, ``c0 >= 0``, at
@@ -295,14 +311,14 @@ class Fit(_Record):
     it.  ``u`` is the direction as the estimator completed it, unit within
     ``UNIT_TOL``; ``c0 >= 0`` is the radius.  ``basis`` is the ``p x p``
     completion ``P(u)`` that :meth:`covariance` reads, whose column 0 is ``u``
-    bit for bit: :meth:`SampleSet.completion` of ``u``.  ``spectrum`` holds the
+    bit for bit and whose tail is orthonormal and orthogonal to ``u`` within
+    ``UNIT_TOL``: :meth:`SampleSet.completion` of ``u``.  ``spectrum`` holds the
     ``p - 1`` free eigenvalues, each > 0 (the leading one is fixed at one).
     ``converged`` and ``outer_iterations`` describe an iterative fit (a
     closed-form fit keeps the defaults); ``diagnostics`` is a mapping of the
     values particular to one estimator.  Every value is stored read-only
     (:class:`_Record`): a fit may share its basis with the data (the MLE's
-    basis is the data's kept :attr:`SampleSet.frame`), so none of it can be
-    written.
+    basis is the data's kept :attr:`SampleSet.frame`), so none of it can be written.
     """
 
     u: np.ndarray
@@ -320,6 +336,9 @@ class Fit(_Record):
         u = _direction(self.u, p)
         if not np.array_equal(self.basis[:, 0], u):
             raise DimensionMismatchError("the basis's first column is not u")
+        V = self.basis[:, 1:]  # orthonormal and orthogonal to u, else Sigma u != u; NaN fails
+        if not np.abs(np.vstack([V.T @ V - np.eye(p - 1), u @ V])).max() <= UNIT_TOL:
+            raise DimensionMismatchError("the basis's tail is not an orthonormal completion of u")
         c0 = float(self.c0)
         if not c0 >= 0.0:
             raise NegativeRadiusError(f"radius c0 must be >= 0, got {c0}")
@@ -419,7 +438,7 @@ class SampleSet(_Record):
         :meth:`completion` carries it to any other direction, so the
         completion of a direction depends on the data through ``u_hat``.
         """
-        return self._anchor[1]
+        return self._frame.basis
 
     def completion(self, u) -> np.ndarray:
         """The basis ``P(u)`` of a unit direction for these data: the :attr:`frame`
@@ -438,34 +457,21 @@ class SampleSet(_Record):
         ``A(0)``, read off the frame's statistics with one product ``F^T u``,
         in O(p^2); at the frame's own direction, the frame's tail forms.
         """
-        hn0, tail = self._forms.diagonal(*self._geometry(u, c0))
+        frame = self._frame
+        hn0, tail = frame.diagonal(*frame.geometry(u, c0))
         return np.concatenate(([hn0], tail))
 
-    def _geometry(self, u, c0: float) -> tuple[float, float, np.ndarray, float]:
-        """``(c, s, b, |c0|)`` of the mean ``c0 u`` for :meth:`_FrameForms.diagonal`:
-        ``F^T u' = (c, s b)`` (:func:`_frame_geometry`) for its direction ``u'``,
-        ``u`` where ``c0 >= 0``, ``-u`` where ``c0 < 0``; ``u`` is checked unit."""
-        u = _direction(u, self.p)
-        if c0 < 0.0:
-            u, c0 = -u, -c0
-        ut = self.frame.T.dot(u)
-        _, c, s, b = _frame_geometry(float(ut[0]), ut[1:])
-        return c, s, b, c0
-
     @cached_property
-    def _forms(self) -> _FrameForms:
-        """The :attr:`frame`'s statistics that :meth:`scatter_diagonal` reads, read-only."""
-        F = self.frame
-        At, xt = F.T.dot(self.a0).dot(F), F.T.dot(self.xbar)
-        return _frozen(_FrameForms(
-            self.n, float(At[0, 0]), At[1:, 0].copy(), np.vstack([At[:, 1:], xt[1:]]),
-            tail_quadratic_forms(self.a0, F[:, 1:]), float(xt[0]), xt[1:].copy()))
-
-    @cached_property
-    def _anchor(self) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues of ``A(xbar)`` and the :attr:`frame`, from one ``eigh``."""
+    def _frame(self) -> _Frame:
+        """The :attr:`frame` and its statistics, read-only, built on first read from one
+        ``eigh`` of ``A(xbar)``, one completion and one ``F^T A(0) F``."""
         evals, evecs = np.linalg.eigh(self.scatter_about_mean())
         u = evecs[:, 0] / _norm(evecs[:, 0])
         if u @ self.xbar < 0.0:
             u = -u
-        return _frozen((evals, build_orthobasis(u)))
+        F = build_orthobasis(u)
+        At, xt = F.T.dot(self.a0).dot(F), F.T.dot(self.xbar)
+        return _frozen(_Frame(
+            evals, F, F[:, 0].copy(), np.ascontiguousarray(F[:, 1:]), self.n, float(At[0, 0]),
+            At[1:, 0].copy(), np.vstack([At[:, 1:], xt[1:]]),
+            tail_quadratic_forms(self.a0, F[:, 1:]), float(xt[0]), xt[1:].copy()))

@@ -237,7 +237,7 @@ class TestHnMatrix:
         with pytest.raises(DimensionMismatchError):
             hn_diagonal(data, np.zeros(4), prior)
         calls = []
-        monkeypatch.setattr(model_module.SampleSet, "_geometry",
+        monkeypatch.setattr(model_module._Frame, "geometry",
                             lambda self, u, c0: calls.append(u))
         with pytest.raises(DimensionMismatchError):
             hn_diagonal(data, np.ones(4), prior)
@@ -728,6 +728,18 @@ class TestEntryPoints:
             quad = u @ data.scatter_about_mean() @ u
             expected = -0.5 * data.n * np.log(q / data.n).sum() - 0.5 * (quad + data.n * (p - 1))
             assert profile_loglik(data, u) == pytest.approx(expected, rel=1e-12)
+
+    def test_posteriors_share_the_data_frame_record(self, small_case):
+        # A posterior reads the data's one frame record, not a copy of it,
+        # and keeps no reference to the data set.
+        data, prior = small_case
+        first, second = _Posterior(data, prior), _Posterior(data, prior)
+        for post in (first, second):
+            assert np.shares_memory(post.f_tail, data._frame.f_tail)
+            assert np.shares_memory(post.f0, data._frame.f0)
+            assert np.shares_memory(post.frame.a_w, data._frame.a_w)
+            assert not hasattr(post, "data")
+        assert np.shares_memory(first.f_tail, second.f_tail)
 
     def test_every_reader_of_hn_goes_through_the_one_assembly(self, small_case, monkeypatch):
         # H_N's diagonal and its prior terms are assembled in one place,

@@ -42,6 +42,7 @@ from meancov import (
     map_c0_update,
     map_from_chain,
     map_lambda_update,
+    niw_map,
     niw_posterior,
     profile_loglik,
     run_experiment,
@@ -51,7 +52,7 @@ from meancov import (
 )
 from meancov import model as model_module
 from meancov.gibbs import lambda_conditional_params
-from conftest import build_orthobasis_reference, random_unit, simulated_data
+from conftest import build_orthobasis_reference, random_unit, simulated_data, simulated_rows
 
 EPS = np.finfo(float).eps
 
@@ -696,6 +697,13 @@ class TestSampleSet:
         fit = fit_mle(data)
         for other in (pickle.loads(pickle.dumps(data)), copy.deepcopy(data)):
             assert other.n == data.n
+            assert "_frame" in vars(other)  # the kept record, not one built again
+            arrays = [(a, b) for a, b in zip(other._frame, data._frame)
+                      if isinstance(a, np.ndarray)]
+            assert len(arrays) == 8
+            for a, b in arrays:
+                assert np.array_equal(a, b)
+                assert not a.flags.writeable
             for a, b in ((other.xbar, data.xbar), (other.a0, data.a0),
                          (other.frame, data.frame),
                          (other.scatter_about_mean(), data.scatter_about_mean()),
@@ -705,6 +713,24 @@ class TestSampleSet:
         fresh = pickle.loads(pickle.dumps(SampleSet(np.eye(3))))
         assert not (fresh.xbar.flags.writeable or fresh.a0.flags.writeable)
         assert not fresh.frame.flags.writeable
+
+    def test_frame_record_is_built_on_first_read_and_once(self, monkeypatch):
+        # The NIW baseline reads no frame.  Every other estimator on one data
+        # set reads the one record, from one eigh and one completion.
+        X = simulated_rows(60, 4, seed=9)
+        calls = []
+        eigh, build = np.linalg.eigh, model_module.build_orthobasis
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+        monkeypatch.setattr(model_module, "build_orthobasis",
+                            lambda u: calls.append("basis") or build(u))
+        data = SampleSet(X)
+        niw_map(niw_posterior(data, np.zeros(4), 1.5, 6.0, np.eye(4)))
+        assert calls == []
+        prior = PriorConfig.default(data)
+        fit_mle(data)
+        fit_map_newton(data, prior)
+        map_from_chain(run_gibbs(data, prior, s=5, l=2, rng=np.random.default_rng(0)), data, prior)
+        assert sorted(calls) == ["basis", "eigh"]
 
     def test_model_imports_no_estimator_module(self):
         # The data set keeps its frame, not a fit, so the model module
@@ -911,6 +937,19 @@ class TestInputChecks:
         # A p x (p - 1) basis would fail only in covariance(), on NumPy's matmul.
         with pytest.raises(DimensionMismatchError, match="basis has shape"):
             Fit(u=np.array([1.0, 0.0, 0.0]), c0=1.0, spectrum=np.ones(2), basis=np.eye(3)[:, :2])
+
+    @pytest.mark.parametrize("u, lam, basis", [
+        # Sigma mu = (5, 4) for mu = (1, 0): a tail not orthogonal to u.
+        ([1.0, 0.0], [4.0], [[1.0, 1.0], [0.0, 1.0]]),
+        # Sigma has eigenvalues (0, 1, 6), not positive definite: a tail
+        # orthogonal to u but not orthonormal.
+        ([1.0, 0.0, 0.0], [4.0, 2.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]),
+        ([1.0, 0.0], [4.0], [[1.0, 0.0], [0.0, np.nan]]),
+    ], ids=["not-orthogonal-to-u", "not-orthonormal", "nan"])
+    def test_a_tail_that_is_not_an_orthonormal_completion_is_a_dimension_mismatch(
+            self, u, lam, basis):
+        with pytest.raises(DimensionMismatchError, match="not an orthonormal completion"):
+            Fit(u=np.array(u), c0=1.0, spectrum=np.array(lam), basis=np.array(basis))
 
     def test_a_basis_that_does_not_complete_u_is_a_dimension_mismatch(self):
         # Sigma u = u holds only if the basis's first column is u: here
