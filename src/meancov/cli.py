@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .exceptions import (
-    DimensionMismatchError,
     MeanCovError,
     ParseError,
     RangeError,
@@ -34,7 +33,7 @@ from .exceptions import (
 )
 from .gibbs import PriorConfig, map_from_chain, run_gibbs
 from .mle import fit_mle
-from .model import Fit, SampleSet
+from .model import Fit, SampleSet, _as_matrix
 from .newton_map import fit_map_newton
 from .niw import niw_map, niw_posterior
 from .simulate import format_table, reports_to_records, run_experiment
@@ -91,8 +90,9 @@ def ingest_csv(path: str) -> np.ndarray:
         first = next(lines, None)
         if first is None:
             raise TooFewRowsError(f"{path}: empty file")
-        if not any(map(_is_number, first.split(","))):
-            first = next(lines, None)  # header row: no token is a number
+        header = 0 if any(map(_is_number, first.split(","))) else 1  # 1: no token is a number
+        if header:
+            first = next(lines, None)
         if first is None:
             raise TooFewRowsError(f"{path}: need at least 2 data rows, got 0")
         try:
@@ -102,7 +102,7 @@ def ingest_csv(path: str) -> np.ndarray:
         except ValueError:
             X = None
     if X is None or not np.isfinite(X).all():
-        X = _ingest_row_by_row(path)
+        X = _ingest_row_by_row(path, header)
     if len(X) < 2:
         raise TooFewRowsError(f"{path}: need at least 2 data rows, got {len(X)}")
     if X.shape[1] < 2:
@@ -110,8 +110,9 @@ def ingest_csv(path: str) -> np.ndarray:
     return X
 
 
-def _ingest_row_by_row(path: str) -> np.ndarray:
-    """The matrix :func:`ingest_csv` reads from ``path``, read a line and a cell at a time.
+def _ingest_row_by_row(path: str, header: int) -> np.ndarray:
+    """The matrix :func:`ingest_csv` reads from ``path``, whose first ``header`` (0 or 1)
+    non-blank lines are a header, read a line and a cell at a time.
 
     The fallback of the C reader when that reader rejects a file or finds
     a non-finite value: this loop reads the cells ``float()`` accepts and the
@@ -124,9 +125,8 @@ def _ingest_row_by_row(path: str) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]  # not empty: ingest_csv read a line
-    start = 0 if any(_is_number(tok) for tok in lines[0].split(",")) else 1
-    for i, line in enumerate(lines[start:], start=start + 1):
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    for i, line in enumerate(lines[header:], start=header + 1):
         toks = [t.strip() for t in line.split(",")]
         if width is None:
             width = len(toks)
@@ -163,9 +163,7 @@ def latlong_to_sphere(latlong) -> np.ndarray:
     range, and its latitude when both are.  Any other shape, a single pair
     included, raises ``DimensionMismatchError`` naming it.
     """
-    if np.shape(latlong)[1:] != (2,):
-        raise DimensionMismatchError(f"latlong must be (m, 2), got shape {np.shape(latlong)}")
-    lat, lon = np.asarray(latlong).T
+    lat, lon = _as_matrix(latlong, "latlong", (None, 2)).T
     bad_lat = ~((-90.0 <= lat) & (lat <= 90.0))
     bad_lon = ~((-180.0 <= lon) & (lon < 360.0))
     bad = np.flatnonzero(bad_lat | bad_lon)

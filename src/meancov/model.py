@@ -56,6 +56,16 @@ def _as_vector(x, name: str, size: int | None = None) -> np.ndarray:
     return v
 
 
+def _as_matrix(x, name: str, shape: tuple[int | None, int | None] = (None, None)) -> np.ndarray:
+    """``x`` as a 2-d float array whose axes have the sizes ``shape`` gives (``None``: any);
+    ``DimensionMismatchError`` otherwise.  The one shape check of the package."""
+    m = np.asarray(x, dtype=float)
+    if m.ndim != 2 or any(k not in (None, s) for k, s in zip(shape, m.shape)):
+        want = ", ".join("any" if k is None else str(k) for k in shape)
+        raise DimensionMismatchError(f"{name} must have shape ({want}), got shape {m.shape}")
+    return m
+
+
 def _norm(v: np.ndarray) -> float:
     """``np.linalg.norm`` of a 1-d float vector, bit for bit, without its dispatch.
 
@@ -185,10 +195,12 @@ def transport_frame(frame: np.ndarray, u) -> np.ndarray:
     on the frame's axis (``-r`` included) it is ``V_r``.
 
     Returns the read-only ``P = [u | V(u)]``; column 0 is ``u`` bit for bit.
-    ``u`` must have the frame's length and be unit within ``UNIT_TOL``.
+    ``u`` must be unit within ``UNIT_TOL`` and the frame square of ``u``'s length.
     """
-    p = frame.shape[0]
-    u = _direction(u, p)
+    u = _as_vector(u, "u")
+    p = u.size
+    frame = _as_matrix(frame, "frame", (p, p))
+    u = _direction(u)
     r, v_r = frame[:, 0], frame[:, 1:]
     ut = frame.T.dot(u)
     _, c, s, b = _frame_geometry(float(ut[0]), ut[1:])
@@ -256,10 +268,11 @@ def structured_covariance(basis: np.ndarray, lam) -> np.ndarray:
     """``Sigma = P diag(1, lam) P^T`` for the basis ``P = [u | V]`` and ``p - 1`` eigenvalues.
 
     Assembled as ``u u^T + sum_i lam_i V_i V_i^T``, which is exactly
-    symmetric, and returned read-only; a ``lam`` of another length raises
-    ``DimensionMismatchError``.
+    symmetric, and returned read-only; a basis that is not square of order
+    ``lam``'s length plus one raises ``DimensionMismatchError``.
     """
-    lam = _as_vector(lam, "spectrum", basis.shape[0] - 1)  # a length-1 lam would broadcast
+    lam = _as_vector(lam, "spectrum")
+    basis = _as_matrix(basis, "basis", (lam.size + 1, lam.size + 1))
     u = basis[:, 0]
     V = basis[:, 1:]
     sigma = np.outer(u, u) + (V * lam) @ V.T
@@ -330,13 +343,13 @@ class Fit(_Record):
     diagnostics: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        p = self.basis.shape[0]
-        if self.basis.shape != (p, p):
-            raise DimensionMismatchError(f"basis has shape {self.basis.shape}, expected {(p, p)}")
-        u = _direction(self.u, p)
-        if not np.array_equal(self.basis[:, 0], u):
+        u = _as_vector(self.u, "u")
+        p = u.size
+        basis = _as_matrix(self.basis, "basis", (p, p))
+        u = _direction(u)
+        if not np.array_equal(basis[:, 0], u):
             raise DimensionMismatchError("the basis's first column is not u")
-        V = self.basis[:, 1:]  # orthonormal and orthogonal to u, else Sigma u != u; NaN fails
+        V = basis[:, 1:]  # orthonormal and orthogonal to u, else Sigma u != u; NaN fails
         if not np.abs(np.vstack([V.T @ V - np.eye(p - 1), u @ V])).max() <= UNIT_TOL:
             raise DimensionMismatchError("the basis's tail is not an orthonormal completion of u")
         c0 = float(self.c0)
@@ -345,7 +358,7 @@ class Fit(_Record):
         lam = _as_vector(self.spectrum, "spectrum", p - 1)
         if not np.all(lam > 0.0):
             raise NonPositiveEigenvalueError(f"eigenvalues must be > 0, got {lam}")
-        super().__post_init__(u=u, c0=c0, spectrum=lam)
+        super().__post_init__(u=u, c0=c0, spectrum=lam, basis=basis)
 
     @property
     def mu(self) -> np.ndarray:
@@ -379,10 +392,7 @@ class SampleSet(_Record):
     a0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, X):
-        shape = np.shape(X)  # before ascontiguousarray makes a 0-d input 1-d
-        if len(shape) != 2:
-            raise DimensionMismatchError(f"data must be an n x p matrix, got shape {shape}")
-        X = np.ascontiguousarray(X, dtype=float)
+        X = np.ascontiguousarray(_as_matrix(X, "data"))
         if X.shape[1] < 2:
             raise DimensionMismatchError("need dimension p >= 2")
         if X.shape[0] < 1:

@@ -10,18 +10,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError
-from .model import SampleSet, _as_vector, _Record
+from .model import SampleSet, _as_matrix, _as_vector, _Record
 
 
 @dataclass(frozen=True, eq=False)
 class NiwParams(_Record):
-    """Updated hyperparameters of the normal-inverse-Wishart posterior; the arrays are read-only."""
+    """Updated hyperparameters of the normal-inverse-Wishart posterior: a length-p ``mu_n`` and
+    a p x p ``Lambda_n``, both read-only (``DimensionMismatchError`` for any other shapes)."""
 
     mu_n: np.ndarray
     kappa_n: float
     nu_n: float
     Lambda_n: np.ndarray
+
+    def __post_init__(self):
+        mu_n = _as_vector(self.mu_n, "mu_n")
+        lam_n = _as_matrix(self.Lambda_n, "Lambda_n", (mu_n.size, mu_n.size))
+        super().__post_init__(mu_n=mu_n, Lambda_n=lam_n)
 
 
 def niw_posterior(
@@ -36,9 +41,7 @@ def niw_posterior(
     """
     p = data.p
     mu0 = _as_vector(mu0, "mu0", p)
-    Lambda0 = np.asarray(Lambda0, dtype=float)
-    if Lambda0.shape != (p, p):
-        raise DimensionMismatchError(f"Lambda0 has shape {Lambda0.shape}, expected {(p, p)}")
+    Lambda0 = _as_matrix(Lambda0, "Lambda0", (p, p))
     if not all(np.isfinite(v).all() for v in (mu0, kappa0, nu0, Lambda0)):
         raise ValueError("prior values mu0, kappa0, nu0 and Lambda0 must be finite")
     if kappa0 <= 0.0:

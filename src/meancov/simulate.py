@@ -26,6 +26,8 @@ from .gibbs import PriorConfig, map_from_chain, run_gibbs
 from .mle import fit_mle
 from .model import (
     SampleSet,
+    _as_matrix,
+    _as_vector,
     _polar,
     _Record,
     build_orthobasis,
@@ -41,10 +43,16 @@ EstimatorFn = Callable[[SampleSet, np.random.Generator], tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True, eq=False)
 class TruthSpec(_Record):
-    """A constrained truth pair for one replication; both arrays are read-only."""
+    """A constrained truth pair for one replication: a length-p mean and a p x p covariance,
+    both read-only (``DimensionMismatchError`` for any other shapes)."""
 
     mu_true: np.ndarray
     sigma_true: np.ndarray
+
+    def __post_init__(self):
+        mu = _as_vector(self.mu_true, "mu_true")
+        sigma = _as_matrix(self.sigma_true, "sigma_true", (mu.size, mu.size))
+        super().__post_init__(mu_true=mu, sigma_true=sigma)
 
     @property
     def p(self) -> int:

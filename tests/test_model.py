@@ -21,10 +21,12 @@ from meancov import (
     Fit,
     GibbsRun,
     NegativeRadiusError,
+    NiwParams,
     NonPositiveEigenvalueError,
     NonUnitVectorError,
     PriorConfig,
     SampleSet,
+    TruthSpec,
     ZeroVectorError,
     build_orthobasis,
     draw_lambda_conditional,
@@ -47,10 +49,12 @@ from meancov import (
     profile_loglik,
     run_experiment,
     run_gibbs,
+    sample_data,
     structured_covariance,
     transport_frame,
 )
 from meancov import model as model_module
+from meancov.cli import latlong_to_sphere
 from meancov.gibbs import lambda_conditional_params
 from conftest import build_orthobasis_reference, random_unit, simulated_data, simulated_rows
 
@@ -900,6 +904,37 @@ ENTRY_POINTS = {
 }
 
 
+# Every public matrix argument, the two records' included: (a call on the
+# matrix, which returns one array, a valid matrix, the names of MISSHAPES that
+# must raise DimensionMismatchError).  The vector arguments of each call are
+# lists, so the list-of-lists case reads every argument as a list.
+_FRAME = build_orthobasis([0.6, 0.8, 0.0])
+_SQUARE = "0-d 1-d 3-d one-column-less one-row-and-column-less one-row-and-column-more"
+MATRIX_ENTRY_POINTS = {
+    "SampleSet": (lambda m: SampleSet(m).a0, np.arange(15.0).reshape(5, 3) % 4, "0-d 1-d 3-d"),
+    "Fit": (lambda m: Fit(u=[1.0, 0.0, 0.0], c0=2.0, spectrum=[4.0, 9.0], basis=m).covariance(),
+            np.eye(3), _SQUARE),
+    "niw_posterior": (lambda m: niw_posterior(simulated_data(6, 3, seed=55), [0.0, 1.0, 0.0], 1.5,
+                                              4.0, m).Lambda_n, 2.0 * np.eye(3), _SQUARE),
+    "latlong_to_sphere": (latlong_to_sphere, np.array([[10.0, 20.0], [-45.0, 300.0]]),
+                          "0-d 1-d 3-d one-column-less one-row-and-column-more"),
+    "transport_frame": (lambda m: transport_frame(m, [0.0, 0.6, 0.8]), _FRAME, _SQUARE),
+    "structured_covariance": (lambda m: structured_covariance(m, [2.0, 3.0]), _FRAME, _SQUARE),
+    "TruthSpec": (lambda m: sample_data(TruthSpec(mu_true=[1.0, 0.0, 0.0], sigma_true=m), 5,
+                                        np.random.default_rng(0)), np.diag([1.0, 2.0, 3.0]),
+                  _SQUARE),
+    "NiwParams": (lambda m: niw_map(NiwParams(mu_n=[0.0, 1.0, 0.0], kappa_n=2.0, nu_n=5.0,
+                                              Lambda_n=m))[1], 2.0 * np.eye(3), _SQUARE),
+}
+MISSHAPES = {
+    "0-d": lambda m: m[0, 0],
+    "1-d": lambda m: m[0],
+    "3-d": lambda m: m[None],
+    "one-column-less": lambda m: m[:, :-1],
+    "one-row-and-column-less": lambda m: m[:-1, :-1],
+    "one-row-and-column-more": lambda m: np.pad(m, ((0, 1), (0, 1))),
+}
+
 def _resized(x, delta: int):
     """``x`` one entry longer (a zero appended, so a unit ``u`` stays unit) or
     shorter; a prior with both its vectors, and a chain with its means, so resized."""
@@ -933,9 +968,26 @@ class TestInputChecks:
         with pytest.raises(DimensionMismatchError):
             call(dict(args, **{arg: _resized(args[arg], delta)}))
 
+    @pytest.mark.parametrize("name", MATRIX_ENTRY_POINTS)
+    def test_a_list_of_lists_reads_as_the_array(self, name):
+        call, m, _ = MATRIX_ENTRY_POINTS[name]
+        want = call(m)
+        assert want.dtype == float
+        assert np.array_equal(call(m.tolist()), want)
+
+    @pytest.mark.parametrize("name, misshape", [
+        (name, misshape)
+        for name, (_, _, misshapes) in MATRIX_ENTRY_POINTS.items() for misshape in misshapes.split()
+    ])
+    def test_a_misshapen_matrix_is_a_dimension_mismatch(self, name, misshape):
+        call, m, _ = MATRIX_ENTRY_POINTS[name]
+        with pytest.raises(DimensionMismatchError, match=r"got shape \(.*\)$"):
+            call(MISSHAPES[misshape](m))
+
     def test_a_basis_that_is_not_p_by_p_is_a_dimension_mismatch(self):
         # A p x (p - 1) basis would fail only in covariance(), on NumPy's matmul.
-        with pytest.raises(DimensionMismatchError, match="basis has shape"):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"basis must have shape \(3, 3\), got shape \(3, 2\)$"):
             Fit(u=np.array([1.0, 0.0, 0.0]), c0=1.0, spectrum=np.ones(2), basis=np.eye(3)[:, :2])
 
     @pytest.mark.parametrize("u, lam, basis", [
